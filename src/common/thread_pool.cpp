@@ -48,7 +48,15 @@ void ThreadPool::run_chunks(ParallelJob& job) {
     AGTRAM_OBS_COUNT("pool.chunks_claimed", 1);
     const std::size_t first = job.begin + c * job.step;
     const std::size_t last = std::min(job.end, first + job.step);
-    if (first < last) (*job.body)(first, last);
+    if (first < last && !job.failed.load(std::memory_order_relaxed)) {
+      try {
+        (*job.body)(first, last);
+      } catch (...) {
+        if (!job.failed.exchange(true, std::memory_order_relaxed)) {
+          job.error = std::current_exception();
+        }
+      }
+    }
     if (job.chunks_done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
         job.chunk_count) {
       job.chunks_done.notify_one();  // wake the owning caller, if parked
@@ -130,6 +138,7 @@ void ThreadPool::parallel_for(
     job.entrants.wait(entrants, std::memory_order_acquire);
     entrants = job.entrants.load(std::memory_order_acquire);
   }
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 ThreadPool& ThreadPool::shared() {

@@ -18,6 +18,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -49,7 +50,9 @@ class ThreadPool {
   /// count defaults to 4x threads for load balance.  Falls back to inline
   /// execution for tiny ranges, for nested/concurrent calls, and on
   /// single-worker pools (where forking can never overlap with the caller),
-  /// so it is safe (and cheap) to call unconditionally.
+  /// so it is safe (and cheap) to call unconditionally.  If a chunk throws,
+  /// on any thread, the chunks not yet started are skipped and the first
+  /// exception is rethrown on the caller once no worker holds the job.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t, std::size_t)>& body,
                     std::size_t min_grain = 64);
@@ -71,6 +74,11 @@ class ThreadPool {
     std::atomic<std::size_t> next_chunk{0};   ///< chunk claim ticket
     std::atomic<std::size_t> chunks_done{0};  ///< completion latch
     std::atomic<std::size_t> entrants{0};     ///< workers touching the job
+    /// Set by the first chunk that throws; later claims skip their body.
+    /// `error` is written once, before that chunk's chunks_done increment,
+    /// so the caller's acquire of the full count makes it visible.
+    std::atomic<bool> failed{false};
+    std::exception_ptr error;
   };
 
   void worker_loop();

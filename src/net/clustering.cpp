@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -143,14 +144,15 @@ Clustering cluster_servers_sampled(const Graph& graph,
   std::sort(result.medoids.begin(), result.medoids.end());
   result.assignment.resize(n);
 
-  // One Dijkstra strip per region and sweep instead of the M x M closure.
+  // One Dijkstra strip per medoid instead of the M x M closure; a sweep
+  // recomputes only the strips of the regions whose medoid moved.
   std::vector<std::vector<Cost>> strips(k);
-  const auto compute_strips = [&] {
+  const auto compute_strips = [&](const std::vector<std::uint32_t>& regions) {
     common::ThreadPool::shared().parallel_for(
-        0, k,
+        0, regions.size(),
         [&](std::size_t b, std::size_t e) {
-          for (std::size_t r = b; r < e; ++r) {
-            strips[r] = dijkstra(graph, result.medoids[r]);
+          for (std::size_t i = b; i < e; ++i) {
+            strips[regions[i]] = dijkstra(graph, result.medoids[regions[i]]);
           }
         },
         1);
@@ -201,10 +203,11 @@ Clustering cluster_servers_sampled(const Graph& graph,
 
   // One refinement sweep: per region, score the incumbent medoid plus a
   // sampled candidate set on the region subgraph and keep the argmin.
+  // Returns the regions whose medoid moved, ascending.
   constexpr std::uint32_t kNoLocal = std::numeric_limits<std::uint32_t>::max();
   std::vector<std::uint32_t> local(n, kNoLocal);
-  const auto refine = [&]() -> bool {
-    bool changed = false;
+  const auto refine = [&]() -> std::vector<std::uint32_t> {
+    std::vector<std::uint32_t> moved;
     std::vector<std::vector<NodeId>> members(k);
     for (NodeId node = 0; node < n; ++node) {
       members[result.assignment[node]].push_back(node);
@@ -250,19 +253,24 @@ Clustering cluster_servers_sampled(const Graph& graph,
       }
       if (best_node != result.medoids[r]) {
         result.medoids[r] = best_node;
-        changed = true;
+        moved.push_back(r);
       }
     }
-    return changed;
+    return moved;
   };
 
-  compute_strips();
+  std::vector<std::uint32_t> moved(k);
+  std::iota(moved.begin(), moved.end(), 0u);
+  compute_strips(moved);
   result.total_within_distance = assign();
   for (std::uint32_t iter = 0; iter < config.refine_iterations; ++iter) {
-    if (!refine()) break;
-    compute_strips();
+    moved = refine();
+    if (moved.empty()) break;
+    compute_strips(moved);
     result.total_within_distance = assign();
   }
+  result.centre_strips =
+      std::make_shared<const std::vector<std::vector<Cost>>>(std::move(strips));
   return result;
 }
 

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "net/shortest_paths.hpp"
@@ -22,6 +23,10 @@ struct Clustering {
   std::vector<NodeId> medoids;
   /// sum over nodes of the distance to their medoid.
   double total_within_distance = 0.0;
+  /// Full-graph distances from every node to each medoid, one strip per
+  /// region (cluster_servers_sampled only; null from cluster_servers).
+  /// Shared and immutable, so TiledDistances adopts them without a copy.
+  std::shared_ptr<const std::vector<std::vector<Cost>>> centre_strips;
 
   std::size_t region_count() const noexcept { return medoids.size(); }
 
@@ -44,7 +49,8 @@ struct SampledClusteringConfig {
   std::uint32_t regions = 8;
   std::uint64_t seed = 1;
   /// Medoid-refinement sweeps after the initial assignment (each sweep is
-  /// R full-graph Dijkstras plus sampled per-region candidate scoring).
+  /// sampled per-region candidate scoring plus one full-graph Dijkstra per
+  /// region whose medoid moved).
   std::uint32_t refine_iterations = 2;
   /// Sampled medoid candidates per region per sweep (besides the incumbent).
   std::uint32_t medoid_candidates = 4;
@@ -55,12 +61,14 @@ struct SampledClusteringConfig {
 };
 
 /// Closure-free k-medoids for large M: clusters directly on the graph with
-/// R single-source Dijkstra strips per sweep instead of the O(M^2) metric
-/// closure.  Assignment is capacitated greedy in ascending node order
-/// (medoids pinned to their own region; ties to the lowest region id), so
-/// the result is deterministic in the config.  Medoid refinement scores a
-/// sampled candidate set per region against min(region-subgraph distance,
-/// route via the incumbent centre).  Throws on zero regions.
+/// one single-source Dijkstra strip per medoid instead of the O(M^2) metric
+/// closure, recomputing a strip only when its medoid moves; the final
+/// strips are returned as Clustering::centre_strips.  Assignment is
+/// capacitated greedy in ascending node order (medoids pinned to their own
+/// region; ties to the lowest region id), so the result is deterministic
+/// in the config.  Medoid refinement scores a sampled candidate set per
+/// region against min(region-subgraph distance, route via the incumbent
+/// centre).  Throws on zero regions.
 Clustering cluster_servers_sampled(const Graph& graph,
                                    const SampledClusteringConfig& config);
 

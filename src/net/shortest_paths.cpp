@@ -1,38 +1,71 @@
 #include "net/shortest_paths.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
-#include <queue>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/thread_pool.hpp"
 
 namespace agtram::net {
 
-std::vector<Cost> dijkstra(const Graph& graph, NodeId source) {
-  std::vector<Cost> dist(graph.node_count(), kUnreachable);
-  using Item = std::pair<Cost, NodeId>;  // (distance, node)
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  dist[source] = 0;
-  heap.emplace(0, source);
-  while (!heap.empty()) {
-    const auto [d, u] = heap.top();
-    heap.pop();
-    if (d != dist[u]) continue;  // stale entry
-    for (const Edge& e : graph.neighbors(u)) {
-      const Cost candidate = d + e.cost;
-      if (candidate < dist[e.to]) {
-        dist[e.to] = candidate;
-        heap.emplace(candidate, e.to);
-      }
-    }
-  }
-  return dist;
-}
-
 namespace {
+
+/// Monotone radix heap over uint32 keys (Ahuja, Mehlhorn, Orlin and Tarjan,
+/// JACM 1990).  Valid for Dijkstra because every pushed key is at least the
+/// last popped one.  Bucket 0 holds keys equal to the last popped key and
+/// bucket b >= 1 those whose highest bit differing from it is bit b - 1, so
+/// a pop that finds bucket 0 empty redistributes one bucket into strictly
+/// lower ones.  Each item moves down at most 32 times.
+/// Items pack (key << 32 | node), so the minimum is one integer compare.
+class RadixHeap {
+ public:
+  bool empty() const noexcept { return nonempty_ == 0; }
+
+  void push(Cost key, NodeId node) { put((std::uint64_t{key} << 32) | node); }
+
+  /// Pops an item of minimum key; returns (key, node).
+  std::pair<Cost, NodeId> pop() {
+    if (buckets_[0].empty()) {
+      // The lowest non-empty bucket holds the minimum; it becomes the new
+      // reference key and the bucket's items all move strictly down.
+      const int b = std::countr_zero(nonempty_);
+      std::vector<std::uint64_t>& from = buckets_[b];
+      last_ = static_cast<Cost>(*std::min_element(from.begin(), from.end()) >>
+                                32);
+      for (const std::uint64_t item : from) put(item);
+      from.clear();
+      nonempty_ &= ~(std::uint64_t{1} << b);
+    }
+    const std::uint64_t item = buckets_[0].back();
+    buckets_[0].pop_back();
+    if (buckets_[0].empty()) nonempty_ &= ~std::uint64_t{1};
+    return {static_cast<Cost>(item >> 32), static_cast<NodeId>(item)};
+  }
+
+  /// Empties the heap and resets the reference key, keeping the buckets'
+  /// capacity for the next run.
+  void reset() {
+    for (auto& bucket : buckets_) bucket.clear();
+    nonempty_ = 0;
+    last_ = 0;
+  }
+
+ private:
+  void put(std::uint64_t item) {
+    const int b = std::bit_width(static_cast<Cost>(item >> 32) ^ last_);
+    buckets_[b].push_back(item);
+    nonempty_ |= std::uint64_t{1} << b;
+  }
+
+  std::array<std::vector<std::uint64_t>, 33> buckets_;
+  std::uint64_t nonempty_ = 0;  ///< bit b set iff buckets_[b] is non-empty
+  Cost last_ = 0;               ///< last popped key
+};
 
 /// Mean over distinct pairs from the full-matrix entry sum.  The matrix is
 /// symmetric with a zero diagonal, so the upper-triangle sum is half the
@@ -46,6 +79,40 @@ double mean_from_total(std::size_t nodes, std::uint64_t total) {
 }
 
 }  // namespace
+
+std::vector<Cost> dijkstra(const Graph& graph, NodeId source) {
+  std::vector<Cost> dist(graph.node_count(), kUnreachable);
+  // One heap per thread: its buckets keep their capacity across the many
+  // small region-subgraph runs of the tiled partition.
+  thread_local RadixHeap heap;
+  heap.reset();
+  // Nodes offered a path cost >= kUnreachable.  Such a node is only a
+  // refusal if no cheaper path settles it later.
+  std::vector<NodeId> overflowed;
+  dist[source] = 0;
+  heap.push(0, source);
+  while (!heap.empty()) {
+    const auto [d, u] = heap.pop();
+    if (d != dist[u]) continue;  // stale entry
+    for (const Edge& e : graph.neighbors(u)) {
+      const std::uint64_t candidate = std::uint64_t{d} + e.cost;
+      if (candidate >= kUnreachable) [[unlikely]] {
+        overflowed.push_back(e.to);
+      } else if (candidate < dist[e.to]) {
+        dist[e.to] = static_cast<Cost>(candidate);
+        heap.push(static_cast<Cost>(candidate), e.to);
+      }
+    }
+  }
+  for (const NodeId node : overflowed) {
+    if (dist[node] == kUnreachable) {
+      throw std::overflow_error(
+          "dijkstra: shortest path cost from source " + std::to_string(source) +
+          " to node " + std::to_string(node) + " does not fit in 32 bits");
+    }
+  }
+  return dist;
+}
 
 DistanceMatrix DistanceMatrix::compute(const Graph& graph) {
   const std::size_t n = graph.node_count();

@@ -21,13 +21,16 @@ namespace agtram::net {
 inline constexpr Cost kUnreachable = std::numeric_limits<Cost>::max();
 
 /// Single-source Dijkstra; returns distances (kUnreachable when disconnected).
+/// Throws std::overflow_error, naming the source, when a reachable node's
+/// shortest path cost does not fit below kUnreachable.
 std::vector<Cost> dijkstra(const Graph& graph, NodeId source);
 
 /// Immutable, row-major M x M distance matrix.
 class DistanceMatrix {
  public:
   /// Computes the metric closure of `graph`, running sources in parallel on
-  /// the shared thread pool.  Throws if the graph is disconnected.
+  /// the shared thread pool.  Throws if the graph is disconnected, and
+  /// std::overflow_error if a path cost does not fit (see dijkstra).
   static DistanceMatrix compute(const Graph& graph);
 
   /// Builds directly from a row-major matrix (tests / hand-made instances).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
 
 #include "common/thread_pool.hpp"
 
@@ -38,33 +39,35 @@ std::uint64_t TiledDistances::estimate_bytes(const Clustering& clustering) {
 TiledDistances TiledDistances::build(const Graph& graph,
                                      const Clustering& clustering) {
   const std::size_t k = clustering.region_count();
+  const auto& strips = clustering.centre_strips;
+  if (strips == nullptr) {
+    throw std::invalid_argument(
+        "TiledDistances::build: clustering carries no centre strips");
+  }
+  if (strips->size() != k ||
+      std::any_of(strips->begin(), strips->end(), [&](const auto& strip) {
+        return strip.size() != graph.node_count();
+      })) {
+    throw std::invalid_argument(
+        "TiledDistances::build: centre strips do not match the graph");
+  }
   TiledDistances tiles;
   tiles.members_.resize(k);
   tiles.blocks_.resize(k);
-  tiles.strips_.resize(k);
+  tiles.strips_ = strips;
   for (NodeId node = 0; node < clustering.assignment.size(); ++node) {
     tiles.members_[clustering.assignment[node]].push_back(node);
   }
 
-  auto& pool = common::ThreadPool::shared();
-  pool.parallel_for(
-      0, k,
-      [&](std::size_t b, std::size_t e) {
-        for (std::size_t r = b; r < e; ++r) {
-          tiles.strips_[r] = dijkstra(graph, clustering.medoids[r]);
-        }
-      },
-      1);
-
   constexpr std::uint32_t kNoLocal = std::numeric_limits<std::uint32_t>::max();
-  pool.parallel_for(
+  common::ThreadPool::shared().parallel_for(
       0, k,
       [&](std::size_t rb, std::size_t re) {
         for (std::size_t r = rb; r < re; ++r) {
           const std::vector<NodeId>& mem = tiles.members_[r];
           const std::size_t n = mem.size();
           const std::size_t side = n + k;
-          const std::span<const Cost> own = tiles.strips_[r];
+          const std::span<const Cost> own = tiles.centre_strip(r);
 
           std::vector<std::uint32_t> local(graph.node_count(), kNoLocal);
           for (std::uint32_t i = 0; i < n; ++i) local[mem[i]] = i;
@@ -87,12 +90,12 @@ TiledDistances TiledDistances::build(const Graph& graph,
                                  routed_via_centre(own[ga], own[mem[lb]]));
             }
             for (std::uint32_t q = 0; q < k; ++q) {
-              row[n + q] = tiles.strips_[q][ga];
+              row[n + q] = tiles.centre_strip(q)[ga];
             }
           }
           for (std::uint32_t q = 0; q < k; ++q) {
             Cost* row = rows.data() + (n + q) * side;
-            const std::span<const Cost> strip = tiles.strips_[q];
+            const std::span<const Cost> strip = tiles.centre_strip(q);
             for (std::uint32_t lb = 0; lb < n; ++lb) row[lb] = strip[mem[lb]];
             for (std::uint32_t p = 0; p < k; ++p) {
               row[n + p] = strip[clustering.medoids[p]];

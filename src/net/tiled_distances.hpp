@@ -7,7 +7,8 @@
 // the regional broadcast).  So we materialise, per region, a small
 // DistanceMatrix "block" over the region's members plus one gateway node
 // per region, and keep R full-graph Dijkstra strips (one per centre) for
-// the gateway rows:
+// the gateway rows.  The strips are the clustering's own
+// (Clustering::centre_strips), shared rather than recomputed:
 //
 //   * member a <-> member b   = min(region-subgraph distance,
 //                                   route via own centre)
@@ -22,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -38,7 +40,9 @@ class TiledDistances {
   static std::uint64_t estimate_bytes(const Clustering& clustering);
 
   /// Materialises the per-region blocks (regions in parallel on the shared
-  /// pool) and the centre strips.  Deterministic in (graph, clustering).
+  /// pool) over the clustering's centre strips, which it shares.
+  /// Deterministic in (graph, clustering).  Throws std::invalid_argument when
+  /// the clustering carries no strips, or strips not sized to this graph.
   static TiledDistances build(const Graph& graph, const Clustering& clustering);
 
   TiledDistances() = default;
@@ -57,7 +61,7 @@ class TiledDistances {
 
   /// Full-graph distances from every node to centre r.
   std::span<const Cost> centre_strip(std::uint32_t r) const {
-    return strips_[r];
+    return (*strips_)[r];
   }
 
   std::uint64_t bytes() const noexcept { return bytes_; }
@@ -65,7 +69,7 @@ class TiledDistances {
  private:
   std::vector<std::vector<NodeId>> members_;
   std::vector<DistanceMatrixPtr> blocks_;
-  std::vector<std::vector<Cost>> strips_;
+  std::shared_ptr<const std::vector<std::vector<Cost>>> strips_;
   std::uint64_t bytes_ = 0;
 };
 

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -395,6 +397,85 @@ TEST(ThreadPoolTest, RepeatedSmallGrainJobsUnderTaskContention) {
   pool.wait_idle();
   EXPECT_EQ(task_done.load(), 200);
   EXPECT_EQ(total.load(), 200LL * 97);
+}
+
+/// True once every index of a fresh job on `pool` ran exactly once.
+bool pool_covers_range(ThreadPool& pool) {
+  std::vector<std::atomic<int>> hits(4096);
+  pool.parallel_for(
+      0, hits.size(),
+      [&](std::size_t a, std::size_t b) {
+        for (std::size_t i = a; i < b; ++i) hits[i].fetch_add(1);
+      },
+      /*min_grain=*/1);
+  for (const auto& h : hits) {
+    if (h.load() != 1) return false;
+  }
+  return true;
+}
+
+TEST(ThreadPoolTest, ChunkThrowingOnAWorkerRethrowsOnTheCaller) {
+  // The caller's chunks wait (bounded) until a worker has thrown, so the
+  // failure happens off the calling thread and must cross to the caller.
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::atomic<bool> worker_threw{false};
+  EXPECT_THROW(pool.parallel_for(
+                   0, 64,
+                   [&](std::size_t, std::size_t) {
+                     if (std::this_thread::get_id() != caller) {
+                       worker_threw = true;
+                       throw std::runtime_error("worker chunk");
+                     }
+                     while (!worker_threw &&
+                            std::chrono::steady_clock::now() < deadline) {
+                       std::this_thread::yield();
+                     }
+                   },
+                   /*min_grain=*/1),
+               std::runtime_error);
+  EXPECT_TRUE(worker_threw);
+  EXPECT_TRUE(pool_covers_range(pool));
+}
+
+TEST(ThreadPoolTest, ChunkThrowingOnTheCallerWaitsForWorkers) {
+  // The caller throws once a worker is inside a chunk, and that worker keeps
+  // running past the throw.  The job on the caller's stack must outlive it,
+  // so no chunk may finish after parallel_for has rethrown.
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::atomic<bool> worker_started{false};
+  std::atomic<bool> caller_threw{false};
+  std::atomic<int> worker_chunks{0};
+  EXPECT_THROW(pool.parallel_for(
+                   0, 64,
+                   [&](std::size_t, std::size_t) {
+                     if (std::this_thread::get_id() == caller) {
+                       while (!worker_started &&
+                              std::chrono::steady_clock::now() < deadline) {
+                         std::this_thread::yield();
+                       }
+                       caller_threw = true;
+                       throw std::runtime_error("caller chunk");
+                     }
+                     worker_started = true;
+                     while (!caller_threw &&
+                            std::chrono::steady_clock::now() < deadline) {
+                       std::this_thread::yield();
+                     }
+                     std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                     worker_chunks.fetch_add(1);
+                   },
+                   /*min_grain=*/1),
+               std::runtime_error);
+  const int finished = worker_chunks.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(worker_chunks.load(), finished);
+  EXPECT_TRUE(pool_covers_range(pool));
 }
 
 // --------------------------------------------------------------- table

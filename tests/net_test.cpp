@@ -2,9 +2,17 @@
 // shortest-path metric closure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "common/prng.hpp"
 #include "net/graph.hpp"
+#include "net/graph_io.hpp"
 #include "net/shortest_paths.hpp"
 #include "net/topology.hpp"
 
@@ -87,6 +95,113 @@ TEST(Dijkstra, UnreachableNodes) {
   g.add_edge(0, 1, 2);
   const auto d = dijkstra(g, 0);
   EXPECT_EQ(d[2], kUnreachable);
+}
+
+/// Floyd–Warshall in 64 bits: the reference every Dijkstra row must equal,
+/// with kUnreachable where no path exists.
+std::vector<std::vector<Cost>> floyd_warshall(const Graph& g) {
+  constexpr std::uint64_t kInf = std::numeric_limits<std::uint64_t>::max();
+  const std::size_t n = g.node_count();
+  std::vector<std::vector<std::uint64_t>> d(
+      n, std::vector<std::uint64_t>(n, kInf));
+  for (NodeId u = 0; u < n; ++u) {
+    d[u][u] = 0;
+    for (const Edge& e : g.neighbors(u)) d[u][e.to] = e.cost;
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (d[i][k] == kInf) continue;
+      for (std::size_t j = 0; j < n; ++j) {
+        if (d[k][j] != kInf) d[i][j] = std::min(d[i][j], d[i][k] + d[k][j]);
+      }
+    }
+  }
+  std::vector<std::vector<Cost>> out(n, std::vector<Cost>(n, kUnreachable));
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (d[i][j] != kInf) out[i][j] = static_cast<Cost>(d[i][j]);
+    }
+  }
+  return out;
+}
+
+/// The same edges as `g`, each with a fresh cost drawn from [1, 2^20].
+Graph with_random_costs(const Graph& g, std::uint64_t seed) {
+  agtram::common::Rng rng(seed);
+  Graph out(g.node_count());
+  for (NodeId u = 0; u < g.node_count(); ++u) {
+    for (const Edge& e : g.neighbors(u)) {
+      if (e.to > u) {
+        out.add_edge(u, e.to, static_cast<Cost>(1 + rng.below(1u << 20)));
+      }
+    }
+  }
+  return out;
+}
+
+TEST(Dijkstra, MatchesFloydWarshallOnEveryTopology) {
+  for (const TopologyKind kind :
+       {TopologyKind::FlatRandom, TopologyKind::Waxman,
+        TopologyKind::TransitStub, TopologyKind::PowerLaw,
+        TopologyKind::Tree}) {
+    SCOPED_TRACE(to_string(kind));
+    TopologyConfig cfg;
+    cfg.kind = kind;
+    cfg.nodes = 72;
+    cfg.edge_probability = 0.1;
+    cfg.seed = 19;
+    const Graph g = with_random_costs(generate_topology(cfg), 5);
+    const auto reference = floyd_warshall(g);
+    for (NodeId src = 0; src < g.node_count(); ++src) {
+      ASSERT_EQ(dijkstra(g, src), reference[src]) << "source " << src;
+    }
+  }
+}
+
+TEST(Dijkstra, MatchesFloydWarshallOnDisconnectedGraph) {
+  // Two components plus an isolated node.
+  Graph g(9);
+  for (const auto& [a, b] : {std::pair{0, 1}, {1, 2}, {2, 3}, {0, 3}, {1, 3},
+                            {4, 5}, {5, 6}, {6, 7}, {4, 7}}) {
+    g.add_edge(a, b, 1);
+  }
+  g = with_random_costs(g, 11);
+  const auto reference = floyd_warshall(g);
+  for (NodeId src = 0; src < g.node_count(); ++src) {
+    ASSERT_EQ(dijkstra(g, src), reference[src]) << "source " << src;
+  }
+  EXPECT_EQ(reference[0][4], kUnreachable);
+  EXPECT_EQ(reference[8][0], kUnreachable);
+}
+
+TEST(Dijkstra, PathCostThatDoesNotFitIsRefused) {
+  // Each link fits in 32 bits; the two-link path from node 0 does not.
+  std::istringstream file("nodes 3\n0 1 3000000000\n1 2 3000000000\n");
+  const Graph g = read_graph(file);
+  try {
+    dijkstra(g, 0);
+    FAIL() << "expected std::overflow_error";
+  } catch (const std::overflow_error& e) {
+    EXPECT_NE(std::string(e.what()).find("source 0"), std::string::npos)
+        << e.what();
+  }
+  // From the middle node every path is one link: nothing to refuse.
+  EXPECT_EQ(dijkstra(g, 1), (std::vector<Cost>{3000000000u, 0, 3000000000u}));
+  // The closure runs its sources on the pool; the refusal reaches the caller.
+  EXPECT_THROW(DistanceMatrix::compute(g), std::overflow_error);
+}
+
+TEST(Dijkstra, LargestFittingPathAndOverflowingDetourAreKept) {
+  // 0 -> 1 -> 2 costs 2^32 - 2, the largest finite distance.  The path
+  // 0 -> 3 -> 2 costs exactly kUnreachable, so it is never a candidate, but
+  // node 2 is settled through node 1 and nothing is refused.
+  Graph g(4);
+  g.add_edge(0, 1, 2147483647u);
+  g.add_edge(1, 2, 2147483647u);
+  g.add_edge(0, 3, 2147483647u);
+  g.add_edge(3, 2, 2147483648u);
+  const auto d = dijkstra(g, 0);
+  EXPECT_EQ(d, (std::vector<Cost>{0, 2147483647u, 4294967294u, 2147483647u}));
 }
 
 // ----------------------------------------------------- distance matrix

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "drp/cost_model.hpp"
 #include "net/clustering.hpp"
 #include "net/tiled_distances.hpp"
+#include "net/topology.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -451,6 +453,37 @@ TEST(SampledClustering, ClampsRegionsToNodeCount) {
   EXPECT_EQ(c.region_count(), 12u);
 }
 
+TEST(SampledClustering, CentreStripsAreExactAfterEverySweep) {
+  // A sweep recomputes only the strips of medoids that moved; every strip
+  // handed out must still be the full-graph Dijkstra from its medoid.  On
+  // this power-law graph both sweep counts move some medoids but not all.
+  net::TopologyConfig topology;
+  topology.kind = net::TopologyKind::PowerLaw;
+  topology.nodes = 240;
+  topology.seed = 1;
+  const net::Graph graph = net::generate_topology(topology);
+  net::SampledClusteringConfig cfg;
+  cfg.regions = 8;
+  cfg.seed = 5;
+  std::vector<net::NodeId> unrefined;
+  for (const std::uint32_t sweeps : {0u, 1u, 3u}) {
+    SCOPED_TRACE(sweeps);
+    cfg.refine_iterations = sweeps;
+    const net::Clustering c = net::cluster_servers_sampled(graph, cfg);
+    ASSERT_NE(c.centre_strips, nullptr);
+    ASSERT_EQ(c.centre_strips->size(), c.region_count());
+    for (std::uint32_t r = 0; r < c.region_count(); ++r) {
+      EXPECT_EQ((*c.centre_strips)[r], net::dijkstra(graph, c.medoids[r]))
+          << "region " << r;
+    }
+    if (sweeps == 0) {
+      unrefined = c.medoids;
+    } else {
+      EXPECT_NE(c.medoids, unrefined);  // refinement moved some medoid
+    }
+  }
+}
+
 TEST(SampledClustering, ZeroRegionsThrows) {
   const drp::SparseInstance inst = sparse_instance(244, 8, 20);
   net::SampledClusteringConfig cfg;
@@ -501,6 +534,26 @@ TEST(TiledDistancesTest, BlocksNeverUndershootAndGatewaysExact) {
       }
     }
   }
+}
+
+TEST(TiledDistancesTest, RefusesClusteringWithoutMatchingStrips) {
+  const drp::SparseInstance inst = sparse_instance(253, 80, 40);
+  net::SampledClusteringConfig cfg;
+  cfg.regions = 4;
+  net::Clustering c = net::cluster_servers_sampled(inst.graph, cfg);
+  const net::Graph other(inst.graph.node_count() + 1);
+  EXPECT_THROW(net::TiledDistances::build(other, c), std::invalid_argument);
+  c.centre_strips.reset();
+  EXPECT_THROW(net::TiledDistances::build(inst.graph, c),
+               std::invalid_argument);
+  // The dense clustering computes no strips, so it cannot be tiled.
+  const net::DistanceMatrix exact = net::DistanceMatrix::compute(inst.graph);
+  net::ClusteringConfig dense;
+  dense.regions = 4;
+  EXPECT_THROW(
+      net::TiledDistances::build(inst.graph,
+                                 net::cluster_servers(exact, dense)),
+      std::invalid_argument);
 }
 
 TEST(TiledDistancesTest, SingleRegionBlockIsExactClosure) {

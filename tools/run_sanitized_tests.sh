@@ -8,6 +8,8 @@
 # all bare atomics, exactly what TSan is for.  The build instruments the
 # observability layer too (-DAGTRAM_OBS=ON) so the relaxed counter atomics
 # and the trace-sink pointer are under the same sanitizers as the pool.
+# test_net runs the metric closure's per-source Dijkstras on the pool, and
+# its refusals cross the pool's exception hand-off.
 #
 # Usage:  tools/run_sanitized_tests.sh [build-dir]
 #   SAN=address|thread|undefined   sanitizer to use (default: thread)
@@ -24,14 +26,16 @@ cmake -B "$BUILD" -S "$SRC" \
   -DAGTRAM_BUILD_BENCH=OFF \
   -DAGTRAM_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD" -j "$(nproc)" \
-  --target test_common test_mechanism test_runtime test_baselines_delta \
-           test_kernels test_online test_obs test_obs_noop test_regional \
-           test_serving test_strategic test_glauber test_tree_placement
+  --target test_common test_net test_mechanism test_runtime \
+           test_baselines_delta test_kernels test_online test_obs \
+           test_obs_noop test_regional test_serving test_strategic \
+           test_glauber test_tree_placement
 
 status=0
-for t in test_common test_mechanism test_runtime test_baselines_delta \
-         test_kernels test_online test_obs test_obs_noop test_regional \
-         test_serving test_strategic test_glauber test_tree_placement; do
+for t in test_common test_net test_mechanism test_runtime \
+         test_baselines_delta test_kernels test_online test_obs \
+         test_obs_noop test_regional test_serving test_strategic \
+         test_glauber test_tree_placement; do
   echo "== $SAN-sanitized $t =="
   # The paper-scale differential cases take minutes under a sanitizer's
   # slowdown; the small-family + fuzz cases exercise the same parallel scans.
