@@ -2,19 +2,17 @@
 // replication and migration of objects in response to demand changes"
 // (paper abstract / Section 7).
 //
-// Episodes of drifting demand compare three policies:
-//   * stale   — keep yesterday's placement (what the paper's protocol fixes);
-//   * adapt   — the evict/re-allocate migration protocol (core/adaptive);
-//   * rebuild — tear everything down and replan from scratch (the quality
-//               ceiling, at maximal storage churn).
-#include <deque>
-#include <iostream>
-
+// Episodes of drifting demand compare three policies on one timeline
+// (sim::run_horizon):
+//   * stale   — keep the day-0 placement (what the paper's protocol fixes);
+//   * adapt   — the online engine's dirty-set repair plus delta-OTC eviction
+//               (core::OnlineMechanism);
+//   * rebuild — replan from scratch every episode (the quality ceiling, at
+//               maximal storage churn).
+// Churn is per episode: the storage units that differ between a policy's
+// placements on consecutive episodes.
 #include "bench_common.hpp"
-#include "core/adaptive.hpp"
-#include "core/agt_ram.hpp"
-#include "drp/perturb.hpp"
-#include "sim/replay.hpp"
+#include "sim/horizon.hpp"
 
 int main(int argc, char** argv) {
   using namespace agtram;
@@ -24,23 +22,22 @@ int main(int argc, char** argv) {
   cli.add_flag("capacity", "30", "paper C%%");
   cli.add_flag("rw", "0.90", "read fraction");
   cli.add_flag("episodes", "6", "number of drift episodes");
-  cli.add_flag("drift", "0.25", "per-episode hotspot shift fraction");
+  cli.add_flag("drift", "0.25",
+               "per-episode read-drift moves per (object, reader) cell");
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
 
   const bench::Dims dims = bench::resolve_dims(cli);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  const auto episodes = static_cast<std::size_t>(cli.get_int("episodes"));
   const double drift = cli.get_double("drift");
 
-  // Each episode's Problem must outlive the placements built on it; deque
-  // push_back keeps references stable.
-  std::deque<drp::Problem> timeline;
-  timeline.push_back(bench::build_instance(
-      dims, cli.get_double("capacity"), cli.get_double("rw"), seed));
-
-  // Day 0: plan on the initial demand.
-  auto current = core::run_agt_ram(timeline.back()).placement;
-  auto stale = current;  // frozen copy, never adapted after day 0
+  sim::HorizonConfig config;
+  config.days = static_cast<std::uint32_t>(cli.get_int("episodes")) + 1;
+  config.drift = drift;
+  config.seed = seed;
+  const sim::HorizonResult result = sim::run_horizon(
+      bench::build_instance(dims, cli.get_double("capacity"),
+                            cli.get_double("rw"), seed),
+      config);
 
   common::Table table({"episode", "demand moved", "stale savings",
                        "adapted savings", "rebuilt savings",
@@ -49,61 +46,21 @@ int main(int argc, char** argv) {
                   std::to_string(dims.servers) + ", N=" +
                   std::to_string(dims.objects) + ", drift=" +
                   common::Table::num(drift, 2) + "/episode]");
-
-  for (std::size_t e = 1; e <= episodes; ++e) {
-    drp::PerturbConfig shift;
-    shift.shift_fraction = drift;
-    shift.churn_fraction = drift / 2.0;
-    shift.seed = seed + e;
-    const drp::Problem& previous = timeline.back();
-    timeline.push_back(drp::perturb_demand(previous, shift));
-    const drp::Problem& next = timeline.back();
-    const double moved = drp::demand_shift_magnitude(previous, next);
-
-    const double initial = drp::CostModel::initial_cost(next);
-
-    // stale: carry the frozen day-0 placement onto the new demand.
-    drp::ReplicaPlacement stale_on_next(next);
-    for (drp::ObjectIndex k = 0; k < next.object_count(); ++k) {
-      for (const drp::ServerId i : stale.replicators(k)) {
-        if (i != next.primary[k] && stale_on_next.can_replicate(i, k)) {
-          stale_on_next.add_replica(i, k);
-        }
-      }
-    }
-    const double stale_savings =
-        (initial - drp::CostModel::total_cost(stale_on_next)) / initial;
-
-    // adapt: migrate the current placement.
-    const auto migration = core::adapt_placement(next, current);
-    const double adapted_savings =
-        (initial - drp::CostModel::total_cost(migration.placement)) / initial;
-
-    // rebuild: replan from scratch.
-    const auto rebuilt = core::run_agt_ram(next);
-    const double rebuilt_savings =
-        (initial - drp::CostModel::total_cost(rebuilt.placement)) / initial;
-    std::uint64_t rebuild_churn = 0;  // every replica torn down + re-placed
-    for (drp::ObjectIndex k = 0; k < next.object_count(); ++k) {
-      for (const drp::ServerId i : current.replicators(k)) {
-        if (i != next.primary[k]) rebuild_churn += next.object_units[k];
-      }
-      for (const drp::ServerId i : rebuilt.placement.replicators(k)) {
-        if (i != next.primary[k]) rebuild_churn += next.object_units[k];
-      }
-    }
-
-    table.add_row({std::to_string(e), common::Table::pct(moved),
-                   common::Table::pct(stale_savings),
-                   common::Table::pct(adapted_savings),
-                   common::Table::pct(rebuilt_savings),
-                   std::to_string(migration.units_evicted +
-                                  migration.units_added),
-                   std::to_string(rebuild_churn)});
-
-    current = migration.placement;
-    std::cerr << "  episode " << e << " done\n";
+  for (std::size_t e = 0; e < result.adapt.days.size(); ++e) {
+    table.add_row({std::to_string(e),
+                   common::Table::pct(result.adapt.days[e].demand_moved),
+                   common::Table::pct(result.stale.days[e].savings),
+                   common::Table::pct(result.adapt.days[e].savings),
+                   common::Table::pct(result.rebuild.days[e].savings),
+                   std::to_string(result.adapt.days[e].churn_units),
+                   std::to_string(result.rebuild.days[e].churn_units)});
   }
+  table.add_row({"mean/total", "",
+                 common::Table::pct(result.stale.mean_savings),
+                 common::Table::pct(result.adapt.mean_savings),
+                 common::Table::pct(result.rebuild.mean_savings),
+                 std::to_string(result.adapt.total_churn_units),
+                 std::to_string(result.rebuild.total_churn_units)});
   bench::emit(cli, table);
   return 0;
 }

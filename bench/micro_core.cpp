@@ -365,48 +365,6 @@ bool parallel_within_policy(double serial, double parallel) {
          parallel - serial <= kParallelMinDelta;
 }
 
-/// Pre-migration wall times captured at commit b73a4db (nested-vector
-/// layout, binary-search NN lookups, unconditional PARFOR forking), same
-/// machine, best-of-3 (best-of-1 at paper scale).  Emitted as
-/// layout="nested" rows so the JSON carries genuine before/after pairs, and
-/// used for the layout-speedup rows below.
-struct NestedBaseline {
-  std::uint32_t servers;
-  std::uint32_t objects;
-  const char* demand;
-  bool incremental;
-  bool parallel;
-  double seconds;
-  std::uint64_t rounds;
-};
-constexpr NestedBaseline kNestedBaselines[] = {
-    {256, 2560, "trace", false, false, 0.00567, 968},
-    {256, 2560, "trace", false, true, 0.00677, 968},
-    {256, 2560, "trace", true, false, 0.00799, 968},
-    {256, 2560, "trace", true, true, 0.00954, 968},
-    {256, 2560, "dispersed", false, false, 0.0407, 3403},
-    {256, 2560, "dispersed", false, true, 0.0486, 3403},
-    {256, 2560, "dispersed", true, false, 0.00618, 3403},
-    {256, 2560, "dispersed", true, true, 0.00592, 3403},
-    {3000, 25600, "dispersed", false, false, 11.83, 31787},
-    {3000, 25600, "dispersed", false, true, 13.35, 31787},
-    {3000, 25600, "dispersed", true, false, 0.1012, 31787},
-    {3000, 25600, "dispersed", true, true, 0.1002, 31787},
-};
-
-const NestedBaseline* find_baseline(std::uint32_t servers,
-                                    std::uint32_t objects, const char* demand,
-                                    bool incremental, bool parallel) {
-  for (const NestedBaseline& b : kNestedBaselines) {
-    if (b.servers == servers && b.objects == objects &&
-        std::strcmp(b.demand, demand) == 0 &&
-        b.incremental == incremental && b.parallel == parallel) {
-      return &b;
-    }
-  }
-  return nullptr;
-}
-
 struct ModeOutcome {
   double seconds = 0.0;
   std::uint64_t rounds = 0;
@@ -481,38 +439,6 @@ FamilyReport run_family(bench::JsonWriter& json, const drp::Problem& p,
                   parallel ? "parallel" : "serial", o.seconds,
                   static_cast<unsigned long long>(o.rounds),
                   static_cast<unsigned long long>(o.reports));
-
-      // Before/after pair: the pre-migration capture for this exact cell,
-      // plus the flat/nested speedup.
-      if (const NestedBaseline* before =
-              find_baseline(servers, objects, demand, incremental, parallel)) {
-        bench::JsonWriter::Record nested;
-        nested.field("benchmark", "mechanism_full_run")
-            .field("servers", static_cast<std::uint64_t>(servers))
-            .field("objects", static_cast<std::uint64_t>(objects))
-            .field("demand", demand)
-            .field("layout", "nested")
-            .field("captured_at", "b73a4db")
-            .field("incremental_reports", incremental)
-            .field("parallel_agents", parallel)
-            .field("seconds", before->seconds)
-            .field("rounds", before->rounds);
-        json.add(std::move(nested));
-        bench::JsonWriter::Record speedup;
-        speedup.field("benchmark", "mechanism_layout_speedup")
-            .field("servers", static_cast<std::uint64_t>(servers))
-            .field("objects", static_cast<std::uint64_t>(objects))
-            .field("demand", demand)
-            .field("incremental_reports", incremental)
-            .field("parallel_agents", parallel)
-            .field("nested_seconds", before->seconds)
-            .field("flat_seconds", o.seconds)
-            .field("speedup",
-                   o.seconds > 0.0 ? before->seconds / o.seconds : 0.0);
-        json.add(std::move(speedup));
-        std::printf("  vs nested layout (%.4fs): %.2fx\n", before->seconds,
-                    o.seconds > 0.0 ? before->seconds / o.seconds : 0.0);
-      }
     }
   }
 

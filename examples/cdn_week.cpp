@@ -1,8 +1,10 @@
 // A week in production: the horizon driver compares the three operational
 // policies a CDN could run as demand drifts day over day — freeze the
-// day-0 plan, rebuild nightly from scratch, or run the paper's adaptive
-// replication/migration protocol.
+// day-0 plan, rebuild nightly from scratch, or let the online engine repair
+// and evict as the demand moves (the paper's adaptive replication and
+// migration protocol).
 #include <iostream>
+#include <utility>
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
@@ -17,7 +19,8 @@ int main(int argc, char** argv) {
   cli.add_flag("servers", "100", "number of servers");
   cli.add_flag("objects", "1000", "number of objects");
   cli.add_flag("days", "7", "horizon length");
-  cli.add_flag("drift", "0.2", "per-day hotspot shift fraction");
+  cli.add_flag("drift", "0.2",
+               "per-day read-drift moves per (object, reader) cell");
   cli.add_flag("seed", "2024", "experiment seed");
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
 
@@ -30,25 +33,24 @@ int main(int argc, char** argv) {
   const drp::Problem problem = drp::make_instance(spec);
   std::cout << "instance: " << problem.summary() << "\n\n";
 
-  for (const auto policy : {sim::HorizonPolicy::Stale,
-                            sim::HorizonPolicy::Rebuild,
-                            sim::HorizonPolicy::Adapt}) {
-    sim::HorizonConfig cfg;
-    cfg.days = static_cast<std::uint32_t>(cli.get_int("days"));
-    cfg.policy = policy;
-    cfg.drift.shift_fraction = cli.get_double("drift");
-    cfg.drift.churn_fraction = cli.get_double("drift") / 2.0;
-    cfg.seed = spec.seed;
-    const sim::HorizonResult result = sim::run_horizon(problem, cfg);
+  sim::HorizonConfig cfg;
+  cfg.days = static_cast<std::uint32_t>(cli.get_int("days"));
+  cfg.drift = cli.get_double("drift");
+  cfg.seed = spec.seed;
+  const sim::HorizonResult result = sim::run_horizon(problem, cfg);
 
+  for (const auto& [name, series] :
+       {std::pair<const char*, const sim::HorizonSeries*>{"stale",
+                                                          &result.stale},
+        {"rebuild", &result.rebuild},
+        {"adapt", &result.adapt}}) {
     common::Table table({"day", "demand moved", "savings", "mean latency",
                          "local reads", "churn (units)", "replicas"});
-    table.set_title("policy: " + std::string(sim::to_string(policy)) +
-                    "  (mean savings " +
-                    common::Table::pct(result.mean_savings) +
+    table.set_title("policy: " + std::string(name) + "  (mean savings " +
+                    common::Table::pct(series->mean_savings) +
                     ", total churn " +
-                    std::to_string(result.total_churn_units) + " units)");
-    for (const sim::DayRecord& day : result.days) {
+                    std::to_string(series->total_churn_units) + " units)");
+    for (const sim::DayRecord& day : series->days) {
       table.add_row({std::to_string(day.day),
                      common::Table::pct(day.demand_moved),
                      common::Table::pct(day.savings),

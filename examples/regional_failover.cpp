@@ -5,14 +5,14 @@
 // A continental CDN is partitioned into latency-coherent regions, each
 // running its own AGT-RAM decision body.  We (1) place replicas regionally,
 // (2) kill one regional centre and show the damage is contained, and
-// (3) let the adaptive migration protocol re-route the orphaned demand by
-// re-planning with the survivors.
+// (3) re-plan with the survivors twice: a warm-started AGT-RAM run
+// restricted to them (core::run_agt_ram_from) and a global-view greedy
+// repair restricted to their sites.
 #include <iostream>
 
 #include "baselines/greedy.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
-#include "core/adaptive.hpp"
 #include "core/agt_ram.hpp"
 #include "core/regional.hpp"
 #include "drp/builder.hpp"
@@ -22,7 +22,7 @@
 int main(int argc, char** argv) {
   using namespace agtram;
 
-  common::Cli cli("Regional mechanisms with failover and adaptive re-plan");
+  common::Cli cli("Regional mechanisms with failover and survivor re-plan");
   cli.add_flag("servers", "120", "number of servers");
   cli.add_flag("objects", "1200", "number of objects");
   cli.add_flag("regions", "6", "autonomous regions");

@@ -56,7 +56,7 @@ class Agent {
   Agent(const drp::Problem& problem, drp::ServerId id);
 
   /// Warm-start variant: candidate valuations are computed against an
-  /// existing placement (adaptive re-allocation, regional mechanisms).
+  /// existing placement (online repair, regional mechanisms).
   /// Objects the agent already replicates are excluded.
   Agent(const drp::ReplicaPlacement& placement, drp::ServerId id);
 

@@ -189,8 +189,8 @@ MechanismResult run_agt_ram(const drp::Problem& problem,
 
 /// Warm-start / restricted variant: continues allocating on top of `start`
 /// and (optionally) lets only `participants` act as agents.  This powers
-/// the adaptive re-allocation protocol and the regional mechanisms of the
-/// paper's future-work section (src/core/adaptive.hpp, regional.hpp).
+/// the online engine's dirty-set repair runs and the regional mechanisms of
+/// the paper's future-work section (src/core/online.hpp, regional.hpp).
 MechanismResult run_agt_ram_from(const drp::Problem& problem,
                                  const AgtRamConfig& config,
                                  drp::ReplicaPlacement start,

@@ -1,37 +1,25 @@
 #include "sim/horizon.hpp"
 
-#include <deque>
+#include <cmath>
+#include <cstdlib>
+#include <limits>
+#include <map>
 #include <stdexcept>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "core/agt_ram.hpp"
+#include "core/online.hpp"
 #include "drp/cost_model.hpp"
+#include "sim/replay.hpp"
 
 namespace agtram::sim {
 
-const char* to_string(HorizonPolicy policy) {
-  switch (policy) {
-    case HorizonPolicy::Stale: return "stale";
-    case HorizonPolicy::Rebuild: return "rebuild";
-    case HorizonPolicy::Adapt: return "adapt";
-  }
-  return "?";
-}
-
 namespace {
 
-/// Re-hosts `scheme` (built against another demand snapshot of the same
-/// system) onto `problem`; replicas that no longer fit are dropped.
-drp::ReplicaPlacement carry_over(const drp::Problem& problem,
-                                 const drp::ReplicaPlacement& scheme) {
-  drp::ReplicaPlacement carried(problem);
-  for (drp::ObjectIndex k = 0; k < problem.object_count(); ++k) {
-    for (const drp::ServerId i : scheme.replicators(k)) {
-      if (i == problem.primary[k]) continue;
-      if (carried.can_replicate(i, k)) carried.add_replica(i, k);
-    }
-  }
-  return carried;
-}
+/// Every replica whose drop lowers OTC goes, however many the day produces.
+constexpr std::size_t kEvictionLimit = std::numeric_limits<std::size_t>::max();
 
 /// Storage units that differ between two schemes (replicas present in one
 /// but not the other) — the bytes a deployment must move.
@@ -59,74 +47,113 @@ std::uint64_t churn_between(const drp::ReplicaPlacement& a,
   return churn;
 }
 
+/// L1 change the batch makes to the read matrix, over the total reads.
+double read_shift(const std::vector<core::OnlineEvent>& batch,
+                  std::uint64_t total_reads) {
+  if (total_reads == 0) return 0.0;
+  std::map<std::pair<drp::ServerId, drp::ObjectIndex>, std::int64_t> net;
+  for (const core::OnlineEvent& event : batch) {
+    if (const auto* d = std::get_if<core::DemandDelta>(&event)) {
+      net[{d->server, d->object}] += d->delta_reads;
+    }
+  }
+  double moved = 0.0;
+  for (const auto& [cell, delta] : net) {
+    moved += static_cast<double>(std::llabs(delta));
+  }
+  return moved / static_cast<double>(total_reads);
+}
+
+void record_day(HorizonSeries& series, std::uint32_t day, double moved,
+                const drp::ReplicaPlacement& scheme, std::uint64_t churn) {
+  DayRecord record;
+  record.day = day;
+  record.demand_moved = moved;
+  record.churn_units = churn;
+  const double initial_cost = drp::CostModel::initial_cost(scheme.problem());
+  record.savings =
+      (initial_cost - drp::CostModel::total_cost(scheme)) / initial_cost;
+  const ReplayStats stats = replay(scheme);
+  record.mean_read_latency = stats.read_latency.mean;
+  record.local_read_fraction = stats.read_latency.local_fraction;
+  record.replicas = scheme.extra_replica_count();
+  series.days.push_back(record);
+  series.total_churn_units += churn;
+}
+
+void finish(HorizonSeries& series) {
+  for (const DayRecord& record : series.days) {
+    series.mean_savings += record.savings;
+  }
+  series.mean_savings /= static_cast<double>(series.days.size());
+}
+
 }  // namespace
+
+runtime::OnlineEventModel day_drift_model(const drp::Problem& problem,
+                                          double drift, std::uint64_t seed) {
+  runtime::OnlineEventModel model;
+  model.replica_loss_rate = 0.0;
+  model.server_fail_rate = 0.0;
+  model.server_recover_rate = 0.0;
+  model.flash_crowd_probability = 0.0;
+  model.object_churn_probability = 0.0;
+  model.demand_drift_moves = static_cast<std::size_t>(std::llround(
+      drift * static_cast<double>(problem.access.total_reader_entries())));
+  model.drift_fraction = 1.0;
+  model.seed = seed * 1000003ULL;
+  return model;
+}
 
 HorizonResult run_horizon(const drp::Problem& initial,
                           const HorizonConfig& config) {
   if (config.days == 0) throw std::invalid_argument("horizon needs >= 1 day");
+  if (!std::isfinite(config.drift) || config.drift < 0.0) {
+    throw std::invalid_argument("horizon drift must be finite and >= 0");
+  }
+
+  core::OnlineConfig online;
+  online.eviction_limit = kEvictionLimit;
+  core::OnlineMechanism engine(initial, online);
+  // Every placement below points at the engine-owned Problem, whose demand
+  // apply_events rewrites in place: costs and replays always read the
+  // current day's demand.
+  const drp::Problem& live = engine.problem();
+  runtime::OnlineEventSource source(
+      engine, day_drift_model(live, config.drift, config.seed));
+
+  const drp::ReplicaPlacement stale = engine.placement();
+  drp::ReplicaPlacement rebuilt = stale;
+  drp::ReplicaPlacement adapted = stale;
 
   HorizonResult result;
-  // Each day's Problem must outlive every placement built against it;
-  // std::deque::push_back never relocates existing elements, so references
-  // into `timeline` stay valid for the whole horizon.
-  std::deque<drp::Problem> timeline;
-  timeline.push_back(initial);
-  // Day 0 always plans fresh (there is nothing to carry over from).
-  drp::ReplicaPlacement scheme = core::run_agt_ram(timeline.back()).placement;
-
-  const auto record_day = [&](std::uint32_t day, double moved,
-                              std::uint64_t churn) {
-    DayRecord record;
-    record.day = day;
-    record.demand_moved = moved;
-    record.churn_units = churn;
-    const double initial_cost = drp::CostModel::initial_cost(timeline.back());
-    record.savings =
-        (initial_cost - drp::CostModel::total_cost(scheme)) / initial_cost;
-    const ReplayStats stats = replay(scheme);
-    record.mean_read_latency = stats.read_latency.mean;
-    record.local_read_fraction = stats.read_latency.local_fraction;
-    record.replicas = scheme.extra_replica_count();
-    result.days.push_back(record);
-  };
-
-  record_day(0, 0.0, 0);
+  record_day(result.stale, 0, 0.0, stale, 0);
+  record_day(result.rebuild, 0, 0.0, rebuilt, 0);
+  record_day(result.adapt, 0, 0.0, adapted, 0);
   for (std::uint32_t day = 1; day < config.days; ++day) {
-    drp::PerturbConfig drift = config.drift;
-    drift.seed = config.seed * 1000003ULL + day;
-    const drp::Problem& yesterday = timeline.back();
-    timeline.push_back(drp::perturb_demand(yesterday, drift));
-    const drp::Problem& today = timeline.back();
-    const double moved = drp::demand_shift_magnitude(yesterday, today);
+    const std::vector<core::OnlineEvent> batch = source.next_batch();
+    const double moved = read_shift(batch, live.access.grand_total_reads());
+    engine.apply_events(batch);
+    // The eviction pass runs after the repair; one empty batch offers the
+    // capacity it freed to the agents it re-queued before the day is scored.
+    engine.apply_events({});
 
-    drp::ReplicaPlacement carried = carry_over(today, scheme);
-    std::uint64_t churn = 0;
-    switch (config.policy) {
-      case HorizonPolicy::Stale:
-        scheme = std::move(carried);
-        break;
-      case HorizonPolicy::Rebuild: {
-        drp::ReplicaPlacement rebuilt = core::run_agt_ram(today).placement;
-        churn = churn_between(carried, rebuilt);
-        scheme = std::move(rebuilt);
-        break;
-      }
-      case HorizonPolicy::Adapt: {
-        const auto report =
-            core::adapt_placement(today, scheme, config.adaptive);
-        churn = report.units_evicted + report.units_added;
-        scheme = report.placement;
-        break;
-      }
-    }
-    result.total_churn_units += churn;
-    record_day(day, moved, churn);
+    record_day(result.stale, day, moved, stale, 0);
+
+    drp::ReplicaPlacement next = core::run_agt_ram(live).placement;
+    const std::uint64_t rebuild_churn = churn_between(rebuilt, next);
+    rebuilt = std::move(next);
+    record_day(result.rebuild, day, moved, rebuilt, rebuild_churn);
+
+    const std::uint64_t adapt_churn =
+        churn_between(adapted, engine.placement());
+    adapted = engine.placement();
+    record_day(result.adapt, day, moved, adapted, adapt_churn);
   }
 
-  for (const DayRecord& record : result.days) {
-    result.mean_savings += record.savings;
-  }
-  result.mean_savings /= static_cast<double>(result.days.size());
+  finish(result.stale);
+  finish(result.rebuild);
+  finish(result.adapt);
   return result;
 }
 

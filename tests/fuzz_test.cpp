@@ -5,18 +5,20 @@
 // of the configuration space.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "baselines/registry.hpp"
 #include "common/prng.hpp"
-#include "core/adaptive.hpp"
 #include "core/agt_ram.hpp"
+#include "core/online.hpp"
 #include "core/regional.hpp"
 #include "drp/builder.hpp"
 #include "drp/cost_model.hpp"
-#include "drp/perturb.hpp"
 #include "drp/placement_io.hpp"
 #include "net/topology.hpp"
+#include "runtime/event_sim.hpp"
+#include "sim/horizon.hpp"
 #include "sim/replay.hpp"
 
 namespace {
@@ -106,17 +108,19 @@ TEST_P(Fuzz, MechanismVariantsSurviveRandomInstances) {
 TEST_P(Fuzz, AdaptiveSurvivesRandomDrift) {
   common::Rng rng(GetParam() ^ 0x44);
   const drp::Problem p = random_instance(rng);
-  const auto base = core::run_agt_ram(p);
-  drp::PerturbConfig drift;
-  drift.shift_fraction = rng.uniform(0.0, 0.8);
-  drift.churn_fraction = rng.uniform(0.0, 0.5);
-  drift.write_retarget_fraction = rng.uniform(0.0, 0.8);
-  drift.seed = rng();
-  const drp::Problem shifted = drp::perturb_demand(p, drift);
-  const auto report = core::adapt_placement(shifted, base.placement);
-  EXPECT_NO_THROW(report.placement.check_invariants());
-  EXPECT_LE(drp::CostModel::total_cost(report.placement),
-            drp::CostModel::initial_cost(shifted) * 1.0001);
+  const double drift = rng.uniform(0.0, 0.8);
+  const std::uint64_t seed = rng();
+  core::OnlineConfig online;
+  online.eviction_limit = std::numeric_limits<std::size_t>::max();
+  online.differential_oracle = true;
+  core::OnlineMechanism engine(p, online);
+  runtime::OnlineEventSource source(engine,
+                                    sim::day_drift_model(p, drift, seed));
+  engine.apply_events(source.next_batch());
+  engine.apply_events({});
+  EXPECT_NO_THROW(engine.placement().check_invariants());
+  EXPECT_LE(engine.total_cost(),
+            drp::CostModel::initial_cost(engine.problem()) * 1.0001);
 }
 
 TEST_P(Fuzz, PlacementSerialisationRoundTripsRandomSchemes) {

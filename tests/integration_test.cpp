@@ -2,18 +2,20 @@
 // all six algorithms, parameterised over topology, capacity and R/W ratio.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <tuple>
 
 #include "baselines/registry.hpp"
-#include "core/adaptive.hpp"
 #include "core/agt_ram.hpp"
+#include "core/online.hpp"
 #include "core/regional.hpp"
 #include "drp/builder.hpp"
 #include "drp/cost_model.hpp"
-#include "drp/perturb.hpp"
 #include "net/topology.hpp"
 #include "runtime/distributed_mechanism.hpp"
+#include "runtime/event_sim.hpp"
+#include "sim/horizon.hpp"
 #include "sim/replay.hpp"
 #include "test_helpers.hpp"
 
@@ -111,17 +113,18 @@ TEST_P(VariantSweep, EveryMechanismVariantIsFeasibleAndConsistent) {
       drp::CostModel::total_cost(core::run_hierarchical(p, rc).placement),
       flat_cost);
 
-  // Adaptive: migrating the flat scheme onto perturbed demand stays close
-  // to a fresh replan.
-  drp::PerturbConfig drift;
-  drift.shift_fraction = 0.3;
-  drift.seed = 5;
-  const drp::Problem shifted = drp::perturb_demand(p, drift);
-  const auto migrated = core::adapt_placement(shifted, flat.placement);
-  const double replanned =
-      drp::CostModel::total_cost(core::run_agt_ram(shifted).placement);
-  EXPECT_NEAR(drp::CostModel::total_cost(migrated.placement), replanned,
-              0.08 * replanned);
+  // Adaptive: one horizon day of demand drift, repaired and trimmed by the
+  // online engine on top of the flat scheme, stays close to a fresh replan.
+  core::OnlineConfig online;
+  online.eviction_limit = std::numeric_limits<std::size_t>::max();
+  core::OnlineMechanism engine(p, online);
+  runtime::OnlineEventSource source(engine,
+                                    sim::day_drift_model(p, 0.3, 5));
+  engine.apply_events(source.next_batch());
+  engine.apply_events({});
+  const double replanned = drp::CostModel::total_cost(
+      core::run_agt_ram(engine.problem()).placement);
+  EXPECT_NEAR(engine.total_cost(), replanned, 0.08 * replanned);
 }
 
 INSTANTIATE_TEST_SUITE_P(Topologies, VariantSweep,

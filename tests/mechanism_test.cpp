@@ -208,6 +208,33 @@ TEST(AgtRam, AgentOutcomesAreConsistent) {
   }
 }
 
+// ----------------------------------------------------------- warm start
+
+TEST(Adaptive, WarmStartEqualsColdStartOnFreshProblem) {
+  // Warm-starting from the primaries-only scheme must reproduce the plain
+  // mechanism exactly.
+  const drp::Problem p = testutil::small_instance(318, 24, 80);
+  const MechanismResult cold = run_agt_ram(p);
+  const MechanismResult warm =
+      run_agt_ram_from(p, AgtRamConfig{}, drp::ReplicaPlacement(p));
+  ASSERT_EQ(cold.rounds.size(), warm.rounds.size());
+  for (std::size_t r = 0; r < cold.rounds.size(); ++r) {
+    EXPECT_EQ(cold.rounds[r].winner, warm.rounds[r].winner);
+    EXPECT_EQ(cold.rounds[r].object, warm.rounds[r].object);
+  }
+}
+
+TEST(Adaptive, RestrictedParticipantsOnlyAllocateForThemselves) {
+  const drp::Problem p = testutil::small_instance(319, 24, 80);
+  const std::vector<drp::ServerId> participants{2, 5, 9};
+  const MechanismResult result = run_agt_ram_from(
+      p, AgtRamConfig{}, drp::ReplicaPlacement(p), &participants);
+  for (const RoundRecord& round : result.rounds) {
+    EXPECT_TRUE(round.winner == 2 || round.winner == 5 || round.winner == 9);
+  }
+  EXPECT_NO_THROW(result.placement.check_invariants());
+}
+
 // --------------------------------------------------------------- audits
 
 TEST(Audit, RoundAuditorAcceptsSecondPriceRun) {

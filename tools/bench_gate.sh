@@ -10,8 +10,7 @@
 # full identity key (servers, objects, demand, layout, incremental_reports,
 # parallel_agents, algorithm, eval, parallel_scan, variant, regions,
 # execution — absent fields match as null); committed rows with no fresh
-# counterpart (historical captures, e.g. the layout="nested" before-rows)
-# are skipped, as are fresh rows that are new.
+# counterpart are skipped, as are fresh rows that are new.
 #
 # The ablation_regional_sweep rows come from a separate binary
 # (build/bench/ablation_regional --json); when it is built the gate runs it
@@ -109,8 +108,6 @@ def rows(*paths):
             doc = json.load(f)
         for r in doc.get("results", []):
             if r.get("benchmark") not in GATED:
-                continue
-            if r.get("captured_at"):  # historical capture, not reproducible
                 continue
             out[tuple(r.get(k) for k in KEY)] = r
     return out

@@ -9,7 +9,9 @@
 # observability layer too (-DAGTRAM_OBS=ON) so the relaxed counter atomics
 # and the trace-sink pointer are under the same sanitizers as the pool.
 # test_net runs the metric closure's per-source Dijkstras on the pool, and
-# its refusals cross the pool's exception hand-off.
+# its refusals cross the pool's exception hand-off.  test_horizon scores
+# placements bound to the online engine's Problem while apply_events
+# rewrites its demand in place — a lifetime ASan should watch.
 #
 # Usage:  tools/run_sanitized_tests.sh [build-dir]
 #   SAN=address|thread|undefined   sanitizer to use (default: thread)
@@ -29,13 +31,13 @@ cmake --build "$BUILD" -j "$(nproc)" \
   --target test_common test_net test_mechanism test_runtime \
            test_baselines_delta test_kernels test_online test_obs \
            test_obs_noop test_regional test_serving test_strategic \
-           test_glauber test_tree_placement
+           test_glauber test_tree_placement test_horizon
 
 status=0
 for t in test_common test_net test_mechanism test_runtime \
          test_baselines_delta test_kernels test_online test_obs \
          test_obs_noop test_regional test_serving test_strategic \
-         test_glauber test_tree_placement; do
+         test_glauber test_tree_placement test_horizon; do
   echo "== $SAN-sanitized $t =="
   # The paper-scale differential cases take minutes under a sanitizer's
   # slowdown; the small-family + fuzz cases exercise the same parallel scans.
