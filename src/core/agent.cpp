@@ -1,6 +1,7 @@
 #include "core/agent.hpp"
 
 #include <cassert>
+#include <utility>
 
 namespace agtram::core {
 
@@ -10,6 +11,7 @@ Agent::Agent(const drp::Problem& problem, drp::ServerId id)
   // initial valuation uses the primaries-only placement; a fresh placement
   // is cheap enough to construct once per mechanism run, so we compute the
   // upper-bound value directly from the problem instead.
+  std::vector<Entry> entries;
   for (const drp::ServerSideAccess& access :
        problem.access.server_objects(id)) {
     if (access.reads == 0) continue;  // pure writers never benefit
@@ -25,30 +27,25 @@ Agent::Agent(const drp::Problem& problem, drp::ServerId id)
         static_cast<double>(problem.distance(problem.primary[access.object], id));
     const double initial_value = read_savings - broadcast_price;
     if (initial_value > 0.0) {
-      const std::size_t slot = problem.access.accessor_slot(id, access.object);
-      assert(slot != drp::AccessMatrix::npos);
-      heap_.push(Entry{initial_value, access.object,
-                       static_cast<std::uint32_t>(slot)});
+      entries.push_back(Entry{initial_value, access.object, access.slot});
     }
   }
+  heap_ = std::priority_queue<Entry>(std::less<Entry>{}, std::move(entries));
 }
 
 Agent::Agent(const drp::ReplicaPlacement& placement, drp::ServerId id)
     : problem_(&placement.problem()), id_(id) {
+  std::vector<Entry> entries;
   for (const drp::ServerSideAccess& access :
        problem_->access.server_objects(id)) {
     if (access.reads == 0) continue;
     if (problem_->primary[access.object] == id) continue;
     if (placement.is_replicator(id, access.object)) continue;
-    const std::size_t slot =
-        problem_->access.accessor_slot(id, access.object);
-    assert(slot != drp::AccessMatrix::npos);
-    const double value =
-        drp::CostModel::agent_benefit_at(placement, id, access.object, slot);
-    if (value > 0.0) {
-      heap_.push(Entry{value, access.object, static_cast<std::uint32_t>(slot)});
-    }
+    const double value = drp::CostModel::agent_benefit_at(
+        placement, id, access.object, access.slot);
+    if (value > 0.0) entries.push_back(Entry{value, access.object, access.slot});
   }
+  heap_ = std::priority_queue<Entry>(std::less<Entry>{}, std::move(entries));
 }
 
 Report Agent::make_report(const drp::ReplicaPlacement& placement,

@@ -78,8 +78,8 @@ class Agent {
     double value;
     drp::ObjectIndex object;
     /// This agent's slot in accessors(object) — fixed for the lifetime of
-    /// the instance, resolved once at construction so every revaluation is
-    /// a direct load from the flat demand/NN pools (no binary searches).
+    /// the instance, copied from the by-server transpose at construction so
+    /// every revaluation is a direct load from the flat demand/NN pools.
     std::uint32_t slot;
     bool operator<(const Entry& other) const noexcept {
       if (value != other.value) return value < other.value;

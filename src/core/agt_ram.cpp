@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
+#include <optional>
 #include <queue>
 #include <span>
 #include <stdexcept>
@@ -87,6 +89,38 @@ void round_parfor(const AgtRamConfig& config, std::size_t count,
     AGTRAM_OBS_COUNT("agt_ram.parfor_inline", 1);
     body(0, count);
   }
+}
+
+std::vector<drp::ServerId> every_server(const drp::Problem& problem) {
+  std::vector<drp::ServerId> ids(problem.server_count());
+  std::iota(ids.begin(), ids.end(), drp::ServerId{0});
+  return ids;
+}
+
+// Builds one agent per id (ascending) on the shared pool.  Each agent prices
+// its own list L_i against state nothing writes during construction, so this
+// forks regardless of parallel_agents, which governs only the round PARFOR.
+// parallel_for runs ranges shorter than two grains, and nested calls (the
+// tiled engine's shard solves), inline.  `source` is the Problem (cold
+// start) or the warm-start placement.  The grain is the round PARFOR's.
+constexpr std::size_t kAgentBuildGrain = 16;
+
+template <typename Source>
+std::vector<Agent> build_agents(const Source& source,
+                                std::span<const drp::ServerId> ids) {
+  std::vector<std::optional<Agent>> built(ids.size());
+  common::ThreadPool::shared().parallel_for(
+      0, ids.size(),
+      [&](std::size_t first, std::size_t last) {
+        for (std::size_t a = first; a < last; ++a) {
+          built[a].emplace(source, ids[a]);
+        }
+      },
+      kAgentBuildGrain);
+  std::vector<Agent> agents;
+  agents.reserve(ids.size());
+  for (std::optional<Agent>& agent : built) agents.push_back(std::move(*agent));
+  return agents;
 }
 
 // Checked invariants (replacing asserts that compiled out in Release): a
@@ -463,31 +497,18 @@ MechanismResult run_rounds(const drp::Problem& problem,
 
 MechanismResult run_agt_ram(const drp::Problem& problem,
                             const AgtRamConfig& config) {
-  std::vector<Agent> agents;
-  agents.reserve(problem.server_count());
-  for (drp::ServerId i = 0; i < problem.server_count(); ++i) {
-    agents.emplace_back(problem, i);
-  }
   return run_rounds(problem, config, drp::ReplicaPlacement(problem),
-                    std::move(agents));
+                    build_agents(problem, every_server(problem)));
 }
 
 MechanismResult run_agt_ram_from(
     const drp::Problem& problem, const AgtRamConfig& config,
     drp::ReplicaPlacement start,
     const std::vector<drp::ServerId>* participants) {
-  std::vector<Agent> agents;
-  if (participants) {
-    std::vector<drp::ServerId> sorted = *participants;
-    std::sort(sorted.begin(), sorted.end());
-    agents.reserve(sorted.size());
-    for (drp::ServerId i : sorted) agents.emplace_back(start, i);
-  } else {
-    agents.reserve(problem.server_count());
-    for (drp::ServerId i = 0; i < problem.server_count(); ++i) {
-      agents.emplace_back(start, i);
-    }
-  }
+  std::vector<drp::ServerId> ids =
+      participants ? *participants : every_server(problem);
+  std::sort(ids.begin(), ids.end());
+  std::vector<Agent> agents = build_agents(start, ids);
   return run_rounds(problem, config, std::move(start), std::move(agents));
 }
 

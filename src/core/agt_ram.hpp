@@ -83,6 +83,8 @@ struct AgtRamConfig {
   PaymentRule payment_rule = PaymentRule::SecondPrice;
   /// Run the per-agent report loop on the shared thread pool (the PARFOR of
   /// Figure 2).  Results are identical to the serial run by construction.
+  /// Governs the rounds only: agent construction (each agent pricing its
+  /// list L_i) runs on the shared pool whatever this says.
   bool parallel_agents = false;
   /// Rounds evaluating fewer agents than this run inline even when
   /// parallel_agents is set: fork/join latency dwarfs the work of a

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/timer.hpp"
 #include "obs/obs.hpp"
 
 namespace agtram::core {
@@ -68,6 +69,7 @@ OnlineMechanism::OnlineMechanism(drp::Problem problem, OnlineConfig config)
   const std::size_t m = problem_->server_count();
   const std::size_t n = problem_->object_count();
   nominal_capacity_ = problem_->capacity;
+  primary_load_ = problem_->primary_load();
   failed_.assign(m, 0);
   deleted_.assign(n, 0);
   stash_.resize(n);
@@ -101,6 +103,17 @@ void OnlineMechanism::mark_demand_touched(drp::ObjectIndex k) {
   }
 }
 
+void OnlineMechanism::refresh_demand_touched() {
+  for (const drp::ObjectIndex k : demand_touched_) {
+    eval_->refresh_after_demand_change(k);
+  }
+}
+
+void OnlineMechanism::clear_demand_touched() {
+  for (const drp::ObjectIndex k : demand_touched_) demand_touched_flag_[k] = 0;
+  demand_touched_.clear();
+}
+
 void OnlineMechanism::accumulate(const MechanismResult& result) {
   for (std::size_t i = 0; i < result.agents.size(); ++i) {
     const AgentOutcome& o = result.agents[i];
@@ -125,9 +138,8 @@ void OnlineMechanism::apply_one(const OnlineEvent& event, BatchOutcome& out) {
     }
     problem_->access.apply_demand_delta(d->server, d->object, d->delta_reads,
                                         d->delta_writes);
-    eval_->refresh_after_demand_change(d->object);
     mark_dirty(d->server);
-    mark_demand_touched(d->object);
+    mark_demand_touched(d->object);  // re-priced once, after the event loop
     if (d->delta_writes != 0) {
       // w_total(k) enters every reader's broadcast price, so a write delta
       // can move any reader's valuation (in either direction).
@@ -163,20 +175,31 @@ void OnlineMechanism::apply_one(const OnlineEvent& event, BatchOutcome& out) {
                                   " is already failed");
     }
     // Drop every non-primary replica the server holds; each loss lifts NN
-    // distances for that object's readers.
-    std::vector<drp::ObjectIndex> lost;
-    const std::size_t n = problem_->object_count();
-    for (drp::ObjectIndex k = 0; k < n; ++k) {
-      if (problem_->primary[k] != f->server &&
-          eval_->placement().is_replicator(f->server, k)) {
-        lost.push_back(k);
+    // distances for that object's readers.  Agents bid only on objects in
+    // their own demand row, and cells are structural (they survive a drop
+    // to zero demand), so every replica the engine placed on the server sits
+    // on a cell of server_objects(server): walking that row finds them all.
+    for (const drp::ServerSideAccess& cell : access.server_objects(f->server)) {
+      const drp::ObjectIndex k = cell.object;
+      if (problem_->primary[k] == f->server ||
+          !eval_->placement().is_replicator(f->server, k)) {
+        continue;
       }
-    }
-    for (const drp::ObjectIndex k : lost) {
       eval_->remove_replica(f->server, k);
       ++out.replicas_lost;
       AGTRAM_OBS_COUNT("online.replicas_lost", 1);
       for (const drp::ServerId i : access.readers(k)) mark_dirty(i);
+    }
+    // Checked invariant: only the immovable primaries may survive.  A replica
+    // off its holder's row would break the walk above silently.
+    if (eval_->placement().used_capacity(f->server) !=
+        primary_load_[f->server]) {
+      throw std::logic_error(
+          "OnlineMechanism invariant violated: server " +
+          std::to_string(f->server) + " holds " +
+          std::to_string(eval_->placement().used_capacity(f->server)) +
+          " units after its fail walk, but its primaries weigh " +
+          std::to_string(primary_load_[f->server]));
     }
     // Clamp capacity to the surviving load (the immovable primaries): the
     // failed server can win nothing.  Capacity loss is monotone with
@@ -242,9 +265,8 @@ void OnlineMechanism::apply_one(const OnlineEvent& event, BatchOutcome& out) {
                                         static_cast<std::int64_t>(cell.writes));
   }
   stash_[k].clear();
-  eval_->refresh_after_demand_change(k);
   deleted_[k] = 0;
-  mark_demand_touched(k);
+  mark_demand_touched(k);  // re-priced after the event loop
   for (const drp::ServerId i : access.readers(k)) mark_dirty(i);
 }
 
@@ -263,7 +285,21 @@ BatchOutcome OnlineMechanism::apply_events(std::span<const OnlineEvent> batch) {
   for (const drp::ServerId i : carryover_) mark_dirty(i);
   carryover_.clear();
 
-  for (const OnlineEvent& event : batch) apply_one(event, out);
+  common::Timer stage;
+  try {
+    for (const OnlineEvent& event : batch) apply_one(event, out);
+  } catch (...) {
+    // The events before the rejected one stay applied.  Leave them for the
+    // next batch to repair: exact caches, their agents carried over, and
+    // both flag arrays clear for the next batch's marks.
+    refresh_demand_touched();
+    carryover_ = dirty_;
+    for (const drp::ServerId i : dirty_) dirty_flag_[i] = 0;
+    clear_demand_touched();
+    throw;
+  }
+  refresh_demand_touched();
+  out.events_seconds = stage.seconds();
 
   out.dirty_agents = dirty_.size();
   out.reports_saved = problem_->server_count() - dirty_.size();
@@ -276,6 +312,7 @@ BatchOutcome OnlineMechanism::apply_events(std::span<const OnlineEvent> batch) {
   if (config_.differential_oracle) oracle_start.emplace(eval_->placement());
 
   std::vector<RoundRecord> repair_rounds;
+  stage.reset();
   if (!dirty_.empty()) {
     AGTRAM_OBS_SPAN("online.repair");
     AgtRamConfig mech = config_.mechanism;
@@ -306,6 +343,7 @@ BatchOutcome OnlineMechanism::apply_events(std::span<const OnlineEvent> batch) {
     repair_rounds = std::move(repair.rounds);
   }
   for (const drp::ServerId i : dirty_) dirty_flag_[i] = 0;
+  out.repair_seconds = stage.seconds();
 
   if (config_.differential_oracle && out.drained) {
     run_oracle(std::move(*oracle_start), repair_rounds);
@@ -317,10 +355,11 @@ BatchOutcome OnlineMechanism::apply_events(std::span<const OnlineEvent> batch) {
   // already carries its whole participant set; its objects get re-marked by
   // the deltas that keep arriving).  The touched-object list is per batch.
   if (config_.eviction_limit > 0 && out.drained && !demand_touched_.empty()) {
+    stage.reset();
     run_eviction(out);
+    out.eviction_seconds = stage.seconds();
   }
-  for (const drp::ObjectIndex k : demand_touched_) demand_touched_flag_[k] = 0;
-  demand_touched_.clear();
+  clear_demand_touched();
 
   out.total_cost = eval_->total();
   return out;

@@ -18,7 +18,7 @@
 //   ReplicaLoss(s,k)          readers(k) ∪ {s}                NN_·k rose; s
 //                                                             freed capacity
 //   ServerFail(s)             ∪_k readers(k) over dropped k   NN rose per lost
-//                                                             object; s gains
+//                             (k walks server_objects(s))     object; s gains
 //                                                             nothing (capacity
 //                                                             clamps to used)
 //   ServerJoin(s)             {s}                             capacity restored
@@ -162,6 +162,11 @@ struct BatchOutcome {
   double total_cost = 0.0;           ///< OTC after the batch (exact, cached)
   bool drained = true;               ///< false iff max_repair_rounds hit
   bool oracle_checked = false;
+  /// Wall seconds per stage, on one steady clock.  They sum to at most the
+  /// call's wall time; the rest is bookkeeping and, when on, the oracle.
+  double events_seconds = 0.0;    ///< events + the once-per-object re-price
+  double repair_seconds = 0.0;    ///< agent build, rounds, cache re-attach
+  double eviction_seconds = 0.0;  ///< the eviction pass (0 when it is off)
 };
 
 /// Byte-level placement comparison: replicator sets, used capacities, and
@@ -184,10 +189,15 @@ class OnlineMechanism {
   OnlineMechanism& operator=(const OnlineMechanism&) = delete;
 
   /// Applies one event batch, then re-converges the dirty set via a
-  /// warm-started restricted mechanism run.  Events are validated and
-  /// applied in order; an invalid event throws std::invalid_argument with
-  /// the engine state unchanged by that event (prior events in the batch
-  /// remain applied).
+  /// warm-started restricted mechanism run whose agents are built on the
+  /// shared pool.  Demand-touched objects are re-priced once, after the
+  /// last event.  Events are validated and applied in order; an invalid
+  /// event throws std::invalid_argument with the engine state unchanged by
+  /// that event.  Prior events in the batch remain applied, with exact cost
+  /// caches, and their dirty agents are carried into the next batch, which
+  /// repairs them (pending_carryover() lists them meanwhile).  ServerFail
+  /// throws std::logic_error if a replica survives its walk of the server's
+  /// demand row (an engine invariant, not an input error).
   BatchOutcome apply_events(std::span<const OnlineEvent> batch);
 
   const drp::Problem& problem() const noexcept { return *problem_; }
@@ -218,7 +228,8 @@ class OnlineMechanism {
   std::size_t batches_applied() const noexcept { return batches_; }
   std::size_t events_applied() const noexcept { return events_; }
   /// Participants queued for the next batch because a bounded repair run
-  /// stopped before draining (empty in steady state).
+  /// stopped before draining, the eviction pass dropped a replica, or a
+  /// batch threw before its repair (empty in steady state without eviction).
   std::span<const drp::ServerId> pending_carryover() const noexcept {
     return carryover_;
   }
@@ -232,6 +243,8 @@ class OnlineMechanism {
 
   void mark_dirty(drp::ServerId i);
   void mark_demand_touched(drp::ObjectIndex k);
+  void refresh_demand_touched();
+  void clear_demand_touched();
   void apply_one(const OnlineEvent& event, BatchOutcome& out);
   void run_eviction(BatchOutcome& out);
   void accumulate(const MechanismResult& result);
@@ -242,6 +255,7 @@ class OnlineMechanism {
   std::unique_ptr<drp::Problem> problem_;
   std::optional<drp::DeltaEvaluator> eval_;
   std::vector<std::uint64_t> nominal_capacity_;
+  std::vector<std::uint64_t> primary_load_;  ///< immovable units per server
   std::vector<char> failed_;
   std::vector<char> deleted_;
   std::vector<std::vector<StashCell>> stash_;

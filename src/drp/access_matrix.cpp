@@ -70,7 +70,8 @@ AccessMatrix AccessMatrix::build(std::size_t servers, std::size_t objects,
   m.reader_row_[objects] = m.readers_.size();
 
   // Second pass: transpose into the by-server CSR view.  Walking objects in
-  // ascending k keeps each server row sorted by object index.
+  // ascending k keeps each server row sorted by object index; each cell
+  // records its slot in the object row it came from.
   m.srv_row_.assign(servers + 1, 0);
   for (std::size_t i = 0; i < servers; ++i) {
     m.srv_row_[i + 1] = m.srv_row_[i] + srv_count[i];
@@ -78,9 +79,12 @@ AccessMatrix AccessMatrix::build(std::size_t servers, std::size_t objects,
   m.srv_cells_.resize(total_cells);
   std::vector<std::size_t> cursor(m.srv_row_.begin(), m.srv_row_.end() - 1);
   for (std::size_t k = 0; k < objects; ++k) {
-    for (const Access& a : by_object[k]) {
+    const auto& row = by_object[k];
+    for (std::size_t slot = 0; slot < row.size(); ++slot) {
+      const Access& a = row[slot];
       m.srv_cells_[cursor[a.server]++] =
-          ServerSideAccess{static_cast<ObjectIndex>(k), a.reads, a.writes};
+          ServerSideAccess{static_cast<ObjectIndex>(k),
+                           static_cast<std::uint32_t>(slot), a.reads, a.writes};
     }
   }
   return m;

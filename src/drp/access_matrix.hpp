@@ -33,9 +33,14 @@ struct Access {
 /// A (object, demand) pair as seen from one server's side.
 struct ServerSideAccess {
   ObjectIndex object;
+  /// This server's slot in accessors(object) — what accessor_slot would
+  /// return, resolved once by the build's transpose (structure is fixed).
+  std::uint32_t slot;
   std::uint64_t reads;
   std::uint64_t writes;
 };
+// The slot rides in what was padding after `object`.
+static_assert(sizeof(ServerSideAccess) == 24);
 
 class AccessMatrix {
  public:

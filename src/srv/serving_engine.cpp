@@ -255,6 +255,7 @@ bool ServingEngine::drift_crossed() const {
 void ServingEngine::reconverge_now() {
   AGTRAM_OBS_SPAN("srv.reconverge");
   common::Timer timer;
+  common::Timer stage;
   const drp::AccessMatrix& access = problem().access;
 
   // Fold the observed window into the registered demand as an
@@ -334,7 +335,11 @@ void ServingEngine::reconverge_now() {
   std::uint64_t changed_entries = 0;
   if (online_) {
     std::vector<core::OnlineEvent> events(deltas.begin(), deltas.end());
+    stats_.fold_seconds += stage.seconds();
     const core::BatchOutcome outcome = online_->apply_events(events);
+    stats_.fold_seconds += outcome.events_seconds;
+    stats_.repair_seconds += outcome.repair_seconds;
+    stats_.eviction_seconds += outcome.eviction_seconds;
     stats_.repair_rounds += outcome.repair_rounds;
     stats_.replicas_evicted += outcome.replicas_evicted;
     // Incremental install: only the added/evicted entries ship.
@@ -345,10 +350,13 @@ void ServingEngine::reconverge_now() {
       problem_->access.apply_demand_delta(d.server, d.object, d.delta_reads,
                                           d.delta_writes);
     }
+    stats_.fold_seconds += stage.seconds();
+    stage.reset();
     core::MechanismResult result =
         core::run_agt_ram(*problem_, config_.mechanism);
     stats_.repair_rounds += result.rounds.size();
     placement_.emplace(std::move(result.placement));
+    stats_.repair_seconds += stage.seconds();
     // Cold re-solve: the whole routing table ships.
     changed_entries = placement_->replica_count();
   }
@@ -361,14 +369,18 @@ void ServingEngine::reconverge_now() {
 }
 
 void ServingEngine::install_snapshot(std::uint64_t changed_entries) {
+  common::Timer stage;
   ++epoch_;
-  table_.install(
-      std::make_shared<const RoutingSnapshot>(placement(), epoch_));
+  auto snap = std::make_shared<const RoutingSnapshot>(placement(), epoch_);
+  stats_.snapshot_seconds += stage.seconds();
+  stage.reset();
+  table_.install(std::move(snap));
   ++stats_.installs;
   if (config_.bus) {
     config_.bus->account_install(changed_entries == 0 ? 1 : changed_entries);
   }
   install_mean_read_cost_ = expected_mean_read_cost();
+  stats_.install_seconds += stage.seconds();
 }
 
 void ServingEngine::reset_window() {

@@ -94,6 +94,14 @@ struct ServingStats {
   std::uint64_t demand_delta_cells = 0;
   double serve_seconds = 0.0;       ///< routing + aggregation wall time
   double reconverge_seconds = 0.0;  ///< deltas + solve + snapshot + install
+  /// reconverge_seconds by stage, on the same steady clock.  They sum to at
+  /// most it; the rest is the window reset and engine bookkeeping (and the
+  /// differential oracle, when on).
+  double fold_seconds = 0.0;      ///< window -> demand deltas, applied
+  double repair_seconds = 0.0;    ///< dirty-set repair, or the cold re-solve
+  double eviction_seconds = 0.0;  ///< the online engine's eviction pass
+  double snapshot_seconds = 0.0;  ///< building the new RoutingSnapshot
+  double install_seconds = 0.0;   ///< publishing it + the trigger baseline
   /// Request-weighted read serving distances, index = path cost (exact
   /// percentiles; size = diameter + 1).
   std::vector<std::uint64_t> read_cost_histogram;

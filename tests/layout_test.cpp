@@ -8,7 +8,10 @@
 //    invariant after *every* mutation, including the inline -> spill-arena
 //    crossover at kInlineReplicators and back;
 //  * copy semantics — copies re-home spilled sets into a compact private
-//    arena and stay independent of the original.
+//    arena and stay independent of the original;
+//  * transposed slots — every by-server cell's slot equals accessor_slot,
+//    before and after demand deltas, on the trace, dispersed and sparse
+//    instance families.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -166,5 +169,58 @@ TEST_P(LayoutFuzz, CopiesAreIndependentOfTheOriginal) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LayoutFuzz,
                          ::testing::Values(9001, 9002, 9003));
+
+// The by-server transpose carries each cell's slot in its object row; agent
+// construction and the online engine's fail walk read it instead of
+// searching, so it must equal accessor_slot and address the same demand.
+void expect_slots_match(const drp::AccessMatrix& access) {
+  for (drp::ServerId i = 0; i < access.server_count(); ++i) {
+    for (const drp::ServerSideAccess& cell : access.server_objects(i)) {
+      ASSERT_EQ(cell.slot, access.accessor_slot(i, cell.object))
+          << "server " << i << " object " << cell.object;
+      const drp::Access& same = access.accessors(cell.object)[cell.slot];
+      ASSERT_EQ(same.reads, cell.reads);
+      ASSERT_EQ(same.writes, cell.writes);
+    }
+  }
+}
+
+// Slots are structural: demand moving on existing cells, down to zero and
+// back up, leaves every one in place.
+void expect_slots_survive_deltas(drp::AccessMatrix access) {
+  expect_slots_match(access);
+  for (drp::ObjectIndex k = 0; k < access.object_count(); ++k) {
+    const auto row = access.accessors(k);
+    for (std::size_t slot = 0; slot < row.size(); ++slot) {
+      const drp::Access cell = row[slot];
+      if (slot % 3 == 0) {
+        access.apply_demand_delta(cell.server, k,
+                                  -static_cast<std::int64_t>(cell.reads), 1);
+      } else if (cell.reads > 0) {
+        access.apply_demand_delta(cell.server, k, 5, 0);
+      }
+    }
+  }
+  expect_slots_match(access);
+}
+
+TEST(LayoutSlots, TraceFamilySlotsMatchAccessorSlot) {
+  expect_slots_survive_deltas(
+      seed_instance(64, 640, /*dispersed=*/false).access);
+}
+
+TEST(LayoutSlots, DispersedFamilySlotsMatchAccessorSlot) {
+  expect_slots_survive_deltas(
+      seed_instance(64, 640, /*dispersed=*/true).access);
+}
+
+TEST(LayoutSlots, SparseInstanceSlotsMatchAccessorSlot) {
+  drp::InstanceSpec spec;
+  spec.servers = 300;
+  spec.objects = 400;
+  spec.seed = 5;
+  spec.demand = drp::DemandModel::Dispersed;
+  expect_slots_survive_deltas(drp::make_sparse_instance(spec).base.access);
+}
 
 }  // namespace

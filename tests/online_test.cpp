@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/timer.hpp"
 #include "core/agt_ram.hpp"
 #include "core/online.hpp"
 #include "drp/builder.hpp"
@@ -317,6 +318,31 @@ TEST(OnlineMechanismTest, ServerFailLoseEverythingThenRejoin) {
   EXPECT_THROW(engine.apply_events(refail), std::invalid_argument);
 }
 
+// The fail walk visits the holder's whole demand row, including a cell
+// whose reads fell to zero after its replica was placed (cells are
+// structural, so the replica still sits on one).
+TEST(OnlineMechanismTest, ServerFailDropsAReplicaWhoseReadsFellToZero) {
+  core::OnlineMechanism engine(dispersed_instance(), oracle_config());
+  const auto extra = find_extra_replica(engine.placement());
+  ASSERT_TRUE(extra.has_value());
+  const auto [holder, k] = *extra;
+  const std::uint64_t reads = engine.problem().access.reads(holder, k);
+  ASSERT_GT(reads, 0u);
+
+  const std::vector<core::OnlineEvent> cool = {core::DemandDelta{
+      holder, k, -static_cast<std::int64_t>(reads), 0}};
+  EXPECT_TRUE(engine.apply_events(cool).oracle_checked);
+  ASSERT_EQ(engine.problem().access.reads(holder, k), 0u);
+  ASSERT_TRUE(engine.placement().is_replicator(holder, k));  // never evicted
+
+  const std::vector<core::OnlineEvent> fail = {core::ServerFail{holder}};
+  const core::BatchOutcome failed = engine.apply_events(fail);
+  EXPECT_TRUE(failed.oracle_checked);
+  EXPECT_FALSE(engine.placement().is_replicator(holder, k));
+  EXPECT_EQ(engine.placement().used_capacity(holder),
+            engine.problem().primary_load()[holder]);
+}
+
 TEST(OnlineMechanismTest, ObjectDeleteAndRecreateRoundTrip) {
   core::OnlineMechanism engine(dispersed_instance(), oracle_config());
   const auto extra = find_extra_replica(engine.placement());
@@ -362,6 +388,78 @@ TEST(OnlineMechanismTest, InvalidEventsAreRejected) {
       engine.apply_events(std::vector<core::OnlineEvent>{
           core::ReplicaLoss{p.primary[k0], k0}}),
       std::invalid_argument);
+}
+
+// A rejected event must not strand what the batch's earlier events did:
+// they stay applied with exact caches, their agents are repaired by the
+// next batch, and the dirty flags are clear for later marks.
+TEST(OnlineMechanismTest, RejectedBatchLeavesTheEngineRepairable) {
+  core::OnlineMechanism engine(dispersed_instance(), oracle_config());
+  const drp::Problem& p = engine.problem();
+  // A reader cell whose holder replicates nothing there and has room.
+  std::optional<std::pair<drp::ServerId, drp::ObjectIndex>> cell;
+  for (drp::ObjectIndex k = 0; k < p.object_count() && !cell; ++k) {
+    for (const drp::ServerId i : p.access.readers(k)) {
+      if (i != p.primary[k] && engine.placement().can_replicate(i, k)) {
+        cell = std::make_pair(i, k);
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(cell.has_value());
+  const auto [i, k] = *cell;
+  const std::uint64_t reads = p.access.reads(i, k);
+
+  // The read surge is valid; the loss of a replica i does not hold is not.
+  const std::vector<core::OnlineEvent> batch = {
+      core::DemandDelta{i, k, 1000000, 0}, core::ReplicaLoss{i, k}};
+  EXPECT_THROW(engine.apply_events(batch), std::invalid_argument);
+  EXPECT_EQ(p.access.reads(i, k), reads + 1000000);
+  EXPECT_EQ(engine.total_cost(),
+            drp::CostModel::total_cost(engine.placement()));
+  ASSERT_EQ(engine.pending_carryover().size(), 1u);
+  EXPECT_EQ(engine.pending_carryover()[0], i);
+
+  const core::BatchOutcome next = engine.apply_events({});
+  EXPECT_TRUE(next.oracle_checked);
+  EXPECT_GE(next.repair_rounds, 1u);
+  EXPECT_TRUE(engine.pending_carryover().empty());
+
+  const std::vector<core::OnlineEvent> later = {core::DemandDelta{i, k, 1, 0}};
+  const core::BatchOutcome after = engine.apply_events(later);
+  EXPECT_GE(after.dirty_agents, 1u);
+  EXPECT_TRUE(after.oracle_checked);
+}
+
+// The stage seconds are parts of one call: non-negative, and together
+// within the call's own wall time.
+TEST(OnlineMechanismTest, StageSecondsFitInsideTheCall) {
+  core::OnlineConfig config;
+  config.eviction_limit = 16;
+  core::OnlineMechanism engine(dispersed_instance(), config);
+  runtime::OnlineEventModel model;
+  model.seed = 505;
+  model.replica_loss_rate = 0.05;
+  model.server_fail_rate = 0.02;
+  model.server_recover_rate = 0.5;
+  runtime::OnlineEventSource source(engine, model);
+  std::size_t repaired = 0;
+  for (int b = 0; b < 12; ++b) {
+    const std::vector<core::OnlineEvent> batch = source.next_batch();
+    const common::Timer wall;
+    const core::BatchOutcome out = engine.apply_events(batch);
+    const double wall_seconds = wall.seconds();
+    EXPECT_GE(out.events_seconds, 0.0);
+    EXPECT_GE(out.repair_seconds, 0.0);
+    EXPECT_GE(out.eviction_seconds, 0.0);
+    EXPECT_LE(out.events_seconds + out.repair_seconds + out.eviction_seconds,
+              wall_seconds);
+    if (out.dirty_agents > 0) {
+      EXPECT_GT(out.repair_seconds, 0.0);
+      ++repaired;
+    }
+  }
+  EXPECT_GT(repaired, 0u);
 }
 
 TEST(OnlineMechanismTest, OutcomeAccountingAddsUp) {

@@ -433,6 +433,43 @@ TEST(ServingEngineTest, OnDriftTriggersAndKeepsRoutingCoherent) {
   EXPECT_EQ(engine.snapshot()->epoch(), stats.installs);
 }
 
+// Re-convergence stage seconds: each non-negative, together within
+// reconverge_seconds, and the repair and snapshot stages never empty once
+// a re-convergence ran.  Covers both re-converging policies.
+TEST(ServingEngineTest, ReconvergeStagesFitInsideReconvergeSeconds) {
+  for (const srv::ReconvergePolicy policy :
+       {srv::ReconvergePolicy::OnDrift, srv::ReconvergePolicy::EveryBatch}) {
+    srv::ServingConfig config;
+    config.policy = policy;
+    config.eviction_limit = 8;
+    srv::ServingEngine engine(dispersed_instance(24, 96, 29), config);
+    srv::WorkloadConfig wconfig;
+    wconfig.requests_per_batch = 1024;
+    wconfig.drift_interval = 1;
+    wconfig.drift_fraction = 0.5;
+    srv::SyntheticWorkload workload(engine.problem(), wconfig);
+    std::vector<srv::Request> batch;
+    for (int b = 0; b < 4; ++b) {
+      workload.next_batch(batch);
+      engine.run_batch(batch);
+      engine.reconverge_now();
+    }
+    const srv::ServingStats& stats = engine.stats();
+    ASSERT_GT(stats.reconverges, 0u);
+    const double stages[] = {stats.fold_seconds, stats.repair_seconds,
+                             stats.eviction_seconds, stats.snapshot_seconds,
+                             stats.install_seconds};
+    double sum = 0.0;
+    for (const double s : stages) {
+      EXPECT_GE(s, 0.0);
+      sum += s;
+    }
+    EXPECT_LE(sum, stats.reconverge_seconds);
+    EXPECT_GT(stats.repair_seconds, 0.0);
+    EXPECT_GT(stats.snapshot_seconds, 0.0);
+  }
+}
+
 TEST(ServingEngineTest, BusSeparatesServingFromProtocolBytes) {
   drp::Problem problem = dispersed_instance(16, 48, 23);
   runtime::MessageBus bus(problem, runtime::MessageBus::pick_centre(problem));

@@ -11,7 +11,11 @@
 # test_net runs the metric closure's per-source Dijkstras on the pool, and
 # its refusals cross the pool's exception hand-off.  test_horizon scores
 # placements bound to the online engine's Problem while apply_events
-# rewrites its demand in place — a lifetime ASan should watch.
+# rewrites its demand in place — a lifetime ASan should watch.  Mechanism
+# runs build their agents on the pool whatever parallel_agents says, so
+# test_mechanism and test_online fork agent construction on every solve and
+# repair.  test_layout checks the by-server transpose that writes the slots
+# those agents read.
 #
 # Usage:  tools/run_sanitized_tests.sh [build-dir]
 #   SAN=address|thread|undefined   sanitizer to use (default: thread)
@@ -31,13 +35,13 @@ cmake --build "$BUILD" -j "$(nproc)" \
   --target test_common test_net test_mechanism test_runtime \
            test_baselines_delta test_kernels test_online test_obs \
            test_obs_noop test_regional test_serving test_strategic \
-           test_glauber test_tree_placement test_horizon
+           test_glauber test_tree_placement test_horizon test_layout
 
 status=0
 for t in test_common test_net test_mechanism test_runtime \
          test_baselines_delta test_kernels test_online test_obs \
          test_obs_noop test_regional test_serving test_strategic \
-         test_glauber test_tree_placement test_horizon; do
+         test_glauber test_tree_placement test_horizon test_layout; do
   echo "== $SAN-sanitized $t =="
   # The paper-scale differential cases take minutes under a sanitizer's
   # slowdown; the small-family + fuzz cases exercise the same parallel scans.
