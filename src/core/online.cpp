@@ -75,6 +75,7 @@ OnlineMechanism::OnlineMechanism(drp::Problem problem, OnlineConfig config)
   stash_.resize(n);
   dirty_flag_.assign(m, 0);
   demand_touched_flag_.assign(n, 0);
+  changed_flag_.assign(n, 0);
   agents_.resize(m);
 
   AGTRAM_OBS_SPAN("online.initial_solve");
@@ -103,10 +104,20 @@ void OnlineMechanism::mark_demand_touched(drp::ObjectIndex k) {
   }
 }
 
-void OnlineMechanism::refresh_demand_touched() {
-  for (const drp::ObjectIndex k : demand_touched_) {
-    eval_->refresh_after_demand_change(k);
+void OnlineMechanism::mark_changed(drp::ObjectIndex k) {
+  if (changed_flag_[k] == 0) {
+    changed_flag_[k] = 1;
+    changed_.push_back(k);
   }
+}
+
+void OnlineMechanism::drop_replica(drp::ServerId i, drp::ObjectIndex k) {
+  eval_->remove_replica(i, k);
+  mark_changed(k);
+}
+
+void OnlineMechanism::refresh_demand_touched() {
+  eval_->refresh_after_demand_change(demand_touched_);
 }
 
 void OnlineMechanism::clear_demand_touched() {
@@ -160,7 +171,7 @@ void OnlineMechanism::apply_one(const OnlineEvent& event, BatchOutcome& out) {
           std::to_string(l->server) + ", object " + std::to_string(l->object) +
           ") which holds no replica");
     }
-    eval_->remove_replica(l->server, l->object);
+    drop_replica(l->server, l->object);
     ++out.replicas_lost;
     AGTRAM_OBS_COUNT("online.replicas_lost", 1);
     mark_dirty(l->server);  // freed capacity: retired-infeasible bids revive
@@ -185,7 +196,7 @@ void OnlineMechanism::apply_one(const OnlineEvent& event, BatchOutcome& out) {
           !eval_->placement().is_replicator(f->server, k)) {
         continue;
       }
-      eval_->remove_replica(f->server, k);
+      drop_replica(f->server, k);
       ++out.replicas_lost;
       AGTRAM_OBS_COUNT("online.replicas_lost", 1);
       for (const drp::ServerId i : access.readers(k)) mark_dirty(i);
@@ -240,7 +251,7 @@ void OnlineMechanism::apply_one(const OnlineEvent& event, BatchOutcome& out) {
       if (r != problem_->primary[k]) extras.push_back(r);
     }
     for (const drp::ServerId r : extras) {
-      eval_->remove_replica(r, k);
+      drop_replica(r, k);
       ++out.replicas_lost;
       AGTRAM_OBS_COUNT("online.replicas_lost", 1);
       mark_dirty(r);  // freed capacity
@@ -322,7 +333,10 @@ BatchOutcome OnlineMechanism::apply_events(std::span<const OnlineEvent> batch) {
 
     std::vector<drp::ObjectIndex> touched;
     touched.reserve(repair.rounds.size());
-    for (const RoundRecord& r : repair.rounds) touched.push_back(r.object);
+    for (const RoundRecord& r : repair.rounds) {
+      touched.push_back(r.object);
+      mark_changed(r.object);
+    }
     eval_->attach_placement(std::move(repair.placement), touched);
 
     accumulate(repair);
@@ -361,6 +375,13 @@ BatchOutcome OnlineMechanism::apply_events(std::span<const OnlineEvent> batch) {
   }
   clear_demand_touched();
 
+  // The list carries over a thrown batch's drops (the throw path leaves it
+  // alone), so patching from the previous outcome never misses a change.
+  std::sort(changed_.begin(), changed_.end());
+  for (const drp::ObjectIndex k : changed_) changed_flag_[k] = 0;
+  out.changed_objects = std::move(changed_);
+  changed_.clear();
+
   out.total_cost = eval_->total();
   return out;
 }
@@ -389,7 +410,7 @@ void OnlineMechanism::run_eviction(BatchOutcome& out) {
         }
       }
       if (!found) break;  // every remaining replica still pays its way
-      eval_->remove_replica(victim, k);
+      drop_replica(victim, k);
       --budget;
       ++out.replicas_evicted;
       out.eviction_cost_delta += best;

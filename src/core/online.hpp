@@ -162,6 +162,14 @@ struct BatchOutcome {
   double total_cost = 0.0;           ///< OTC after the batch (exact, cached)
   bool drained = true;               ///< false iff max_repair_rounds hit
   bool oracle_checked = false;
+  /// Objects whose replicator sets this batch mutated — through loss, fail,
+  /// delete, a repair round or an eviction — ascending, each once.  An
+  /// object appears even when a later mutation restored its set (its NN
+  /// node cache may still differ under ties).  Also lists the mutations of
+  /// any earlier batch that threw.  Every other object's replicators and NN
+  /// caches are as the previous returned outcome left them, which is what
+  /// lets a routing snapshot be patched instead of rebuilt.
+  std::vector<drp::ObjectIndex> changed_objects;
   /// Wall seconds per stage, on one steady clock.  They sum to at most the
   /// call's wall time; the rest is bookkeeping and, when on, the oracle.
   double events_seconds = 0.0;    ///< events + the once-per-object re-price
@@ -191,11 +199,12 @@ class OnlineMechanism {
   /// Applies one event batch, then re-converges the dirty set via a
   /// warm-started restricted mechanism run whose agents are built on the
   /// shared pool.  Demand-touched objects are re-priced once, after the
-  /// last event.  Events are validated and applied in order; an invalid
-  /// event throws std::invalid_argument with the engine state unchanged by
-  /// that event.  Prior events in the batch remain applied, with exact cost
-  /// caches, and their dirty agents are carried into the next batch, which
-  /// repairs them (pending_carryover() lists them meanwhile).  ServerFail
+  /// last event, in one parallel_for on the same pool.  Events are validated
+  /// and applied in order; an invalid event throws std::invalid_argument
+  /// with the engine state unchanged by that event.  Prior events in the
+  /// batch remain applied, with exact cost caches, and their dirty agents
+  /// are carried into the next batch, which repairs them
+  /// (pending_carryover() lists them meanwhile).  ServerFail
   /// throws std::logic_error if a replica survives its walk of the server's
   /// demand row (an engine invariant, not an input error).
   BatchOutcome apply_events(std::span<const OnlineEvent> batch);
@@ -243,6 +252,9 @@ class OnlineMechanism {
 
   void mark_dirty(drp::ServerId i);
   void mark_demand_touched(drp::ObjectIndex k);
+  void mark_changed(drp::ObjectIndex k);
+  /// Drops a replica through the evaluator and lists k as changed.
+  void drop_replica(drp::ServerId i, drp::ObjectIndex k);
   void refresh_demand_touched();
   void clear_demand_touched();
   void apply_one(const OnlineEvent& event, BatchOutcome& out);
@@ -267,6 +279,9 @@ class OnlineMechanism {
   // Objects whose demand this batch touched (eviction candidates).
   std::vector<char> demand_touched_flag_;
   std::vector<drp::ObjectIndex> demand_touched_;
+  // Objects whose replicator sets changed since the last returned outcome.
+  std::vector<char> changed_flag_;
+  std::vector<drp::ObjectIndex> changed_;
 
   std::vector<AgentOutcome> agents_;
   std::size_t initial_rounds_ = 0;

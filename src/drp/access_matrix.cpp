@@ -1,7 +1,8 @@
 #include "drp/access_matrix.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -42,6 +43,10 @@ AccessMatrix AccessMatrix::build(std::size_t servers, std::size_t objects,
     row.resize(out);
     total_cells += out;
   }
+  // The transpose index (srv_index_) stores cell positions in 32 bits.
+  if (total_cells > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("AccessMatrix::build: more than 2^32 - 1 cells");
+  }
 
   m.cells_.reserve(total_cells);
   m.soa_server_.reserve(total_cells);
@@ -71,18 +76,22 @@ AccessMatrix AccessMatrix::build(std::size_t servers, std::size_t objects,
 
   // Second pass: transpose into the by-server CSR view.  Walking objects in
   // ascending k keeps each server row sorted by object index; each cell
-  // records its slot in the object row it came from.
+  // records its slot in the object row it came from, and each object-row
+  // cell records where its transposed twin landed.
   m.srv_row_.assign(servers + 1, 0);
   for (std::size_t i = 0; i < servers; ++i) {
     m.srv_row_[i + 1] = m.srv_row_[i] + srv_count[i];
   }
   m.srv_cells_.resize(total_cells);
+  m.srv_index_.resize(total_cells);
   std::vector<std::size_t> cursor(m.srv_row_.begin(), m.srv_row_.end() - 1);
   for (std::size_t k = 0; k < objects; ++k) {
     const auto& row = by_object[k];
     for (std::size_t slot = 0; slot < row.size(); ++slot) {
       const Access& a = row[slot];
-      m.srv_cells_[cursor[a.server]++] =
+      const std::size_t at = cursor[a.server]++;
+      m.srv_index_[m.obj_row_[k] + slot] = static_cast<std::uint32_t>(at);
+      m.srv_cells_[at] =
           ServerSideAccess{static_cast<ObjectIndex>(k),
                            static_cast<std::uint32_t>(slot), a.reads, a.writes};
     }
@@ -170,15 +179,7 @@ void AccessMatrix::apply_demand_delta(ServerId i, ObjectIndex k,
   grand_reads_ = checked_apply(grand_reads_, delta_reads, "reads");
   grand_writes_ = checked_apply(grand_writes_, delta_writes, "writes");
 
-  // By-server transpose: rows are sorted by object index.
-  const auto row = server_objects(i);
-  const auto it = std::lower_bound(
-      row.begin(), row.end(), k,
-      [](const ServerSideAccess& a, ObjectIndex target) {
-        return a.object < target;
-      });
-  assert(it != row.end() && it->object == k);
-  ServerSideAccess& srv_cell = srv_cells_[srv_row_[i] + (it - row.begin())];
+  ServerSideAccess& srv_cell = srv_cells_[srv_index_[obj_row_[k] + slot]];
   srv_cell.reads = new_reads;
   srv_cell.writes = new_writes;
 }

@@ -94,6 +94,15 @@ class AccessMatrix {
     return {srv_cells_.data() + srv_row_[i], srv_row_[i + 1] - srv_row_[i]};
   }
 
+  /// Position of object k's accessor slot `slot` in the row
+  /// server_objects(accessor_servers(k)[slot]) — the mirror of
+  /// ServerSideAccess::slot, recorded by the build's transpose (structure
+  /// is fixed).
+  std::size_t server_slot(ObjectIndex k, std::size_t slot) const {
+    const std::size_t cell = obj_row_[k] + slot;
+    return srv_index_[cell] - srv_row_[soa_server_[cell]];
+  }
+
   /// Point lookups (binary search in the object row); 0 if absent.
   std::uint64_t reads(ServerId i, ObjectIndex k) const;
   std::uint64_t writes(ServerId i, ObjectIndex k) const;
@@ -111,7 +120,8 @@ class AccessMatrix {
   ///     the incremental mechanism's dirty set and is never re-laid-out.
   /// On success every view stays exact: the AoS cell, the SoA double streams
   /// (re-converted with the same static_cast the build performed, so they
-  /// remain bitwise-consistent), the by-server transpose cell, and the
+  /// remain bitwise-consistent), the by-server transpose cell (reached
+  /// through the build's recorded index, no row search), and the
   /// per-object / grand demand totals.
   void apply_demand_delta(ServerId i, ObjectIndex k, std::int64_t delta_reads,
                           std::int64_t delta_writes);
@@ -196,6 +206,9 @@ class AccessMatrix {
   // CSR by server: rows of `srv_cells_` delimited by `srv_row_` (size M+1).
   std::vector<std::size_t> srv_row_;
   std::vector<ServerSideAccess> srv_cells_;
+  // Per by-object cell (slot scheme): its index in srv_cells_, so a demand
+  // delta updates the transpose without searching the server's row.
+  std::vector<std::uint32_t> srv_index_;
 
   std::vector<std::uint64_t> object_reads_;
   std::vector<std::uint64_t> object_writes_;

@@ -244,6 +244,18 @@ void DeltaEvaluator::refresh_after_demand_change(ObjectIndex k) {
   total_valid_ = false;
 }
 
+void DeltaEvaluator::refresh_after_demand_change(
+    std::span<const ObjectIndex> objects) {
+  if (objects.empty()) return;
+  common::ThreadPool::shared().parallel_for(
+      0, objects.size(),
+      [&](std::size_t first, std::size_t last) {
+        for (std::size_t e = first; e < last; ++e) refresh(objects[e]);
+      },
+      /*min_grain=*/64);
+  total_valid_ = false;
+}
+
 void DeltaEvaluator::attach_placement(ReplicaPlacement placement,
                                       std::span<const ObjectIndex> touched) {
   placement_ = std::move(placement);

@@ -136,6 +136,12 @@ class DeltaEvaluator {
   /// made demand mutable.
   void refresh_after_demand_change(ObjectIndex k);
 
+  /// The same for a batch of distinct objects, re-priced in one
+  /// parallel_for on the shared pool: each object writes only its own cache
+  /// slots, so the bits equal the one-object calls in any order.  `objects`
+  /// must not repeat an object.
+  void refresh_after_demand_change(std::span<const ObjectIndex> objects);
+
   struct BestAdd {
     double benefit = 0.0;
     ServerId server = 0;

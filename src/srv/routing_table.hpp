@@ -61,6 +61,18 @@ class RoutingSnapshot {
   /// DESIGN.md §12) — demand *values* may drift, routing never reads them.
   RoutingSnapshot(const drp::ReplicaPlacement& placement, std::uint64_t epoch);
 
+  /// Patches `previous` forward to `placement`: copies its three arrays and
+  /// re-fills only the `changed` objects, so the cost is one copy plus the
+  /// changed rows.  Equal, byte for byte, to the full build above when
+  /// `changed` lists every object whose replicator set mutated since
+  /// `previous` was built from a placement of the same Problem (as
+  /// core::BatchOutcome::changed_objects does).  Routing reads no demand, so
+  /// nothing else can move a row.
+  RoutingSnapshot(const RoutingSnapshot& previous,
+                  const drp::ReplicaPlacement& placement,
+                  std::span<const drp::ObjectIndex> changed,
+                  std::uint64_t epoch);
+
   const drp::Problem& problem() const noexcept { return *problem_; }
   std::uint64_t epoch() const noexcept { return epoch_; }
   std::size_t replica_count() const noexcept { return replica_count_; }
@@ -100,6 +112,10 @@ class RoutingSnapshot {
   }
 
  private:
+  /// Writes object k's rows from the placement: NN distance and node, and
+  /// the write units.
+  void fill(const drp::ReplicaPlacement& placement, drp::ObjectIndex k);
+
   const drp::Problem* problem_;
   std::uint64_t epoch_;
   std::size_t replica_count_;

@@ -4,12 +4,34 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
+#include <variant>
 
 #include "common/timer.hpp"
 #include "obs/obs.hpp"
 
 namespace agtram::srv {
+
+namespace {
+
+/// Why `req` cannot be served, or nullptr.  O(1): `reader_cell` marks, per
+/// cell, whether its server is in the structural readers(object) list.
+const char* refusal(const drp::AccessMatrix& access,
+                    const std::vector<std::uint8_t>& reader_cell,
+                    const Request& req) {
+  if (req.object >= access.object_count()) return "object out of range";
+  const std::size_t base = access.accessor_base(req.object);
+  if (req.slot >= access.accessor_base(req.object + 1) - base) {
+    return "slot out of range";
+  }
+  if (!req.write && reader_cell[base + req.slot] == 0) {
+    return "read on a non-reader cell";
+  }
+  return nullptr;
+}
+
+}  // namespace
 
 double ServingStats::mean_read_cost() const noexcept {
   std::uint64_t total = 0;
@@ -53,16 +75,21 @@ ServingEngine::ServingEngine(drp::Problem problem, ServingConfig config)
   const drp::Problem& inst = this->problem();
   const drp::AccessMatrix& access = inst.access;
   const std::size_t nnz = access.nonzeros();
-  window_reads_.assign(nnz, 0);
-  window_writes_.assign(nnz, 0);
-  window_touched_flag_.assign(nnz, 0);
-  cell_object_.resize(nnz);
+  window_pos_.assign(nnz, kUntouched);
+  // Both rows are sorted by server id, so one merge marks the reader cells.
+  reader_cell_.assign(nnz, 0);
   const std::size_t n = inst.object_count();
   for (drp::ObjectIndex k = 0; k < n; ++k) {
     const std::size_t base = access.accessor_base(k);
-    const std::size_t width = access.accessors(k).size();
-    for (std::size_t slot = 0; slot < width; ++slot) {
-      cell_object_[base + slot] = k;
+    const auto servers = access.accessor_servers(k);
+    const auto readers = access.readers(k);
+    std::size_t r = 0;
+    for (std::size_t slot = 0; slot < servers.size() && r < readers.size();
+         ++slot) {
+      if (servers[slot] == readers[r]) {
+        reader_cell_[base + slot] = 1;
+        ++r;
+      }
     }
   }
 
@@ -77,6 +104,15 @@ ServingEngine::ServingEngine(drp::Problem problem, ServingConfig config)
   install_mean_read_cost_ = expected_mean_read_cost();
 }
 
+void ServingEngine::Shard::reset() {
+  std::fill(hist.begin(), hist.end(), 0);
+  query_ns.clear();
+  reads = writes = local_reads = 0;
+  read_units = write_units = read_cost = 0.0;
+  refused_at = 0;
+  refusal = nullptr;
+}
+
 const drp::Problem& ServingEngine::problem() const {
   return online_ ? online_->problem() : *problem_;
 }
@@ -88,16 +124,18 @@ const drp::ReplicaPlacement& ServingEngine::placement() const {
 void ServingEngine::route_shard(const RoutingSnapshot& snap,
                                 std::span<const Request> part,
                                 Shard& shard) const {
+  const drp::AccessMatrix& access = snap.problem().access;
   const std::size_t stride = config_.latency_sample_every;
   std::size_t until_sample = stride;
-  for (const Request& req : part) {
-    const std::size_t idx =
-        snap.problem().access.accessor_base(req.object) + req.slot;
+  for (std::size_t e = 0; e < part.size(); ++e) {
+    const Request& req = part[e];
+    if (const char* why = refusal(access, reader_cell_, req)) {
+      shard.refused_at = e;
+      shard.refusal = why;
+      return;
+    }
     const double count = static_cast<double>(req.count);
-    shard.cell.push_back(idx);
     if (req.write) {
-      shard.dr.push_back(0);
-      shard.dw.push_back(req.count);
       shard.writes += req.count;
       shard.write_units += snap.write_units(req.object, req.slot) * count;
       continue;
@@ -114,8 +152,6 @@ void ServingEngine::route_shard(const RoutingSnapshot& snap,
     } else {
       route = snap.route_read(req.object, req.slot);
     }
-    shard.dr.push_back(req.count);
-    shard.dw.push_back(0);
     shard.reads += req.count;
     if (route.distance == 0) shard.local_reads += req.count;
     shard.hist[route.distance] += req.count;
@@ -125,18 +161,8 @@ void ServingEngine::route_shard(const RoutingSnapshot& snap,
 }
 
 void ServingEngine::merge_shard(Shard& shard) {
-  for (std::size_t e = 0; e < shard.cell.size(); ++e) {
-    const std::uint64_t idx = shard.cell[e];
-    window_reads_[idx] += shard.dr[e];
-    window_writes_[idx] += shard.dw[e];
-    if (window_touched_flag_[idx] == 0) {
-      window_touched_flag_[idx] = 1;
-      window_touched_.push_back(idx);
-    }
-  }
   for (std::size_t d = 0; d < shard.hist.size(); ++d) {
     stats_.read_cost_histogram[d] += shard.hist[d];
-    shard.hist[d] = 0;
   }
   stats_.query_ns.insert(stats_.query_ns.end(), shard.query_ns.begin(),
                          shard.query_ns.end());
@@ -146,16 +172,29 @@ void ServingEngine::merge_shard(Shard& shard) {
   stats_.read_units += shard.read_units;
   stats_.write_units += shard.write_units;
   window_requests_ += shard.reads + shard.writes;
-  window_groups_ += shard.cell.size();
   window_read_cost_ += shard.read_cost;
   window_read_count_ += shard.reads;
+  shard.reset();
+}
 
-  shard.cell.clear();
-  shard.dr.clear();
-  shard.dw.clear();
-  shard.query_ns.clear();
-  shard.reads = shard.writes = shard.local_reads = 0;
-  shard.read_units = shard.write_units = shard.read_cost = 0.0;
+void ServingEngine::observe(std::span<const Request> batch) {
+  // Batch order is the shards' slices in shard order, so first touches land
+  // in the order a shard-by-shard merge would give them.
+  const drp::AccessMatrix& access = problem().access;
+  for (const Request& req : batch) {
+    const std::size_t idx = access.accessor_base(req.object) + req.slot;
+    std::uint32_t pos = window_pos_[idx];
+    if (pos == kUntouched) {
+      pos = static_cast<std::uint32_t>(window_.size());
+      window_pos_[idx] = pos;
+      const drp::Access& cell = access.accessors(req.object)[req.slot];
+      window_.push_back(WindowCell{static_cast<std::uint32_t>(idx),
+                                   cell.reads + cell.writes, 0, 0});
+    }
+    WindowCell& seen = window_[pos];
+    (req.write ? seen.writes : seen.reads) += req.count;
+  }
+  window_groups_ += batch.size();
 }
 
 void ServingEngine::run_batch(std::span<const Request> batch) {
@@ -168,17 +207,34 @@ void ServingEngine::run_batch(std::span<const Request> batch) {
   const std::size_t parts = batch.empty()
                                 ? 0
                                 : std::min(shard_count_, batch.size());
+  const auto slice_begin = [&](std::size_t s) {
+    return batch.size() * s / parts;
+  };
   if (parts != 0) {
     pool_->parallel_for(
         0, parts,
         [&](std::size_t first, std::size_t last) {
           for (std::size_t s = first; s < last; ++s) {
-            const std::size_t lo = batch.size() * s / parts;
-            const std::size_t hi = batch.size() * (s + 1) / parts;
+            const std::size_t lo = slice_begin(s);
+            const std::size_t hi = slice_begin(s + 1);
             route_shard(*snap, batch.subspan(lo, hi - lo), shards_[s]);
           }
         },
         1);
+    // Slices are in batch order, so the first refusing shard holds the
+    // batch's first refused request.
+    for (std::size_t s = 0; s < parts; ++s) {
+      if (shards_[s].refusal == nullptr) continue;
+      const std::size_t at = slice_begin(s) + shards_[s].refused_at;
+      const std::string why = shards_[s].refusal;
+      for (Shard& shard : shards_) shard.reset();
+      AGTRAM_OBS_COUNT("srv.batches_refused", 1);
+      throw std::invalid_argument(
+          "ServingEngine::run_batch: batch refused: request " +
+          std::to_string(at) + " (object " +
+          std::to_string(batch[at].object) + ", slot " +
+          std::to_string(batch[at].slot) + "): " + why);
+    }
     std::uint64_t batch_reads = 0;
     std::uint64_t batch_writes = 0;
     for (std::size_t s = 0; s < parts; ++s) {
@@ -186,6 +242,7 @@ void ServingEngine::run_batch(std::span<const Request> batch) {
       batch_writes += shards_[s].writes;
       merge_shard(shards_[s]);
     }
+    observe(batch);
     const std::uint64_t routed = batch_reads + batch_writes;
     stats_.requests += routed;
     AGTRAM_OBS_COUNT("srv.requests", routed);
@@ -206,18 +263,23 @@ void ServingEngine::run_batch(std::span<const Request> batch) {
   }
 }
 
-bool ServingEngine::drift_crossed() const {
-  if (window_requests_ < config_.min_window_requests) return false;
+bool ServingEngine::drift_crossed() {
+  DriftRecord& rec = last_drift_;
+  rec = DriftRecord{};
+  rec.batch = stats_.batches;
+  rec.window_requests = window_requests_;
+  rec.window_groups = window_groups_;
+  rec.touched_cells = window_.size();
+  rec.expected_read_cost = install_mean_read_cost_;
+  rec.min_window_requests = config_.min_window_requests;
+  rec.cost_regression_threshold = config_.cost_regression_threshold;
+  rec.volume_drift_threshold = config_.volume_drift_threshold;
 
   // Routing-cost regression: observed mean read distance vs the expectation
   // computed when the current snapshot was installed.
-  if (install_mean_read_cost_ > 0.0 && window_read_count_ > 0) {
-    const double observed =
+  if (window_read_count_ > 0) {
+    rec.observed_read_cost =
         window_read_cost_ / static_cast<double>(window_read_count_);
-    if (observed >=
-        install_mean_read_cost_ * config_.cost_regression_threshold) {
-      return true;
-    }
   }
 
   // L1 volume drift over the window's touched cells: how far the observed
@@ -228,28 +290,42 @@ bool ServingEngine::drift_crossed() const {
   const double grand = static_cast<double>(access.grand_total_reads() +
                                            access.grand_total_writes());
   const double window = static_cast<double>(window_requests_);
-  if (grand <= 0.0 || window_groups_ == 0) return false;
-  double drift = 0.0;
-  for (const std::uint64_t idx : window_touched_) {
-    const drp::ObjectIndex k = cell_object_[idx];
-    const std::size_t slot = idx - access.accessor_base(k);
-    const drp::Access& cell = access.accessors(k)[slot];
-    const double observed_share =
-        static_cast<double>(window_reads_[idx] + window_writes_[idx]) / window;
-    const double registered_share =
-        static_cast<double>(cell.reads + cell.writes) / grand;
-    drift += std::abs(observed_share - registered_share);
+  const bool has_mix = grand > 0.0 && window_groups_ != 0;
+  if (has_mix) {
+    double drift = 0.0;
+    for (const WindowCell& seen : window_) {
+      const double observed_share =
+          static_cast<double>(seen.reads + seen.writes) / window;
+      const double registered_share =
+          static_cast<double>(seen.registered) / grand;
+      drift += std::abs(observed_share - registered_share);
+    }
+    rec.l1_drift = drift;
+    // Multinomial sampling-noise floor: a stationary replay of n uniform
+    // draws over K cells shows E[L1] <= sqrt(2K/(pi*n)) even with zero real
+    // drift (Cauchy-Schwarz bound; tight in the uniform case, which is the
+    // worst).  With cells ~ draws per batch that floor is O(1), so the raw
+    // L1 would fire on noise; subtracting it makes the trigger consistent —
+    // a stationary window grows n, the floor decays, the signal stays
+    // near 0.
+    rec.noise_floor = std::sqrt(
+        2.0 * static_cast<double>(window_.size()) /
+        (3.14159265358979323846 * static_cast<double>(window_groups_)));
   }
-  // Multinomial sampling-noise floor: a stationary replay of n uniform
-  // draws over K cells shows E[L1] <= sqrt(2K/(pi*n)) even with zero real
-  // drift (Cauchy-Schwarz bound; tight in the uniform case, which is the
-  // worst).  With cells ~ draws per batch that floor is O(1), so the raw L1
-  // would fire on noise; subtracting it makes the trigger consistent — a
-  // stationary window grows n, the floor decays, the signal stays near 0.
-  const double noise_floor =
-      std::sqrt(2.0 * static_cast<double>(window_touched_.size()) /
-                (3.14159265358979323846 * static_cast<double>(window_groups_)));
-  return drift - noise_floor >= config_.volume_drift_threshold;
+
+  if (window_requests_ < config_.min_window_requests) return false;
+  if (install_mean_read_cost_ > 0.0 && window_read_count_ > 0 &&
+      rec.observed_read_cost >=
+          install_mean_read_cost_ * config_.cost_regression_threshold) {
+    rec.fired = DriftSignal::CostRegression;
+    return true;
+  }
+  if (has_mix &&
+      rec.l1_drift - rec.noise_floor >= config_.volume_drift_threshold) {
+    rec.fired = DriftSignal::VolumeDrift;
+    return true;
+  }
+  return false;
 }
 
 void ServingEngine::reconverge_now() {
@@ -269,12 +345,8 @@ void ServingEngine::reconverge_now() {
   // grand/window rescale into solver-visible noise — only nudges them.  The
   // product alpha * scale = grand/(window + grand) < 1, so a cell's update
   // never exceeds its raw observed count.
-  std::uint64_t window_reads = 0;
-  std::uint64_t window_writes = 0;
-  for (const std::uint64_t idx : window_touched_) {
-    window_reads += window_reads_[idx];
-    window_writes += window_writes_[idx];
-  }
+  const std::uint64_t window_reads = window_read_count_;
+  const std::uint64_t window_writes = window_requests_ - window_read_count_;
   const auto grand_reads = static_cast<double>(access.grand_total_reads());
   const auto grand_writes = static_cast<double>(access.grand_total_writes());
   const double read_scale =
@@ -293,60 +365,66 @@ void ServingEngine::reconverge_now() {
           : static_cast<double>(window_writes) /
                 (static_cast<double>(window_writes) + grand_writes);
 
-  // Deterministic delta order regardless of shard merge interleaving.
-  std::sort(window_touched_.begin(), window_touched_.end());
-
-  std::vector<core::DemandDelta> deltas;
-  deltas.reserve(window_touched_.size());
-  for (const std::uint64_t idx : window_touched_) {
-    const drp::ObjectIndex k = cell_object_[idx];
-    const std::size_t slot = idx - access.accessor_base(k);
-    const drp::Access& cell = access.accessors(k)[slot];
-    // Only re-target the kinds the window actually observed on this cell; a
-    // write-only window on a read/write cell says nothing about its reads.
-    std::int64_t delta_reads = 0;
-    if (window_reads_[idx] != 0) {
-      const double observed =
-          static_cast<double>(window_reads_[idx]) * read_scale;
-      const double old = static_cast<double>(cell.reads);
-      const std::int64_t target = static_cast<std::int64_t>(
-          std::llround(old + read_alpha * (observed - old)));
-      delta_reads = target - static_cast<std::int64_t>(cell.reads);
+  // Deltas in ascending cell order, whatever order the cells were touched
+  // in: walk every object's row through the position map.
+  fold_events_.clear();
+  const std::size_t n = problem().object_count();
+  for (drp::ObjectIndex k = 0; k < n; ++k) {
+    const std::size_t base = access.accessor_base(k);
+    const auto row = access.accessors(k);
+    for (std::size_t slot = 0; slot < row.size(); ++slot) {
+      const std::uint32_t pos = window_pos_[base + slot];
+      if (pos == kUntouched) continue;
+      const WindowCell& seen = window_[pos];
+      const drp::Access& cell = row[slot];
+      // Only re-target the kinds the window actually observed on this cell;
+      // a write-only window on a read/write cell says nothing about its
+      // reads.
+      std::int64_t delta_reads = 0;
+      if (seen.reads != 0) {
+        const double observed = static_cast<double>(seen.reads) * read_scale;
+        const double old = static_cast<double>(cell.reads);
+        const std::int64_t target = static_cast<std::int64_t>(
+            std::llround(old + read_alpha * (observed - old)));
+        delta_reads = target - static_cast<std::int64_t>(cell.reads);
+      }
+      std::int64_t delta_writes = 0;
+      if (seen.writes != 0) {
+        const double observed =
+            static_cast<double>(seen.writes) * write_scale;
+        const double old = static_cast<double>(cell.writes);
+        const std::int64_t target = static_cast<std::int64_t>(
+            std::llround(old + write_alpha * (observed - old)));
+        delta_writes = target - static_cast<std::int64_t>(cell.writes);
+      }
+      if (delta_reads == 0 && delta_writes == 0) continue;
+      fold_events_.push_back(
+          core::DemandDelta{cell.server, k, delta_reads, delta_writes});
     }
-    std::int64_t delta_writes = 0;
-    if (window_writes_[idx] != 0) {
-      const double observed =
-          static_cast<double>(window_writes_[idx]) * write_scale;
-      const double old = static_cast<double>(cell.writes);
-      const std::int64_t target = static_cast<std::int64_t>(
-          std::llround(old + write_alpha * (observed - old)));
-      delta_writes = target - static_cast<std::int64_t>(cell.writes);
-    }
-    if (delta_reads == 0 && delta_writes == 0) continue;
-    deltas.push_back(core::DemandDelta{
-        static_cast<drp::ServerId>(access.accessor_servers(k)[slot]), k,
-        delta_reads, delta_writes});
   }
 
-  stats_.demand_delta_cells += deltas.size();
-  AGTRAM_OBS_COUNT("srv.demand_delta_cells", deltas.size());
-  if (config_.bus) config_.bus->account_demand_batch(deltas.size());
+  stats_.demand_delta_cells += fold_events_.size();
+  AGTRAM_OBS_COUNT("srv.demand_delta_cells", fold_events_.size());
+  if (config_.bus) config_.bus->account_demand_batch(fold_events_.size());
 
-  std::uint64_t changed_entries = 0;
   if (online_) {
-    std::vector<core::OnlineEvent> events(deltas.begin(), deltas.end());
     stats_.fold_seconds += stage.seconds();
-    const core::BatchOutcome outcome = online_->apply_events(events);
+    const core::BatchOutcome outcome = online_->apply_events(fold_events_);
     stats_.fold_seconds += outcome.events_seconds;
     stats_.repair_seconds += outcome.repair_seconds;
     stats_.eviction_seconds += outcome.eviction_seconds;
     stats_.repair_rounds += outcome.repair_rounds;
     stats_.replicas_evicted += outcome.replicas_evicted;
-    // Incremental install: only the added/evicted entries ship.
-    changed_entries = outcome.replicas_added + outcome.replicas_evicted +
-                      outcome.replicas_lost;
+    ++stats_.reconverges;
+    AGTRAM_OBS_COUNT("srv.reconverges", 1);
+    // Incremental install: only the added/evicted entries ship, and only
+    // the objects whose replicators changed are re-filled.
+    install_snapshot(outcome.replicas_added + outcome.replicas_evicted +
+                         outcome.replicas_lost,
+                     &outcome.changed_objects);
   } else {
-    for (const core::DemandDelta& d : deltas) {
+    for (const core::OnlineEvent& event : fold_events_) {
+      const auto& d = std::get<core::DemandDelta>(event);
       problem_->access.apply_demand_delta(d.server, d.object, d.delta_reads,
                                           d.delta_writes);
     }
@@ -357,21 +435,25 @@ void ServingEngine::reconverge_now() {
     stats_.repair_rounds += result.rounds.size();
     placement_.emplace(std::move(result.placement));
     stats_.repair_seconds += stage.seconds();
-    // Cold re-solve: the whole routing table ships.
-    changed_entries = placement_->replica_count();
+    ++stats_.reconverges;
+    AGTRAM_OBS_COUNT("srv.reconverges", 1);
+    // Cold re-solve: the whole routing table ships and is rebuilt.
+    install_snapshot(placement_->replica_count(), nullptr);
   }
-
-  ++stats_.reconverges;
-  AGTRAM_OBS_COUNT("srv.reconverges", 1);
-  install_snapshot(changed_entries);
   reset_window();
   stats_.reconverge_seconds += timer.seconds();
 }
 
-void ServingEngine::install_snapshot(std::uint64_t changed_entries) {
+void ServingEngine::install_snapshot(
+    std::uint64_t changed_entries,
+    const std::vector<drp::ObjectIndex>* changed) {
   common::Timer stage;
   ++epoch_;
-  auto snap = std::make_shared<const RoutingSnapshot>(placement(), epoch_);
+  auto snap = changed != nullptr
+                  ? std::make_shared<const RoutingSnapshot>(
+                        *table_.acquire(), placement(), *changed, epoch_)
+                  : std::make_shared<const RoutingSnapshot>(placement(),
+                                                            epoch_);
   stats_.snapshot_seconds += stage.seconds();
   stage.reset();
   table_.install(std::move(snap));
@@ -384,12 +466,8 @@ void ServingEngine::install_snapshot(std::uint64_t changed_entries) {
 }
 
 void ServingEngine::reset_window() {
-  for (const std::uint64_t idx : window_touched_) {
-    window_reads_[idx] = 0;
-    window_writes_[idx] = 0;
-    window_touched_flag_[idx] = 0;
-  }
-  window_touched_.clear();
+  for (const WindowCell& seen : window_) window_pos_[seen.cell] = kUntouched;
+  window_.clear();
   window_requests_ = 0;
   window_groups_ = 0;
   window_read_cost_ = 0.0;

@@ -1,18 +1,22 @@
 // The serving engine (DESIGN.md §13, ROADMAP item 3): a long-running
 // request front-end over the live replica placement.
 //
-// Per batch it (1) routes every request off the pinned RoutingSnapshot on
-// the shared thread pool — shard-local scratch, no serve-path locks — while
-// accumulating per-cell demand observations, a dense read-latency histogram
-// (distances are bounded by the network diameter, so percentiles are exact)
-// and sampled wall-clock placement-query timings; (2) merges the shards and
-// feeds a drift trigger that watches two aggregated signals: the L1 volume
-// drift of the observed traffic mix against the registered demand matrix,
-// and a routing-cost regression estimate (observed mean read cost over the
-// expectation computed at the last install); (3) on a threshold crossing —
-// or every batch / never, per policy — folds the observed window back into
-// the demand matrix as checked AccessMatrix::apply_demand_delta batches,
-// re-converges, and installs a fresh snapshot without stalling serving.
+// Per batch it (1) admits and routes every request off the pinned
+// RoutingSnapshot on the shared thread pool — shard-local scratch, no
+// serve-path locks — accumulating a dense read-latency histogram (distances
+// are bounded by the network diameter, so percentiles are exact) and
+// sampled wall-clock placement-query timings; a batch holding one request
+// the fold could not apply is refused whole, before anything changes;
+// (2) merges the shards, folds the batch's per-cell counts into a dense,
+// touch-ordered observation window, and feeds a drift trigger that watches
+// two aggregated signals: the L1 volume drift of the observed traffic mix
+// against the registered demand matrix, and a routing-cost regression
+// estimate (observed mean read cost over the expectation computed at the
+// last install); (3) on a threshold crossing — or every batch / never, per
+// policy — folds the window back into the demand matrix as checked
+// AccessMatrix::apply_demand_delta batches, re-converges, and installs a
+// snapshot patched from the previous one (only objects whose replicators
+// changed are re-filled) without stalling serving.
 //
 // Re-convergence policies (the bench's three-way comparison):
 //  * OnDrift    — core::OnlineMechanism dirty-set repair (+ the bounded
@@ -100,7 +104,9 @@ struct ServingStats {
   double fold_seconds = 0.0;      ///< window -> demand deltas, applied
   double repair_seconds = 0.0;    ///< dirty-set repair, or the cold re-solve
   double eviction_seconds = 0.0;  ///< the online engine's eviction pass
-  double snapshot_seconds = 0.0;  ///< building the new RoutingSnapshot
+  /// Building the new RoutingSnapshot: patched from the previous one under
+  /// OnDrift, built in full after a cold re-solve.
+  double snapshot_seconds = 0.0;
   double install_seconds = 0.0;   ///< publishing it + the trigger baseline
   /// Request-weighted read serving distances, index = path cost (exact
   /// percentiles; size = diameter + 1).
@@ -114,6 +120,28 @@ struct ServingStats {
   double mean_read_cost() const noexcept;
 };
 
+/// Which drift-trigger signal fired (None: neither, or the window was below
+/// min_window_requests).
+enum class DriftSignal { None, CostRegression, VolumeDrift };
+
+/// The inputs and outcome of one drift-trigger evaluation.
+struct DriftRecord {
+  std::uint64_t batch = 0;  ///< stats().batches when evaluated (0: never)
+  std::uint64_t window_requests = 0;  ///< count-weighted reads + writes
+  std::uint64_t window_groups = 0;    ///< routed Request entries (draws, n)
+  std::size_t touched_cells = 0;      ///< distinct cells observed (K)
+  double observed_read_cost = 0.0;  ///< window mean read distance (0: none)
+  double expected_read_cost = 0.0;  ///< the expectation at the last install
+  /// Sum over touched cells, in first-touch order, of |observed share -
+  /// registered share| (0 when the window or the matrix is empty).
+  double l1_drift = 0.0;
+  double noise_floor = 0.0;  ///< sqrt(2K/(pi*n))
+  std::uint64_t min_window_requests = 0;
+  double cost_regression_threshold = 0.0;
+  double volume_drift_threshold = 0.0;
+  DriftSignal fired = DriftSignal::None;
+};
+
 class ServingEngine {
  public:
   /// Takes ownership of the instance, runs the initial solve, and installs
@@ -123,7 +151,12 @@ class ServingEngine {
   ServingEngine(const ServingEngine&) = delete;
   ServingEngine& operator=(const ServingEngine&) = delete;
 
-  /// Routes one request batch, then re-converges per policy.
+  /// Routes one request batch, then re-converges per policy.  Throws
+  /// std::invalid_argument, with the stats, the window and the bus
+  /// unchanged, if any request names an object >= N, a slot outside its
+  /// object's accessors, or a read on a cell whose server is not in the
+  /// structural readers(object) list (the fold could not apply it).  The
+  /// message names the first such request's index and the reason.
   void run_batch(std::span<const Request> batch);
 
   /// Folds the current window into the demand matrix and re-converges now,
@@ -131,6 +164,9 @@ class ServingEngine {
   void reconverge_now();
 
   const ServingStats& stats() const noexcept { return stats_; }
+  /// The last drift-trigger evaluation (OnDrift evaluates after every
+  /// batch; the other policies never do).
+  const DriftRecord& last_drift() const noexcept { return last_drift_; }
   const RoutingTable& routing() const noexcept { return table_; }
   /// Valid for the engine's lifetime (the table retains every epoch).
   const RoutingSnapshot* snapshot() const { return table_.acquire(); }
@@ -145,24 +181,38 @@ class ServingEngine {
   struct Shard {
     std::vector<std::uint64_t> hist;      ///< read distance histogram
     std::vector<std::uint64_t> query_ns;  ///< sampled query latencies
-    /// (global cell index, reads, writes) per touched request group;
-    /// duplicates allowed, merged serially after the join.
-    std::vector<std::uint64_t> cell;
-    std::vector<std::uint64_t> dr;
-    std::vector<std::uint64_t> dw;
     std::uint64_t reads = 0;
     std::uint64_t writes = 0;
     std::uint64_t local_reads = 0;
     double read_units = 0.0;
     double write_units = 0.0;
     double read_cost = 0.0;  ///< sum of serving distance x count (unitless)
+    /// First refused request of the slice (index into it) and why; the
+    /// shard stops routing there.
+    std::size_t refused_at = 0;
+    const char* refusal = nullptr;
+
+    void reset();
   };
+
+  /// One touched cell of the observation window.
+  struct WindowCell {
+    std::uint32_t cell;        ///< global cell index, slot scheme
+    std::uint64_t registered;  ///< reads + writes registered at first touch
+    std::uint64_t reads;
+    std::uint64_t writes;
+  };
+  static constexpr std::uint32_t kUntouched = 0xffffffffu;
 
   void route_shard(const RoutingSnapshot& snap, std::span<const Request> part,
                    Shard& shard) const;
   void merge_shard(Shard& shard);
-  bool drift_crossed() const;
-  void install_snapshot(std::uint64_t changed_entries);
+  void observe(std::span<const Request> batch);
+  bool drift_crossed();
+  /// Publishes a snapshot for the current placement: patched from the
+  /// current one when `changed` is given, else built in full.
+  void install_snapshot(std::uint64_t changed_entries,
+                        const std::vector<drp::ObjectIndex>* changed);
   void reset_window();
   /// Expected request-weighted mean read cost of the current snapshot under
   /// the current demand matrix (the trigger's regression baseline).
@@ -180,18 +230,22 @@ class ServingEngine {
   common::ThreadPool* pool_ = nullptr;
   std::size_t shard_count_ = 1;
   std::vector<Shard> shards_;
-  std::vector<drp::ObjectIndex> cell_object_;  ///< global cell -> object
+  /// Per cell: 1 iff its server is in the structural readers(object) list.
+  std::vector<std::uint8_t> reader_cell_;
 
-  // Observation window (reset at each install).
-  std::vector<std::uint64_t> window_reads_;   ///< per cell, slot scheme
-  std::vector<std::uint64_t> window_writes_;  ///< per cell, slot scheme
-  std::vector<char> window_touched_flag_;
-  std::vector<std::uint64_t> window_touched_;  ///< global cell indices
+  // Observation window (reset at each install): the touched cells, dense in
+  // first-touch order, and each cell's position among them.  Demand changes
+  // only inside reconverge_now, which resets the window, so a cell's
+  // registered volume captured at first touch stays current.
+  std::vector<std::uint32_t> window_pos_;  ///< per cell; kUntouched if not
+  std::vector<WindowCell> window_;
   std::uint64_t window_requests_ = 0;
   std::uint64_t window_groups_ = 0;  ///< routed Request entries (draws)
   double window_read_cost_ = 0.0;  ///< sum over routed reads of distance
   std::uint64_t window_read_count_ = 0;
   double install_mean_read_cost_ = 0.0;
+  DriftRecord last_drift_;
+  std::vector<core::OnlineEvent> fold_events_;  ///< reused across folds
 
   ServingStats stats_;
 };

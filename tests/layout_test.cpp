@@ -10,7 +10,8 @@
 //  * copy semantics — copies re-home spilled sets into a compact private
 //    arena and stay independent of the original;
 //  * transposed slots — every by-server cell's slot equals accessor_slot,
-//    before and after demand deltas, on the trace, dispersed and sparse
+//    and every by-object cell's recorded transpose position points back at
+//    it, before and after demand deltas, on the trace, dispersed and sparse
 //    instance families.
 #include <gtest/gtest.h>
 
@@ -173,6 +174,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LayoutFuzz,
 // The by-server transpose carries each cell's slot in its object row; agent
 // construction and the online engine's fail walk read it instead of
 // searching, so it must equal accessor_slot and address the same demand.
+// The other direction, server_slot, is what apply_demand_delta follows into
+// the transpose, so it must land on the twin cell with the same demand.
 void expect_slots_match(const drp::AccessMatrix& access) {
   for (drp::ServerId i = 0; i < access.server_count(); ++i) {
     for (const drp::ServerSideAccess& cell : access.server_objects(i)) {
@@ -181,6 +184,18 @@ void expect_slots_match(const drp::AccessMatrix& access) {
       const drp::Access& same = access.accessors(cell.object)[cell.slot];
       ASSERT_EQ(same.reads, cell.reads);
       ASSERT_EQ(same.writes, cell.writes);
+    }
+  }
+  for (drp::ObjectIndex k = 0; k < access.object_count(); ++k) {
+    const auto row = access.accessors(k);
+    for (std::size_t slot = 0; slot < row.size(); ++slot) {
+      const auto server_row = access.server_objects(row[slot].server);
+      const std::size_t at = access.server_slot(k, slot);
+      ASSERT_LT(at, server_row.size()) << "object " << k << " slot " << slot;
+      ASSERT_EQ(server_row[at].object, k) << "slot " << slot;
+      ASSERT_EQ(server_row[at].slot, slot) << "object " << k;
+      ASSERT_EQ(server_row[at].reads, row[slot].reads);
+      ASSERT_EQ(server_row[at].writes, row[slot].writes);
     }
   }
 }

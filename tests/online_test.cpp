@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <optional>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/timer.hpp"
@@ -163,6 +164,30 @@ TEST(DeltaEvaluatorOnlineTest, RefreshAfterDemandChangeMatchesCostModel) {
   EXPECT_EQ(eval.object_cost(k),
             drp::CostModel::object_cost(eval.placement(), k));
   EXPECT_EQ(eval.total(), drp::CostModel::total_cost(eval.placement()));
+
+  // The batch overload re-prices on the pool (enough objects to fork), in
+  // any order, to the same bits.
+  drp::Problem big = dispersed_instance(64, 1024, 11);
+  core::MechanismResult big_solved = core::run_agt_ram(big);
+  drp::DeltaEvaluator big_eval(big_solved.placement);
+  const double before = big_eval.total();
+  std::vector<drp::ObjectIndex> touched;
+  for (drp::ObjectIndex j = big.object_count(); j-- > 0;) {
+    const auto cells = big.access.accessors(j);
+    if (cells.empty()) continue;
+    big.access.apply_demand_delta(cells[0].server, j, 0, 5);
+    touched.push_back(j);
+  }
+  ASSERT_GT(touched.size(), 512u);
+  EXPECT_EQ(big_eval.total(), before);  // stale until told
+  big_eval.refresh_after_demand_change(touched);
+  for (drp::ObjectIndex j = 0; j < big.object_count(); ++j) {
+    ASSERT_EQ(big_eval.object_cost(j),
+              drp::CostModel::object_cost(big_eval.placement(), j))
+        << "object " << j;
+  }
+  EXPECT_EQ(big_eval.total(),
+            drp::CostModel::total_cost(big_eval.placement()));
 }
 
 TEST(DeltaEvaluatorOnlineTest, DetachAttachRefreshesExactlyTouchedObjects) {
@@ -563,6 +588,59 @@ TEST(OnlineMechanismTest, RandomizedStreamsStayByteIdenticalDispersed) {
 
 TEST(OnlineMechanismTest, RandomizedStreamsStayByteIdenticalTrace) {
   run_randomized_stream(testutil::small_instance(13, 24, 96), 303, 20);
+}
+
+// BatchOutcome::changed_objects is what a routing snapshot patches from, so
+// it must list every object whose replicator set a batch changed, through
+// any event kind, a repair round or an eviction.
+TEST(OnlineMechanismTest, ChangedObjectsCoverEveryReplicatorChange) {
+  core::OnlineConfig config;
+  config.eviction_limit = 16;
+  core::OnlineMechanism engine(dispersed_instance(), config);
+  runtime::OnlineEventModel model;
+  model.seed = 505;
+  model.replica_loss_rate = 0.05;
+  model.server_fail_rate = 0.03;
+  model.server_recover_rate = 0.5;
+  model.write_drift_probability = 0.6;
+  model.flash_crowd_probability = 0.2;
+  model.object_churn_probability = 0.3;
+  runtime::OnlineEventSource source(engine, model);
+  const std::size_t n = engine.problem().object_count();
+
+  std::size_t changed_sets = 0;
+  std::size_t fails = 0;
+  std::size_t evicted = 0;
+  for (int b = 0; b < 40; ++b) {
+    std::vector<std::vector<drp::ServerId>> before(n);
+    for (drp::ObjectIndex k = 0; k < n; ++k) {
+      const auto reps = engine.placement().replicators(k);
+      before[k].assign(reps.begin(), reps.end());
+    }
+    const std::vector<core::OnlineEvent> events = source.next_batch();
+    for (const core::OnlineEvent& e : events) {
+      fails += std::holds_alternative<core::ServerFail>(e) ? 1 : 0;
+    }
+    const core::BatchOutcome out = engine.apply_events(events);
+    evicted += out.replicas_evicted;
+    const std::vector<drp::ObjectIndex>& listed = out.changed_objects;
+    ASSERT_TRUE(std::is_sorted(listed.begin(), listed.end()));
+    ASSERT_EQ(std::adjacent_find(listed.begin(), listed.end()), listed.end());
+    for (drp::ObjectIndex k = 0; k < n; ++k) {
+      const auto reps = engine.placement().replicators(k);
+      if (std::equal(reps.begin(), reps.end(), before[k].begin(),
+                     before[k].end())) {
+        continue;
+      }
+      ++changed_sets;
+      ASSERT_TRUE(std::binary_search(listed.begin(), listed.end(), k))
+          << "batch " << b << ": object " << k
+          << " changed replicators but is not listed";
+    }
+  }
+  EXPECT_GT(changed_sets, 0u);
+  EXPECT_GT(fails, 0u);
+  EXPECT_GT(evicted, 0u);
 }
 
 TEST(OnlineMechanismTest, RandomizedStreamWithBoundedRepair) {

@@ -8,17 +8,27 @@
 //    thread installs rebuilt snapshots always observe a *coherent* epoch —
 //    routes match exactly one published snapshot, never a torn mix (this is
 //    the TSan target wired into tools/run_sanitized_tests.sh).
-//  * The engine's demand fold-back, drift trigger, and unit accounting
-//    agree with independent replays of the same requests.
+//  * A snapshot patched from the previous epoch over the changed objects
+//    equals a full rebuild, byte for byte.
+//  * The engine's demand fold-back, drift trigger (and its decision record),
+//    and unit accounting agree with independent replays of the same
+//    requests; a malformed batch is refused whole.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/agt_ram.hpp"
@@ -27,6 +37,8 @@
 #include "drp/cost_model.hpp"
 #include "drp/delta_evaluator.hpp"
 #include "drp/problem.hpp"
+#include "runtime/event_sim.hpp"
+#include "runtime/message_bus.hpp"
 #include "srv/routing_table.hpp"
 #include "srv/serving_engine.hpp"
 #include "srv/workload.hpp"
@@ -80,6 +92,31 @@ void expect_snapshot_matches_naive(const srv::RoutingSnapshot& snap,
   }
 }
 
+/// Byte equality of two snapshots of one Problem: every NN distance and
+/// node, and every write-unit double's bits.
+void expect_snapshots_equal(const srv::RoutingSnapshot& got,
+                            const srv::RoutingSnapshot& want) {
+  const drp::Problem& p = want.problem();
+  ASSERT_EQ(&got.problem(), &p);
+  ASSERT_EQ(got.replica_count(), want.replica_count());
+  for (drp::ObjectIndex k = 0; k < p.object_count(); ++k) {
+    const auto gd = got.nn_row(k);
+    const auto wd = want.nn_row(k);
+    ASSERT_TRUE(std::equal(gd.begin(), gd.end(), wd.begin(), wd.end()))
+        << "nn_row differs at object " << k;
+    const auto gn = got.nn_node_row(k);
+    const auto wn = want.nn_node_row(k);
+    ASSERT_TRUE(std::equal(gn.begin(), gn.end(), wn.begin(), wn.end()))
+        << "nn_node_row differs at object " << k;
+    for (std::uint32_t slot = 0; slot < gd.size(); ++slot) {
+      const double g = got.write_units(k, slot);
+      const double w = want.write_units(k, slot);
+      ASSERT_EQ(std::memcmp(&g, &w, sizeof(double)), 0)
+          << "write_units differ at object " << k << " slot " << slot;
+    }
+  }
+}
+
 // ------------------------------------------------------- RoutingSnapshot
 
 TEST(RoutingSnapshotTest, RoutesEveryCellLikeTheNaiveScan) {
@@ -129,6 +166,69 @@ TEST(RoutingSnapshotTest, ReadUnitsScaleDistanceByObjectSize) {
                        static_cast<double>(problem.object_units[k]) *
                            static_cast<double>(row[slot]));
     }
+  }
+}
+
+// A patched snapshot re-fills only the objects the online engine reports
+// as changed; it must equal a from-scratch build everywhere.  Checked after
+// every install of an evicting OnDrift engine, and after online batches of
+// every event kind.
+TEST(RoutingSnapshotTest, PatchedSnapshotEqualsFullBuild) {
+  {
+    srv::ServingConfig config;
+    config.min_window_requests = 512;
+    config.volume_drift_threshold = 0.15;
+    config.eviction_limit = 8;
+    srv::ServingEngine engine(dispersed_instance(24, 96, 19), config);
+    srv::WorkloadConfig wconfig;
+    wconfig.requests_per_batch = 1024;
+    wconfig.drift_interval = 1;
+    wconfig.drift_fraction = 0.5;
+    wconfig.drift_objects = 48;
+    srv::SyntheticWorkload workload(engine.problem(), wconfig);
+    std::vector<srv::Request> batch;
+    std::uint64_t checked = 0;
+    for (int b = 0; b < 16; ++b) {
+      workload.next_batch(batch);
+      engine.run_batch(batch);
+      if (b % 3 == 2) engine.reconverge_now();
+      if (engine.stats().installs == checked) continue;
+      checked = engine.stats().installs;
+      const srv::RoutingSnapshot full(engine.placement(),
+                                      engine.snapshot()->epoch());
+      expect_snapshots_equal(*engine.snapshot(), full);
+    }
+    EXPECT_GE(checked, 5u);
+    EXPECT_GT(engine.stats().replicas_evicted, 0u);
+  }
+
+  core::OnlineConfig config;
+  config.eviction_limit = 8;
+  core::OnlineMechanism engine(dispersed_instance(), config);
+  runtime::OnlineEventModel model;
+  model.seed = 606;
+  model.replica_loss_rate = 0.05;
+  model.server_fail_rate = 0.03;
+  model.server_recover_rate = 0.5;
+  model.write_drift_probability = 0.6;
+  model.flash_crowd_probability = 0.2;
+  model.object_churn_probability = 0.3;
+  runtime::OnlineEventSource source(engine, model);
+  auto patched =
+      std::make_shared<const srv::RoutingSnapshot>(engine.placement(), 0);
+  std::vector<bool> kinds(std::variant_size_v<core::OnlineEvent>, false);
+  for (std::uint64_t b = 1; b <= 40; ++b) {
+    const std::vector<core::OnlineEvent> events = source.next_batch();
+    for (const core::OnlineEvent& e : events) kinds[e.index()] = true;
+    const core::BatchOutcome out = engine.apply_events(events);
+    auto next = std::make_shared<const srv::RoutingSnapshot>(
+        *patched, engine.placement(), out.changed_objects, b);
+    const srv::RoutingSnapshot full(engine.placement(), b);
+    expect_snapshots_equal(*next, full);
+    patched = std::move(next);
+  }
+  for (std::size_t kind = 0; kind < kinds.size(); ++kind) {
+    EXPECT_TRUE(kinds[kind]) << "event kind " << kind << " never ran";
   }
 }
 
@@ -468,6 +568,189 @@ TEST(ServingEngineTest, ReconvergeStagesFitInsideReconvergeSeconds) {
     EXPECT_GT(stats.repair_seconds, 0.0);
     EXPECT_GT(stats.snapshot_seconds, 0.0);
   }
+}
+
+void expect_same_serving(const srv::ServingStats& a,
+                         const srv::ServingStats& b) {
+  EXPECT_EQ(a.batches, b.batches);
+  EXPECT_EQ(a.requests, b.requests);
+  EXPECT_EQ(a.reads, b.reads);
+  EXPECT_EQ(a.writes, b.writes);
+  EXPECT_EQ(a.local_reads, b.local_reads);
+  EXPECT_EQ(a.read_units, b.read_units);
+  EXPECT_EQ(a.write_units, b.write_units);
+  EXPECT_EQ(a.installs, b.installs);
+  EXPECT_EQ(a.reconverges, b.reconverges);
+  EXPECT_EQ(a.demand_delta_cells, b.demand_delta_cells);
+  EXPECT_EQ(a.read_cost_histogram, b.read_cost_histogram);
+  EXPECT_EQ(a.query_ns.size(), b.query_ns.size());
+}
+
+// A batch holding one request the engine cannot serve or fold back is
+// refused whole, before it changes the stats, the window or the bus: a read
+// on a pure-writer cell used to be routed and counted, and every later
+// re-convergence then threw on its fold.
+TEST(ServingEngineTest, MalformedBatchIsRefusedWhole) {
+  srv::ServingConfig config;
+  config.shards = 4;
+  config.volume_drift_threshold = 1e9;  // re-converge only when told to
+  config.cost_regression_threshold = 1e9;
+  drp::Problem problem = dispersed_instance();
+  runtime::MessageBus bus(problem, runtime::MessageBus::pick_centre(problem));
+  config.bus = &bus;
+  srv::ServingEngine engine(dispersed_instance(), config);
+  srv::ServingEngine twin(dispersed_instance(), config);
+  const drp::Problem& inst = engine.problem();
+
+  // A structural cell whose server is not among the object's readers.
+  std::optional<std::pair<drp::ObjectIndex, std::uint32_t>> writer_cell;
+  for (drp::ObjectIndex k = 0; k < inst.object_count() && !writer_cell; ++k) {
+    const auto readers = inst.access.readers(k);
+    const auto servers = inst.access.accessor_servers(k);
+    for (std::uint32_t slot = 0; slot < servers.size(); ++slot) {
+      if (!std::binary_search(readers.begin(), readers.end(), servers[slot])) {
+        writer_cell.emplace(k, slot);
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(writer_cell.has_value());
+
+  srv::WorkloadConfig wconfig;
+  wconfig.requests_per_batch = 512;
+  wconfig.seed = 3;
+  srv::SyntheticWorkload workload(inst, wconfig);
+  std::vector<srv::Request> valid;
+  workload.next_batch(valid);
+
+  const auto n = static_cast<drp::ObjectIndex>(inst.object_count());
+  const auto width0 =
+      static_cast<std::uint32_t>(inst.access.accessors(0).size());
+  const struct {
+    srv::Request bad;
+    const char* reason;
+  } cases[] = {
+      {{n, 0, 1, false}, "object out of range"},
+      {{0, width0, 1, true}, "slot out of range"},
+      {{writer_cell->first, writer_cell->second, 4, false},
+       "read on a non-reader cell"},
+  };
+  const srv::ServingStats before = engine.stats();
+  const std::uint64_t route_messages = bus.stats().route_messages;
+  for (const auto& c : cases) {
+    std::vector<srv::Request> batch = valid;
+    // Late in the batch: the shards before it have routed their slices.
+    batch.insert(batch.begin() + 400, c.bad);
+    try {
+      engine.run_batch(batch);
+      ADD_FAILURE() << "accepted a batch with: " << c.reason;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("request 400"), std::string::npos) << what;
+      EXPECT_NE(what.find(c.reason), std::string::npos) << what;
+    }
+    expect_same_serving(engine.stats(), before);
+    EXPECT_EQ(engine.stats().serve_seconds, before.serve_seconds);
+    EXPECT_EQ(bus.stats().route_messages, route_messages);
+  }
+  // The same cell written is fine.
+  std::vector<srv::Request> write_ok = {
+      {writer_cell->first, writer_cell->second, 4, true}};
+  EXPECT_NO_THROW(engine.run_batch(write_ok));
+  EXPECT_NO_THROW(twin.run_batch(write_ok));
+
+  // The refusals left no trace in the window: the engine and a twin that
+  // only saw the valid batches agree, then both fold and install.
+  engine.run_batch(valid);
+  twin.run_batch(valid);
+  EXPECT_EQ(engine.last_drift().l1_drift, twin.last_drift().l1_drift);
+  EXPECT_EQ(engine.last_drift().touched_cells, twin.last_drift().touched_cells);
+  engine.reconverge_now();
+  twin.reconverge_now();
+  EXPECT_EQ(engine.stats().installs, before.installs + 1);
+  expect_same_serving(engine.stats(), twin.stats());
+}
+
+// The drift record holds exactly what the trigger decided on: replaying the
+// same batches independently — per-cell counts in first-touch order, shares
+// registered in problem().access — reproduces its L1 drift and noise floor
+// bit for bit, and its signal matches the engine's re-convergences.
+TEST(ServingEngineTest, DriftRecordMatchesIndependentReplay) {
+  srv::ServingConfig config;
+  config.min_window_requests = 512;
+  config.volume_drift_threshold = 0.15;
+  srv::ServingEngine engine(dispersed_instance(24, 96, 19), config);
+  const drp::AccessMatrix& access = engine.problem().access;
+
+  srv::WorkloadConfig wconfig;
+  wconfig.requests_per_batch = 1024;
+  wconfig.drift_interval = 1;
+  wconfig.drift_fraction = 0.5;
+  wconfig.drift_objects = 48;
+  srv::SyntheticWorkload workload(engine.problem(), wconfig);
+
+  struct Seen {
+    std::uint64_t registered;
+    std::uint64_t count;
+  };
+  std::vector<std::int64_t> position(access.nonzeros(), -1);
+  std::vector<Seen> order;
+  std::uint64_t requests = 0;
+  std::uint64_t groups = 0;
+  std::size_t fired = 0;
+  std::vector<srv::Request> batch;
+  for (int b = 0; b < 12; ++b) {
+    workload.next_batch(batch);
+    // Replay first: the fold may rewrite demand after the evaluation.
+    for (const srv::Request& req : batch) {
+      const std::size_t idx = access.accessor_base(req.object) + req.slot;
+      if (position[idx] < 0) {
+        position[idx] = static_cast<std::int64_t>(order.size());
+        const drp::Access& cell = access.accessors(req.object)[req.slot];
+        order.push_back(Seen{cell.reads + cell.writes, 0});
+      }
+      order[static_cast<std::size_t>(position[idx])].count += req.count;
+      requests += req.count;
+    }
+    groups += batch.size();
+    const double grand = static_cast<double>(access.grand_total_reads() +
+                                             access.grand_total_writes());
+    double l1 = 0.0;
+    for (const Seen& seen : order) {
+      l1 += std::abs(static_cast<double>(seen.count) /
+                         static_cast<double>(requests) -
+                     static_cast<double>(seen.registered) / grand);
+    }
+    const double floor =
+        std::sqrt(2.0 * static_cast<double>(order.size()) /
+                  (3.14159265358979323846 * static_cast<double>(groups)));
+
+    const std::uint64_t reconverges = engine.stats().reconverges;
+    engine.run_batch(batch);
+    const srv::DriftRecord& rec = engine.last_drift();
+    EXPECT_EQ(rec.batch, engine.stats().batches);
+    EXPECT_EQ(rec.window_requests, requests);
+    EXPECT_EQ(rec.window_groups, groups);
+    EXPECT_EQ(rec.touched_cells, order.size());
+    EXPECT_EQ(rec.l1_drift, l1) << "batch " << b;
+    EXPECT_EQ(rec.noise_floor, floor) << "batch " << b;
+    EXPECT_EQ(rec.volume_drift_threshold, 0.15);
+    EXPECT_EQ(rec.min_window_requests, 512u);
+    const bool reconverged = engine.stats().reconverges != reconverges;
+    EXPECT_EQ(rec.fired != srv::DriftSignal::None, reconverged);
+    if (rec.fired == srv::DriftSignal::VolumeDrift) {
+      EXPECT_GE(l1 - floor, 0.15);
+    }
+    if (reconverged) {
+      ++fired;
+      std::fill(position.begin(), position.end(), -1);
+      order.clear();
+      requests = 0;
+      groups = 0;
+    }
+  }
+  EXPECT_GT(fired, 0u);
+  EXPECT_LT(fired, 12u);
 }
 
 TEST(ServingEngineTest, BusSeparatesServingFromProtocolBytes) {

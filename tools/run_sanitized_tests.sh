@@ -14,8 +14,10 @@
 # rewrites its demand in place — a lifetime ASan should watch.  Mechanism
 # runs build their agents on the pool whatever parallel_agents says, so
 # test_mechanism and test_online fork agent construction on every solve and
-# repair.  test_layout checks the by-server transpose that writes the slots
-# those agents read.
+# repair.  The online engine also re-prices a batch's demand-touched
+# objects in one parallel_for; test_online forks that re-price over a
+# thousand objects, and test_serving runs it on every fold.  test_layout
+# checks the by-server transpose that writes the slots those agents read.
 #
 # Usage:  tools/run_sanitized_tests.sh [build-dir]
 #   SAN=address|thread|undefined   sanitizer to use (default: thread)
