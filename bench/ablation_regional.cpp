@@ -9,10 +9,8 @@
 //   * failures degrade gracefully — killing one regional decision body
 //     stalls only that region's allocations.
 #include <iostream>
-#include <utility>
 
 #include "bench_common.hpp"
-#include "common/timer.hpp"
 #include "core/agt_ram.hpp"
 #include "core/economics.hpp"
 #include "core/regional.hpp"
@@ -26,9 +24,6 @@ int main(int argc, char** argv) {
   cli.add_flag("capacity", "30", "paper C%%");
   cli.add_flag("rw", "0.90", "read fraction");
   cli.add_flag("regions", "1,2,4,8,16", "region counts to sweep");
-  cli.add_flag("json", "",
-               "also write the region sweep as machine-readable "
-               "ablation_regional_sweep rows (serial + sharded) to this path");
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
 
   const bench::Dims dims = bench::resolve_dims(cli);
@@ -41,9 +36,6 @@ int main(int argc, char** argv) {
   const double flat_savings =
       (initial - drp::CostModel::total_cost(flat.placement)) / initial;
 
-  bench::JsonWriter json;
-  const std::string json_path = cli.get("json");
-
   {
     common::Table table({"regions", "savings", "epochs",
                          "largest region", "max replicas/region",
@@ -52,61 +44,25 @@ int main(int argc, char** argv) {
         "region sweep (flat mechanism: " + common::Table::pct(flat_savings) +
         " savings in " + std::to_string(flat.rounds.size()) + " rounds)");
     for (const double r : cli.get_double_list("regions")) {
-      // Both epoch-execution orders, timed; sharded is byte-identical to
-      // serial, so the table reads off the serial run and the JSON carries
-      // the serial/sharded pair for the trajectory.
-      for (const auto execution : {core::RegionalExecution::Serial,
-                                   core::RegionalExecution::Sharded}) {
-        core::RegionalConfig cfg;
-        cfg.regions = static_cast<std::uint32_t>(r);
-        cfg.seed = seed;
-        cfg.execution = execution;
-        cfg.parallel_agents = execution == core::RegionalExecution::Sharded;
-        common::Timer timer;
-        const auto result = core::run_regional(problem, cfg);
-        const double seconds = timer.seconds();
-        const double savings =
-            (initial - drp::CostModel::total_cost(result.placement)) /
-            initial;
-        std::uint32_t largest = 0;
-        std::size_t max_replicas = 0;
-        double charges = 0.0;
-        std::uint64_t wire_bytes = 0;
-        for (const auto& region : result.regions) {
-          largest = std::max(largest, region.member_count);
-          max_replicas = std::max(max_replicas, region.replicas_placed);
-          charges += region.charges;
-          wire_bytes += region.wire_bytes;
-        }
-        if (!json_path.empty()) {
-          bench::JsonWriter::Record record;
-          record.field("benchmark", "ablation_regional_sweep")
-              .field("servers", static_cast<std::uint64_t>(dims.servers))
-              .field("objects", static_cast<std::uint64_t>(dims.objects))
-              .field("regions", static_cast<std::uint64_t>(cfg.regions))
-              .field("execution",
-                     execution == core::RegionalExecution::Sharded
-                         ? "sharded"
-                         : "serial")
-              .field("seconds", seconds)
-              .field("savings", savings)
-              .field("epochs", static_cast<std::uint64_t>(result.epochs))
-              .field("replicas",
-                     static_cast<std::uint64_t>(result.replicas_placed()))
-              .field("charges", charges)
-              .field("wire_bytes", wire_bytes);
-          json.add(std::move(record));
-        }
-        if (execution == core::RegionalExecution::Serial) {
-          table.add_row({std::to_string(cfg.regions),
-                         common::Table::pct(savings),
-                         std::to_string(result.epochs),
-                         std::to_string(largest),
-                         std::to_string(max_replicas),
-                         common::Table::num(charges, 0)});
-        }
+      core::RegionalConfig cfg;
+      cfg.regions = static_cast<std::uint32_t>(r);
+      cfg.seed = seed;
+      const auto result = core::run_regional(problem, cfg);
+      const double savings =
+          (initial - drp::CostModel::total_cost(result.placement)) / initial;
+      std::uint32_t largest = 0;
+      std::size_t max_replicas = 0;
+      double charges = 0.0;
+      for (const auto& region : result.regions) {
+        largest = std::max(largest, region.member_count);
+        max_replicas = std::max(max_replicas, region.replicas_placed);
+        charges += region.charges;
       }
-      std::cerr << "  R=" << static_cast<std::uint32_t>(r) << " done\n";
+      table.add_row({std::to_string(cfg.regions), common::Table::pct(savings),
+                     std::to_string(result.epochs), std::to_string(largest),
+                     std::to_string(max_replicas),
+                     common::Table::num(charges, 0)});
+      std::cerr << "  R=" << cfg.regions << " done\n";
     }
     bench::emit(cli, table);
   }
@@ -197,13 +153,5 @@ int main(int argc, char** argv) {
     table.print(std::cout);
   }
 
-  if (!json_path.empty()) {
-    if (json.write_file(json_path, "ablation_regional")) {
-      std::cerr << "sweep rows written to " << json_path << "\n";
-    } else {
-      std::cerr << "failed to write " << json_path << "\n";
-      return 1;
-    }
-  }
   return 0;
 }

@@ -34,11 +34,6 @@
 
 namespace agtram::bench {
 
-/// Default sink for machine-readable mechanism results; successive PRs
-/// append their runs' numbers here (manually, by re-running the bench) to
-/// build a perf trajectory without parsing pretty-printed tables.
-inline constexpr const char* kMechanismJsonPath = "BENCH_mechanism.json";
-
 /// Minimal JSON emitter for bench results: a flat array of records under a
 /// top-level object.  No external dependency, string values escaped, numbers
 /// rendered with %.9g (doubles survive a round-trip at bench precision).
@@ -161,8 +156,8 @@ inline void add_common_flags(common::Cli& cli) {
 
 /// Flag shared by the binaries that sweep the baseline registry: which
 /// evaluation path the baselines use.  Both paths produce bit-identical
-/// placements (enforced by tests/baselines_delta_test.cpp and the
-/// micro_core baseline family); 'naive' exists to re-measure the oracle.
+/// placements (enforced by tests/baselines_delta_test.cpp); 'naive' exists
+/// to re-measure the oracle.
 inline void add_baseline_eval_flag(common::Cli& cli) {
   cli.add_flag("baseline-eval", "delta",
                "baseline evaluation path: 'delta' (incremental engine) or "

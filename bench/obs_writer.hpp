@@ -1,4 +1,4 @@
-// bench::ObsWriter — bridges agtram::obs into the bench JSON trajectory.
+// bench::ObsWriter — bridges agtram::obs into the bench JSON rows.
 //
 // Two outputs (DESIGN.md §9, EXPERIMENTS.md "Reading an --obs-trace"):
 //
@@ -6,8 +6,7 @@
 //    (ReportMode / EvalPath) with the exact inputs and thresholds that
 //    decided them, plus — when the binary was built with -DAGTRAM_OBS=ON —
 //    the registry counter/span deltas accumulated across the row's timing
-//    loop.  The bench gate keys on a fixed field tuple, so extra blocks are
-//    invisible to it.
+//    loop.
 //
 //  * a per-round JSONL dump (`--obs-trace <file>`): one meta line per traced
 //    run (instance dims + decisions), then one line per mechanism round with
@@ -21,17 +20,11 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/glauber.hpp"
 #include "bench_common.hpp"
 #include "common/thread_pool.hpp"
 #include "core/agt_ram.hpp"
-#include "core/audit.hpp"
-#include "core/online.hpp"
-#include "core/regional.hpp"
 #include "drp/delta_evaluator.hpp"
-#include "net/topology.hpp"
 #include "obs/obs.hpp"
-#include "srv/serving_engine.hpp"
 
 namespace agtram::bench {
 
@@ -131,121 +124,6 @@ inline JsonWriter::Record baseline_decisions(const drp::Problem& problem,
   record.field("pool_workers",
                static_cast<std::uint64_t>(
                    common::ThreadPool::shared().thread_count()));
-  return record;
-}
-
-/// The regional-engine decisions for one bench row: region count, epoch
-/// execution order (serial poll loop vs concurrent region jobs), the
-/// intra-region game, the inner agent-PARFOR knob, and the pool the sharded
-/// path fans out on.
-inline JsonWriter::Record regional_decisions(std::uint32_t regions,
-                                             core::RegionalExecution execution,
-                                             bool cooperative,
-                                             bool parallel_agents) {
-  JsonWriter::Record record;
-  record.field("regions", static_cast<std::uint64_t>(regions));
-  record.field("execution",
-               execution == core::RegionalExecution::Sharded ? "sharded"
-                                                             : "serial");
-  record.field("cooperative", cooperative);
-  record.field("parallel_agents", parallel_agents);
-  record.field("pool_workers",
-               static_cast<std::uint64_t>(
-                   common::ThreadPool::shared().thread_count()));
-  return record;
-}
-
-/// The online-engine decisions for one bench row: the repair-round bound,
-/// whether the per-batch differential oracle ran, and the mechanism config
-/// every repair run inherits (all report modes produce byte-identical
-/// allocations, so the choice only moves the timing).
-inline JsonWriter::Record online_decisions(const core::OnlineConfig& config,
-                                           std::uint64_t batches) {
-  JsonWriter::Record record;
-  record.field("batches", batches);
-  record.field("max_repair_rounds",
-               static_cast<std::uint64_t>(config.max_repair_rounds));
-  record.field("differential_oracle", config.differential_oracle);
-  record.field("report_mode_requested",
-               report_mode_name(config.mechanism.report_mode));
-  record.field("parallel_agents", config.mechanism.parallel_agents);
-  record.field("pool_workers",
-               static_cast<std::uint64_t>(
-                   common::ThreadPool::shared().thread_count()));
-  return record;
-}
-
-/// The serving-layer decisions for one bench row: the re-convergence policy,
-/// the drift-trigger thresholds it watches, the eviction budget each repair
-/// may spend, and the routing fan-out inputs.
-inline JsonWriter::Record serving_decisions(const srv::ServingConfig& config,
-                                            std::uint64_t batches) {
-  JsonWriter::Record record;
-  record.field("batches", batches);
-  const char* policy = "ondrift";
-  if (config.policy == srv::ReconvergePolicy::Static) policy = "static";
-  if (config.policy == srv::ReconvergePolicy::EveryBatch) policy = "resolve";
-  record.field("policy", policy);
-  record.field("volume_drift_threshold", config.volume_drift_threshold);
-  record.field("cost_regression_threshold", config.cost_regression_threshold);
-  record.field("min_window_requests", config.min_window_requests);
-  record.field("eviction_limit",
-               static_cast<std::uint64_t>(config.eviction_limit));
-  record.field("latency_sample_every",
-               static_cast<std::uint64_t>(config.latency_sample_every));
-  record.field("shards", static_cast<std::uint64_t>(config.shards));
-  record.field("pool_workers",
-               static_cast<std::uint64_t>(
-                   common::ThreadPool::shared().thread_count()));
-  return record;
-}
-
-/// The strategic-audit decisions for one bench row: the payment rule under
-/// audit, the probe and sweep sizes, and the collusion-ring size — the
-/// knobs that decide how many mechanism runs the row times.
-inline JsonWriter::Record strategic_decisions(
-    const core::StrategicAuditConfig& config) {
-  JsonWriter::Record record;
-  record.field("payment_rule", core::to_string(config.payment_rule));
-  record.field("report_mode_requested",
-               report_mode_name(config.report_mode));
-  record.field("agents_to_probe",
-               static_cast<std::uint64_t>(config.agents_to_probe));
-  record.field("inflate_factors",
-               static_cast<std::uint64_t>(config.inflate_factors.size()));
-  record.field("deflate_factors",
-               static_cast<std::uint64_t>(config.deflate_factors.size()));
-  record.field("collusion_size",
-               static_cast<std::uint64_t>(config.collusion_size));
-  return record;
-}
-
-/// The Glauber-baseline decisions for one bench row: the annealing schedule,
-/// the pricing path, and whether the run was wired to a MessageBus.
-inline JsonWriter::Record glauber_decisions(
-    const baselines::GlauberConfig& config) {
-  JsonWriter::Record record;
-  record.field("sweeps", static_cast<std::uint64_t>(config.sweeps));
-  record.field("initial_temperature_fraction",
-               config.initial_temperature_fraction);
-  record.field("cooling_rate", config.cooling_rate);
-  record.field("eval_path",
-               config.eval == baselines::EvalPath::Delta ? "delta" : "naive");
-  record.field("bus_attached", config.bus != nullptr);
-  return record;
-}
-
-/// The tree-placement decisions for one bench row: the tree family shape
-/// and the Benoit–Rehn–Robert strategy variant.
-inline JsonWriter::Record tree_decisions(net::TreeShape shape,
-                                         std::uint32_t arity, bool exact) {
-  JsonWriter::Record record;
-  const char* shape_name = "random";
-  if (shape == net::TreeShape::Balanced) shape_name = "balanced";
-  if (shape == net::TreeShape::Caterpillar) shape_name = "caterpillar";
-  record.field("shape", shape_name);
-  record.field("arity", static_cast<std::uint64_t>(arity));
-  record.field("strategy", exact ? "exact" : "greedy");
   return record;
 }
 

@@ -23,8 +23,9 @@ int main(int argc, char** argv) {
   cli.add_flag("rw", "0.85", "read fraction");
   cli.add_flag("m-grid", "250,300,372", "server counts (paper: 2500,3000,3718)");
   cli.add_flag("n-grid", "1500,2000,2500", "object counts (paper: 15k,20k,25k)");
-  cli.add_flag("json", bench::kMechanismJsonPath,
-               "write per-cell wall times as JSON here ('' disables)");
+  cli.add_flag("json", "",
+               "write per-cell wall times and obs blocks as JSON here "
+               "('' disables)");
   cli.add_flag("obs-trace", "",
                "write per-round JSONL from an untimed Auto-mode mechanism "
                "run per cell to this path ('' disables)");

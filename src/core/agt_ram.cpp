@@ -24,7 +24,7 @@ double MechanismResult::total_payments() const {
 // set (readers(k*) ∪ {winner}) is well under the *live* agent set the naive
 // sweep would touch; otherwise the standing-report heap overhead loses to
 // the naive sweep's tight loop over cached heap tops.  Two static signals
-// predict that, calibrated on the bench families (micro_core):
+// predict that, calibrated on trace and dispersed bench instances:
 //
 //  * the expected dirty-set size — the size-biased mean reader count, since
 //    allocations land on read-hot objects — must be well under the agent

@@ -21,7 +21,7 @@ namespace {
 
 // Below these sizes the vector path's gather/mask setup costs more than the
 // scalar walk; route short rows straight to the portable loops.  Chosen by
-// the micro_core --kernels family on the dev box; correctness never depends
+// timing both arms per kernel on the dev box; correctness never depends
 // on them (both arms are bit-identical).  The double-accumulate kernels
 // (4 lanes + gathers + a serial fold) need four full blocks to amortise
 // their setup; the pure u32 min/row kernels break even at one 8-lane block.

@@ -4,17 +4,17 @@
 // The subsystem exists to make the auto-tuned policies visible (DESIGN.md
 // §9): ReportMode::Auto, the baselines' EvalPath, and the round-size-aware
 // PARFOR all take decisions per instance/round that used to be invisible in
-// BENCH_mechanism.json.  Counters expose the internal work those decisions
+// the bench output.  Counters expose the internal work those decisions
 // trade off (dirty-set re-polls, heap pops, delta-cache refreshes, chunks
 // claimed, wire bytes); spans time coarse phases; the trace sink records
 // per-round gauge snapshots next to the decision that produced them.
 //
-// Cost contract (enforced by tools/bench_gate.sh and tests/obs_test.cpp):
+// Cost contract (enforced by tests/obs_noop_test.cpp and tests/obs_test.cpp):
 //
 //  * `AGTRAM_OBS` unset or 0 (the default): every macro below expands to a
 //    statement whose arguments are never evaluated — a true no-op, so the
-//    hot paths carry zero instrumentation cost and the bench gate numbers
-//    are those of the uninstrumented binary.
+//    hot paths carry zero instrumentation cost and perfbench's numbers are
+//    those of the uninstrumented binary.
 //  * `AGTRAM_OBS=1` (cmake -DAGTRAM_OBS=ON): a counter hit is one relaxed
 //    atomic add on a cached reference (the registry lookup happens once per
 //    site, at static-local initialisation).  Spans add two steady_clock

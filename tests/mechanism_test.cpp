@@ -425,10 +425,10 @@ TEST(Differential, DispersedDemandInstances) {
 }
 
 TEST(Differential, PaperScaleFamilyRoundCapped) {
-  // The M=3000 family from BENCH_mechanism.json, round-capped so all five
+  // The paper-scale M=3000 dispersed family, round-capped so all five
   // paths (naive/incremental x serial/parallel, plus Auto) stay test-sized.
-  // Same recipe as the bench: seed 42, power-law topology, dispersed demand
-  // with 8 readers/object, 1% capacity, R/W 0.9.
+  // Recipe: seed 42, power-law topology, dispersed demand with 8
+  // readers/object, 1% capacity, R/W 0.9.
   drp::InstanceSpec spec;
   spec.servers = 3000;
   spec.objects = 25600;

@@ -17,6 +17,7 @@ src/obs/obs.cpp
 bench/obs_writer.hpp
 tests/obs_test.cpp
 tests/obs_noop_test.cpp
+tests/obs_counters_test.cpp
 "
 
 if ! command -v "$CLANG_FORMAT" >/dev/null 2>&1; then

@@ -18,6 +18,8 @@
 # objects in one parallel_for; test_online forks that re-price over a
 # thousand objects, and test_serving runs it on every fold.  test_layout
 # checks the by-server transpose that writes the slots those agents read.
+# test_obs_counters runs each instrumented layer once and checks that its
+# counters moved.
 #
 # Usage:  tools/run_sanitized_tests.sh [build-dir]
 #   SAN=address|thread|undefined   sanitizer to use (default: thread)
@@ -36,14 +38,16 @@ cmake -B "$BUILD" -S "$SRC" \
 cmake --build "$BUILD" -j "$(nproc)" \
   --target test_common test_net test_mechanism test_runtime \
            test_baselines_delta test_kernels test_online test_obs \
-           test_obs_noop test_regional test_serving test_strategic \
-           test_glauber test_tree_placement test_horizon test_layout
+           test_obs_noop test_obs_counters test_regional test_serving \
+           test_strategic test_glauber test_tree_placement test_horizon \
+           test_layout
 
 status=0
 for t in test_common test_net test_mechanism test_runtime \
          test_baselines_delta test_kernels test_online test_obs \
-         test_obs_noop test_regional test_serving test_strategic \
-         test_glauber test_tree_placement test_horizon test_layout; do
+         test_obs_noop test_obs_counters test_regional test_serving \
+         test_strategic test_glauber test_tree_placement test_horizon \
+         test_layout; do
   echo "== $SAN-sanitized $t =="
   # The paper-scale differential cases take minutes under a sanitizer's
   # slowdown; the small-family + fuzz cases exercise the same parallel scans.
