@@ -68,8 +68,7 @@ class JsonWriter {
       body_ += value ? "true" : "false";
       return *this;
     }
-    /// Nests another record as an object value (e.g. the `obs` block a row
-    /// carries when the binary was built with -DAGTRAM_OBS=ON).
+    /// Nests another record as an object value (e.g. a row's `obs` block).
     Record& object_field(const std::string& key, const Record& nested) {
       append_key(key);
       body_ += nested.body_.empty() ? "{" : nested.body_;

@@ -4,9 +4,8 @@
 //
 //  * an `obs` block merged into each bench row: the Auto-policy decisions
 //    (ReportMode / EvalPath) with the exact inputs and thresholds that
-//    decided them, plus — when the binary was built with -DAGTRAM_OBS=ON —
-//    the registry counter/span deltas accumulated across the row's timing
-//    loop.
+//    decided them, plus the registry counter/span deltas accumulated across
+//    the row's timing loop.
 //
 //  * a per-round JSONL dump (`--obs-trace <file>`): one meta line per traced
 //    run (instance dims + decisions), then one line per mechanism round with
@@ -27,8 +26,6 @@
 #include "obs/obs.hpp"
 
 namespace agtram::bench {
-
-inline constexpr bool obs_enabled() { return AGTRAM_OBS_ENABLED != 0; }
 
 /// Counter/span registry snapshot; subtract two to get what one timing loop
 /// cost.  Registration order is stable within a run, so pairwise deltas by
@@ -80,8 +77,7 @@ inline JsonWriter::Record obs_delta_record(const ObsSnapshot& before,
 
 /// The mechanism-side policy decisions for one bench row: how the requested
 /// ReportMode resolved and the signals/thresholds behind the Auto pick, plus
-/// the PARFOR policy inputs.  Always available — the decision statistics are
-/// cheap and independent of AGTRAM_OBS.
+/// the PARFOR policy inputs.
 inline JsonWriter::Record mechanism_decisions(
     const drp::Problem& problem, const core::AgtRamConfig& config) {
   const core::AutoPolicyDecision decision = core::explain_report_mode(
@@ -127,20 +123,17 @@ inline JsonWriter::Record baseline_decisions(const drp::Problem& problem,
   return record;
 }
 
-/// Assembles the `obs` block for one bench row: the decisions, the enabled
-/// flag, and (when instrumented) the counter deltas across the row's runs
-/// with the repetition count needed to normalise them.
+/// Assembles the `obs` block for one bench row: the decisions and the
+/// counter deltas across the row's runs, with the repetition count needed
+/// to normalise them.
 inline JsonWriter::Record obs_block(JsonWriter::Record decisions,
                                     const ObsSnapshot& before,
                                     const ObsSnapshot& after,
                                     std::uint64_t runs) {
   JsonWriter::Record record;
-  record.field("enabled", obs_enabled());
   record.field("runs", runs);
   record.object_field("decisions", decisions);
-  if (obs_enabled()) {
-    record.object_field("counters", obs_delta_record(before, after));
-  }
+  record.object_field("counters", obs_delta_record(before, after));
   return record;
 }
 

@@ -144,7 +144,6 @@ int main(int argc, char** argv) {
         meta.field("benchmark", "table1_obs_trace")
             .field("servers", static_cast<std::uint64_t>(dims.servers))
             .field("objects", static_cast<std::uint64_t>(dims.objects))
-            .field("obs_enabled", bench::obs_enabled())
             .object_field("decisions",
                           bench::mechanism_decisions(problem, cfg));
         trace->meta(meta);

@@ -61,6 +61,15 @@ class MechanismObserver {
                             std::size_t /*notified*/) {}
 };
 
+// Modelled wire sizes (bytes) of the protocol's three messages: the
+// defaults of runtime::WireFormat and what the regional engines charge.
+/// Report: object id + fixed-point valuation.
+inline constexpr std::uint32_t kReportWireBytes = 16;
+/// Allocation: object id + payment.
+inline constexpr std::uint32_t kAllocationWireBytes = 16;
+/// OMAX broadcast: object id + winner id.
+inline constexpr std::uint32_t kBroadcastWireBytes = 12;
+
 /// How the centre gathers per-round reports.  All three produce
 /// byte-identical allocations; they differ only in work per round.
 enum class ReportMode {

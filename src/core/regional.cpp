@@ -17,12 +17,6 @@ std::size_t RegionalResult::replicas_placed() const {
 
 namespace {
 
-// Wire sizes mirror runtime::WireFormat's defaults; core cannot depend on
-// the runtime layer, so the regional traffic model restates them.
-constexpr std::uint64_t kReportWireBytes = 16;
-constexpr std::uint64_t kAllocationWireBytes = 16;
-constexpr std::uint64_t kBroadcastWireBytes = 12;
-
 common::ThreadPool& resolve_pool(const RegionalConfig& config) {
   return config.pool != nullptr ? *config.pool : common::ThreadPool::shared();
 }

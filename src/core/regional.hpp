@@ -66,7 +66,7 @@ struct RegionOutcome {
   std::uint64_t reports_polled = 0;
   /// Modelled control-plane traffic through this centre: report uplinks,
   /// allocation grants, and allocation broadcasts to the live members
-  /// (wire sizes match runtime::WireFormat's defaults).
+  /// (at the protocol's wire sizes, core::kReportWireBytes and siblings).
   std::uint64_t wire_bytes = 0;
 };
 

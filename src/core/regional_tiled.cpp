@@ -12,12 +12,6 @@ namespace agtram::core {
 
 namespace {
 
-// Same modelled wire sizes as core/regional.cpp (runtime::WireFormat
-// defaults restated; core cannot depend on the runtime layer).
-constexpr std::uint64_t kReportWireBytes = 16;
-constexpr std::uint64_t kAllocationWireBytes = 16;
-constexpr std::uint64_t kBroadcastWireBytes = 12;
-
 common::ThreadPool& resolve_pool(const TiledRegionalConfig& config) {
   return config.pool != nullptr ? *config.pool : common::ThreadPool::shared();
 }

@@ -14,11 +14,12 @@ DeltaEvaluator::DeltaEvaluator(ReplicaPlacement placement)
   const std::size_t n = placement_.problem().object_count();
   obj_cost_.resize(n);
   opt_saving_.resize(n);
+  AGTRAM_OBS_COUNT("delta_eval.refreshes", n);
   common::ThreadPool::shared().parallel_for(
       0, n,
       [&](std::size_t first, std::size_t last) {
         for (std::size_t k = first; k < last; ++k) {
-          refresh(static_cast<ObjectIndex>(k));
+          reprice(static_cast<ObjectIndex>(k));
         }
       },
       /*min_grain=*/128);
@@ -26,6 +27,10 @@ DeltaEvaluator::DeltaEvaluator(ReplicaPlacement placement)
 
 void DeltaEvaluator::refresh(ObjectIndex k) {
   AGTRAM_OBS_COUNT("delta_eval.refreshes", 1);
+  reprice(k);
+}
+
+void DeltaEvaluator::reprice(ObjectIndex k) {
   // Mirrors CostModel::object_cost term for term (the `cost` accumulator
   // sees the identical op sequence — DESIGN.md §8), folding the optimistic
   // saving bound into the same accessor walk.
@@ -247,10 +252,11 @@ void DeltaEvaluator::refresh_after_demand_change(ObjectIndex k) {
 void DeltaEvaluator::refresh_after_demand_change(
     std::span<const ObjectIndex> objects) {
   if (objects.empty()) return;
+  AGTRAM_OBS_COUNT("delta_eval.refreshes", objects.size());
   common::ThreadPool::shared().parallel_for(
       0, objects.size(),
       [&](std::size_t first, std::size_t last) {
-        for (std::size_t e = first; e < last; ++e) refresh(objects[e]);
+        for (std::size_t e = first; e < last; ++e) reprice(objects[e]);
       },
       /*min_grain=*/64);
   total_valid_ = false;

@@ -168,6 +168,9 @@ class DeltaEvaluator {
 
  private:
   void refresh(ObjectIndex k);
+  /// refresh() without its counter: the parallel loops count their whole
+  /// range once instead of once per object from every pool worker.
+  void reprice(ObjectIndex k);
 
   ReplicaPlacement placement_;
   std::vector<double> obj_cost_;

@@ -11,6 +11,8 @@
 
 namespace agtram::net {
 
+static_assert(kMaxGraphNodes <= std::numeric_limits<NodeId>::max());
+
 void write_graph(std::ostream& os, const Graph& graph) {
   os << "# agtram topology: " << graph.node_count() << " nodes, "
      << graph.edge_count() << " edges\n";
@@ -42,6 +44,12 @@ Graph read_graph(std::istream& is) {
       std::size_t nodes = 0;
       if (!(fields >> keyword >> nodes) || keyword != "nodes" || nodes == 0) {
         fail("expected 'nodes <M>' header");
+      }
+      // `>>` wraps a negative count to a huge one, so this also refuses
+      // `nodes -1`.
+      if (nodes > kMaxGraphNodes) {
+        fail("node count out of range (at most " +
+             std::to_string(kMaxGraphNodes) + ")");
       }
       graph.emplace(nodes);
       continue;

@@ -9,27 +9,17 @@
 // claimed, wire bytes); spans time coarse phases; the trace sink records
 // per-round gauge snapshots next to the decision that produced them.
 //
-// Cost contract (enforced by tests/obs_noop_test.cpp and tests/obs_test.cpp):
-//
-//  * `AGTRAM_OBS` unset or 0 (the default): every macro below expands to a
-//    statement whose arguments are never evaluated — a true no-op, so the
-//    hot paths carry zero instrumentation cost and perfbench's numbers are
-//    those of the uninstrumented binary.
-//  * `AGTRAM_OBS=1` (cmake -DAGTRAM_OBS=ON): a counter hit is one relaxed
-//    atomic add on a cached reference (the registry lookup happens once per
-//    site, at static-local initialisation).  Spans add two steady_clock
-//    reads and sit only at coarse boundaries.  Gauges are a relaxed pointer
-//    load and branch unless a trace sink is installed.
+// Cost contract: the layer is compiled into every build.  A counter hit is
+// one relaxed atomic add on a cached reference (the registry lookup happens
+// once per site, at static-local initialisation).  Spans add two
+// steady_clock reads and sit only at coarse boundaries.  Gauges are an
+// acquire pointer load and branch unless a trace sink is installed.  The
+// measured price on perfbench is in DESIGN.md §9.
 //
 // Invariant: instrumentation must have no observable effect on mechanism or
 // baseline output — allocations, payments, and round sequences are byte-
-// identical with the layer on, off, or traced (tests/obs_test.cpp, and the
-// hexfloat goldens of tests/layout_test.cpp running under -DAGTRAM_OBS=ON).
-//
-// The macros are gated per translation unit: a TU may `#define AGTRAM_OBS 1`
-// before including this header to opt in locally (the obs tests do), while
-// the class API below is always compiled so handles can cross TU
-// boundaries regardless of the build default.
+// identical with and without a trace sink installed (tests/obs_test.cpp),
+// and the hexfloat goldens of tests/layout_test.cpp run instrumented.
 #pragma once
 
 #include <atomic>
@@ -39,15 +29,8 @@
 #include <string_view>
 #include <vector>
 
-#ifndef AGTRAM_OBS
-#define AGTRAM_OBS 0
-#endif
-
-#if AGTRAM_OBS
-#define AGTRAM_OBS_ENABLED 1
-#else
-#define AGTRAM_OBS_ENABLED 0
-#endif
+// Every build is instrumented; the macro remains for code that reports it.
+#define AGTRAM_OBS 1
 
 namespace agtram::obs {
 
@@ -156,8 +139,7 @@ class Registry {
   Counter& counter(std::string_view name);
   Span& span(std::string_view name);
 
-  /// Lookup without creation (nullptr when the name was never registered —
-  /// how the no-op tests prove a site compiled out).
+  /// Lookup without creation (nullptr when the name was never registered).
   Counter* find_counter(std::string_view name);
   Span* find_span(std::string_view name);
 
@@ -196,8 +178,6 @@ TraceSink* active_trace() noexcept;
 
 #define AGTRAM_OBS_CONCAT_IMPL_(a, b) a##b
 #define AGTRAM_OBS_CONCAT_(a, b) AGTRAM_OBS_CONCAT_IMPL_(a, b)
-
-#if AGTRAM_OBS
 
 /// One relaxed atomic add on a per-site cached counter reference.  `name`
 /// is resolved once per call site (static-local init) and must therefore be
@@ -239,39 +219,3 @@ TraceSink* active_trace() noexcept;
       agtram_obs_sink_->gauge(key, value);                       \
     }                                                            \
   } while (0)
-
-#else  // !AGTRAM_OBS — true no-ops; arguments are type-checked but never
-       // evaluated (the dead branch is removed by every compiler, and the
-       // no-op tests assert side-effecting arguments do not fire).
-
-#define AGTRAM_OBS_COUNT(name, delta)  \
-  do {                                 \
-    if (false) {                       \
-      static_cast<void>(name);         \
-      static_cast<void>(delta);        \
-    }                                  \
-  } while (0)
-
-#define AGTRAM_OBS_SPAN(name) \
-  do {                        \
-    if (false) {              \
-      static_cast<void>(name); \
-    }                         \
-  } while (0)
-
-#define AGTRAM_OBS_ROUND(round)  \
-  do {                           \
-    if (false) {                 \
-      static_cast<void>(round);  \
-    }                            \
-  } while (0)
-
-#define AGTRAM_OBS_GAUGE(key, value) \
-  do {                               \
-    if (false) {                     \
-      static_cast<void>(key);        \
-      static_cast<void>(value);      \
-    }                                \
-  } while (0)
-
-#endif  // AGTRAM_OBS

@@ -84,9 +84,9 @@ struct MessageStats {
 
 /// Wire-format sizes (bytes) for the protocol and serving message kinds.
 struct WireFormat {
-  std::uint32_t report = 16;      ///< object id + fixed-point valuation
-  std::uint32_t allocation = 16;  ///< object id + payment
-  std::uint32_t broadcast = 12;   ///< object id + winner id
+  std::uint32_t report = core::kReportWireBytes;
+  std::uint32_t allocation = core::kAllocationWireBytes;
+  std::uint32_t broadcast = core::kBroadcastWireBytes;
   std::uint32_t route = 8;        ///< object id + requested version floor
   std::uint32_t delta_cell = 24;  ///< server + object + dr + dw
   std::uint32_t install_entry = 8;  ///< object id + replica server id

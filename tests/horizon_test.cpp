@@ -377,6 +377,13 @@ TEST(GraphIo, MalformedInputsThrow) {
   expect_throw("nodes 3\n0 9 1\n");      // endpoint out of range
   expect_throw("nodes 3\n0 1 0\n");      // zero cost
   expect_throw("nodes 3\n0 1\n");        // missing cost
+  // Node counts the reader cannot represent are refused at the header,
+  // before the graph is allocated: `>>` wraps -1 to SIZE_MAX, and 2^32
+  // would truncate NodeId.
+  expect_throw("nodes -1\n");
+  expect_throw("nodes 4294967296\n");
+  expect_throw("nodes 18446744073709551615\n");
+  expect_throw("nodes " + std::to_string(net::kMaxGraphNodes + 1) + "\n");
 }
 
 TEST(GraphIo, CommentsIgnored) {

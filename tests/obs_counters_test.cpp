@@ -1,13 +1,11 @@
-// The instrumented build's counter contract: one tiny run of each
-// instrumented layer (mechanism, regional, online, serving, strategic audit,
-// Glauber) must move the counters that layer exports.  Unlike
-// tests/obs_test.cpp, this TU takes AGTRAM_OBS from the build, so it runs in
-// the -DAGTRAM_OBS=ON builds (CI's obs legs, tools/run_sanitized_tests.sh)
-// and skips where every counter site is compiled out.
+// The counter contract: one tiny run of each instrumented layer (mechanism,
+// distributed runtime, regional, online, serving, strategic audit, Glauber)
+// must move the counters that layer exports.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "baselines/glauber.hpp"
@@ -17,7 +15,9 @@
 #include "core/regional.hpp"
 #include "drp/builder.hpp"
 #include "obs/obs.hpp"
+#include "runtime/distributed_mechanism.hpp"
 #include "runtime/event_sim.hpp"
+#include "runtime/message_bus.hpp"
 #include "srv/serving_engine.hpp"
 #include "srv/workload.hpp"
 #include "test_helpers.hpp"
@@ -26,29 +26,41 @@ namespace {
 
 using namespace agtram;
 
+/// The summed value of the named counters in `counters` (a counter never
+/// registered counts 0).
+std::uint64_t sum_of(const std::vector<obs::CounterSnapshot>& counters,
+                     const std::vector<std::string_view>& names) {
+  std::uint64_t sum = 0;
+  for (const obs::CounterSnapshot& counter : counters) {
+    for (const std::string_view name : names) {
+      if (counter.name == name) sum += counter.value;
+    }
+  }
+  return sum;
+}
+
 /// Expects every named counter to have grown past its value in `before`.
 void expect_moved(const std::vector<obs::CounterSnapshot>& before,
                   const std::vector<std::string_view>& names) {
+  const std::vector<obs::CounterSnapshot> now =
+      obs::Registry::instance().counters();
   for (const std::string_view name : names) {
-    std::uint64_t was = 0;
-    for (const obs::CounterSnapshot& counter : before) {
-      if (counter.name == name) was = counter.value;
-    }
-    const obs::Counter* now = obs::Registry::instance().find_counter(name);
-    EXPECT_TRUE(now != nullptr && now->value() > was) << name;
+    EXPECT_GT(sum_of(now, {name}), sum_of(before, {name})) << name;
   }
 }
 
 TEST(ObsCounters, EveryInstrumentedLayerMovesItsCounters) {
-  if constexpr (AGTRAM_OBS_ENABLED == 0) {
-    GTEST_SKIP() << "counter sites are compiled out (AGTRAM_OBS=OFF)";
-  }
   const obs::Registry& registry = obs::Registry::instance();
   const drp::Problem p = testutil::small_instance(11, 24, 96);
 
   auto before = registry.counters();
   core::run_agt_ram(p);
-  expect_moved(before, {"agt_ram.rounds", "agt_ram.reports_fresh"});
+  expect_moved(before, {"agt_ram.rounds", "agt_ram.reports_fresh",
+                        "pool.parallel_for_calls"});
+
+  before = registry.counters();
+  runtime::run_distributed(p);
+  expect_moved(before, {"bus.report_bytes", "bus.broadcast_bytes"});
 
   before = registry.counters();
   core::RegionalConfig regional;
@@ -66,7 +78,15 @@ TEST(ObsCounters, EveryInstrumentedLayerMovesItsCounters) {
     runtime::OnlineEventSource source(engine, model);
     for (int b = 0; b < 4; ++b) engine.apply_events(source.next_batch());
   }
-  expect_moved(before, {"online.batches", "online.events"});
+  expect_moved(before, {"online.batches", "online.events",
+                        "delta_eval.refreshes"});
+  // Which arm of a kernel runs depends on the dispatch (the size cutoff,
+  // AGTRAM_SIMD=0), so the kernel family is checked as the sum of its arms.
+  const std::vector<std::string_view> object_cost_slots = {
+      "kernels.object_cost.simd_slots", "kernels.object_cost.tail_slots",
+      "kernels.object_cost.scalar_slots"};
+  EXPECT_GT(sum_of(registry.counters(), object_cost_slots),
+            sum_of(before, object_cost_slots));
 
   // The drifting stream of the serving suite's OnDrift test, on which the
   // drift trigger fires.
@@ -80,12 +100,15 @@ TEST(ObsCounters, EveryInstrumentedLayerMovesItsCounters) {
     spec.readers_per_object = 5.0;
     spec.instance.capacity_fraction = 0.05;
     spec.instance.rw_ratio = 0.9;
+    drp::Problem problem = drp::make_instance(spec);
+    runtime::MessageBus bus(problem, runtime::MessageBus::pick_centre(problem));
     srv::ServingConfig config;
     config.policy = srv::ReconvergePolicy::OnDrift;
     config.min_window_requests = 512;
     config.volume_drift_threshold = 0.15;
     config.eviction_limit = 8;
-    srv::ServingEngine engine(drp::make_instance(spec), config);
+    config.bus = &bus;
+    srv::ServingEngine engine(std::move(problem), config);
     srv::WorkloadConfig workload_config;
     workload_config.requests_per_batch = 1024;
     workload_config.drift_interval = 1;
@@ -99,7 +122,8 @@ TEST(ObsCounters, EveryInstrumentedLayerMovesItsCounters) {
     }
   }
   expect_moved(before, {"srv.requests", "srv.batches", "srv.reads_routed",
-                        "srv.snapshot_installs", "srv.drift_triggers"});
+                        "srv.snapshot_installs", "srv.drift_triggers",
+                        "bus.route_bytes"});
 
   before = registry.counters();
   core::StrategicAuditConfig audit;

@@ -16,7 +16,6 @@ src/obs/obs.hpp
 src/obs/obs.cpp
 bench/obs_writer.hpp
 tests/obs_test.cpp
-tests/obs_noop_test.cpp
 tests/obs_counters_test.cpp
 "
 

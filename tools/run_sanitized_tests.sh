@@ -5,9 +5,9 @@
 # aborts the test) and runs them.  The thread-pool's
 # lock-lean parallel_for and the mechanism's PARFOR rounds are the targets:
 # chunk claiming, the completion latch, and the stack-job entrants drain are
-# all bare atomics, exactly what TSan is for.  The build instruments the
-# observability layer too (-DAGTRAM_OBS=ON) so the relaxed counter atomics
-# and the trace-sink pointer are under the same sanitizers as the pool.
+# all bare atomics, exactly what TSan is for.  The observability layer is
+# compiled into every build, so the relaxed counter atomics and the
+# trace-sink pointer are under the same sanitizers as the pool.
 # test_net runs the metric closure's per-source Dijkstras on the pool, and
 # its refusals cross the pool's exception hand-off.  test_horizon scores
 # placements bound to the online engine's Problem while apply_events
@@ -31,21 +31,20 @@ SRC="$(cd "$(dirname "$0")/.." && pwd)"
 
 cmake -B "$BUILD" -S "$SRC" \
   -DAGTRAM_SANITIZE="$SAN" \
-  -DAGTRAM_OBS=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DAGTRAM_BUILD_BENCH=OFF \
   -DAGTRAM_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD" -j "$(nproc)" \
   --target test_common test_net test_mechanism test_runtime \
            test_baselines_delta test_kernels test_online test_obs \
-           test_obs_noop test_obs_counters test_regional test_serving \
+           test_obs_counters test_regional test_serving \
            test_strategic test_glauber test_tree_placement test_horizon \
            test_layout
 
 status=0
 for t in test_common test_net test_mechanism test_runtime \
          test_baselines_delta test_kernels test_online test_obs \
-         test_obs_noop test_obs_counters test_regional test_serving \
+         test_obs_counters test_regional test_serving \
          test_strategic test_glauber test_tree_placement test_horizon \
          test_layout; do
   echo "== $SAN-sanitized $t =="
