@@ -1,22 +1,19 @@
 // Semi-distributed runtime accounting (paper Sections 1 and 7): "all the
 // heavy processing is done on the servers ... the central body is only
 // required to take a binary decision".  This bench quantifies that claim:
-// protocol traffic split between centre and agents, simulated convergence
-// time under the latency model, and the wall-clock effect of running the
-// agents' PARFOR loops on the thread pool.
+// protocol traffic split between centre and agents, the wall time of the
+// run, and simulated convergence time under the latency model.
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "common/timer.hpp"
-#include "core/agt_ram.hpp"
 #include "runtime/distributed_mechanism.hpp"
 #include "runtime/event_sim.hpp"
 
 int main(int argc, char** argv) {
   using namespace agtram;
 
-  common::Cli cli("Runtime ablation: semi-distributed traffic and parallel "
-                  "agent evaluation");
+  common::Cli cli("Runtime ablation: semi-distributed traffic and protocol "
+                  "turn-around time");
   bench::add_common_flags(cli);
   cli.add_flag("capacity", "30", "paper C%%");
   cli.add_flag("rw", "0.90", "read fraction");
@@ -26,11 +23,6 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   const drp::Problem problem = bench::build_instance(
       dims, cli.get_double("capacity"), cli.get_double("rw"), seed);
-
-  // --- Serial vs. parallel agent evaluation (identical allocations).
-  common::Timer serial_timer;
-  const auto serial = core::run_agt_ram(problem);
-  const double serial_seconds = serial_timer.seconds();
 
   const auto distributed = runtime::run_distributed(problem);
   const auto& stats = distributed.messages;
@@ -61,9 +53,7 @@ int main(int argc, char** argv) {
                        1)});
     table.add_row({"simulated protocol time (s)",
                    common::Table::num(stats.simulated_seconds, 3)});
-    table.add_row({"serial wall time (s)",
-                   common::Table::num(serial_seconds, 3)});
-    table.add_row({"parallel-agents wall time (s)",
+    table.add_row({"wall time (s)",
                    common::Table::num(distributed.wall_seconds, 3)});
     bench::emit(cli, table);
   }
@@ -81,10 +71,6 @@ int main(int argc, char** argv) {
                    common::Table::num(reports_per_round, 1)});
     table.add_row({"report payload (bytes)", "16"});
     table.add_row({"decision payload (bytes)", "16"});
-    const bool identical =
-        serial.rounds.size() == distributed.result.rounds.size();
-    table.add_row({"parallel == serial allocation",
-                   identical ? "yes" : "NO (bug!)"});
     table.print(std::cout);
   }
 

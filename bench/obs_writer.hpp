@@ -77,7 +77,7 @@ inline JsonWriter::Record obs_delta_record(const ObsSnapshot& before,
 
 /// The mechanism-side policy decisions for one bench row: how the requested
 /// ReportMode resolved and the signals/thresholds behind the Auto pick, plus
-/// the PARFOR policy inputs.
+/// the pool size the agent build forks onto.
 inline JsonWriter::Record mechanism_decisions(
     const drp::Problem& problem, const core::AgtRamConfig& config) {
   const core::AutoPolicyDecision decision = core::explain_report_mode(
@@ -94,9 +94,6 @@ inline JsonWriter::Record mechanism_decisions(
                decision.min_effective_hot_objects);
   record.field("auto_dirty_is_local", decision.dirty_is_local);
   record.field("auto_demand_is_dispersed", decision.demand_is_dispersed);
-  record.field("parallel_agents", config.parallel_agents);
-  record.field("parallel_min_agents",
-               static_cast<std::uint64_t>(config.parallel_min_agents));
   record.field("pool_workers",
                static_cast<std::uint64_t>(
                    common::ThreadPool::shared().thread_count()));

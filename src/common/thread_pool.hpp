@@ -1,11 +1,13 @@
 // A small work-stealing-free thread pool with a blocking parallel_for.
 //
-// This is the shared-memory stand-in for the PARFOR loops in the paper's
-// Figure 2 pseudo-code: each AGT-RAM round evaluates all agents' candidate
-// lists in parallel and reduces their bids at the central mechanism.
+// This is the shared-memory stand-in for the PARFOR in the paper's Figure 2
+// pseudo-code: AGT-RAM builds every agent, pricing its candidate list L_i,
+// in one parallel_for per run; the rounds then run on the centre's thread.
+// The pool also runs the sharded regional jobs, the serving engine's batch
+// routing, the delta evaluator's re-price and scans, and the baselines.
 //
-// parallel_for uses a lock-lean design tuned for the mechanism's small
-// per-round dirty sets: one stack-allocated job descriptor per call, chunks
+// parallel_for uses a lock-lean design tuned for short, frequent calls such
+// as a batch re-price: one stack-allocated job descriptor per call, chunks
 // claimed with a single atomic fetch_add, completion signalled through a
 // C++20 atomic wait (no per-call mutex+condition_variable pair, no
 // per-chunk std::function heap allocation).  The calling thread claims

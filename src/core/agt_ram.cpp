@@ -74,35 +74,17 @@ ReportMode resolve_report_mode(const drp::Problem& problem,
 
 namespace {
 
-// Round-size-aware PARFOR: fork onto the shared pool only when the round
-// evaluates enough agents to amortise the fork/join handshake (and the pool
-// actually has workers).  Below the cutoff — 3-agent dirty sets are the
-// incremental steady state — the body runs inline on the centre's thread.
-void round_parfor(const AgtRamConfig& config, std::size_t count,
-                  const std::function<void(std::size_t, std::size_t)>& body) {
-  if (config.parallel_agents && count >= config.parallel_min_agents &&
-      common::ThreadPool::shared().thread_count() > 1) {
-    AGTRAM_OBS_COUNT("agt_ram.parfor_forked", 1);
-    common::ThreadPool::shared().parallel_for(0, count, body,
-                                              /*min_grain=*/16);
-  } else {
-    AGTRAM_OBS_COUNT("agt_ram.parfor_inline", 1);
-    body(0, count);
-  }
-}
-
 std::vector<drp::ServerId> every_server(const drp::Problem& problem) {
   std::vector<drp::ServerId> ids(problem.server_count());
   std::iota(ids.begin(), ids.end(), drp::ServerId{0});
   return ids;
 }
 
-// Builds one agent per id (ascending) on the shared pool.  Each agent prices
-// its own list L_i against state nothing writes during construction, so this
-// forks regardless of parallel_agents, which governs only the round PARFOR.
-// parallel_for runs ranges shorter than two grains, and nested calls (the
-// tiled engine's shard solves), inline.  `source` is the Problem (cold
-// start) or the warm-start placement.  The grain is the round PARFOR's.
+// Builds one agent per id (ascending) on the shared pool: Figure 2's PARFOR,
+// once per run.  Each agent prices its own list L_i against state nothing
+// writes during construction.  parallel_for runs ranges shorter than two
+// grains, and nested calls (the tiled engine's shard solves), inline.
+// `source` is the Problem (cold start) or the warm-start placement.
 constexpr std::size_t kAgentBuildGrain = 16;
 
 template <typename Source>
@@ -193,19 +175,14 @@ MechanismResult run_rounds_naive(const drp::Problem& problem,
     AGTRAM_OBS_GAUGE("polled", static_cast<std::uint64_t>(live.size()));
     AGTRAM_OBS_GAUGE("live", static_cast<std::uint64_t>(live.size()));
 
-    // --- First PARFOR: every live agent evaluates its list and reports.
-    const auto evaluate = [&](std::size_t first, std::size_t last) {
-      for (std::size_t idx = first; idx < last; ++idx) {
-        const std::uint32_t a = live[idx];
-        reports[agents[a].id()] =
-            agents[a].make_report(result.placement, config.strategy);
-      }
-    };
-    round_parfor(config, live.size(), evaluate);
+    // --- Every live agent reports its best candidate.
+    for (const std::uint32_t a : live) {
+      reports[agents[a].id()] =
+          agents[a].make_report(result.placement, config.strategy);
+    }
 
     // --- Centre: collect reports, drop retired agents, pick the dominant
-    // valuation (ties broken towards the lowest server id so serial and
-    // parallel runs are byte-identical).
+    // valuation (ties broken towards the lowest server id).
     const std::size_t reporting = live.size();
     std::vector<double> round_values;
     std::vector<std::uint32_t> round_agents;
@@ -391,15 +368,11 @@ MechanismResult run_rounds_incremental(const drp::Problem& problem,
     AGTRAM_OBS_GAUGE("dirty", static_cast<std::uint64_t>(dirty.size()));
     AGTRAM_OBS_GAUGE("live", static_cast<std::uint64_t>(live.size()));
 
-    // --- First PARFOR, restricted to the dirty set.
-    const auto evaluate = [&](std::size_t first, std::size_t last) {
-      for (std::size_t idx = first; idx < last; ++idx) {
-        const drp::ServerId i = dirty[idx];
-        reports[i] = agents[agent_of[i]].make_report(result.placement,
-                                                     config.strategy);
-      }
-    };
-    round_parfor(config, dirty.size(), evaluate);
+    // --- Only the dirty set reports afresh.
+    for (const drp::ServerId i : dirty) {
+      reports[i] =
+          agents[agent_of[i]].make_report(result.placement, config.strategy);
+    }
 
     // --- Centre: fold the fresh reports into the standing cache.
     bool retired_any = false;

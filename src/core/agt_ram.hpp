@@ -3,7 +3,10 @@
 //
 // Round structure:
 //   1. PARFOR each live agent: compute its best candidate and report
-//      (object, valuation) to the centre.
+//      (object, valuation) to the centre.  Here each agent's list is priced
+//      on the thread pool once per run, when the agent is built; the
+//      per-round reports are lazy-heap pops and run on the centre's thread,
+//      where they cost less than a fork/join (DESIGN.md §7).
 //   2. The centre picks the globally dominant report (argmax), decides the
 //      binary "replicate", pays the winner per the payment rule (Axiom 5),
 //      and broadcasts the allocation.
@@ -90,17 +93,6 @@ enum class ReportMode {
 
 struct AgtRamConfig {
   PaymentRule payment_rule = PaymentRule::SecondPrice;
-  /// Run the per-agent report loop on the shared thread pool (the PARFOR of
-  /// Figure 2).  Results are identical to the serial run by construction.
-  /// Governs the rounds only: agent construction (each agent pricing its
-  /// list L_i) runs on the shared pool whatever this says.
-  bool parallel_agents = false;
-  /// Rounds evaluating fewer agents than this run inline even when
-  /// parallel_agents is set: fork/join latency dwarfs the work of a
-  /// handful of lazy-heap pops, and the dirty set of a typical incremental
-  /// round is single digits.  Measured crossover on the bench instances is
-  /// a few hundred agents per round (see DESIGN.md §7).
-  std::size_t parallel_min_agents = 256;
   /// Report evaluation policy (see ReportMode).  Note: a *stateful*
   /// ReportStrategy (one whose output depends on call history rather than
   /// only on (agent, value)) is only well-defined under Naive, because the

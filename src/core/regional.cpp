@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <queue>
+#include <utility>
 
 #include "drp/cost_model.hpp"
 #include "obs/obs.hpp"
@@ -15,28 +16,19 @@ std::size_t RegionalResult::replicas_placed() const {
   return total;
 }
 
-namespace {
-
-common::ThreadPool& resolve_pool(const RegionalConfig& config) {
-  return config.pool != nullptr ? *config.pool : common::ThreadPool::shared();
-}
-
-/// Runs `body(r)` once per region: concurrently (one job per region) under
-/// Sharded, in ascending region order under Serial.  Bodies may only write
-/// region-owned state (their agents, heaps, and result slots) and read the
-/// shared placement, so the two orders are byte-identical.
-template <typename Body>
-void for_each_region(const RegionalConfig& config, std::size_t region_count,
-                     const Body& body) {
-  if (config.execution == RegionalExecution::Sharded) {
-    resolve_pool(config).parallel_for(
-        0, region_count,
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t r = begin; r < end; ++r) {
-            body(static_cast<std::uint32_t>(r));
-          }
-        },
-        /*min_grain=*/1);
+void for_each_region(RegionalExecution execution, common::ThreadPool* pool,
+                     std::size_t region_count,
+                     const std::function<void(std::uint32_t)>& body) {
+  if (execution == RegionalExecution::Sharded) {
+    (pool != nullptr ? *pool : common::ThreadPool::shared())
+        .parallel_for(
+            0, region_count,
+            [&](std::size_t begin, std::size_t end) {
+              for (std::size_t r = begin; r < end; ++r) {
+                body(static_cast<std::uint32_t>(r));
+              }
+            },
+            /*min_grain=*/1);
   } else {
     for (std::size_t r = 0; r < region_count; ++r) {
       body(static_cast<std::uint32_t>(r));
@@ -44,25 +36,7 @@ void for_each_region(const RegionalConfig& config, std::size_t region_count,
   }
 }
 
-/// Fresh reports for a region's live agents against the placement snapshot.
-/// Under Sharded the pool is already busy with the region jobs, so the
-/// inner parallel_for degrades to the inline fallback.
-void poll_reports(const RegionalConfig& config, std::vector<Agent>& agents,
-                  const std::vector<std::uint32_t>& live,
-                  const drp::ReplicaPlacement& placement,
-                  std::vector<Report>& reports) {
-  const auto eval = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::uint32_t a = live[i];
-      reports[a] = agents[a].make_report(placement, nullptr);
-    }
-  };
-  if (config.parallel_agents && live.size() >= config.parallel_min_agents) {
-    resolve_pool(config).parallel_for(0, live.size(), eval);
-  } else {
-    eval(0, live.size());
-  }
-}
+namespace {
 
 net::Clustering cluster_for(const drp::Problem& problem,
                             const RegionalConfig& config) {
@@ -128,13 +102,16 @@ RegionalResult run_regional(const drp::Problem& problem,
     if (config.max_epochs != 0 && result.epochs >= config.max_epochs) break;
     any_progress = false;
 
-    for_each_region(config, region_count, [&](std::uint32_t r) {
+    for_each_region(config.execution, config.pool, region_count,
+                    [&](std::uint32_t r) {
       picks[r] = EpochPick{};
       auto& live = region_live[r];
       if (live.empty()) return;
 
       const std::uint64_t polled = live.size();
-      poll_reports(config, agents, live, result.placement, reports);
+      for (const std::uint32_t a : live) {
+        reports[a] = agents[a].make_report(result.placement, nullptr);
+      }
 
       std::vector<double> values;
       std::vector<std::uint32_t> bidders;  // agent indices
@@ -277,7 +254,8 @@ RegionalResult run_regional_cooperative(const drp::Problem& problem,
     }
   };
   std::vector<std::priority_queue<HeapEntry>> heaps(region_count);
-  for_each_region(config, region_count, [&](std::uint32_t r) {
+  for_each_region(config.execution, config.pool, region_count,
+                  [&](std::uint32_t r) {
     if (region_failed[r]) return;
     std::uint64_t scans = 0;
     for (drp::ObjectIndex k = 0; k < problem.object_count(); ++k) {
@@ -307,7 +285,8 @@ RegionalResult run_regional_cooperative(const drp::Problem& problem,
     if (config.max_epochs != 0 && result.epochs >= config.max_epochs) break;
     any_progress = false;
 
-    for_each_region(config, region_count, [&](std::uint32_t r) {
+    for_each_region(config.execution, config.pool, region_count,
+                    [&](std::uint32_t r) {
       picks[r] = CoopPick{};
       auto& heap = heaps[r];
       std::uint64_t scans = 0;
@@ -356,117 +335,107 @@ RegionalResult run_regional_cooperative(const drp::Problem& problem,
   return result;
 }
 
+namespace {
+
+/// The regional centres and the top centre of run_hierarchical, watching
+/// the flat naive round loop.  Every live agent reports each round in
+/// ascending id order, so a region's champion is its first best report, as
+/// its own centre would pick it.  The flat winner is the lowest-id holder of
+/// the best report, hence its region's champion; the top centre prices the
+/// round against the champions and records it.
+class TopCentre final : public MechanismObserver {
+ public:
+  TopCentre(const net::Clustering& clustering, PaymentRule payment_rule,
+            HierarchicalResult& result)
+      : clustering_(clustering),
+        payment_rule_(payment_rule),
+        result_(result),
+        champions_(clustering.region_count()) {}
+
+  void on_round_begin(std::size_t /*round*/) override {
+    std::fill(champions_.begin(), champions_.end(), Report{});
+  }
+
+  void on_report(drp::ServerId agent, const Report& report,
+                 bool /*fresh*/) override {
+    ++reports_polled_;
+    if (!report.has_candidate) return;
+    Report& champion = champions_[clustering_.assignment[agent]];
+    if (!champion.has_candidate ||
+        report.claimed_value > champion.claimed_value) {
+      champion = report;
+    }
+  }
+
+  void on_allocation(drp::ServerId winner, drp::ObjectIndex object,
+                     double /*flat_payment*/) override {
+    const std::uint32_t home = clustering_.assignment[winner];
+    values_.clear();
+    std::size_t winner_slot = 0;
+    for (std::uint32_t r = 0; r < champions_.size(); ++r) {
+      if (!champions_[r].has_candidate) continue;
+      if (r == home) winner_slot = values_.size();
+      values_.push_back(champions_[r].claimed_value);
+    }
+    const double payment =
+        compute_payment(payment_rule_, values_, winner_slot);
+    result_.rounds.push_back(RoundRecord{winner, object,
+                                         champions_[home].claimed_value,
+                                         champions_[home].true_value,
+                                         payment});
+    result_.total_charges += payment;
+    result_.top_level_reports += values_.size();
+    AGTRAM_OBS_COUNT("regional.hier_rounds", 1);
+    AGTRAM_OBS_COUNT("regional.replicas_placed", 1);
+  }
+
+  /// Reports the regional centres polled, the terminating round's included.
+  std::uint64_t reports_polled() const { return reports_polled_; }
+
+ private:
+  const net::Clustering& clustering_;
+  PaymentRule payment_rule_;
+  HierarchicalResult& result_;
+  std::vector<Report> champions_;  ///< by region; has_candidate = nominated
+  std::vector<double> values_;
+  std::uint64_t reports_polled_ = 0;
+};
+
+}  // namespace
+
 HierarchicalResult run_hierarchical(const drp::Problem& problem,
                                     const RegionalConfig& config) {
   AGTRAM_OBS_SPAN("regional.hierarchical_run");
-  net::Clustering clustering = cluster_for(problem, config);
-  const std::size_t region_count = clustering.region_count();
-
   HierarchicalResult result{drp::ReplicaPlacement(problem),
-                            std::move(clustering),
+                            cluster_for(problem, config),
                             {},
                             0.0,
                             0};
 
-  std::vector<Agent> agents;
-  agents.reserve(problem.server_count());
-  std::vector<std::vector<std::uint32_t>> region_live(region_count);
-  for (drp::ServerId i = 0; i < problem.server_count(); ++i) {
-    agents.emplace_back(problem, i);
-    if (!agents.back().retired()) {
-      region_live[result.clustering.assignment[i]].push_back(
-          static_cast<std::uint32_t>(agents.size() - 1));
-    }
-  }
-  std::vector<bool> region_failed(region_count, false);
+  // A failed region's decision body is down: its members never report.
+  std::vector<bool> region_failed(result.clustering.region_count(), false);
   for (const std::uint32_t r : config.failed_regions) {
-    if (r < region_count) region_failed[r] = true;
+    if (r < region_failed.size()) region_failed[r] = true;
+  }
+  std::vector<drp::ServerId> participants;
+  for (drp::ServerId i = 0; i < problem.server_count(); ++i) {
+    if (!region_failed[result.clustering.assignment[i]]) {
+      participants.push_back(i);
+    }
   }
 
-  struct Champion {
-    double value;
-    drp::ServerId server;
-    drp::ObjectIndex object;
-    double true_value;
-  };
-  struct RegionNomination {
-    bool has = false;
-    Champion champion{0.0, 0, 0, 0.0};
-  };
-  std::vector<RegionNomination> nominations(region_count);
-  std::vector<Report> reports(agents.size());
-
-  std::size_t round = 0;
-  for (;;) {
-    if (config.max_epochs != 0 && round >= config.max_epochs) break;
-
-    // Level 1: every live region nominates its champion (regional argmax,
-    // ties towards the lowest server id — region members are in id order).
-    // Region rounds poll against the round-start placement, one job per
-    // region under Sharded, so the nominations match Serial exactly.
-    for_each_region(config, region_count, [&](std::uint32_t r) {
-      nominations[r] = RegionNomination{};
-      if (region_failed[r]) return;
-      auto& live = region_live[r];
-      if (live.empty()) return;
-      const std::uint64_t polled = live.size();
-      poll_reports(config, agents, live, result.placement, reports);
-      std::vector<std::uint32_t> next_live;
-      next_live.reserve(live.size());
-      for (const std::uint32_t a : live) {
-        if (!reports[a].has_candidate) continue;
-        next_live.push_back(a);
-        if (!nominations[r].has ||
-            reports[a].claimed_value > nominations[r].champion.value) {
-          nominations[r].has = true;
-          nominations[r].champion =
-              Champion{reports[a].claimed_value, agents[a].id(),
-                       reports[a].object, reports[a].true_value};
-        }
-      }
-      live = std::move(next_live);
-      AGTRAM_OBS_COUNT("regional.reports_polled", polled);
-      AGTRAM_OBS_COUNT("regional.report_bytes", polled * kReportWireBytes);
-    });
-
-    std::vector<Champion> champions;
-    champions.reserve(region_count);
-    for (std::uint32_t r = 0; r < region_count; ++r) {
-      if (nominations[r].has) champions.push_back(nominations[r].champion);
-    }
-    if (champions.empty()) break;
-    result.top_level_reports += champions.size();
-
-    // Level 2: the top centre compares R scalars.
-    std::size_t winner_slot = 0;
-    for (std::size_t c = 1; c < champions.size(); ++c) {
-      if (champions[c].value > champions[winner_slot].value ||
-          (champions[c].value == champions[winner_slot].value &&
-           champions[c].server < champions[winner_slot].server)) {
-        winner_slot = c;
-      }
-    }
-    double second = 0.0;
-    for (std::size_t c = 0; c < champions.size(); ++c) {
-      if (c != winner_slot) second = std::max(second, champions[c].value);
-    }
-    const double payment =
-        config.payment_rule == PaymentRule::SecondPrice ? second
-        : config.payment_rule == PaymentRule::FirstPrice
-            ? champions[winner_slot].value
-            : 0.0;
-
-    const Champion& winner = champions[winner_slot];
-    assert(result.placement.can_replicate(winner.server, winner.object));
-    result.placement.add_replica(winner.server, winner.object);
-    result.rounds.push_back(RoundRecord{winner.server, winner.object,
-                                        winner.value, winner.true_value,
-                                        payment});
-    result.total_charges += payment;
-    AGTRAM_OBS_COUNT("regional.hier_rounds", 1);
-    AGTRAM_OBS_COUNT("regional.replicas_placed", 1);
-    ++round;
-  }
+  TopCentre top(result.clustering, config.payment_rule, result);
+  AgtRamConfig mech;
+  mech.payment_rule = PaymentRule::None;  // the top centre prices each round
+  mech.report_mode = ReportMode::Naive;
+  mech.observer = &top;
+  mech.max_rounds = config.max_epochs;
+  MechanismResult flat = run_agt_ram_from(
+      problem, mech, std::move(result.placement), &participants);
+  result.placement = std::move(flat.placement);
+  AGTRAM_OBS_COUNT("regional.reports_polled", top.reports_polled());
+  AGTRAM_OBS_COUNT("regional.report_bytes",
+                   top.reports_polled() * kReportWireBytes);
   return result;
 }
 

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -36,6 +37,15 @@ enum class RegionalExecution : std::uint8_t {
   Sharded,  ///< poll all live regions concurrently on the thread pool
 };
 
+/// The regional engines' one scheduler: runs `body(r)` once per region
+/// r < region_count, one pool job per region under Sharded (on `pool`, or
+/// common::ThreadPool::shared() when it is null), in ascending order under
+/// Serial.  Bodies may only write region-owned state and read shared state,
+/// so the two orders are byte-identical.
+void for_each_region(RegionalExecution execution, common::ThreadPool* pool,
+                     std::size_t region_count,
+                     const std::function<void(std::uint32_t)>& body);
+
 struct RegionalConfig {
   std::uint32_t regions = 4;
   PaymentRule payment_rule = PaymentRule::SecondPrice;
@@ -46,12 +56,9 @@ struct RegionalConfig {
   std::uint64_t seed = 1;
   /// Safety valve; 0 = run to quiescence.
   std::size_t max_epochs = 0;
+  /// Epoch schedule of run_regional and run_regional_cooperative;
+  /// run_hierarchical runs on the flat round loop and ignores it.
   RegionalExecution execution = RegionalExecution::Serial;
-  /// PARFOR over a region's live agents inside the poll phase.  Under
-  /// Sharded the outer region jobs occupy the pool, so the inner call takes
-  /// the pool's inline fallback — same results either way.
-  bool parallel_agents = false;
-  std::size_t parallel_min_agents = 256;
   /// Pool for Sharded execution; nullptr = common::ThreadPool::shared().
   common::ThreadPool* pool = nullptr;
 };
@@ -99,12 +106,15 @@ RegionalResult run_regional_cooperative(const drp::Problem& problem,
 /// round, exactly like the flat mechanism, but the top centre compares R
 /// scalars instead of M (the regional centres absorb the fan-in).
 ///
-/// Allocation-equivalent to run_agt_ram (the argmax of regional argmaxes is
-/// the global argmax; ties break towards the lowest server id at both
-/// levels) — tested.  Payments clear at the top level against the
+/// The argmax of regional argmaxes is the global argmax (ties break towards
+/// the lowest server id at both levels), so the rounds are those of the
+/// flat naive sweep over the members of live regions, and that is how it
+/// runs: run_agt_ram_from drives them, and an observer plays the regional
+/// centres and the top centre.  Payments clear at the top level against the
 /// second-best champion, which is never more than the flat second price
 /// (the flat runner-up may hide inside the winner's own region), so the
-/// hierarchy is weakly cheaper for the winners.
+/// hierarchy is weakly cheaper for the winners.  `max_epochs` caps the
+/// rounds; `execution` and `pool` are not used.
 struct HierarchicalResult {
   drp::ReplicaPlacement placement;
   net::Clustering clustering;

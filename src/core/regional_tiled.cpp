@@ -12,29 +12,6 @@ namespace agtram::core {
 
 namespace {
 
-common::ThreadPool& resolve_pool(const TiledRegionalConfig& config) {
-  return config.pool != nullptr ? *config.pool : common::ThreadPool::shared();
-}
-
-template <typename Body>
-void for_each_region(const TiledRegionalConfig& config,
-                     std::size_t region_count, const Body& body) {
-  if (config.execution == RegionalExecution::Sharded) {
-    resolve_pool(config).parallel_for(
-        0, region_count,
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t r = begin; r < end; ++r) {
-            body(static_cast<std::uint32_t>(r));
-          }
-        },
-        /*min_grain=*/1);
-  } else {
-    for (std::size_t r = 0; r < region_count; ++r) {
-      body(static_cast<std::uint32_t>(r));
-    }
-  }
-}
-
 /// Objects each region's shard must carry: those a member reads/writes plus
 /// those whose primary lives in the region.  One pass over the nonzeros.
 /// noinline: GCC 12's -Wfree-nonheap-object misfires on the stamp vector
@@ -161,7 +138,9 @@ void collect_allocations(const drp::ReplicaPlacement& placement,
 
 /// Cooperative shard: greedy welfare loop on a per-region DeltaEvaluator —
 /// lazy max-heap over objects of their best member add (benefits only
-/// decay as replicas land, so stale tops re-validate).
+/// decay as replicas land, so stale tops re-validate).  Every scan may
+/// fork: DeltaEvaluator::kParallelMinServers keeps small shards inline, and
+/// under Sharded the pool runs the nested call inline.
 void run_cooperative_shard(const ShardProblem& shard,
                            const TiledRegionalConfig& config,
                            const std::vector<net::NodeId>& members,
@@ -185,7 +164,7 @@ void run_cooperative_shard(const ShardProblem& shard,
   std::uint64_t scans = 0;
   for (drp::ObjectIndex k = 0; k < sub.object_count(); ++k) {
     const drp::DeltaEvaluator::BestAdd best =
-        eval.best_add_for_object(k, &allowed, scratch, config.parallel_agents);
+        eval.best_add_for_object(k, &allowed, scratch, /*parallel=*/true);
     ++scans;
     if (best.benefit > 0.0) heap.push(HeapEntry{best.benefit, k});
   }
@@ -197,7 +176,7 @@ void run_cooperative_shard(const ShardProblem& shard,
     const HeapEntry top = heap.top();
     heap.pop();
     const drp::DeltaEvaluator::BestAdd fresh = eval.best_add_for_object(
-        top.object, &allowed, scratch, config.parallel_agents);
+        top.object, &allowed, scratch, /*parallel=*/true);
     ++scans;
     if (fresh.benefit <= 0.0) continue;
     if (!heap.empty() && fresh.benefit < heap.top().benefit) {
@@ -208,7 +187,7 @@ void run_cooperative_shard(const ShardProblem& shard,
     run.outcome.rounds += 1;
     run.outcome.replicas_placed += 1;
     const drp::DeltaEvaluator::BestAdd next = eval.best_add_for_object(
-        top.object, &allowed, scratch, config.parallel_agents);
+        top.object, &allowed, scratch, /*parallel=*/true);
     ++scans;
     if (next.benefit > 0.0) heap.push(HeapEntry{next.benefit, top.object});
   }
@@ -225,7 +204,6 @@ void run_auction_shard(const ShardProblem& shard,
   AgtRamConfig mech_cfg;
   mech_cfg.payment_rule = config.payment_rule;
   mech_cfg.report_mode = ReportMode::Auto;
-  mech_cfg.parallel_agents = config.parallel_agents;
   mech_cfg.max_rounds = config.max_rounds_per_region;
   const MechanismResult result = run_agt_ram(shard.sub, mech_cfg);
   run.outcome.rounds = result.rounds.size();
@@ -283,7 +261,8 @@ TiledRegionalResult run_regional_tiled(const drp::SparseInstance& instance,
   // Shards share no mutable state (each builds and solves its own
   // subproblem), so Serial and Sharded execution are byte-identical.
   std::vector<ShardRun> runs(region_count);
-  for_each_region(config, region_count, [&](std::uint32_t r) {
+  for_each_region(config.execution, config.pool, region_count,
+                  [&](std::uint32_t r) {
     ShardRun& run = runs[r];
     const std::vector<net::NodeId>& members = partition.tiles.members(r);
     const ShardProblem shard =

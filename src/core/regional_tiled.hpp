@@ -55,9 +55,6 @@ struct TiledRegionalConfig {
   std::uint32_t refine_iterations = 1;
   /// Per-shard round cap; 0 = run each shard to quiescence.
   std::size_t max_rounds_per_region = 0;
-  /// Inner PARFOR inside a shard's auction rounds / candidate scans
-  /// (inline under Sharded via the pool's nested fallback).
-  bool parallel_agents = true;
   /// Pool for Sharded execution; nullptr = common::ThreadPool::shared().
   common::ThreadPool* pool = nullptr;
 };

@@ -48,9 +48,8 @@ class DeltaEvaluator {
  public:
   /// Per-server scan cutoff: below this many servers the chunked row walk of
   /// best_add_for_object cannot amortise a pool fork, so the scan stays
-  /// inline even when asked to parallelise (round-size-aware cutoff, same
-  /// policy as the mechanism's parallel_min_agents).  Public so benches and
-  /// obs decision blocks can report the threshold the scan compared against.
+  /// inline even when asked to parallelise.  Public so benches and obs
+  /// decision blocks can report the threshold the scan compared against.
   static constexpr std::size_t kParallelMinServers = 1024;
 
   explicit DeltaEvaluator(ReplicaPlacement placement);

@@ -1,5 +1,7 @@
 #include "drp/placement_io.hpp"
 
+#include <charconv>
+#include <cstdint>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -40,12 +42,16 @@ ReplicaPlacement read_placement(std::istream& is, const Problem& problem) {
 
     const auto colon = line.find(':');
     if (colon == std::string::npos) fail("missing ':'");
-    std::size_t object = 0;
-    try {
-      object = std::stoul(line.substr(0, colon));
-    } catch (const std::exception&) {
-      fail("bad object index");
-    }
+    // The whole field, blanks aside, must be the index and fit in 64 bits,
+    // so "0x", "0.5", "-0" and an overflowing index are refused rather than
+    // read as object 0.
+    const auto first = line.find_first_not_of(" \t");
+    if (first >= colon) fail("bad object index");
+    const char* const end =
+        line.data() + line.find_last_not_of(" \t", colon - 1) + 1;
+    std::uint64_t object = 0;
+    const auto [ptr, ec] = std::from_chars(line.data() + first, end, object);
+    if (ec != std::errc() || ptr != end) fail("bad object index");
     if (object >= problem.object_count()) fail("object index out of range");
 
     std::istringstream servers(line.substr(colon + 1));

@@ -13,7 +13,6 @@ DistributedRunReport run_distributed(const drp::Problem& problem,
 
   core::AgtRamConfig mech;
   mech.payment_rule = config.payment_rule;
-  mech.parallel_agents = true;
   mech.report_mode = config.report_mode;
   mech.observer = &bus;
 

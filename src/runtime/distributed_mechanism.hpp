@@ -1,8 +1,9 @@
-// The semi-distributed execution of AGT-RAM: agents evaluate their candidate
-// lists concurrently on the shared thread pool (the PARFOR loops of
-// Figure 2) while a MessageBus accounts the protocol traffic.  The allocation
-// is byte-identical to the serial run — the centre reduces reports with a
-// deterministic tie-break — which tests assert.
+// The semi-distributed execution of AGT-RAM: core::run_agt_ram with a
+// MessageBus observing every report, allocation and broadcast, so the
+// protocol traffic and its simulated network latency are accounted.  The
+// agents price their candidate lists concurrently on the shared thread pool
+// when they are built (Figure 2's PARFOR); the allocation is exactly
+// run_agt_ram's, which tests assert.
 #pragma once
 
 #include "core/agt_ram.hpp"
@@ -31,7 +32,7 @@ struct DistributedRunReport {
   double wall_seconds = 0.0;
 };
 
-/// Runs the mechanism with parallel agents and full message accounting.
+/// Runs the mechanism with full message accounting.
 DistributedRunReport run_distributed(const drp::Problem& problem,
                                      const DistributedConfig& config = {});
 

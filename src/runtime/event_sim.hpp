@@ -76,9 +76,12 @@ ProtocolTrace simulate_protocol(const drp::Problem& problem,
                                 std::int64_t centre = -1);
 
 /// Simulates the regional variant: each region runs the same protocol
-/// against its medoid concurrently; the makespan is the slowest region's
-/// finish time (regions share the placement state, synchronised per epoch
-/// as in core::run_regional).
+/// against its medoid, and an epoch lasts as long as its slowest region's
+/// round.  Within an epoch the regions run in ascending order on one shared
+/// placement, and each commits its winner before the next region polls, so
+/// a region sees the allocations of lower-numbered regions in the same
+/// epoch.  core::run_regional instead polls every region against the
+/// epoch-start placement.
 ProtocolTrace simulate_regional_protocol(const drp::Problem& problem,
                                          std::uint32_t regions,
                                          const ProtocolModel& model = {});

@@ -114,11 +114,4 @@ ReplayStats replay(const drp::ReplicaPlacement& placement) {
   return stats;
 }
 
-double mean_latency_improvement(const drp::ReplicaPlacement& before,
-                                const drp::ReplicaPlacement& after) {
-  const double b = replay(before).read_latency.mean;
-  const double a = replay(after).read_latency.mean;
-  return a > 0.0 ? b / a : 0.0;
-}
-
 }  // namespace agtram::sim

@@ -70,9 +70,4 @@ struct ReplayStats {
 /// `placement`.  Deterministic; O(nnz + total replicas).
 ReplayStats replay(const drp::ReplicaPlacement& placement);
 
-/// Convenience: read-latency improvement of `after` over `before`
-/// (mean latency ratio), e.g. primaries-only vs. a mechanism's output.
-double mean_latency_improvement(const drp::ReplicaPlacement& before,
-                                const drp::ReplicaPlacement& after);
-
 }  // namespace agtram::sim

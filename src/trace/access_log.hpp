@@ -35,8 +35,11 @@ struct DayLog {
 /// Whitespace-separated "day client object units" lines.
 void write_day_log(std::ostream& os, const DayLog& log);
 
-/// Parses lines produced by write_day_log; throws std::runtime_error on
-/// malformed input.  Stops at EOF.
+/// Parses lines produced by write_day_log; stops at EOF.  Throws
+/// std::runtime_error naming the line on anything else: a field count other
+/// than four, a field that is not a whole unsigned 32-bit decimal (a sign,
+/// a fraction, trailing junk, overflow), or a day index other than the
+/// first line's.
 DayLog read_day_log(std::istream& is);
 
 }  // namespace agtram::trace

@@ -367,6 +367,10 @@ TEST(PlacementIo, MalformedInputsThrow) {
   expect_throw("0: junk\n");    // bad server token
   expect_throw("0: 1 1\n");     // duplicate replica
   expect_throw("0: 0\n");       // primary listed as extra replica
+  expect_throw("0x: 1\n");      // trailing junk after the object index
+  expect_throw("0.5: 1\n");     // fractional object index
+  expect_throw("-0: 1\n");      // signed object index
+  expect_throw("18446744073709551616: 1\n");  // object index overflows
 }
 
 TEST(PlacementIo, CapacityViolationRejected) {

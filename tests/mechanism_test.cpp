@@ -167,21 +167,6 @@ TEST(AgtRam, CostDecreasesMonotonicallyAcrossRounds) {
   }
 }
 
-TEST(AgtRam, ParallelAgentsProduceIdenticalAllocation) {
-  const drp::Problem p = testutil::small_instance(64, 24, 80);
-  AgtRamConfig serial_cfg;
-  AgtRamConfig parallel_cfg;
-  parallel_cfg.parallel_agents = true;
-  const MechanismResult serial = run_agt_ram(p, serial_cfg);
-  const MechanismResult parallel = run_agt_ram(p, parallel_cfg);
-  ASSERT_EQ(serial.rounds.size(), parallel.rounds.size());
-  for (std::size_t r = 0; r < serial.rounds.size(); ++r) {
-    EXPECT_EQ(serial.rounds[r].winner, parallel.rounds[r].winner);
-    EXPECT_EQ(serial.rounds[r].object, parallel.rounds[r].object);
-    EXPECT_DOUBLE_EQ(serial.rounds[r].payment, parallel.rounds[r].payment);
-  }
-}
-
 TEST(AgtRam, MaxRoundsCapRespected) {
   const drp::Problem p = testutil::small_instance(65);
   AgtRamConfig cfg;
@@ -361,26 +346,14 @@ void run_differential(const drp::Problem& p, const char* label,
                       std::size_t max_rounds = 0) {
   AgtRamConfig naive_cfg;
   naive_cfg.report_mode = ReportMode::Naive;
-  naive_cfg.parallel_agents = false;
-  // Exercise the forked PARFOR path even on tiny rounds (the production
-  // default would run them inline below the cutoff).
-  naive_cfg.parallel_min_agents = 1;
   naive_cfg.max_rounds = max_rounds;
   const MechanismResult oracle = run_agt_ram(p, naive_cfg);
 
   AgtRamConfig cfg = naive_cfg;
-  cfg.parallel_agents = true;
-  expect_identical_results(oracle, run_agt_ram(p, cfg), p,
-                           (std::string(label) + "/naive-parallel").c_str());
-  cfg.parallel_agents = false;
   cfg.report_mode = ReportMode::Incremental;
   expect_identical_results(oracle, run_agt_ram(p, cfg), p,
-                           (std::string(label) + "/incr-serial").c_str());
-  cfg.parallel_agents = true;
-  expect_identical_results(oracle, run_agt_ram(p, cfg), p,
-                           (std::string(label) + "/incr-parallel").c_str());
+                           (std::string(label) + "/incremental").c_str());
   // Auto must resolve to one of the two paths above and stay identical.
-  cfg.parallel_agents = false;
   cfg.report_mode = ReportMode::Auto;
   const MechanismResult auto_run = run_agt_ram(p, cfg);
   EXPECT_NE(auto_run.resolved_mode, ReportMode::Auto);
@@ -425,8 +398,8 @@ TEST(Differential, DispersedDemandInstances) {
 }
 
 TEST(Differential, PaperScaleFamilyRoundCapped) {
-  // The paper-scale M=3000 dispersed family, round-capped so all five
-  // paths (naive/incremental x serial/parallel, plus Auto) stay test-sized.
+  // The paper-scale M=3000 dispersed family, round-capped so all three
+  // paths (naive, incremental and Auto) stay test-sized.
   // Recipe: seed 42, power-law topology, dispersed demand with 8
   // readers/object, 1% capacity, R/W 0.9.
   drp::InstanceSpec spec;

@@ -27,7 +27,6 @@
 #include "drp/delta_evaluator.hpp"
 #include "drp/problem.hpp"
 #include "runtime/event_sim.hpp"
-#include "sim/online_driver.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -569,16 +568,23 @@ void run_randomized_stream(drp::Problem problem, std::uint64_t seed,
   model.object_churn_probability = 0.3;
   runtime::OnlineEventSource source(engine, model);
 
-  const sim::OnlineStreamStats stats =
-      sim::run_online_stream(engine, source, batches);
-  EXPECT_EQ(stats.batches, batches);
+  std::size_t oracle_checked = 0;
+  std::size_t events = 0;
+  std::uint64_t replicas_lost = 0;
+  double final_cost = 0.0;
+  for (std::size_t b = 0; b < batches; ++b) {
+    const core::BatchOutcome out = engine.apply_events(source.next_batch());
+    oracle_checked += out.oracle_checked ? 1 : 0;
+    events += out.events_applied;
+    replicas_lost += out.replicas_lost;
+    final_cost = out.total_cost;
+  }
   // Unbounded repair: every batch drains, so every batch is oracle-checked.
-  EXPECT_EQ(stats.oracle_checked, batches);
-  EXPECT_GT(stats.events, 0u);
+  EXPECT_EQ(oracle_checked, batches);
+  EXPECT_GT(events, 0u);
   // The mean-field churn must actually exercise loss-driven re-replication.
-  EXPECT_GT(stats.replicas_lost, 0u);
-  EXPECT_EQ(stats.final_cost,
-            drp::CostModel::total_cost(engine.placement()));
+  EXPECT_GT(replicas_lost, 0u);
+  EXPECT_EQ(final_cost, drp::CostModel::total_cost(engine.placement()));
 }
 
 TEST(OnlineMechanismTest, RandomizedStreamsStayByteIdenticalDispersed) {
@@ -652,9 +658,7 @@ TEST(OnlineMechanismTest, RandomizedStreamWithBoundedRepair) {
   model.replica_loss_rate = 0.05;
   model.flash_crowd_probability = 0.3;
   runtime::OnlineEventSource source(engine, model);
-  const sim::OnlineStreamStats stats =
-      sim::run_online_stream(engine, source, 20);
-  EXPECT_EQ(stats.batches, 20u);
+  for (int b = 0; b < 20; ++b) engine.apply_events(source.next_batch());
   // Drain whatever is still pending, then the oracle must hold.
   std::size_t guard = 0;
   while (!engine.pending_carryover().empty()) {

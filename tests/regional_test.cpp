@@ -232,6 +232,67 @@ TEST(Hierarchical, FailedRegionsNeverWin) {
   EXPECT_NO_THROW(hier.placement.check_invariants());
 }
 
+struct PinnedRound {
+  drp::ServerId winner;
+  drp::ObjectIndex object;
+  double payment;
+};
+
+void expect_hierarchical_outputs(const core::HierarchicalResult& hier,
+                                 const std::vector<PinnedRound>& rounds,
+                                 double total_charges,
+                                 std::uint64_t top_level_reports) {
+  ASSERT_EQ(hier.rounds.size(), rounds.size());
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    EXPECT_EQ(hier.rounds[r].winner, rounds[r].winner) << "round " << r;
+    EXPECT_EQ(hier.rounds[r].object, rounds[r].object) << "round " << r;
+    EXPECT_EQ(hier.rounds[r].payment, rounds[r].payment) << "round " << r;
+  }
+  EXPECT_EQ(hier.total_charges, total_charges);
+  EXPECT_EQ(hier.top_level_reports, top_level_reports);
+}
+
+// Every output of the two-level mechanism, bitwise: each round's winner,
+// object and top-level payment, the summed charges and the number of
+// champions the top centre compared.  The values were recorded from the
+// engine's own region-by-region round loop, before it ran on the flat one.
+TEST(Hierarchical, OutputsPinned) {
+  core::RegionalConfig cfg;
+  cfg.regions = 4;
+  expect_hierarchical_outputs(
+      core::run_hierarchical(testutil::small_instance(220, 24, 80), cfg),
+      {{15, 4, 0x1.108p+9}, {15, 2, 0x1.108p+9}, {15, 6, 0x1.108p+9},
+       {14, 0, 0x1.36p+7},  {14, 4, 0x1.4p+6},   {14, 1, 0x1.4p+6},
+       {13, 0, 0x1.4p+4},   {6, 0, 0x1.4p+4},    {21, 1, 0x1.4p+4},
+       {14, 3, 0x1.8p+2},   {6, 1, 0x1.8p+2},    {19, 0, 0x0p+0}},
+      0x1.f98p+10, 33);
+
+  cfg.failed_regions = {1};
+  expect_hierarchical_outputs(
+      core::run_hierarchical(testutil::small_instance(221, 24, 80), cfg),
+      {{9, 3, 0x1.9ap+11},  {8, 2, 0x1.1c6p+11}, {8, 4, 0x1.1c6p+11},
+       {19, 4, 0x1.0ep+11}, {8, 0, 0x1.878p+10}, {7, 3, 0x1.77p+10},
+       {8, 3, 0x1.77p+10},  {7, 2, 0x1.77p+10},  {8, 5, 0x1.77p+10},
+       {19, 3, 0x1.578p+10}, {9, 0, 0x1.554p+10}, {19, 2, 0x1.44p+10},
+       {9, 1, 0x1.35p+10},  {19, 0, 0x1.318p+10}, {9, 4, 0x1.248p+10},
+       {20, 4, 0x1.18p+10}, {7, 0, 0x1.18p+10},  {19, 1, 0x1.05p+10},
+       {7, 1, 0x1.5ep+9},   {5, 3, 0x1.5ep+9},   {8, 6, 0x1.5ep+9},
+       {20, 0, 0x1.5ep+9},  {7, 4, 0x1.5ep+9},   {9, 6, 0x1.5ep+9},
+       {20, 1, 0x1.2e8p+9}, {20, 2, 0x1.2e8p+9}, {20, 3, 0x1.2e8p+9},
+       {9, 8, 0x1.13p+9},   {9, 5, 0x1.13p+9},   {7, 6, 0x1.a4p+8},
+       {19, 6, 0x1.6ep+8},  {5, 0, 0x1.0ep+7},   {5, 1, 0x1.0ep+7},
+       {8, 9, 0x1.0ep+7},   {11, 0, 0x1.0ep+7},  {20, 6, 0x1.0ep+7},
+       {11, 4, 0x1.0ep+7},  {11, 1, 0x1.0ep+7},  {5, 11, 0x1.0ep+7},
+       {11, 3, 0x1.0ep+7},  {5, 5, 0x1.0ep+7},   {13, 0, 0x1.0ep+7},
+       {13, 1, 0x1.0ep+7},  {15, 0, 0x1.9p+6},   {6, 0, 0x1.8p+6},
+       {5, 8, 0x1.8p+6},    {20, 5, 0x1.8p+6},   {15, 1, 0x1p+6},
+       {7, 9, 0x1.68p+5},   {5, 6, 0x1.68p+5},   {8, 7, 0x1.68p+5},
+       {6, 1, 0x1.6p+4},    {0, 0, 0x1.6p+4},    {9, 7, 0x1p+3},
+       {2, 0, 0x1.8p+2},    {8, 26, 0x0p+0},     {0, 1, 0x0p+0},
+       {5, 7, 0x0p+0}},
+      0x1.2e1ap+15, 167);
+}
+
 TEST(Regional, RegionStatsAreConsistent) {
   const drp::Problem p = testutil::small_instance(217, 24, 80);
   core::RegionalConfig cfg;
@@ -296,15 +357,13 @@ void expect_regional_results_identical(const core::RegionalResult& serial,
   expect_placements_identical(serial.placement, sharded.placement);
 }
 
-// Serial config: the oracle, all parallelism off.  Sharded config: region
-// jobs on an explicit 4-worker pool with the inner agent PARFOR forced on
-// (it takes the pool's inline fallback inside region jobs).  Every result
+// Serial config: the oracle, regions one after another.  Sharded config:
+// one region job per region on an explicit 4-worker pool.  Every result
 // field must match bitwise.
 core::RegionalConfig serial_config(std::uint32_t regions) {
   core::RegionalConfig cfg;
   cfg.regions = regions;
   cfg.execution = core::RegionalExecution::Serial;
-  cfg.parallel_agents = false;
   return cfg;
 }
 
@@ -313,8 +372,6 @@ core::RegionalConfig sharded_config(std::uint32_t regions,
   core::RegionalConfig cfg;
   cfg.regions = regions;
   cfg.execution = core::RegionalExecution::Sharded;
-  cfg.parallel_agents = true;
-  cfg.parallel_min_agents = 1;
   cfg.pool = &pool;
   return cfg;
 }
@@ -344,26 +401,6 @@ TEST(RegionalDifferential, ShardedCooperativeByteIdenticalToSerial) {
   }
 }
 
-TEST(RegionalDifferential, ShardedHierarchicalByteIdenticalToSerial) {
-  common::ThreadPool pool(4);
-  for (const Family& f : kFamilies) {
-    const drp::Problem p =
-        testutil::small_instance(f.seed, f.servers, f.objects, f.capacity,
-                                 f.rw);
-    const auto serial = core::run_hierarchical(p, serial_config(4));
-    const auto sharded = core::run_hierarchical(p, sharded_config(4, pool));
-    ASSERT_EQ(serial.rounds.size(), sharded.rounds.size());
-    for (std::size_t r = 0; r < serial.rounds.size(); ++r) {
-      EXPECT_EQ(serial.rounds[r].winner, sharded.rounds[r].winner);
-      EXPECT_EQ(serial.rounds[r].object, sharded.rounds[r].object);
-      EXPECT_EQ(serial.rounds[r].payment, sharded.rounds[r].payment);
-    }
-    EXPECT_EQ(serial.total_charges, sharded.total_charges);
-    EXPECT_EQ(serial.top_level_reports, sharded.top_level_reports);
-    expect_placements_identical(serial.placement, sharded.placement);
-  }
-}
-
 TEST(RegionalDifferential, ShardedMatchesSerialUnderRegionFailures) {
   common::ThreadPool pool(4);
   const drp::Problem p = testutil::small_instance(233, 36, 120, 0.05);
@@ -373,20 +410,6 @@ TEST(RegionalDifferential, ShardedMatchesSerialUnderRegionFailures) {
   sharded.failed_regions = {1, 3};
   expect_regional_results_identical(core::run_regional(p, serial),
                                     core::run_regional(p, sharded));
-}
-
-TEST(RegionalDifferential, ShardedHierarchicalMatchesFlatMechanism) {
-  // Transitivity check pinned directly: the sharded two-level mechanism
-  // reproduces the flat allocation sequence.
-  common::ThreadPool pool(4);
-  const drp::Problem p = testutil::small_instance(218, 32, 120, 0.06);
-  const auto flat = core::run_agt_ram(p);
-  const auto hier = core::run_hierarchical(p, sharded_config(4, pool));
-  ASSERT_EQ(flat.rounds.size(), hier.rounds.size());
-  for (std::size_t r = 0; r < flat.rounds.size(); ++r) {
-    EXPECT_EQ(flat.rounds[r].winner, hier.rounds[r].winner);
-    EXPECT_EQ(flat.rounds[r].object, hier.rounds[r].object);
-  }
 }
 
 // ------------------------------------------------------- sampled clustering
@@ -581,10 +604,8 @@ TEST(TiledRegional, ShardedByteIdenticalToSerial) {
   core::TiledRegionalConfig serial;
   serial.regions = 6;
   serial.execution = core::RegionalExecution::Serial;
-  serial.parallel_agents = false;
   core::TiledRegionalConfig sharded = serial;
   sharded.execution = core::RegionalExecution::Sharded;
-  sharded.parallel_agents = true;
   sharded.pool = &pool;
   const core::TiledPartition partition =
       core::make_tiled_partition(inst, serial);
@@ -614,10 +635,8 @@ TEST(TiledRegional, CooperativeShardedByteIdenticalToSerial) {
   serial.regions = 5;
   serial.cooperative = true;
   serial.execution = core::RegionalExecution::Serial;
-  serial.parallel_agents = false;
   core::TiledRegionalConfig sharded = serial;
   sharded.execution = core::RegionalExecution::Sharded;
-  sharded.parallel_agents = true;
   sharded.pool = &pool;
   const core::TiledPartition partition =
       core::make_tiled_partition(inst, serial);

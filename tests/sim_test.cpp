@@ -73,11 +73,12 @@ TEST(Replay, LatencySummaryIsCoherent) {
 TEST(Replay, MechanismReducesUserPerceivedLatency) {
   // The paper's opening claim: replication alleviates access delays.
   const drp::Problem p = testutil::small_instance(406, 24, 80, 0.06);
-  const drp::ReplicaPlacement before(p);
-  const auto after = core::run_agt_ram(p).placement;
-  EXPECT_GT(sim::mean_latency_improvement(before, after), 1.2);
-  EXPECT_GT(sim::replay(after).read_latency.local_fraction,
-            sim::replay(before).read_latency.local_fraction);
+  const sim::ReplayStats before = sim::replay(drp::ReplicaPlacement(p));
+  const sim::ReplayStats after = sim::replay(core::run_agt_ram(p).placement);
+  ASSERT_GT(after.read_latency.mean, 0.0);
+  EXPECT_GT(before.read_latency.mean / after.read_latency.mean, 1.2);
+  EXPECT_GT(after.read_latency.local_fraction,
+            before.read_latency.local_fraction);
 }
 
 TEST(Replay, LoadSummaryIsCoherent) {

@@ -4,6 +4,7 @@
 
 #include <set>
 #include <sstream>
+#include <string>
 #include <unordered_set>
 
 #include "trace/access_log.hpp"
@@ -170,8 +171,23 @@ TEST(AccessLog, RoundTrip) {
 }
 
 TEST(AccessLog, MalformedLineThrows) {
-  std::stringstream ss("4 1 junk\n");
-  EXPECT_THROW(read_day_log(ss), std::runtime_error);
+  // Each bad line follows a good one, so the refusal must name line 2.
+  const auto expect_refused = [](const std::string& bad) {
+    std::stringstream ss("4 1 2 3\n" + bad + "\n");
+    try {
+      read_day_log(ss);
+      ADD_FAILURE() << "accepted: " << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_refused("4 1 junk");
+  expect_refused("4 -1 2 3");   // negative client
+  expect_refused("4 1 -2 3");   // negative object
+  expect_refused("4 1 2 3.5");  // fractional units
+  expect_refused("4 1 2 3 4");  // fifth field
+  expect_refused("4 1 2 4294967296");  // units past uint32
 }
 
 TEST(AccessLog, MixedDaysThrow) {

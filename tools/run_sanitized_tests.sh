@@ -1,25 +1,28 @@
 #!/usr/bin/env sh
-# Builds the concurrency-sensitive test binaries under ThreadSanitizer (or
-# AddressSanitizer with SAN=address, or UBSan with SAN=undefined — the
-# undefined build compiles with -fno-sanitize-recover=all so any report
-# aborts the test) and runs them.  The thread-pool's
-# lock-lean parallel_for and the mechanism's PARFOR rounds are the targets:
-# chunk claiming, the completion latch, and the stack-job entrants drain are
-# all bare atomics, exactly what TSan is for.  The observability layer is
+# Builds the concurrency-sensitive and input-parsing test binaries under
+# ThreadSanitizer (or AddressSanitizer with SAN=address, or UBSan with
+# SAN=undefined — the undefined build compiles with
+# -fno-sanitize-recover=all so any report aborts the test) and runs them.
+# The thread-pool's lock-lean parallel_for is the main target: chunk
+# claiming, the completion latch, and the stack-job entrants drain are all
+# bare atomics, exactly what TSan is for.  The observability layer is
 # compiled into every build, so the relaxed counter atomics and the
 # trace-sink pointer are under the same sanitizers as the pool.
 # test_net runs the metric closure's per-source Dijkstras on the pool, and
 # its refusals cross the pool's exception hand-off.  test_horizon scores
 # placements bound to the online engine's Problem while apply_events
-# rewrites its demand in place — a lifetime ASan should watch.  Mechanism
-# runs build their agents on the pool whatever parallel_agents says, so
-# test_mechanism and test_online fork agent construction on every solve and
-# repair.  The online engine also re-prices a batch's demand-touched
-# objects in one parallel_for; test_online forks that re-price over a
-# thousand objects, and test_serving runs it on every fold.  test_layout
-# checks the by-server transpose that writes the slots those agents read.
-# test_obs_counters runs each instrumented layer once and checks that its
-# counters moved.
+# rewrites its demand in place — a lifetime ASan should watch.  Every
+# mechanism run builds its agents in one parallel_for (the rounds run on
+# the caller's thread), so test_mechanism and test_online fork agent
+# construction on every solve and repair.  The online engine also re-prices
+# a batch's demand-touched objects in one parallel_for; test_online forks
+# that re-price over a thousand objects, and test_serving runs it on every
+# fold.  test_regional runs the sharded regional engines' region jobs on an
+# explicit pool.  test_layout checks the by-server transpose that writes
+# the slots those agents read.  test_obs_counters runs each instrumented
+# layer once and checks that its counters moved.  test_trace and test_drp
+# feed the day-log and placement readers malformed lines, which they must
+# refuse without reading past a field.
 #
 # Usage:  tools/run_sanitized_tests.sh [build-dir]
 #   SAN=address|thread|undefined   sanitizer to use (default: thread)
@@ -39,14 +42,14 @@ cmake --build "$BUILD" -j "$(nproc)" \
            test_baselines_delta test_kernels test_online test_obs \
            test_obs_counters test_regional test_serving \
            test_strategic test_glauber test_tree_placement test_horizon \
-           test_layout
+           test_layout test_trace test_drp
 
 status=0
 for t in test_common test_net test_mechanism test_runtime \
          test_baselines_delta test_kernels test_online test_obs \
          test_obs_counters test_regional test_serving \
          test_strategic test_glauber test_tree_placement test_horizon \
-         test_layout; do
+         test_layout test_trace test_drp; do
   echo "== $SAN-sanitized $t =="
   # The paper-scale differential cases take minutes under a sanitizer's
   # slowdown; the small-family + fuzz cases exercise the same parallel scans.
