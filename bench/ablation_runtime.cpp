@@ -2,12 +2,13 @@
 // heavy processing is done on the servers ... the central body is only
 // required to take a binary decision".  This bench quantifies that claim:
 // protocol traffic split between centre and agents, the wall time of the
-// run, and simulated convergence time under the latency model.
+// run, and the protocol's turn-around time under runtime::MessageBus's
+// timing model.
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "core/regional.hpp"
 #include "runtime/distributed_mechanism.hpp"
-#include "runtime/event_sim.hpp"
 
 int main(int argc, char** argv) {
   using namespace agtram;
@@ -51,7 +52,7 @@ int main(int argc, char** argv) {
                            static_cast<double>(std::max<std::size_t>(
                                1, distributed.result.replicas_placed())),
                        1)});
-    table.add_row({"simulated protocol time (s)",
+    table.add_row({"simulated protocol time, incremental (s)",
                    common::Table::num(stats.simulated_seconds, 3)});
     table.add_row({"wall time (s)",
                    common::Table::num(distributed.wall_seconds, 3)});
@@ -74,14 +75,15 @@ int main(int argc, char** argv) {
     table.print(std::cout);
   }
 
-  // --- Discrete-event protocol simulation: turn-around time of the wire
-  // protocol (Figure 2) under clean, straggly, and lossy networks, flat vs
-  // regional decision bodies.
+  // --- Protocol turn-around time (Figure 2) under clean, straggly, and
+  // lossy networks: the bus times the flat mechanism's naive rounds (every
+  // live agent polled every round) and the regional engine's epochs (8
+  // decision bodies, clustered as ablation_regional clusters them).
   {
     common::Table table({"deployment", "network", "makespan (s)",
                          "rounds/epochs", "network share", "compute share",
                          "msgs", "retransmits"});
-    table.set_title("protocol turn-around time (discrete-event simulation)");
+    table.set_title("protocol turn-around time (timed rounds)");
     struct Scenario {
       const char* name;
       double straggler;
@@ -90,26 +92,39 @@ int main(int argc, char** argv) {
     const Scenario scenarios[] = {
         {"clean", 0.0, 0.0}, {"stragglers x3", 3.0, 0.0},
         {"2% message loss", 0.0, 0.02}};
+    const drp::ServerId centre = runtime::MessageBus::pick_centre(problem);
+    core::RegionalConfig regional;
+    regional.regions = 8;
+    regional.seed = seed;
+    const net::Clustering clustering = core::cluster_regions(problem, regional);
     for (const Scenario& s : scenarios) {
       runtime::ProtocolModel model;
       model.straggler_factor = s.straggler;
       model.loss_probability = s.loss;
-      for (const std::uint32_t regions : {0u, 8u}) {
-        const runtime::ProtocolTrace trace =
-            regions == 0
-                ? runtime::simulate_protocol(problem, model)
-                : runtime::simulate_regional_protocol(problem, regions, model);
+      const auto add_row = [&](const char* deployment,
+                               const runtime::MessageStats& timed) {
         table.add_row(
-            {regions == 0 ? "flat (1 centre)" : "regional (8 centres)",
-             s.name, common::Table::num(trace.makespan_seconds, 3),
-             std::to_string(trace.rounds),
-             common::Table::pct(trace.network_seconds /
-                                trace.makespan_seconds),
-             common::Table::pct(trace.compute_seconds /
-                                trace.makespan_seconds),
-             std::to_string(trace.messages_sent),
-             std::to_string(trace.retransmissions)});
-      }
+            {deployment, s.name, common::Table::num(timed.simulated_seconds, 3),
+             std::to_string(timed.rounds),
+             common::Table::pct(timed.network_seconds /
+                                timed.simulated_seconds),
+             common::Table::pct(timed.compute_seconds /
+                                timed.simulated_seconds),
+             std::to_string(timed.total_messages()),
+             std::to_string(timed.lost_messages)});
+      };
+
+      runtime::MessageBus flat(problem, centre, model);
+      core::AgtRamConfig naive;
+      naive.report_mode = core::ReportMode::Naive;
+      naive.observer = &flat;
+      core::run_agt_ram(problem, naive);
+      add_row("flat (1 centre)", flat.stats());
+
+      runtime::MessageBus regions(problem, clustering, model);
+      regional.observer = &regions;
+      core::run_regional(problem, regional);
+      add_row("regional (8 centres)", regions.stats());
       std::cerr << "  protocol scenario '" << s.name << "' done\n";
     }
     table.print(std::cout);

@@ -1,7 +1,6 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "obs/obs.hpp"
 
@@ -22,23 +21,8 @@ ThreadPool::~ThreadPool() {
     std::lock_guard lock(mutex_);
     stopping_ = true;
   }
-  task_available_.notify_all();
+  job_available_.notify_all();
   for (auto& worker : workers_) worker.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard lock(mutex_);
-    assert(!stopping_);
-    tasks_.push(std::move(task));
-    ++in_flight_;
-  }
-  task_available_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::run_chunks(ParallelJob& job) {
@@ -111,7 +95,7 @@ void ThreadPool::parallel_for(
     job_.store(&job, std::memory_order_release);
     ++job_generation_;
   }
-  task_available_.notify_all();
+  job_available_.notify_all();
 
   // The caller claims chunks too; by the time it runs dry, at most
   // thread_count() chunks remain in flight on the workers.
@@ -150,38 +134,25 @@ void ThreadPool::worker_loop() {
   std::uint64_t seen_generation = 0;
   for (;;) {
     ParallelJob* job = nullptr;
-    std::function<void()> task;
     {
       std::unique_lock lock(mutex_);
-      task_available_.wait(lock, [&] {
-        return stopping_ || !tasks_.empty() ||
-               (job_.load(std::memory_order_relaxed) != nullptr &&
-                job_generation_ != seen_generation);
+      job_available_.wait(lock, [&] {
+        return stopping_ || (job_.load(std::memory_order_relaxed) != nullptr &&
+                             job_generation_ != seen_generation);
       });
       job = job_.load(std::memory_order_relaxed);
-      if (job != nullptr && job_generation_ != seen_generation) {
-        // Joining the published job: the entrants increment shares mutex_
-        // with the owner's unpublish, which is what makes the owner's
-        // entrants drain race-free.
-        seen_generation = job_generation_;
-        job->entrants.fetch_add(1, std::memory_order_relaxed);
-      } else if (!tasks_.empty()) {
-        job = nullptr;
-        task = std::move(tasks_.front());
-        tasks_.pop();
-      } else {
-        return;  // stopping, queue drained
+      if (job == nullptr || job_generation_ == seen_generation) {
+        return;  // stopping, with no job left to join
       }
+      // Joining the published job: the entrants increment shares mutex_
+      // with the owner's unpublish, which is what makes the owner's
+      // entrants drain race-free.
+      seen_generation = job_generation_;
+      job->entrants.fetch_add(1, std::memory_order_relaxed);
     }
-    if (job != nullptr) {
-      run_chunks(*job);
-      if (job->entrants.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        job->entrants.notify_one();
-      }
-    } else {
-      task();
-      std::lock_guard lock(mutex_);
-      if (--in_flight_ == 0) all_done_.notify_all();
+    run_chunks(*job);
+    if (job->entrants.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      job->entrants.notify_one();
     }
   }
 }

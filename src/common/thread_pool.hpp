@@ -3,8 +3,9 @@
 // This is the shared-memory stand-in for the PARFOR in the paper's Figure 2
 // pseudo-code: AGT-RAM builds every agent, pricing its candidate list L_i,
 // in one parallel_for per run; the rounds then run on the centre's thread.
-// The pool also runs the sharded regional jobs, the serving engine's batch
-// routing, the delta evaluator's re-price and scans, and the baselines.
+// The pool also runs the tiled regional engine's shard solves, the metric
+// closure's Dijkstras, the serving engine's batch routing, the online
+// engine's re-price, the delta evaluator's scans, and the baselines.
 //
 // parallel_for uses a lock-lean design tuned for short, frequent calls such
 // as a batch re-price: one stack-allocated job descriptor per call, chunks
@@ -23,7 +24,6 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -39,13 +39,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t thread_count() const noexcept { return workers_.size(); }
-
-  /// Enqueue a task; fire-and-forget (use parallel_for for joined work).
-  void submit(std::function<void()> task);
-
-  /// Block until every task submitted so far has completed.  Covers
-  /// submit()ed tasks only; parallel_for blocks on its own completion.
-  void wait_idle();
 
   /// Evenly split [begin, end) into chunks and run `body(first, last)` on
   /// the pool (caller included), blocking until all chunks complete.  Chunk
@@ -87,11 +80,8 @@ class ThreadPool {
   static void run_chunks(ParallelJob& job);
 
   std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> tasks_;
   std::mutex mutex_;
-  std::condition_variable task_available_;
-  std::condition_variable all_done_;
-  std::size_t in_flight_ = 0;
+  std::condition_variable job_available_;
   bool stopping_ = false;
 
   /// Serialises parallel_for callers (one active job at a time; losers run

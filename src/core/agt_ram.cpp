@@ -183,7 +183,6 @@ MechanismResult run_rounds_naive(const drp::Problem& problem,
 
     // --- Centre: collect reports, drop retired agents, pick the dominant
     // valuation (ties broken towards the lowest server id).
-    const std::size_t reporting = live.size();
     std::vector<double> round_values;
     std::vector<std::uint32_t> round_agents;
     round_values.reserve(live.size());
@@ -221,7 +220,9 @@ MechanismResult run_rounds_naive(const drp::Problem& problem,
     allocate(result, winner, winning, payment);
     if (config.observer) {
       config.observer->on_allocation(winner, winning.object, payment);
-      config.observer->on_broadcast(winner, winning.object, reporting);
+      // The bidders stay in LS; the agents that retired this round need
+      // not hear about (w, k*).
+      config.observer->on_broadcast(winner, winning.object, round_agents);
     }
     AGTRAM_OBS_GAUGE("winner", static_cast<std::uint64_t>(winner));
     AGTRAM_OBS_GAUGE("object", static_cast<std::uint64_t>(winning.object));
@@ -438,7 +439,7 @@ MechanismResult run_rounds_incremental(const drp::Problem& problem,
       config.observer->on_allocation(winner, winning.object, payment);
       // Targeted multicast: only the dirty set needs to hear about (w, k*);
       // the centre answers for everyone else out of its report cache.
-      config.observer->on_broadcast(winner, winning.object, dirty.size());
+      config.observer->on_broadcast(winner, winning.object, dirty);
     }
     AGTRAM_OBS_GAUGE("winner", static_cast<std::uint64_t>(winner));
     AGTRAM_OBS_GAUGE("object", static_cast<std::uint64_t>(winning.object));

@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/agent.hpp"
@@ -38,9 +39,10 @@
 
 namespace agtram::core {
 
-/// Instrumentation hook: the semi-distributed runtime (src/runtime) uses it
-/// to account messages/bytes and simulated network latency; tests use it to
-/// audit the axioms round by round.
+/// Instrumentation hook: the semi-distributed runtime (runtime::MessageBus)
+/// uses it to account and time the protocol's messages; tests use it to
+/// audit the axioms round by round.  core::run_regional calls it too, once
+/// per epoch, with every live region's reports and committed winners.
 class MechanismObserver {
  public:
   virtual ~MechanismObserver() = default;
@@ -55,13 +57,13 @@ class MechanismObserver {
   virtual void on_allocation(drp::ServerId /*winner*/,
                              drp::ObjectIndex /*object*/,
                              double /*payment*/) {}
-  /// Centre broadcasts the winning (object, server).  `notified` is the
-  /// fan-out size: every reporting agent under the naive sweep, only the
-  /// next round's dirty set (the agents whose state the allocation can
-  /// touch) under the incremental protocol.
+  /// Centre broadcasts the winning (object, server) to the agents in
+  /// `notified`: under the naive sweep the bidders that stay in LS (the
+  /// winner among them), under the incremental protocol the next round's
+  /// dirty set (the live agents whose state the allocation can touch).
   virtual void on_broadcast(drp::ServerId /*winner*/,
                             drp::ObjectIndex /*object*/,
-                            std::size_t /*notified*/) {}
+                            std::span<const drp::ServerId> /*notified*/) {}
 };
 
 // Modelled wire sizes (bytes) of the protocol's three messages: the

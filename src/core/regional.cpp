@@ -16,57 +16,33 @@ std::size_t RegionalResult::replicas_placed() const {
   return total;
 }
 
-void for_each_region(RegionalExecution execution, common::ThreadPool* pool,
-                     std::size_t region_count,
-                     const std::function<void(std::uint32_t)>& body) {
-  if (execution == RegionalExecution::Sharded) {
-    (pool != nullptr ? *pool : common::ThreadPool::shared())
-        .parallel_for(
-            0, region_count,
-            [&](std::size_t begin, std::size_t end) {
-              for (std::size_t r = begin; r < end; ++r) {
-                body(static_cast<std::uint32_t>(r));
-              }
-            },
-            /*min_grain=*/1);
-  } else {
-    for (std::size_t r = 0; r < region_count; ++r) {
-      body(static_cast<std::uint32_t>(r));
-    }
-  }
-}
-
-namespace {
-
-net::Clustering cluster_for(const drp::Problem& problem,
-                            const RegionalConfig& config) {
+net::Clustering cluster_regions(const drp::Problem& problem,
+                                const RegionalConfig& config) {
   net::ClusteringConfig clustering_cfg;
   clustering_cfg.regions = config.regions;
   clustering_cfg.seed = config.seed;
   return net::cluster_servers(*problem.distances, clustering_cfg);
 }
 
-}  // namespace
-
 RegionalResult run_regional(const drp::Problem& problem,
                             const RegionalConfig& config) {
   AGTRAM_OBS_SPAN("regional.run");
-  net::Clustering clustering = cluster_for(problem, config);
+  net::Clustering clustering = cluster_regions(problem, config);
 
   const std::size_t region_count = clustering.region_count();
   RegionalResult result{drp::ReplicaPlacement(problem), std::move(clustering),
                         {}, 0};
   result.regions.resize(region_count);
 
-  // Per-region agent pools (indices into `agents` per region).
+  // Per-region live sets.  agents[i] is server i, so the sets hold server
+  // ids, in ascending order.
   std::vector<Agent> agents;
   agents.reserve(problem.server_count());
-  std::vector<std::vector<std::uint32_t>> region_live(region_count);
+  std::vector<std::vector<drp::ServerId>> region_live(region_count);
   for (drp::ServerId i = 0; i < problem.server_count(); ++i) {
     agents.emplace_back(problem, i);
     if (!agents.back().retired()) {
-      region_live[result.clustering.assignment[i]].push_back(
-          static_cast<std::uint32_t>(agents.size() - 1));
+      region_live[result.clustering.assignment[i]].push_back(i);
     }
   }
   for (std::uint32_t r = 0; r < region_count; ++r) {
@@ -82,77 +58,77 @@ RegionalResult run_regional(const drp::Problem& problem,
   }
 
   // One epoch = a poll phase in which every live region runs its round
-  // against the epoch-start placement snapshot (region jobs own their
-  // agents and pick slots; the placement is read-only), then a commit phase
+  // against the epoch-start placement snapshot, then a commit phase
   // applying the <=R winners in ascending region id.  Regions occupy
   // disjoint servers, so deferred commits can never invalidate another
   // region's winner — values are simply cleared as reported, which is the
   // honest concurrent-regions semantics.
   struct EpochPick {
     bool has = false;
-    std::uint32_t winner_agent = 0;
+    drp::ServerId winner = 0;
     drp::ObjectIndex object = 0;
     double payment = 0.0;
   };
   std::vector<EpochPick> picks(region_count);
   std::vector<Report> reports(agents.size());
+  MechanismObserver* const observer = config.observer;
 
   bool any_progress = true;
   while (any_progress) {
     if (config.max_epochs != 0 && result.epochs >= config.max_epochs) break;
     any_progress = false;
+    if (observer) observer->on_round_begin(result.epochs);
 
-    for_each_region(config.execution, config.pool, region_count,
-                    [&](std::uint32_t r) {
+    for (std::uint32_t r = 0; r < region_count; ++r) {
       picks[r] = EpochPick{};
       auto& live = region_live[r];
-      if (live.empty()) return;
+      if (live.empty()) continue;
 
       const std::uint64_t polled = live.size();
-      for (const std::uint32_t a : live) {
-        reports[a] = agents[a].make_report(result.placement, nullptr);
+      for (const drp::ServerId i : live) {
+        reports[i] = agents[i].make_report(result.placement, nullptr);
       }
 
       std::vector<double> values;
-      std::vector<std::uint32_t> bidders;  // agent indices
-      std::vector<std::uint32_t> next_live;
+      std::vector<drp::ServerId> bidders;
       values.reserve(live.size());
-      next_live.reserve(live.size());
-      for (const std::uint32_t a : live) {
-        if (reports[a].has_candidate) {
-          values.push_back(reports[a].claimed_value);
-          bidders.push_back(a);
-          next_live.push_back(a);
+      bidders.reserve(live.size());
+      for (const drp::ServerId i : live) {
+        if (observer) observer->on_report(i, reports[i], /*fresh=*/true);
+        if (reports[i].has_candidate) {
+          values.push_back(reports[i].claimed_value);
+          bidders.push_back(i);
         }
       }
-      live = std::move(next_live);
-      result.regions[r].reports_polled += polled;
-      result.regions[r].wire_bytes += polled * kReportWireBytes;
+      live = std::move(bidders);  // the bidders stay in LS
       AGTRAM_OBS_COUNT("regional.reports_polled", polled);
       AGTRAM_OBS_COUNT("regional.report_bytes", polled * kReportWireBytes);
-      if (values.empty()) return;
+      if (values.empty()) continue;
 
       std::size_t winner_slot = 0;
       for (std::size_t s = 1; s < values.size(); ++s) {
         if (values[s] > values[winner_slot]) winner_slot = s;
       }
       picks[r].has = true;
-      picks[r].winner_agent = bidders[winner_slot];
-      picks[r].object = reports[bidders[winner_slot]].object;
+      picks[r].winner = live[winner_slot];
+      picks[r].object = reports[live[winner_slot]].object;
       picks[r].payment =
           compute_payment(config.payment_rule, values, winner_slot);
-    });
+    }
 
     for (std::uint32_t r = 0; r < region_count; ++r) {
       if (!picks[r].has) continue;
-      const drp::ServerId winner = agents[picks[r].winner_agent].id();
+      const drp::ServerId winner = picks[r].winner;
       assert(result.placement.can_replicate(winner, picks[r].object));
       result.placement.add_replica(winner, picks[r].object);
+      if (observer) {
+        observer->on_allocation(winner, picks[r].object, picks[r].payment);
+        observer->on_broadcast(winner, picks[r].object, region_live[r]);
+      }
       const std::uint64_t broadcast =
           kBroadcastWireBytes * region_live[r].size();
       result.regions[r].replicas_placed += 1;
       result.regions[r].charges += picks[r].payment;
-      result.regions[r].wire_bytes += kAllocationWireBytes + broadcast;
       AGTRAM_OBS_COUNT("regional.replicas_placed", 1);
       AGTRAM_OBS_COUNT("regional.alloc_bytes", kAllocationWireBytes);
       AGTRAM_OBS_COUNT("regional.broadcast_bytes", broadcast);
@@ -222,7 +198,7 @@ CoalitionMove best_coalition_move(const drp::ReplicaPlacement& placement,
 RegionalResult run_regional_cooperative(const drp::Problem& problem,
                                         const RegionalConfig& config) {
   AGTRAM_OBS_SPAN("regional.cooperative_run");
-  net::Clustering clustering = cluster_for(problem, config);
+  net::Clustering clustering = cluster_regions(problem, config);
   const std::size_t region_count = clustering.region_count();
 
   RegionalResult result{drp::ReplicaPlacement(problem), std::move(clustering),
@@ -254,9 +230,8 @@ RegionalResult run_regional_cooperative(const drp::Problem& problem,
     }
   };
   std::vector<std::priority_queue<HeapEntry>> heaps(region_count);
-  for_each_region(config.execution, config.pool, region_count,
-                  [&](std::uint32_t r) {
-    if (region_failed[r]) return;
+  for (std::uint32_t r = 0; r < region_count; ++r) {
+    if (region_failed[r]) continue;
     std::uint64_t scans = 0;
     for (drp::ObjectIndex k = 0; k < problem.object_count(); ++k) {
       const CoalitionMove move = best_coalition_move(
@@ -264,10 +239,8 @@ RegionalResult run_regional_cooperative(const drp::Problem& problem,
       ++scans;
       if (move.benefit > 0.0) heaps[r].push(HeapEntry{move.benefit, k});
     }
-    result.regions[r].reports_polled += scans;
-    result.regions[r].wire_bytes += scans * kReportWireBytes;
     AGTRAM_OBS_COUNT("regional.coalition_scans", scans);
-  });
+  }
 
   // Epochs follow the same snapshot/commit split as run_regional: the poll
   // phase validates each region's heap top against the epoch-start
@@ -285,8 +258,7 @@ RegionalResult run_regional_cooperative(const drp::Problem& problem,
     if (config.max_epochs != 0 && result.epochs >= config.max_epochs) break;
     any_progress = false;
 
-    for_each_region(config.execution, config.pool, region_count,
-                    [&](std::uint32_t r) {
+    for (std::uint32_t r = 0; r < region_count; ++r) {
       picks[r] = CoopPick{};
       auto& heap = heaps[r];
       std::uint64_t scans = 0;
@@ -304,10 +276,8 @@ RegionalResult run_regional_cooperative(const drp::Problem& problem,
         picks[r] = CoopPick{true, fresh.server, fresh.object};
         break;  // one allocation per region per epoch
       }
-      result.regions[r].reports_polled += scans;
-      result.regions[r].wire_bytes += scans * kReportWireBytes;
       AGTRAM_OBS_COUNT("regional.coalition_scans", scans);
-    });
+    }
 
     for (std::uint32_t r = 0; r < region_count; ++r) {
       if (!picks[r].has) continue;
@@ -315,7 +285,6 @@ RegionalResult run_regional_cooperative(const drp::Problem& problem,
       result.placement.add_replica(picks[r].server, picks[r].object);
       const std::uint64_t broadcast = kBroadcastWireBytes * members[r].size();
       result.regions[r].replicas_placed += 1;
-      result.regions[r].wire_bytes += kAllocationWireBytes + broadcast;
       AGTRAM_OBS_COUNT("regional.replicas_placed", 1);
       AGTRAM_OBS_COUNT("regional.alloc_bytes", kAllocationWireBytes);
       AGTRAM_OBS_COUNT("regional.broadcast_bytes", broadcast);
@@ -323,8 +292,6 @@ RegionalResult run_regional_cooperative(const drp::Problem& problem,
       const CoalitionMove next = best_coalition_move(
           result.placement, result.clustering, r, members[r],
           picks[r].object);
-      result.regions[r].reports_polled += 1;
-      result.regions[r].wire_bytes += kReportWireBytes;
       if (next.benefit > 0.0) {
         heaps[r].push(HeapEntry{next.benefit, picks[r].object});
       }
@@ -338,9 +305,10 @@ RegionalResult run_regional_cooperative(const drp::Problem& problem,
 namespace {
 
 /// The regional centres and the top centre of run_hierarchical, watching
-/// the flat naive round loop.  Every live agent reports each round in
-/// ascending id order, so a region's champion is its first best report, as
-/// its own centre would pick it.  The flat winner is the lowest-id holder of
+/// the flat round loop.  Every live agent's standing report arrives each
+/// round in ascending id order (fresh or cached, it is the report a re-poll
+/// would produce), so a region's champion is its first best report, as its
+/// own centre would pick it.  The flat winner is the lowest-id holder of
 /// the best report, hence its region's champion; the top centre prices the
 /// round against the champions and records it.
 class TopCentre final : public MechanismObserver {
@@ -407,7 +375,7 @@ HierarchicalResult run_hierarchical(const drp::Problem& problem,
                                     const RegionalConfig& config) {
   AGTRAM_OBS_SPAN("regional.hierarchical_run");
   HierarchicalResult result{drp::ReplicaPlacement(problem),
-                            cluster_for(problem, config),
+                            cluster_regions(problem, config),
                             {},
                             0.0,
                             0};
@@ -427,7 +395,6 @@ HierarchicalResult run_hierarchical(const drp::Problem& problem,
   TopCentre top(result.clustering, config.payment_rule, result);
   AgtRamConfig mech;
   mech.payment_rule = PaymentRule::None;  // the top centre prices each round
-  mech.report_mode = ReportMode::Naive;
   mech.observer = &top;
   mech.max_rounds = config.max_epochs;
   MechanismResult flat = run_agt_ram_from(

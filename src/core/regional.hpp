@@ -18,33 +18,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "core/agt_ram.hpp"
 #include "net/clustering.hpp"
 
 namespace agtram::core {
-
-/// How an epoch's per-region rounds execute.  Both orders produce
-/// byte-identical results: every region polls against the epoch-start
-/// placement snapshot (regions own their agents/heaps, the shared placement
-/// is read-only during the poll phase), and the winning allocations commit
-/// serially in ascending region id afterwards.
-enum class RegionalExecution : std::uint8_t {
-  Serial,   ///< poll regions one after another (the differential oracle)
-  Sharded,  ///< poll all live regions concurrently on the thread pool
-};
-
-/// The regional engines' one scheduler: runs `body(r)` once per region
-/// r < region_count, one pool job per region under Sharded (on `pool`, or
-/// common::ThreadPool::shared() when it is null), in ascending order under
-/// Serial.  Bodies may only write region-owned state and read shared state,
-/// so the two orders are byte-identical.
-void for_each_region(RegionalExecution execution, common::ThreadPool* pool,
-                     std::size_t region_count,
-                     const std::function<void(std::uint32_t)>& body);
 
 struct RegionalConfig {
   std::uint32_t regions = 4;
@@ -56,12 +35,17 @@ struct RegionalConfig {
   std::uint64_t seed = 1;
   /// Safety valve; 0 = run to quiescence.
   std::size_t max_epochs = 0;
-  /// Epoch schedule of run_regional and run_regional_cooperative;
-  /// run_hierarchical runs on the flat round loop and ignores it.
-  RegionalExecution execution = RegionalExecution::Serial;
-  /// Pool for Sharded execution; nullptr = common::ThreadPool::shared().
-  common::ThreadPool* pool = nullptr;
+  /// Optional instrumentation of run_regional (runtime::MessageBus times
+  /// its epochs): on_round_begin once per epoch, on_report for every live
+  /// region's fresh reports, then on_allocation and on_broadcast (to the
+  /// region's remaining live members) for each committed winner.
+  MechanismObserver* observer = nullptr;
 };
+
+/// The k-medoids clustering the regional engines partition the servers
+/// with: `config.regions` regions, medoids seeded by `config.seed`.
+net::Clustering cluster_regions(const drp::Problem& problem,
+                                const RegionalConfig& config);
 
 struct RegionOutcome {
   net::NodeId centre = 0;          ///< the region's medoid / decision body
@@ -69,12 +53,6 @@ struct RegionOutcome {
   bool failed = false;
   std::size_t replicas_placed = 0;
   double charges = 0.0;            ///< second-price clearing volume
-  /// Reports the regional centre polled from its members over the run.
-  std::uint64_t reports_polled = 0;
-  /// Modelled control-plane traffic through this centre: report uplinks,
-  /// allocation grants, and allocation broadcasts to the live members
-  /// (at the protocol's wire sizes, core::kReportWireBytes and siblings).
-  std::uint64_t wire_bytes = 0;
 };
 
 struct RegionalResult {
@@ -108,13 +86,14 @@ RegionalResult run_regional_cooperative(const drp::Problem& problem,
 ///
 /// The argmax of regional argmaxes is the global argmax (ties break towards
 /// the lowest server id at both levels), so the rounds are those of the
-/// flat naive sweep over the members of live regions, and that is how it
-/// runs: run_agt_ram_from drives them, and an observer plays the regional
-/// centres and the top centre.  Payments clear at the top level against the
+/// flat mechanism over the members of live regions, and that is how it
+/// runs: run_agt_ram_from drives them under ReportMode::Auto, and an
+/// observer plays the regional centres and the top centre from every live
+/// member's standing report.  Payments clear at the top level against the
 /// second-best champion, which is never more than the flat second price
 /// (the flat runner-up may hide inside the winner's own region), so the
 /// hierarchy is weakly cheaper for the winners.  `max_epochs` caps the
-/// rounds; `execution` and `pool` are not used.
+/// rounds; `observer` is not used.
 struct HierarchicalResult {
   drp::ReplicaPlacement placement;
   net::Clustering clustering;

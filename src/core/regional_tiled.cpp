@@ -12,6 +12,31 @@ namespace agtram::core {
 
 namespace {
 
+/// Runs `body(r)` once per region r < region_count: one pool job per region
+/// under Sharded (on `pool`, or common::ThreadPool::shared() when it is
+/// null), in ascending order under Serial.  Bodies may only write
+/// region-owned state and read shared state, so the two orders are
+/// byte-identical.
+template <typename Body>
+void for_each_region(RegionalExecution execution, common::ThreadPool* pool,
+                     std::size_t region_count, const Body& body) {
+  if (execution == RegionalExecution::Sharded) {
+    (pool != nullptr ? *pool : common::ThreadPool::shared())
+        .parallel_for(
+            0, region_count,
+            [&](std::size_t begin, std::size_t end) {
+              for (std::size_t r = begin; r < end; ++r) {
+                body(static_cast<std::uint32_t>(r));
+              }
+            },
+            /*min_grain=*/1);
+  } else {
+    for (std::size_t r = 0; r < region_count; ++r) {
+      body(static_cast<std::uint32_t>(r));
+    }
+  }
+}
+
 /// Objects each region's shard must carry: those a member reads/writes plus
 /// those whose primary lives in the region.  One pass over the nonzeros.
 /// noinline: GCC 12's -Wfree-nonheap-object misfires on the stamp vector

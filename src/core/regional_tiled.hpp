@@ -37,6 +37,14 @@
 
 namespace agtram::core {
 
+/// How the tiled engine runs its per-region shard solves.  Both orders
+/// produce byte-identical results: shards share no mutable state, and their
+/// outcomes merge in ascending region id.
+enum class RegionalExecution : std::uint8_t {
+  Serial,   ///< solve regions one after another (the differential oracle)
+  Sharded,  ///< solve all regions concurrently on the thread pool
+};
+
 struct TiledRegionalConfig {
   std::uint32_t regions = 8;
   std::uint64_t seed = 1;

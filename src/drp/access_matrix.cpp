@@ -67,7 +67,6 @@ AccessMatrix AccessMatrix::build(std::size_t servers, std::size_t objects,
       if (a.reads > 0) m.readers_.push_back(a.server);
       ++srv_count[a.server];
     }
-    if (m.readers_.size() > m.reader_row_[k]) ++m.objects_with_readers_;
     m.grand_reads_ += m.object_reads_[k];
     m.grand_writes_ += m.object_writes_[k];
   }

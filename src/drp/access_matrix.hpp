@@ -140,19 +140,8 @@ class AccessMatrix {
   /// Number of stored nonzero (server, object) cells.
   std::size_t nonzeros() const noexcept { return cells_.size(); }
 
-  /// Number of objects with at least one reader.
-  std::size_t objects_with_readers() const noexcept { return objects_with_readers_; }
-
   /// Total (object, reader) pairs — sum of |readers(k)| over all objects.
   std::size_t total_reader_entries() const noexcept { return readers_.size(); }
-
-  /// Mean |readers(k)| over objects that have readers at all.
-  double mean_readers_per_object() const noexcept {
-    return objects_with_readers_ == 0
-               ? 0.0
-               : static_cast<double>(readers_.size()) /
-                     static_cast<double>(objects_with_readers_);
-  }
 
   /// Size-biased mean |readers(k)|: Σ|readers(k)|² / Σ|readers(k)|.  This is
   /// the expected dirty-set size of an incremental mechanism round —
@@ -214,7 +203,6 @@ class AccessMatrix {
   std::vector<std::uint64_t> object_writes_;
   std::uint64_t grand_reads_ = 0;
   std::uint64_t grand_writes_ = 0;
-  std::size_t objects_with_readers_ = 0;
 };
 
 }  // namespace agtram::drp

@@ -81,10 +81,8 @@ class DeltaEvaluator {
   /// Cached per-object cost; equals CostModel::object_cost bit for bit.
   double object_cost(ObjectIndex k) const { return obj_cost_[k]; }
 
-  /// Cached Σ r·o·NN over non-replicator readers of k (Aε-Star's bound).
-  double per_object_saving(ObjectIndex k) const { return opt_saving_[k]; }
-
-  /// Σ_k per_object_saving(k), summed in object order.
+  /// Σ_k of the cached Σ r·o·NN over non-replicator readers of k
+  /// (Aε-Star's bound), summed in object order.
   double optimistic_saving() const;
 
   /// Bit-identical to CostModel::total_cost(placement()); O(N) doubles
@@ -108,15 +106,6 @@ class DeltaEvaluator {
   }
   double delta_of_swap(ServerId from, ServerId to, ObjectIndex k) const {
     return cost_if_swapped(from, to, k) - obj_cost_[k];
-  }
-
-  /// System-wide benefit of adding a replica.  Forwards to
-  /// CostModel::global_benefit rather than returning −delta_of_add: the two
-  /// are equal mathematically but differ in floating-point association, and
-  /// the algorithms that rank by benefit (Greedy, Aε-Star) compare against
-  /// oracle paths that use the read-savings form.
-  double benefit_of_add(ServerId i, ObjectIndex k) const {
-    return CostModel::global_benefit(placement_, i, k);
   }
 
   bool can_replicate(ServerId i, ObjectIndex k) const {

@@ -80,15 +80,6 @@ class ReplicaPlacement {
     return nn_dist_[problem_->access.accessor_base(k) + slot];
   }
 
-  /// Identity of the cached nearest replicator for an accessor slot.  Which
-  /// of several equidistant replicators is recorded depends on mutation
-  /// history, but the cached *distance* never does; DeltaEvaluator uses this
-  /// only to decide whether a hypothetical drop can change the slot's NN
-  /// distance at all (it cannot when the recorded node survives the drop).
-  ServerId nn_node_by_slot(ObjectIndex k, std::size_t slot) const {
-    return nn_node_[problem_->access.accessor_base(k) + slot];
-  }
-
   /// Object k's whole NN-distance row, parallel to access.accessors(k).
   /// Hot-loop variant of nn_distance_by_slot: one base lookup per row.
   std::span<const net::Cost> nn_row(ObjectIndex k) const {
@@ -98,8 +89,11 @@ class ReplicaPlacement {
   }
 
   /// Object k's cached nearest-replicator identities, parallel to nn_row(k).
-  /// Hot-loop variant of nn_node_by_slot (same caveat: the recorded node
-  /// among equidistant replicators is history-dependent, the distance isn't).
+  /// Which of several equidistant replicators a slot records depends on
+  /// mutation history, but the cached *distance* never does; DeltaEvaluator
+  /// uses the identity only to decide whether a hypothetical drop can
+  /// change the slot's NN distance at all (it cannot when the recorded node
+  /// survives the drop).
   std::span<const ServerId> nn_node_row(ObjectIndex k) const {
     const std::size_t base = problem_->access.accessor_base(k);
     return {nn_node_.data() + base,

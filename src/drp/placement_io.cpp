@@ -1,12 +1,14 @@
 #include "drp/placement_io.hpp"
 
-#include <charconv>
 #include <cstdint>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+
+#include "common/parse.hpp"
 
 namespace agtram::drp {
 
@@ -47,16 +49,19 @@ ReplicaPlacement read_placement(std::istream& is, const Problem& problem) {
     // read as object 0.
     const auto first = line.find_first_not_of(" \t");
     if (first >= colon) fail("bad object index");
-    const char* const end =
-        line.data() + line.find_last_not_of(" \t", colon - 1) + 1;
+    const std::size_t last = line.find_last_not_of(" \t", colon - 1);
     std::uint64_t object = 0;
-    const auto [ptr, ec] = std::from_chars(line.data() + first, end, object);
-    if (ec != std::errc() || ptr != end) fail("bad object index");
+    if (!common::parse_unsigned(
+            std::string_view(line).substr(first, last + 1 - first), object)) {
+      fail("bad object index");
+    }
     if (object >= problem.object_count()) fail("object index out of range");
 
     std::istringstream servers(line.substr(colon + 1));
-    std::uint64_t server = 0;
-    while (servers >> server) {
+    std::string token;
+    while (servers >> token) {
+      std::uint64_t server = 0;
+      if (!common::parse_unsigned(token, server)) fail("bad server id");
       if (server >= problem.server_count()) fail("server id out of range");
       const auto i = static_cast<ServerId>(server);
       const auto k = static_cast<ObjectIndex>(object);
@@ -64,7 +69,6 @@ ReplicaPlacement read_placement(std::istream& is, const Problem& problem) {
       if (!placement.can_replicate(i, k)) fail("capacity violated");
       placement.add_replica(i, k);
     }
-    if (!servers.eof()) fail("bad server id");
   }
   return placement;
 }

@@ -9,6 +9,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/parse.hpp"
+
 namespace agtram::net {
 
 static_assert(kMaxGraphNodes <= std::numeric_limits<NodeId>::max());
@@ -38,15 +40,16 @@ Graph read_graph(std::istream& is) {
     if (hash != std::string::npos) line.resize(hash);
     if (line.find_first_not_of(" \t") == std::string::npos) continue;
 
+    // Every field is one whole unsigned token, and a line has no extras.
     std::istringstream fields(line);
+    std::string field[4];
     if (!graph) {
-      std::string keyword;
       std::size_t nodes = 0;
-      if (!(fields >> keyword >> nodes) || keyword != "nodes" || nodes == 0) {
+      if (!(fields >> field[0] >> field[1]) || fields >> field[2] ||
+          field[0] != "nodes" || !common::parse_unsigned(field[1], nodes) ||
+          nodes == 0) {
         fail("expected 'nodes <M>' header");
       }
-      // `>>` wraps a negative count to a huge one, so this also refuses
-      // `nodes -1`.
       if (nodes > kMaxGraphNodes) {
         fail("node count out of range (at most " +
              std::to_string(kMaxGraphNodes) + ")");
@@ -55,7 +58,12 @@ Graph read_graph(std::istream& is) {
       continue;
     }
     std::uint64_t a = 0, b = 0, cost = 0;
-    if (!(fields >> a >> b >> cost)) fail("expected '<a> <b> <cost>'");
+    if (!(fields >> field[0] >> field[1] >> field[2]) || fields >> field[3] ||
+        !common::parse_unsigned(field[0], a) ||
+        !common::parse_unsigned(field[1], b) ||
+        !common::parse_unsigned(field[2], cost)) {
+      fail("expected '<a> <b> <cost>' as unsigned integers");
+    }
     if (a >= graph->node_count() || b >= graph->node_count()) {
       fail("endpoint out of range");
     }

@@ -22,9 +22,10 @@ inline constexpr std::size_t kMaxGraphNodes = std::size_t{1} << 24;
 
 void write_graph(std::ostream& os, const Graph& graph);
 
-/// Throws std::runtime_error on malformed input, a node count of 0 or above
-/// kMaxGraphNodes (refused before the graph is allocated), out-of-range
-/// endpoints, or zero costs.
+/// Throws std::runtime_error, naming the line, on malformed input (a field
+/// that is not one whole unsigned decimal, or an extra field), a node count
+/// of 0 or above kMaxGraphNodes (refused before the graph is allocated),
+/// out-of-range endpoints, or zero costs.
 Graph read_graph(std::istream& is);
 
 }  // namespace agtram::net

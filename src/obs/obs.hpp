@@ -2,12 +2,12 @@
 // scoped span timers, and per-round trace gauges.
 //
 // The subsystem exists to make the auto-tuned policies visible (DESIGN.md
-// §9): ReportMode::Auto, the baselines' EvalPath, and the round-size-aware
-// PARFOR all take decisions per instance/round that used to be invisible in
-// the bench output.  Counters expose the internal work those decisions
-// trade off (dirty-set re-polls, heap pops, delta-cache refreshes, chunks
-// claimed, wire bytes); spans time coarse phases; the trace sink records
-// per-round gauge snapshots next to the decision that produced them.
+// §9): ReportMode::Auto and the baselines' EvalPath take decisions per
+// instance that used to be invisible in the bench output.  Counters expose
+// the internal work those decisions trade off (dirty-set re-polls, heap
+// pops, delta-cache refreshes, chunks claimed, wire bytes); spans time
+// coarse phases; the trace sink records per-round gauge snapshots next to
+// the decision that produced them.
 //
 // Cost contract: the layer is compiled into every build.  A counter hit is
 // one relaxed atomic add on a cached reference (the registry lookup happens
@@ -159,7 +159,7 @@ class Registry {
 
 /// Per-round trace consumer.  The mechanism emits `round_begin` once per
 /// round and then gauges for that round; a sink is driven from the centre's
-/// thread only (single-threaded contract — the PARFOR bodies never gauge).
+/// thread only (single-threaded contract — pool jobs never gauge).
 class TraceSink {
  public:
   virtual ~TraceSink() = default;

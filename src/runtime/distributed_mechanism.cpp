@@ -9,7 +9,7 @@ DistributedRunReport run_distributed(const drp::Problem& problem,
   const drp::ServerId centre =
       config.centre >= 0 ? static_cast<drp::ServerId>(config.centre)
                          : MessageBus::pick_centre(problem);
-  MessageBus bus(problem, centre, config.seconds_per_cost_unit);
+  MessageBus bus(problem, centre);
 
   core::AgtRamConfig mech;
   mech.payment_rule = config.payment_rule;

@@ -1,6 +1,6 @@
 // The semi-distributed execution of AGT-RAM: core::run_agt_ram with a
 // MessageBus observing every report, allocation and broadcast, so the
-// protocol traffic and its simulated network latency are accounted.  The
+// protocol traffic is accounted and timed (the default ProtocolModel).  The
 // agents price their candidate lists concurrently on the shared thread pool
 // when they are built (Figure 2's PARFOR); the allocation is exactly
 // run_agt_ram's, which tests assert.
@@ -13,8 +13,6 @@ namespace agtram::runtime {
 
 struct DistributedConfig {
   core::PaymentRule payment_rule = core::PaymentRule::SecondPrice;
-  /// Latency per metric-closure cost unit (copper-wire scale by default).
-  double seconds_per_cost_unit = 1e-4;
   /// Pin the central body to a server; -1 picks the metric medoid.
   std::int64_t centre = -1;
   /// Dirty-set protocol (core::ReportMode::Incremental): the centre caches

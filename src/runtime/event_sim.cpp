@@ -1,314 +1,11 @@
 #include "runtime/event_sim.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <map>
-#include <queue>
 #include <utility>
 #include <vector>
 
-#include "common/prng.hpp"
-#include "core/agent.hpp"
-#include "net/clustering.hpp"
-#include "obs/obs.hpp"
-#include "runtime/message_bus.hpp"
-
 namespace agtram::runtime {
-
-using common::Rng;
-
-namespace {
-
-/// One message's effective delivery time under the loss model: base latency
-/// plus one retransmit timeout per loss (geometric retries).
-struct Wire {
-  const drp::Problem* problem;
-  const ProtocolModel* model;
-  Rng* rng;
-  ProtocolTrace* trace;
-
-  double send(drp::ServerId from, drp::ServerId to) {
-    double delay =
-        static_cast<double>(problem->distance(from, to)) *
-            model->seconds_per_cost_unit +
-        model->message_overhead;
-    ++trace->messages_sent;
-    AGTRAM_OBS_COUNT("event_sim.messages", 1);
-    while (model->loss_probability > 0.0 &&
-           rng->chance(model->loss_probability)) {
-      ++trace->messages_lost;
-      ++trace->retransmissions;
-      ++trace->messages_sent;
-      AGTRAM_OBS_COUNT("event_sim.losses", 1);
-      AGTRAM_OBS_COUNT("event_sim.retransmits", 1);
-      AGTRAM_OBS_COUNT("event_sim.messages", 1);
-      delay += model->retransmit_timeout;
-    }
-    return delay;
-  }
-};
-
-/// Simulates the rounds of one mechanism group (the whole system, or one
-/// region).  `live` holds indices into `agents`; the group's centre is
-/// `centre`.  Runs exactly one allocation per call; returns false when the
-/// group has quiesced.  Accumulates the round's duration and critical-path
-/// breakdown into `trace` via the returned duration (the caller decides how
-/// rounds overlap across groups).
-struct GroupSim {
-  const drp::Problem* problem;
-  const ProtocolModel* model;
-  drp::ServerId centre;
-  std::vector<std::uint32_t> live;  ///< agent indices
-
-  struct RoundResult {
-    bool allocated = false;
-    double duration = 0.0;
-    double network = 0.0;
-    double compute = 0.0;
-    double centre_time = 0.0;
-  };
-
-  RoundResult run_round(std::vector<core::Agent>& agents,
-                        drp::ReplicaPlacement& placement, Wire& wire,
-                        Rng& rng, ProtocolTrace& trace) {
-    RoundResult result;
-    if (live.empty()) return result;
-    AGTRAM_OBS_COUNT("event_sim.rounds", 1);
-
-    // Poll + compute + report, all agents in parallel; the barrier closes
-    // on the slowest (poll -> compute -> report) chain.
-    double slowest_chain = 0.0;
-    double critical_network = 0.0;
-    double critical_compute = 0.0;
-    std::vector<std::uint32_t> bidders;
-    std::vector<double> values;
-    std::vector<core::Report> reports(agents.size());
-    std::vector<std::uint32_t> next_live;
-    for (const std::uint32_t a : live) {
-      const drp::ServerId id = agents[a].id();
-      const double poll = wire.send(centre, id);
-      reports[a] = agents[a].make_report(placement, nullptr);
-      double compute = static_cast<double>(reports[a].evaluations) *
-                       model->seconds_per_evaluation;
-      if (model->straggler_factor > 0.0) {
-        compute *= 1.0 + rng.uniform() * model->straggler_factor;
-      }
-      const double reply = wire.send(id, centre);
-      const double chain = poll + compute + reply;
-      if (chain > slowest_chain) {
-        slowest_chain = chain;
-        critical_network = poll + reply;
-        critical_compute = compute;
-      }
-      if (reports[a].has_candidate) {
-        bidders.push_back(a);
-        values.push_back(reports[a].claimed_value);
-        next_live.push_back(a);
-      }
-    }
-    live = std::move(next_live);
-    if (bidders.empty()) {
-      // The terminating round still costs a full barrier.
-      AGTRAM_OBS_COUNT("event_sim.critical_legs", 1);
-      result.duration = slowest_chain;
-      result.network = critical_network;
-      result.compute = critical_compute;
-      return result;
-    }
-
-    // Centre decision: a scalar comparison per report.
-    const double decide = static_cast<double>(values.size()) *
-                          model->seconds_per_report_at_centre;
-
-    std::size_t winner_slot = 0;
-    for (std::size_t s = 1; s < values.size(); ++s) {
-      if (values[s] > values[winner_slot]) winner_slot = s;
-    }
-    const std::uint32_t winner_agent = bidders[winner_slot];
-    const drp::ServerId winner = agents[winner_agent].id();
-    const core::Report& winning = reports[winner_agent];
-
-    assert(placement.can_replicate(winner, winning.object));
-    placement.add_replica(winner, winning.object);
-    ++trace.replicas_placed;
-    result.allocated = true;
-
-    // Allocation to the winner and OMAX broadcast fan out concurrently;
-    // the round closes when the slowest leg lands.
-    double slowest_fanout = wire.send(centre, winner);
-    for (const std::uint32_t a : live) {
-      slowest_fanout =
-          std::max(slowest_fanout, wire.send(centre, agents[a].id()));
-    }
-
-    // An allocating round's critical path has three legs: the slowest
-    // poll→compute→reply chain, the centre's decide scan, and the slowest
-    // fan-out message.
-    AGTRAM_OBS_COUNT("event_sim.critical_legs", 3);
-    result.duration = slowest_chain + decide + slowest_fanout;
-    result.network = critical_network + slowest_fanout;
-    result.compute = critical_compute;
-    result.centre_time = decide;
-    return result;
-  }
-};
-
-}  // namespace
-
-ProtocolTrace simulate_protocol(const drp::Problem& problem,
-                                const ProtocolModel& model,
-                                std::int64_t centre_choice) {
-  const drp::ServerId centre =
-      centre_choice >= 0 ? static_cast<drp::ServerId>(centre_choice)
-                         : MessageBus::pick_centre(problem);
-
-  ProtocolTrace trace;
-  Rng rng(model.seed);
-  Wire wire{&problem, &model, &rng, &trace};
-
-  drp::ReplicaPlacement placement(problem);
-  std::vector<core::Agent> agents;
-  agents.reserve(problem.server_count());
-  GroupSim group{&problem, &model, centre, {}};
-  for (drp::ServerId i = 0; i < problem.server_count(); ++i) {
-    agents.emplace_back(problem, i);
-    if (!agents.back().retired()) {
-      group.live.push_back(static_cast<std::uint32_t>(agents.size() - 1));
-    }
-  }
-
-  for (;;) {
-    const auto round = group.run_round(agents, placement, wire, rng, trace);
-    trace.makespan_seconds += round.duration;
-    trace.network_seconds += round.network;
-    trace.compute_seconds += round.compute;
-    trace.centre_seconds += round.centre_time;
-    ++trace.rounds;
-    if (!round.allocated) break;
-  }
-  return trace;
-}
-
-ProtocolTrace simulate_regional_protocol(const drp::Problem& problem,
-                                         std::uint32_t regions,
-                                         const ProtocolModel& model) {
-  net::ClusteringConfig clustering_cfg;
-  clustering_cfg.regions = regions;
-  clustering_cfg.seed = model.seed;
-  const net::Clustering clustering =
-      net::cluster_servers(*problem.distances, clustering_cfg);
-
-  ProtocolTrace trace;
-  Rng rng(model.seed);
-  Wire wire{&problem, &model, &rng, &trace};
-
-  drp::ReplicaPlacement placement(problem);
-  std::vector<core::Agent> agents;
-  agents.reserve(problem.server_count());
-  std::vector<GroupSim> groups;
-  groups.reserve(clustering.region_count());
-  for (std::uint32_t r = 0; r < clustering.region_count(); ++r) {
-    groups.push_back(GroupSim{&problem, &model,
-                              clustering.medoids[r], {}});
-  }
-  for (drp::ServerId i = 0; i < problem.server_count(); ++i) {
-    agents.emplace_back(problem, i);
-    if (!agents.back().retired()) {
-      groups[clustering.assignment[i]].live.push_back(
-          static_cast<std::uint32_t>(agents.size() - 1));
-    }
-  }
-
-  // Epochs: regions run their rounds concurrently; the epoch closes with
-  // the slowest active region (a conservative global barrier — a real
-  // deployment would let regions free-run, making this an upper bound).
-  bool any_progress = true;
-  while (any_progress) {
-    any_progress = false;
-    double epoch_duration = 0.0;
-    double epoch_network = 0.0;
-    double epoch_compute = 0.0;
-    double epoch_centre = 0.0;
-    for (auto& group : groups) {
-      if (group.live.empty()) continue;
-      const auto round =
-          group.run_round(agents, placement, wire, rng, trace);
-      if (round.duration > epoch_duration) {
-        epoch_duration = round.duration;
-        epoch_network = round.network;
-        epoch_compute = round.compute;
-        epoch_centre = round.centre_time;
-      }
-      any_progress = any_progress || round.allocated;
-    }
-    if (epoch_duration == 0.0) break;
-    trace.makespan_seconds += epoch_duration;
-    trace.network_seconds += epoch_network;
-    trace.compute_seconds += epoch_compute;
-    trace.centre_seconds += epoch_centre;
-    ++trace.rounds;
-  }
-  return trace;
-}
-
-ProtocolTrace simulate_regional_protocol_async(const drp::Problem& problem,
-                                               std::uint32_t regions,
-                                               const ProtocolModel& model) {
-  net::ClusteringConfig clustering_cfg;
-  clustering_cfg.regions = regions;
-  clustering_cfg.seed = model.seed;
-  const net::Clustering clustering =
-      net::cluster_servers(*problem.distances, clustering_cfg);
-
-  ProtocolTrace trace;
-  Rng rng(model.seed);
-  Wire wire{&problem, &model, &rng, &trace};
-
-  drp::ReplicaPlacement placement(problem);
-  std::vector<core::Agent> agents;
-  agents.reserve(problem.server_count());
-  std::vector<GroupSim> groups;
-  groups.reserve(clustering.region_count());
-  for (std::uint32_t r = 0; r < clustering.region_count(); ++r) {
-    groups.push_back(GroupSim{&problem, &model, clustering.medoids[r], {}});
-  }
-  for (drp::ServerId i = 0; i < problem.server_count(); ++i) {
-    agents.emplace_back(problem, i);
-    if (!agents.back().retired()) {
-      groups[clustering.assignment[i]].live.push_back(
-          static_cast<std::uint32_t>(agents.size() - 1));
-    }
-  }
-
-  // Event queue keyed by each region's next-round start time; ties break
-  // towards the lower region index for determinism.  Events are processed
-  // in simulated-time order, so the shared placement evolves exactly as a
-  // free-running deployment's would.
-  using Event = std::pair<double, std::uint32_t>;  // (start time, region)
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue;
-  for (std::uint32_t r = 0; r < groups.size(); ++r) {
-    if (!groups[r].live.empty()) queue.emplace(0.0, r);
-  }
-
-  while (!queue.empty()) {
-    const auto [start, r] = queue.top();
-    queue.pop();
-    const auto round =
-        groups[r].run_round(agents, placement, wire, rng, trace);
-    ++trace.rounds;
-    const double finish = start + round.duration;
-    trace.makespan_seconds = std::max(trace.makespan_seconds, finish);
-    trace.network_seconds += round.network;
-    trace.compute_seconds += round.compute;
-    trace.centre_seconds += round.centre_time;
-    if (round.allocated && !groups[r].live.empty()) {
-      queue.emplace(finish, r);
-    }
-  }
-  return trace;
-}
-
-// --------------------------------------------------- online event source
 
 OnlineEventSource::OnlineEventSource(const core::OnlineMechanism& engine,
                                      OnlineEventModel model)

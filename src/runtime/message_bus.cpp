@@ -8,35 +8,98 @@
 namespace agtram::runtime {
 
 MessageBus::MessageBus(const drp::Problem& problem, drp::ServerId centre,
-                       double seconds_per_cost_unit, WireFormat wire)
+                       ProtocolModel model, WireFormat wire)
     : problem_(&problem),
-      centre_(centre),
-      seconds_per_cost_unit_(seconds_per_cost_unit),
-      wire_(wire) {}
+      centres_{centre},
+      model_(model),
+      wire_(wire),
+      rng_(model.seed),
+      round_(1) {}
 
-double MessageBus::latency(drp::ServerId server) const {
-  return static_cast<double>(problem_->distance(server, centre_)) *
-         seconds_per_cost_unit_;
+MessageBus::MessageBus(const drp::Problem& problem,
+                       const net::Clustering& clustering, ProtocolModel model)
+    : problem_(&problem),
+      centres_(clustering.medoids),
+      region_of_(clustering.assignment),
+      model_(model),
+      rng_(model.seed),
+      round_(clustering.region_count()) {}
+
+double MessageBus::send(drp::ServerId from, drp::ServerId to) {
+  double delay = static_cast<double>(problem_->distance(from, to)) *
+                     model_.seconds_per_cost_unit +
+                 model_.message_overhead;
+  while (model_.loss_probability > 0.0 &&
+         rng_.chance(model_.loss_probability)) {
+    ++stats_.lost_messages;
+    AGTRAM_OBS_COUNT("bus.lost_msgs", 1);
+    delay += model_.retransmit_timeout;
+  }
+  return delay;
+}
+
+void MessageBus::time_round(std::uint32_t region) {
+  // A centre's round time only grows as its legs land, so the slowest
+  // centre so far is the round's barrier if the round ended now.
+  const CentreRound& c = round_[region];
+  const double decide = static_cast<double>(c.bids) *
+                        model_.seconds_per_report_at_centre;
+  const double total = c.chain + decide + c.fanout;
+  if (region == slowest_ || total > open_.total) {
+    slowest_ = region;
+    open_ = Span{total, c.chain_network + c.fanout, c.chain_compute, decide};
+  }
+  stats_.simulated_seconds = closed_.total + open_.total;
+  stats_.network_seconds = closed_.network + open_.network;
+  stats_.compute_seconds = closed_.compute + open_.compute;
+  stats_.centre_seconds = closed_.centre + open_.centre;
 }
 
 void MessageBus::on_round_begin(std::size_t) {
   ++stats_.rounds;
   AGTRAM_OBS_COUNT("bus.rounds", 1);
-  round_slowest_report_ = 0.0;
+  // The previous round is over: its slowest centre joins the makespan.
+  closed_.total += open_.total;
+  closed_.network += open_.network;
+  closed_.compute += open_.compute;
+  closed_.centre += open_.centre;
+  open_ = Span{};
+  slowest_ = 0;
+  std::fill(round_.begin(), round_.end(), CentreRound{});
 }
 
 void MessageBus::on_report(drp::ServerId agent, const core::Report& report,
                            bool fresh) {
   // Cached standing reports live at the centre; only fresh ones travel.
   if (!fresh) return;
+  const std::uint32_t region = region_of(agent);
+  const drp::ServerId centre = centres_[region];
+  const double poll = send(centre, agent);
+  double compute = static_cast<double>(report.evaluations) *
+                   model_.seconds_per_evaluation;
+  if (model_.straggler_factor > 0.0) {
+    compute *= 1.0 + rng_.uniform() * model_.straggler_factor;
+  }
+  const double reply = send(agent, centre);
+
   // Even an empty report is a protocol message ("nothing for me") so the
   // centre can retire the agent from LS.
+  const std::uint32_t bytes = report.has_candidate ? wire_.report : 4;
   ++stats_.report_messages;
-  stats_.report_bytes += report.has_candidate ? wire_.report : 4;
+  stats_.report_bytes += bytes;
   AGTRAM_OBS_COUNT("bus.report_msgs", 1);
-  AGTRAM_OBS_COUNT("bus.report_bytes",
-                   report.has_candidate ? wire_.report : 4);
-  round_slowest_report_ = std::max(round_slowest_report_, latency(agent));
+  AGTRAM_OBS_COUNT("bus.report_bytes", bytes);
+
+  // Agents are polled concurrently; the barrier waits for the slowest chain.
+  CentreRound& round = round_[region];
+  const double chain = poll + compute + reply;
+  if (chain > round.chain) {
+    round.chain = chain;
+    round.chain_network = poll + reply;
+    round.chain_compute = compute;
+  }
+  if (report.has_candidate) ++round.bids;
+  time_round(region);
 }
 
 void MessageBus::on_allocation(drp::ServerId winner, drp::ObjectIndex,
@@ -45,25 +108,28 @@ void MessageBus::on_allocation(drp::ServerId winner, drp::ObjectIndex,
   stats_.allocation_bytes += wire_.allocation;
   AGTRAM_OBS_COUNT("bus.alloc_msgs", 1);
   AGTRAM_OBS_COUNT("bus.alloc_bytes", wire_.allocation);
-  // Reports travel concurrently; the round cannot close before the slowest
-  // one lands, then the allocation goes back out to the winner.
-  stats_.simulated_seconds += round_slowest_report_ + latency(winner);
+  const std::uint32_t region = region_of(winner);
+  CentreRound& round = round_[region];
+  round.fanout = std::max(round.fanout, send(centres_[region], winner));
+  time_round(region);
 }
 
-void MessageBus::on_broadcast(drp::ServerId, drp::ObjectIndex,
-                              std::size_t notified) {
-  // Fan-out to `notified` agents: every reporter under the naive sweep, the
-  // next round's dirty set under the incremental protocol.
-  stats_.broadcast_messages += notified;
-  stats_.broadcast_bytes +=
-      static_cast<std::uint64_t>(wire_.broadcast) * notified;
-  AGTRAM_OBS_COUNT("bus.broadcast_msgs", notified);
-  AGTRAM_OBS_COUNT("bus.broadcast_bytes",
-                   static_cast<std::uint64_t>(wire_.broadcast) * notified);
-  // The fan-out completes when the farthest agent hears about OMAX; bound
-  // it by the diameter leg from the centre (conservative, O(1) to compute).
-  double slowest = round_slowest_report_;
-  stats_.simulated_seconds += slowest;
+void MessageBus::on_broadcast(drp::ServerId winner, drp::ObjectIndex,
+                              std::span<const drp::ServerId> notified) {
+  const std::uint64_t bytes =
+      static_cast<std::uint64_t>(wire_.broadcast) * notified.size();
+  stats_.broadcast_messages += notified.size();
+  stats_.broadcast_bytes += bytes;
+  AGTRAM_OBS_COUNT("bus.broadcast_msgs", notified.size());
+  AGTRAM_OBS_COUNT("bus.broadcast_bytes", bytes);
+  // The allocation and the broadcast fan out concurrently; the round closes
+  // when the slowest message lands.
+  const std::uint32_t region = region_of(winner);
+  CentreRound& round = round_[region];
+  for (const drp::ServerId agent : notified) {
+    round.fanout = std::max(round.fanout, send(centres_[region], agent));
+  }
+  time_round(region);
 }
 
 void MessageBus::account_routes(std::uint64_t requests) {

@@ -1,43 +1,100 @@
-// Message accounting for the semi-distributed deployment model.
+// The semi-distributed deployment model: message accounting and timing of
+// the Figure 2 protocol.
 //
 // The paper's central claim about control structure: "all the heavy
 // processing is done on the servers of the distributed system and the
 // central body is only required to take a binary decision".  This bus
-// observes a mechanism run and accounts every message the protocol of
-// Figure 2 would put on the wire:
+// observes the rounds a mechanism actually runs (it is a
+// core::MechanismObserver) and accounts and times every message the
+// protocol of Figure 2 puts on the wire:
 //
-//   round r:  each *dirty* agent --(report: object id + valuation)--> centre
-//             centre             --(allocation + payment)-->          winner
-//             centre             --(broadcast: OMAX)-->               dirty set
+//   round r:
+//     centre   --(poll)-->                      each agent it re-polls
+//     agent i  computes its report                               [compute]
+//     agent i  --(report: object id + valuation)-->  centre
+//     centre   waits for the reports (a barrier), decides         [decide]
+//     centre   --(allocation + payment)-->      winner
+//     centre   --(broadcast: OMAX)-->           the notified agents
 //
-// plus a latency model mapping the metric closure to per-message delay, so
-// benches can report simulated convergence time and the centre-vs-agents
-// traffic split that substantiates the scalability argument.
+// Each message takes a distance-proportional latency plus a fixed overhead;
+// an agent's compute time scales with the candidate evaluations its report
+// cost (Report::evaluations), and the decide scan with the bids the centre
+// received.  Stragglers inflate compute steps, and lost messages are
+// retransmitted after a timeout (ProtocolModel).  A round closes when its
+// slowest leg lands: the slowest poll→compute→reply chain, the decide scan,
+// then the slowest allocation or broadcast message.  The terminating round,
+// in which no agent bids, still costs its barrier.  This stands in for the
+// paper's Ada/GLADE deployment; MessageStats::simulated_seconds is the
+// protocol's makespan, split along its critical path.
 //
-// Under the incremental protocol (core::ReportMode::Incremental) the
-// centre caches standing reports, so only agents whose valuation the last
-// allocation could have changed re-report, and the OMAX broadcast is a
-// targeted multicast to that same dirty set — the bus counts exactly those
-// wire messages (cached reports never travel).  Under the naive sweep every
-// live agent reports and hears the broadcast every round, reproducing the
-// paper's literal Figure 2 traffic.
+// Under the incremental protocol (core::ReportMode::Incremental) the centre
+// caches standing reports, so it polls only the agents whose valuation the
+// last allocation could have changed, and the OMAX broadcast is a targeted
+// multicast to that same dirty set; the bus charges exactly those messages
+// (cached reports never travel).  Under the naive sweep every live agent is
+// polled every round and the bidders that stay in LS hear the broadcast:
+// the paper's literal Figure 2 traffic.
+//
+// A regional run (core::run_regional with RegionalConfig::observer set)
+// has one centre per region: each agent talks to its region's medoid, the
+// regions run their rounds concurrently, and an epoch closes on its
+// slowest centre.
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
+#include "common/prng.hpp"
 #include "core/agt_ram.hpp"
 #include "drp/problem.hpp"
+#include "net/clustering.hpp"
 
 namespace agtram::runtime {
 
+/// Timing of the protocol's legs (seconds), with its network faults.
+struct ProtocolModel {
+  /// Seconds per metric-closure cost unit of distance.
+  double seconds_per_cost_unit = 1e-4;
+  /// Fixed per-message overhead (serialisation, kernel, queueing).
+  double message_overhead = 2e-4;
+  /// Seconds per candidate evaluation inside an agent.
+  double seconds_per_evaluation = 5e-7;
+  /// Centre decision time per received bid (scalar comparison).
+  double seconds_per_report_at_centre = 1e-7;
+
+  /// Each fresh report's compute step is inflated by a factor drawn
+  /// uniformly from [1, 1 + straggler_factor].
+  double straggler_factor = 0.0;
+  /// Probability that any message is lost; lost messages are retransmitted
+  /// after `retransmit_timeout` seconds.
+  double loss_probability = 0.0;
+  double retransmit_timeout = 0.05;
+
+  /// Seeds the straggler and loss draws.
+  std::uint64_t seed = 1;
+};
+
 struct MessageStats {
-  std::uint64_t report_messages = 0;     ///< agent -> centre
+  /// agent -> centre, each answering one centre -> agent poll
+  std::uint64_t report_messages = 0;
   std::uint64_t report_bytes = 0;
   std::uint64_t allocation_messages = 0; ///< centre -> winner (incl. payment)
   std::uint64_t allocation_bytes = 0;
-  std::uint64_t broadcast_messages = 0;  ///< centre -> every live agent
+  std::uint64_t broadcast_messages = 0;  ///< centre -> each notified agent
   std::uint64_t broadcast_bytes = 0;
+  /// Protocol messages lost in flight; each was sent again after the
+  /// model's retransmit timeout.
+  std::uint64_t lost_messages = 0;
   std::size_t rounds = 0;
+
+  /// Simulated end-to-end protocol time (the makespan): the sum over rounds
+  /// of each round's slowest centre.  Its critical path splits into time in
+  /// flight, agent compute and the centre's decide scans.
+  double simulated_seconds = 0.0;
+  double network_seconds = 0.0;
+  double compute_seconds = 0.0;
+  double centre_seconds = 0.0;
 
   // Serving-plane traffic (srv::ServingEngine, DESIGN.md §13), accounted
   // separately from the protocol kinds above so obs blocks can split
@@ -58,13 +115,13 @@ struct MessageStats {
   std::uint64_t glauber_decision_messages = 0;  ///< coordinator -> server
   std::uint64_t glauber_decision_bytes = 0;
 
-  /// Simulated end-to-end protocol time: per round, the slowest report in
-  /// flight plus the slowest broadcast leg (reports travel in parallel).
-  double simulated_seconds = 0.0;
-
+  /// Every protocol message put on the wire: polls and reports,
+  /// allocations, broadcasts and retransmissions.
   std::uint64_t total_messages() const noexcept {
-    return report_messages + allocation_messages + broadcast_messages;
+    return 2 * report_messages + allocation_messages + broadcast_messages +
+           lost_messages;
   }
+  /// Protocol payload bytes (polls carry none; retransmissions not counted).
   std::uint64_t total_bytes() const noexcept {
     return report_bytes + allocation_bytes + broadcast_bytes;
   }
@@ -96,10 +153,14 @@ struct WireFormat {
 
 class MessageBus : public core::MechanismObserver {
  public:
-  /// `centre` is the server hosting the central decision body;
-  /// `seconds_per_cost_unit` converts metric-closure cost into latency.
+  /// A flat run: `centre` hosts the one central decision body.
   MessageBus(const drp::Problem& problem, drp::ServerId centre,
-             double seconds_per_cost_unit = 1e-4, WireFormat wire = {});
+             ProtocolModel model = {}, WireFormat wire = {});
+  /// A regional run: server i talks to the medoid of its region,
+  /// `clustering.medoids[clustering.assignment[i]]`.  Pass the clustering
+  /// the engine runs on (core::cluster_regions with the same config).
+  MessageBus(const drp::Problem& problem, const net::Clustering& clustering,
+             ProtocolModel model = {});
 
   void on_round_begin(std::size_t round) override;
   void on_report(drp::ServerId agent, const core::Report& report,
@@ -107,7 +168,7 @@ class MessageBus : public core::MechanismObserver {
   void on_allocation(drp::ServerId winner, drp::ObjectIndex object,
                      double payment) override;
   void on_broadcast(drp::ServerId winner, drp::ObjectIndex object,
-                    std::size_t notified) override;
+                    std::span<const drp::ServerId> notified) override;
 
   // Serving-plane accounting (not MechanismObserver callbacks): the
   // ServingEngine charges its own wire kinds here from the control thread.
@@ -121,20 +182,51 @@ class MessageBus : public core::MechanismObserver {
   void account_glauber_decisions(std::uint64_t decisions);
 
   const MessageStats& stats() const noexcept { return stats_; }
-  drp::ServerId centre() const noexcept { return centre_; }
+  /// The decision bodies, by region (one for a flat run).
+  const std::vector<drp::ServerId>& centres() const noexcept {
+    return centres_;
+  }
 
   /// Medoid of the metric closure: the natural place for the central body.
   static drp::ServerId pick_centre(const drp::Problem& problem);
 
  private:
-  double latency(drp::ServerId server) const;
+  /// A stretch of protocol time and its critical-path split.
+  struct Span {
+    double total = 0.0;
+    double network = 0.0;
+    double compute = 0.0;
+    double centre = 0.0;
+  };
+  /// One centre's open round.
+  struct CentreRound {
+    double chain = 0.0;  ///< slowest poll→compute→reply chain
+    double chain_network = 0.0;
+    double chain_compute = 0.0;
+    std::uint64_t bids = 0;  ///< fresh reports carrying a candidate
+    double fanout = 0.0;     ///< slowest allocation or broadcast leg
+  };
+
+  std::uint32_t region_of(drp::ServerId server) const {
+    return region_of_.empty() ? 0 : region_of_[server];
+  }
+  /// One message's delivery time: latency plus a timeout per loss.
+  double send(drp::ServerId from, drp::ServerId to);
+  /// Folds `region`'s round so far into the open round's slowest centre
+  /// and publishes the makespan in stats_.
+  void time_round(std::uint32_t region);
 
   const drp::Problem* problem_;
-  drp::ServerId centre_;
-  double seconds_per_cost_unit_;
+  std::vector<drp::ServerId> centres_;   ///< by region
+  std::vector<std::uint32_t> region_of_; ///< by server; empty: one centre
+  ProtocolModel model_;
   WireFormat wire_;
+  common::Rng rng_;
+  std::vector<CentreRound> round_;  ///< by region
+  std::uint32_t slowest_ = 0;       ///< the open round's slowest region
+  Span closed_;                     ///< the rounds before the open one
+  Span open_;                       ///< the open round's slowest centre
   MessageStats stats_;
-  double round_slowest_report_ = 0.0;
 };
 
 }  // namespace agtram::runtime

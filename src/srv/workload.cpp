@@ -116,37 +116,4 @@ void SyntheticWorkload::next_batch(std::vector<Request>& out) {
   }
 }
 
-std::vector<Request> from_day_log(const drp::Problem& problem,
-                                  const trace::DayLog& log) {
-  const drp::AccessMatrix& access = problem.access;
-  const std::size_t n = problem.object_count();
-  std::vector<Request> out;
-  // Merge repeated (object, slot) hits through a map keyed on the global
-  // slot index; day logs are read-only traffic (reads land on reader cells).
-  std::vector<std::uint32_t> counts(access.nonzeros(), 0);
-  for (const trace::Request& req : log.requests) {
-    const drp::ObjectIndex k =
-        static_cast<drp::ObjectIndex>(req.object % n);
-    const auto readers = access.readers(k);
-    if (readers.empty()) continue;
-    // splitmix64 finalizer: a fixed client always hashes to the same reader.
-    std::uint64_t h = req.client + 0x9e3779b97f4a7c15ull;
-    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
-    h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
-    h ^= h >> 31;
-    const drp::ServerId server = readers[h % readers.size()];
-    ++counts[access.accessor_base(k) + access.accessor_slot(server, k)];
-  }
-  for (drp::ObjectIndex k = 0; k < n; ++k) {
-    const std::size_t base = access.accessor_base(k);
-    const std::size_t width = access.accessors(k).size();
-    for (std::size_t slot = 0; slot < width; ++slot) {
-      if (counts[base + slot] == 0) continue;
-      out.push_back(Request{k, static_cast<std::uint32_t>(slot),
-                            counts[base + slot], false});
-    }
-  }
-  return out;
-}
-
 }  // namespace agtram::srv

@@ -15,8 +15,7 @@
 // from), or with periodic concentration drift that moves a fraction of each
 // chosen object's read mass onto one hot reader (mean-field drift in the
 // manner of runtime::OnlineEventModel) — the regime the drift trigger and
-// the eviction pass exist for.  from_day_log adapts a trace::DayLog onto
-// the structural support for externally supplied logs.
+// the eviction pass exist for.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +23,6 @@
 #include <vector>
 
 #include "drp/problem.hpp"
-#include "trace/access_log.hpp"
 
 namespace agtram::srv {
 
@@ -83,14 +81,5 @@ class SyntheticWorkload {
   std::size_t batches_ = 0;
   std::size_t drift_steps_ = 0;
 };
-
-/// Aggregates a trace::DayLog onto `problem`'s structural support: objects
-/// map onto the catalogue modulo N, each request lands on a reader cell of
-/// its object chosen by hashing the client id (a fixed client therefore
-/// always enters at the same server — the pipeline's 1-M client mapping in
-/// miniature).  Objects without readers are skipped.  Returns request
-/// groups sorted by (object, slot) with counts merged.
-std::vector<Request> from_day_log(const drp::Problem& problem,
-                                  const trace::DayLog& log);
 
 }  // namespace agtram::srv

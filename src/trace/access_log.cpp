@@ -1,13 +1,13 @@
 #include "trace/access_log.hpp"
 
-#include <charconv>
 #include <cstdint>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <system_error>
+
+#include "common/parse.hpp"
 
 namespace agtram::trace {
 
@@ -17,18 +17,6 @@ void write_day_log(std::ostream& os, const DayLog& log) {
        << r.units << '\n';
   }
 }
-
-namespace {
-
-// A whole token as an unsigned 32-bit decimal: no sign, no fraction, no
-// trailing junk, no wrap-around.  `>>` accepts all four.
-bool parse_u32(const std::string& token, std::uint32_t& out) {
-  const char* last = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), last, out);
-  return ec == std::errc() && ptr == last;
-}
-
-}  // namespace
 
 DayLog read_day_log(std::istream& is) {
   DayLog log;
@@ -47,9 +35,10 @@ DayLog read_day_log(std::istream& is) {
     std::uint32_t day = 0;
     Request r{};
     if (!(fields >> token[0] >> token[1] >> token[2] >> token[3]) ||
-        fields >> token[4] || !parse_u32(token[0], day) ||
-        !parse_u32(token[1], r.client) || !parse_u32(token[2], r.object) ||
-        !parse_u32(token[3], r.units)) {
+        fields >> token[4] || !common::parse_unsigned(token[0], day) ||
+        !common::parse_unsigned(token[1], r.client) ||
+        !common::parse_unsigned(token[2], r.object) ||
+        !common::parse_unsigned(token[3], r.units)) {
       fail("expected 'day client object units' as unsigned integers: " +
            line);
     }

@@ -272,14 +272,6 @@ TEST(ThreadPoolTest, TinyRangeRunsInline) {
   EXPECT_EQ(sum.load(), 3);
 }
 
-TEST(ThreadPoolTest, SubmitAndWaitIdle) {
-  ThreadPool pool(3);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&done] { done.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 100);
-}
-
 TEST(ThreadPoolTest, SharedPoolSingleton) {
   EXPECT_EQ(&ThreadPool::shared(), &ThreadPool::shared());
   EXPECT_GE(ThreadPool::shared().thread_count(), 1u);
@@ -329,7 +321,7 @@ TEST(ThreadPoolTest, ConcurrentCallersEachCoverTheirRange) {
 }
 
 TEST(ThreadPoolTest, GrainOneOuterJobsIssueInnerParallelFor) {
-  // The regional engine's fan-out shape: an outer parallel_for with
+  // The tiled regional engine's fan-out shape: an outer parallel_for with
   // min_grain=1 (one chunk per region) whose bodies each issue an inner
   // parallel_for over their own slice.  The inner calls must take the
   // inline fallback — no deadlock, no oversubscription, every element
@@ -352,51 +344,6 @@ TEST(ThreadPoolTest, GrainOneOuterJobsIssueInnerParallelFor) {
       },
       /*min_grain=*/1);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, SubmittedTasksIssueParallelFor) {
-  // Fire-and-forget tasks that themselves call parallel_for on the same
-  // pool (a worker thread re-entering the pool): must run inline and
-  // complete without deadlocking wait_idle.
-  ThreadPool pool(3);
-  constexpr int kTasks = 32;
-  std::vector<std::atomic<long long>> sums(kTasks);
-  for (int t = 0; t < kTasks; ++t) {
-    pool.submit([&pool, &sums, t] {
-      pool.parallel_for(
-          0, 1000,
-          [&sums, t](std::size_t a, std::size_t b) {
-            long long local = 0;
-            for (std::size_t i = a; i < b; ++i) {
-              local += static_cast<long long>(i);
-            }
-            sums[t].fetch_add(local);
-          },
-          /*min_grain=*/16);
-    });
-  }
-  pool.wait_idle();
-  for (const auto& s : sums) EXPECT_EQ(s.load(), 999LL * 1000 / 2);
-}
-
-TEST(ThreadPoolTest, RepeatedSmallGrainJobsUnderTaskContention) {
-  // Interleave fire-and-forget tasks with many small parallel_for jobs so
-  // workers keep switching between the task queue and the published job.
-  ThreadPool pool(3);
-  std::atomic<int> task_done{0};
-  std::atomic<long long> total{0};
-  for (int rep = 0; rep < 200; ++rep) {
-    pool.submit([&task_done] { task_done.fetch_add(1); });
-    pool.parallel_for(
-        0, 97,
-        [&](std::size_t a, std::size_t b) {
-          total.fetch_add(static_cast<long long>(b - a));
-        },
-        /*min_grain=*/4);
-  }
-  pool.wait_idle();
-  EXPECT_EQ(task_done.load(), 200);
-  EXPECT_EQ(total.load(), 200LL * 97);
 }
 
 /// True once every index of a fresh job on `pool` ran exactly once.

@@ -371,6 +371,15 @@ TEST(PlacementIo, MalformedInputsThrow) {
   expect_throw("0.5: 1\n");     // fractional object index
   expect_throw("-0: 1\n");      // signed object index
   expect_throw("18446744073709551616: 1\n");  // object index overflows
+  // A signed server id is refused, with its line.
+  std::stringstream signed_server("# c\n0: +1\n");
+  try {
+    read_placement(signed_server, p);
+    ADD_FAILURE() << "accepted a signed server id";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(PlacementIo, CapacityViolationRejected) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
 #include "baselines/aestar.hpp"
 #include "baselines/auctions.hpp"
@@ -11,7 +12,7 @@
 #include "common/timer.hpp"
 #include "core/agt_ram.hpp"
 #include "drp/cost_model.hpp"
-#include "runtime/event_sim.hpp"
+#include "runtime/message_bus.hpp"
 #include "trace/pipeline.hpp"
 #include "test_helpers.hpp"
 
@@ -141,9 +142,14 @@ TEST(EdgeCase, PipelineWithSingleServer) {
 
 TEST(EdgeCase, ProtocolSimulatorWithPinnedCentre) {
   const drp::Problem p = testutil::small_instance(804, 12, 30);
-  const auto trace = runtime::simulate_protocol(p, runtime::ProtocolModel{}, 3);
-  EXPECT_GT(trace.makespan_seconds, 0.0);
-  EXPECT_GT(trace.replicas_placed, 0u);
+  runtime::MessageBus bus(p, 3);
+  core::AgtRamConfig cfg;
+  cfg.report_mode = core::ReportMode::Naive;
+  cfg.observer = &bus;
+  core::run_agt_ram(p, cfg);
+  EXPECT_EQ(bus.centres(), std::vector<drp::ServerId>{3});
+  EXPECT_GT(bus.stats().simulated_seconds, 0.0);
+  EXPECT_GT(bus.stats().allocation_messages, 0u);
 }
 
 TEST(EdgeCase, StrategyReturningZeroClaims) {

@@ -384,6 +384,25 @@ TEST(GraphIo, MalformedInputsThrow) {
   expect_throw("nodes 4294967296\n");
   expect_throw("nodes 18446744073709551615\n");
   expect_throw("nodes " + std::to_string(net::kMaxGraphNodes + 1) + "\n");
+  // Each field is one whole unsigned decimal and a line has no extra
+  // field; every refusal names its line.
+  const auto expect_refused_at = [](const std::string& text,
+                                    const std::string& line) {
+    std::stringstream ss(text);
+    try {
+      net::read_graph(ss);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(line), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_refused_at("nodes 3\n0 1 2.5\n", "line 2");    // read as cost 2
+  expect_refused_at("nodes 3\n0 1 2junk\n", "line 2");  // trailing junk
+  expect_refused_at("nodes 3\n0 1 +2\n", "line 2");     // signed cost
+  expect_refused_at("nodes 3\n0 1 2 9\n", "line 2");    // fourth field
+  expect_refused_at("nodes 3 7\n", "line 1");           // third field
+  expect_refused_at("# c\nnodes +3\n", "line 2");       // signed count
 }
 
 TEST(GraphIo, CommentsIgnored) {

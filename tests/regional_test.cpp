@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "net/clustering.hpp"
 #include "net/tiled_distances.hpp"
 #include "net/topology.hpp"
+#include "obs/obs.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -293,6 +296,200 @@ TEST(Hierarchical, OutputsPinned) {
       0x1.2e1ap+15, 167);
 }
 
+// ------------------------------------- hierarchy under ReportMode::Auto
+
+drp::Problem dispersed_instance(std::uint64_t seed, std::uint32_t servers,
+                                std::uint32_t objects) {
+  drp::InstanceSpec spec;
+  spec.servers = servers;
+  spec.objects = objects;
+  spec.seed = seed;
+  spec.demand = drp::DemandModel::Dispersed;
+  spec.readers_per_object = 6.0;
+  spec.instance.capacity_fraction = 0.02;
+  spec.instance.rw_ratio = 0.9;
+  return drp::make_instance(spec);
+}
+
+/// The mode run_hierarchical's flat loop resolves to: Auto over the members
+/// of live regions.
+core::ReportMode hierarchy_mode(const drp::Problem& p,
+                                const core::RegionalConfig& cfg) {
+  const net::Clustering clustering = core::cluster_regions(p, cfg);
+  std::size_t participants = 0;
+  for (drp::ServerId i = 0; i < p.server_count(); ++i) {
+    const std::uint32_t region = clustering.assignment[i];
+    if (std::find(cfg.failed_regions.begin(), cfg.failed_regions.end(),
+                  region) == cfg.failed_regions.end()) {
+      ++participants;
+    }
+  }
+  return core::resolve_report_mode(p, participants, core::ReportMode::Auto);
+}
+
+std::uint64_t reports_polled_counter() {
+  for (const obs::CounterSnapshot& c : obs::Registry::instance().counters()) {
+    if (c.name == "regional.reports_polled") return c.value;
+  }
+  return 0;
+}
+
+/// FNV-1a over each round's winner, object and payment bits.
+std::uint64_t rounds_digest(const std::vector<core::RoundRecord>& rounds) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const core::RoundRecord& r : rounds) {
+    std::uint64_t payment_bits = 0;
+    std::memcpy(&payment_bits, &r.payment, sizeof payment_bits);
+    mix(r.winner);
+    mix(r.object);
+    mix(payment_bits);
+  }
+  return h;
+}
+
+// Every output of the two-level mechanism on two dispersed instances where
+// Auto resolves to Incremental, so the hierarchy runs on the dirty-set
+// loop: the round count, a digest of every round's winner, object and
+// payment bits, the summed charges, the champion count and the reports the
+// regional centres polled.  Recorded while the hierarchy still pinned
+// ReportMode::Naive.
+TEST(Hierarchical, DispersedOutputsPinnedUnderAuto) {
+  struct Pinned {
+    std::uint64_t seed;
+    std::vector<std::uint32_t> failed_regions;
+    std::size_t rounds;
+    std::uint64_t digest;
+    double total_charges;
+    std::uint64_t top_level_reports;
+    std::uint64_t reports_polled;
+  };
+  const Pinned pins[] = {
+      {241, {}, 349, 0x73311dd9110969b5ull, 0x1.41f7cp+18, 1375, 17901},
+      {242, {1}, 339, 0x88f201fc56f1a8efull, 0x1.6ca3cp+18, 1007, 16157},
+  };
+  for (const Pinned& pin : pins) {
+    SCOPED_TRACE("seed " + std::to_string(pin.seed));
+    const drp::Problem p = dispersed_instance(pin.seed, 64, 320);
+    core::RegionalConfig cfg;
+    cfg.regions = 4;
+    cfg.failed_regions = pin.failed_regions;
+    ASSERT_EQ(hierarchy_mode(p, cfg), core::ReportMode::Incremental);
+    const std::uint64_t polled_before = reports_polled_counter();
+    const auto hier = core::run_hierarchical(p, cfg);
+    EXPECT_EQ(reports_polled_counter() - polled_before, pin.reports_polled);
+    EXPECT_EQ(hier.rounds.size(), pin.rounds);
+    EXPECT_EQ(rounds_digest(hier.rounds), pin.digest);
+    EXPECT_EQ(hier.total_charges, pin.total_charges);  // bitwise
+    EXPECT_EQ(hier.top_level_reports, pin.top_level_reports);
+  }
+}
+
+/// The two-level rule of DESIGN.md §11 written out on its own: each region
+/// nominates its first best report of the round, and the top level charges
+/// the winner the best champion of the other regions (0 when alone).
+class ChampionReference final : public core::MechanismObserver {
+ public:
+  explicit ChampionReference(const net::Clustering& clustering)
+      : clustering_(clustering), champions_(clustering.region_count()) {}
+
+  void on_round_begin(std::size_t) override {
+    std::fill(champions_.begin(), champions_.end(), core::Report{});
+  }
+  void on_report(drp::ServerId agent, const core::Report& report,
+                 bool) override {
+    ++reports_polled;
+    core::Report& champion = champions_[clustering_.assignment[agent]];
+    if (report.has_candidate &&
+        (!champion.has_candidate ||
+         report.claimed_value > champion.claimed_value)) {
+      champion = report;
+    }
+  }
+  void on_allocation(drp::ServerId winner, drp::ObjectIndex object,
+                     double) override {
+    const std::uint32_t home = clustering_.assignment[winner];
+    double second = 0.0;
+    for (std::uint32_t r = 0; r < champions_.size(); ++r) {
+      if (!champions_[r].has_candidate) continue;
+      ++top_level_reports;
+      if (r != home) second = std::max(second, champions_[r].claimed_value);
+    }
+    rounds.push_back(core::RoundRecord{winner, object,
+                                       champions_[home].claimed_value,
+                                       champions_[home].true_value, second});
+    total_charges += second;
+  }
+
+  std::vector<core::RoundRecord> rounds;
+  double total_charges = 0.0;
+  std::uint64_t top_level_reports = 0;
+  std::uint64_t reports_polled = 0;
+
+ private:
+  const net::Clustering& clustering_;
+  std::vector<core::Report> champions_;
+};
+
+TEST(Hierarchical, AutoMatchesNaiveChampionReference) {
+  // Randomized differential: the hierarchy under Auto against a reference
+  // that runs the naive sweep over the live regions' members under
+  // ChampionReference, on every instance of the family where Auto resolves
+  // to Incremental (a large failed region can leave too few agents).
+  std::size_t checked = 0;
+  for (std::uint64_t seed = 1000; seed < 1070; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::uint32_t servers = 48 + 8 * static_cast<std::uint32_t>(seed % 3);
+    const drp::Problem p = dispersed_instance(seed, servers, 15 * servers);
+    core::RegionalConfig cfg;
+    cfg.regions = 2 + static_cast<std::uint32_t>(seed % 4);
+    if (seed % 3 == 0) {
+      cfg.failed_regions = {static_cast<std::uint32_t>(seed % cfg.regions)};
+    }
+    if (hierarchy_mode(p, cfg) != core::ReportMode::Incremental) continue;
+
+    const net::Clustering clustering = core::cluster_regions(p, cfg);
+    std::vector<drp::ServerId> participants;
+    for (drp::ServerId i = 0; i < p.server_count(); ++i) {
+      if (cfg.failed_regions.empty() ||
+          clustering.assignment[i] != cfg.failed_regions[0]) {
+        participants.push_back(i);
+      }
+    }
+    ChampionReference reference(clustering);
+    core::AgtRamConfig naive;
+    naive.report_mode = core::ReportMode::Naive;
+    naive.observer = &reference;
+    const core::MechanismResult flat = core::run_agt_ram_from(
+        p, naive, drp::ReplicaPlacement(p), &participants);
+
+    const std::uint64_t polled_before = reports_polled_counter();
+    const auto hier = core::run_hierarchical(p, cfg);
+    EXPECT_EQ(reports_polled_counter() - polled_before,
+              reference.reports_polled);
+    ASSERT_EQ(hier.rounds.size(), reference.rounds.size());
+    for (std::size_t r = 0; r < hier.rounds.size(); ++r) {
+      EXPECT_EQ(hier.rounds[r].winner, reference.rounds[r].winner);
+      EXPECT_EQ(hier.rounds[r].object, reference.rounds[r].object);
+      EXPECT_EQ(hier.rounds[r].claimed_value,
+                reference.rounds[r].claimed_value);
+      EXPECT_EQ(hier.rounds[r].true_value, reference.rounds[r].true_value);
+      EXPECT_EQ(hier.rounds[r].payment, reference.rounds[r].payment);
+    }
+    EXPECT_EQ(hier.total_charges, reference.total_charges);  // bitwise
+    EXPECT_EQ(hier.top_level_reports, reference.top_level_reports);
+    EXPECT_EQ(rounds_digest(hier.rounds), rounds_digest(reference.rounds));
+    EXPECT_EQ(flat.rounds.size(), hier.rounds.size());
+    ++checked;
+  }
+  EXPECT_GE(checked, 50u);
+}
+
 TEST(Regional, RegionStatsAreConsistent) {
   const drp::Problem p = testutil::small_instance(217, 24, 80);
   core::RegionalConfig cfg;
@@ -305,111 +502,6 @@ TEST(Regional, RegionStatsAreConsistent) {
     EXPECT_LT(region.centre, p.server_count());
   }
   EXPECT_EQ(members, p.server_count());
-}
-
-// ------------------------------------------- serial vs sharded (differential)
-
-// The bench instance families the differential suite sweeps: enough shape
-// variety (size, capacity headroom, read/write mix) to exercise ties,
-// retirement, and multi-epoch runs.
-struct Family {
-  std::uint64_t seed;
-  std::uint32_t servers;
-  std::uint32_t objects;
-  double capacity;
-  double rw;
-};
-
-constexpr Family kFamilies[] = {
-    {230, 32, 120, 0.06, 0.9},
-    {231, 48, 160, 0.05, 0.9},
-    {232, 40, 100, 0.04, 0.7},
-};
-
-void expect_placements_identical(const drp::ReplicaPlacement& a,
-                                 const drp::ReplicaPlacement& b) {
-  ASSERT_EQ(a.problem().object_count(), b.problem().object_count());
-  for (drp::ObjectIndex k = 0; k < a.problem().object_count(); ++k) {
-    const auto ra = a.replicators(k);
-    const auto rb = b.replicators(k);
-    ASSERT_EQ(ra.size(), rb.size()) << "object " << k;
-    for (std::size_t i = 0; i < ra.size(); ++i) {
-      EXPECT_EQ(ra[i], rb[i]) << "object " << k << " slot " << i;
-    }
-  }
-}
-
-void expect_regional_results_identical(const core::RegionalResult& serial,
-                                       const core::RegionalResult& sharded) {
-  EXPECT_EQ(serial.epochs, sharded.epochs);
-  ASSERT_EQ(serial.regions.size(), sharded.regions.size());
-  for (std::size_t r = 0; r < serial.regions.size(); ++r) {
-    const core::RegionOutcome& a = serial.regions[r];
-    const core::RegionOutcome& b = sharded.regions[r];
-    EXPECT_EQ(a.centre, b.centre) << "region " << r;
-    EXPECT_EQ(a.member_count, b.member_count) << "region " << r;
-    EXPECT_EQ(a.failed, b.failed) << "region " << r;
-    EXPECT_EQ(a.replicas_placed, b.replicas_placed) << "region " << r;
-    EXPECT_EQ(a.charges, b.charges) << "region " << r;  // bitwise
-    EXPECT_EQ(a.reports_polled, b.reports_polled) << "region " << r;
-    EXPECT_EQ(a.wire_bytes, b.wire_bytes) << "region " << r;
-  }
-  expect_placements_identical(serial.placement, sharded.placement);
-}
-
-// Serial config: the oracle, regions one after another.  Sharded config:
-// one region job per region on an explicit 4-worker pool.  Every result
-// field must match bitwise.
-core::RegionalConfig serial_config(std::uint32_t regions) {
-  core::RegionalConfig cfg;
-  cfg.regions = regions;
-  cfg.execution = core::RegionalExecution::Serial;
-  return cfg;
-}
-
-core::RegionalConfig sharded_config(std::uint32_t regions,
-                                    common::ThreadPool& pool) {
-  core::RegionalConfig cfg;
-  cfg.regions = regions;
-  cfg.execution = core::RegionalExecution::Sharded;
-  cfg.pool = &pool;
-  return cfg;
-}
-
-TEST(RegionalDifferential, ShardedRegionalByteIdenticalToSerial) {
-  common::ThreadPool pool(4);
-  for (const Family& f : kFamilies) {
-    const drp::Problem p =
-        testutil::small_instance(f.seed, f.servers, f.objects, f.capacity,
-                                 f.rw);
-    const auto serial = core::run_regional(p, serial_config(4));
-    const auto sharded = core::run_regional(p, sharded_config(4, pool));
-    expect_regional_results_identical(serial, sharded);
-  }
-}
-
-TEST(RegionalDifferential, ShardedCooperativeByteIdenticalToSerial) {
-  common::ThreadPool pool(4);
-  for (const Family& f : kFamilies) {
-    const drp::Problem p =
-        testutil::small_instance(f.seed, f.servers, f.objects, f.capacity,
-                                 f.rw);
-    const auto serial = core::run_regional_cooperative(p, serial_config(4));
-    const auto sharded =
-        core::run_regional_cooperative(p, sharded_config(4, pool));
-    expect_regional_results_identical(serial, sharded);
-  }
-}
-
-TEST(RegionalDifferential, ShardedMatchesSerialUnderRegionFailures) {
-  common::ThreadPool pool(4);
-  const drp::Problem p = testutil::small_instance(233, 36, 120, 0.05);
-  core::RegionalConfig serial = serial_config(5);
-  serial.failed_regions = {1, 3};
-  core::RegionalConfig sharded = sharded_config(5, pool);
-  sharded.failed_regions = {1, 3};
-  expect_regional_results_identical(core::run_regional(p, serial),
-                                    core::run_regional(p, sharded));
 }
 
 // ------------------------------------------------------- sampled clustering

@@ -1,5 +1,5 @@
 // Serving-layer suite (DESIGN.md §13): the lock-free routing table, the
-// synthetic/trace request streams, and the ServingEngine's batch loop.
+// synthetic request streams, and the ServingEngine's batch loop.
 //
 // The load-bearing properties:
 //  * A RoutingSnapshot routes every structural demand cell byte-identically
@@ -42,7 +42,6 @@
 #include "srv/routing_table.hpp"
 #include "srv/serving_engine.hpp"
 #include "srv/workload.hpp"
-#include "trace/access_log.hpp"
 
 namespace {
 
@@ -378,41 +377,6 @@ TEST(SyntheticWorkloadTest, DriftConcentratesTheMix) {
   std::vector<srv::Request> batch;
   for (int i = 0; i < 8; ++i) workload.next_batch(batch);
   EXPECT_EQ(workload.drift_steps(), 8u);
-}
-
-TEST(FromDayLogTest, AggregatesOntoStructuralReaderCells) {
-  drp::Problem problem = dispersed_instance(16, 32, 9);
-  trace::DayLog log;
-  log.day_index = 0;
-  for (std::uint32_t r = 0; r < 500; ++r) {
-    log.requests.push_back(trace::Request{/*client=*/r % 37,
-                                          /*object=*/r % 61, /*units=*/1});
-  }
-  const std::vector<srv::Request> groups = srv::from_day_log(problem, log);
-  ASSERT_FALSE(groups.empty());
-  std::uint64_t total = 0;
-  for (const srv::Request& g : groups) {
-    EXPECT_FALSE(g.write);
-    const auto row = problem.access.accessors(g.object);
-    ASSERT_LT(g.slot, row.size());
-    EXPECT_GT(row[g.slot].reads, 0u);  // reader cell
-    total += g.count;
-  }
-  // Every request whose object has readers lands exactly once.
-  std::uint64_t expected = 0;
-  for (const trace::Request& r : log.requests) {
-    const drp::ObjectIndex k =
-        static_cast<drp::ObjectIndex>(r.object % problem.object_count());
-    if (!problem.access.readers(k).empty()) ++expected;
-  }
-  EXPECT_EQ(total, expected);
-  // A fixed client always enters at the same server: determinism.
-  const std::vector<srv::Request> again = srv::from_day_log(problem, log);
-  ASSERT_EQ(groups.size(), again.size());
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    EXPECT_EQ(groups[i].slot, again[i].slot);
-    EXPECT_EQ(groups[i].count, again[i].count);
-  }
 }
 
 // ---------------------------------------------------------- ServingEngine

@@ -17,8 +17,9 @@
 # construction on every solve and repair.  The online engine also re-prices
 # a batch's demand-touched objects in one parallel_for; test_online forks
 # that re-price over a thousand objects, and test_serving runs it on every
-# fold.  test_regional runs the sharded regional engines' region jobs on an
-# explicit pool.  test_layout checks the by-server transpose that writes
+# fold.  test_regional runs the tiled engine's shard jobs on an explicit
+# pool.  test_runtime times the protocol on the bus over flat and regional
+# runs.  test_layout checks the by-server transpose that writes
 # the slots those agents read.  test_obs_counters runs each instrumented
 # layer once and checks that its counters moved.  test_trace and test_drp
 # feed the day-log and placement readers malformed lines, which they must
