@@ -161,8 +161,6 @@ inline void add_baseline_eval_flag(common::Cli& cli) {
   cli.add_flag("baseline-eval", "delta",
                "baseline evaluation path: 'delta' (incremental engine) or "
                "'naive' (full-recompute oracle; identical results)");
-  cli.add_flag("parallel-scans", "1",
-               "enable pool-parallel candidate scans in the delta paths");
 }
 
 inline baselines::AlgoOptions resolve_algo_options(const common::Cli& cli) {
@@ -170,7 +168,6 @@ inline baselines::AlgoOptions resolve_algo_options(const common::Cli& cli) {
   options.eval = cli.get("baseline-eval") == "naive"
                      ? baselines::EvalPath::Naive
                      : baselines::EvalPath::Delta;
-  options.parallel_scans = cli.get_int("parallel-scans") != 0;
   return options;
 }
 

@@ -100,15 +100,13 @@ inline JsonWriter::Record mechanism_decisions(
   return record;
 }
 
-/// The baseline-side policy decisions: EvalPath plus the candidate-scan
-/// parallelisation inputs (the scan forks only when the instance clears
-/// DeltaEvaluator::kParallelMinServers).
+/// The baseline-side policy decisions: EvalPath plus the inputs the
+/// server-axis candidate scan forks on (it forks only when the instance
+/// clears DeltaEvaluator::kParallelMinServers on a multi-worker pool).
 inline JsonWriter::Record baseline_decisions(const drp::Problem& problem,
-                                             bool delta_eval,
-                                             bool parallel_scan) {
+                                             bool delta_eval) {
   JsonWriter::Record record;
   record.field("eval_path", delta_eval ? "delta" : "naive");
-  record.field("parallel_scan", parallel_scan);
   record.field("scan_min_servers",
                static_cast<std::uint64_t>(
                    drp::DeltaEvaluator::kParallelMinServers));

@@ -1,25 +1,18 @@
 // Shared percentile machinery for the bench harness (DESIGN.md §13).
 //
-// Two sample shapes cover every latency surface the benches report:
+// Every latency surface the benches report is a dense integer histogram:
+// the serving engine's read-cost histogram is indexed by metric-closure
+// path cost (bounded by the network diameter), so request-weighted
+// percentiles are *exact*, not sampled: walk the cumulative counts.
+// sim::replay's per-read latency distribution has the same shape.
 //
-//  * Dense integer histograms — the serving engine's read-cost histogram is
-//    indexed by metric-closure path cost (bounded by the network diameter),
-//    so request-weighted percentiles are *exact*, not sampled: walk the
-//    cumulative counts.  sim::replay's per-read latency distribution has
-//    the same shape.
-//
-//  * Raw sample vectors — wall-clock placement-query timings are sampled
-//    every Nth request; classic sort-and-index percentiles.
-//
-// Both use the same rank convention as sim::replay's weighted_percentile
-// (target rank = q/100 * (count - 1), first value whose cumulative weight
-// exceeds it), so serving rows and latency_profile rows are comparable.
+// The rank convention is sim::replay's weighted_percentile (target rank =
+// q/100 * (count - 1), first value whose cumulative weight exceeds it), so
+// serving rows and latency_profile rows are comparable.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace agtram::bench {
 
@@ -58,27 +51,6 @@ inline PercentileSummary summarize_histogram(
   out.p50 = at(50.0);
   out.p90 = at(90.0);
   out.p99 = at(99.0);
-  return out;
-}
-
-/// Percentiles of raw samples (sorts in place).
-inline PercentileSummary summarize_samples(std::vector<std::uint64_t>& s) {
-  PercentileSummary out;
-  out.count = s.size();
-  if (s.empty()) return out;
-  std::sort(s.begin(), s.end());
-  double sum = 0.0;
-  for (const std::uint64_t v : s) sum += static_cast<double>(v);
-  out.mean = sum / static_cast<double>(s.size());
-  const auto at = [&s](double q) {
-    const auto rank = static_cast<std::size_t>(
-        q / 100.0 * static_cast<double>(s.size() - 1));
-    return static_cast<double>(s[rank]);
-  };
-  out.p50 = at(50.0);
-  out.p90 = at(90.0);
-  out.p99 = at(99.0);
-  out.max = static_cast<double>(s.back());
   return out;
 }
 

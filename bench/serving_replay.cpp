@@ -7,9 +7,9 @@
 //                converged costs without the online engine),
 //   ondrift    — drift-triggered OnlineMechanism repair + bounded eviction
 //                (the system under test).
-// Reported per policy: routing throughput, sampled placement-query wall
-// latency, the exact request-weighted read-cost distribution, bytes moved,
-// and how much wall time re-convergence consumed.
+// Reported per policy: routing throughput, the exact request-weighted
+// read-cost distribution, bytes moved, and how much wall time
+// re-convergence consumed.
 #include <algorithm>
 #include <iostream>
 #include <string>
@@ -106,17 +106,14 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  common::Table table({"policy", "req/s (serve)", "query p50ns", "p99ns",
-                       "read cost mean", "p99", "local reads", "units moved",
-                       "installs", "reconv", "evicted", "reconv s",
-                       "wire MB"});
+  common::Table table({"policy", "req/s (serve)", "read cost mean", "p99",
+                       "local reads", "units moved", "installs", "reconv",
+                       "evicted", "reconv s", "wire MB"});
   table.set_title("serving replay under drift [M=" +
                   std::to_string(dims.servers) + ", N=" +
                   std::to_string(dims.objects) + ", " +
                   std::to_string(total_requests) + " requests/policy]");
-  for (PolicyRun& run : runs) {
-    const bench::PercentileSummary query =
-        bench::summarize_samples(run.stats.query_ns);
+  for (const PolicyRun& run : runs) {
     const bench::PercentileSummary cost =
         bench::summarize_histogram(run.stats.read_cost_histogram);
     const double serve_rate =
@@ -125,7 +122,6 @@ int main(int argc, char** argv) {
             : 0.0;
     table.add_row(
         {run.name, common::Table::num(serve_rate, 0),
-         common::Table::num(query.p50, 0), common::Table::num(query.p99, 0),
          common::Table::num(cost.mean, 2), common::Table::num(cost.p99, 1),
          common::Table::pct(
              run.stats.reads == 0

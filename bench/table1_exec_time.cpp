@@ -100,8 +100,7 @@ int main(int argc, char** argv) {
                 bench::obs_block(
                     bench::baseline_decisions(
                         problem,
-                        algo_options.eval == baselines::EvalPath::Delta,
-                        algo_options.parallel_scans),
+                        algo_options.eval == baselines::EvalPath::Delta),
                     obs_before, obs_after, /*runs=*/1));
         json.add(std::move(record));
       }

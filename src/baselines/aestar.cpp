@@ -323,7 +323,7 @@ drp::ReplicaPlacement run_aestar_delta(const drp::Problem& problem,
       },
       [&](const DeltaNode& node) {
         return candidate_moves(node.eval.placement(), config.branching,
-                               config.parallel_scan);
+                               /*parallel=*/true);
       },
       [&](const DeltaNode& node) {
         drp::DeltaEvaluator leaf = node.eval;

@@ -36,10 +36,9 @@ struct AeStarConfig {
   std::size_t max_open = 256;
   /// Delta: nodes carry a drp::DeltaEvaluator, so each child's h bound is an
   /// O(N) re-sum of cached per-object savings instead of a full accessor
-  /// sweep, and leaf costs come from the cache.  Naive: full recomputation.
+  /// sweep, and leaf costs come from the cache; the per-object candidate
+  /// shortlist is scored on the shared pool.  Naive: full recomputation.
   EvalPath eval = EvalPath::Delta;
-  /// Delta path only: parallelise the per-object candidate shortlist scan.
-  bool parallel_scan = true;
 };
 
 drp::ReplicaPlacement run_aestar(const drp::Problem& problem,

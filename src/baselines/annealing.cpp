@@ -7,7 +7,6 @@
 
 #include "baselines/selfish_caching.hpp"
 #include "common/prng.hpp"
-#include "common/thread_pool.hpp"
 #include "drp/cost_model.hpp"
 #include "drp/delta_evaluator.hpp"
 #include "obs/obs.hpp"
@@ -189,7 +188,6 @@ drp::ReplicaPlacement run_annealing(const drp::Problem& problem,
   const std::size_t batch = use_delta ? std::max<std::size_t>(1, config.batch)
                                       : 1;
   std::vector<MoveSpec> specs;
-  std::vector<double> deltas;
   specs.reserve(batch);
 
   std::size_t consumed = 0;
@@ -198,30 +196,8 @@ drp::ReplicaPlacement run_annealing(const drp::Problem& problem,
     const std::size_t batch_end =
         std::min(batch_start + batch, config.proposals);
     specs.clear();
-    std::size_t work = 0;
     for (std::size_t j = batch_start; j < batch_end; ++j) {
       specs.push_back(draw_spec(problem, current(), config.seed, j));
-      if (specs.back().kind != MoveSpec::Kind::None) {
-        work += problem.access.accessors(specs.back().object).size();
-      }
-    }
-    if (use_delta) {
-      // Every spec was drawn against — and is priced against — the same
-      // placement, so the batch evaluates read-only in parallel; after an
-      // accepted move the remaining (now stale) tail is thrown away below.
-      deltas.assign(specs.size(), 0.0);
-      const auto price = [&](std::size_t first, std::size_t last) {
-        for (std::size_t s = first; s < last; ++s) {
-          deltas[s] = delta_of(*eval, specs[s]);
-        }
-      };
-      if (config.parallel_scan && specs.size() > 1 &&
-          work >= config.parallel_min_work) {
-        common::ThreadPool::shared().parallel_for(0, specs.size(), price,
-                                                  /*min_grain=*/1);
-      } else {
-        price(0, specs.size());
-      }
     }
 
     bool accepted_in_batch = false;
@@ -229,7 +205,9 @@ drp::ReplicaPlacement run_annealing(const drp::Problem& problem,
       MoveSpec& spec = specs[j - batch_start];
       AGTRAM_OBS_COUNT("sa.proposals", 1);
       if (spec.kind != MoveSpec::Kind::None) {
-        const double delta = use_delta ? deltas[j - batch_start]
+        // Until a move is accepted the placement is the one the batch was
+        // drawn against, so each spec is priced where it was drawn.
+        const double delta = use_delta ? delta_of(*eval, spec)
                                        : measure_applied(placement, spec);
         const bool accept =
             delta < 0.0 ||

@@ -34,17 +34,14 @@ struct AnnealingConfig {
   /// Geometric cooling applied every `cooling_interval` proposals.
   double cooling_rate = 0.95;
   std::size_t cooling_interval = 500;
-  /// Delta: proposal deltas priced read-only through drp::DeltaEvaluator in
-  /// speculative batches (the tail after an accepted move is discarded, so
-  /// every consumed proposal saw the placement it was drawn against).
+  /// Delta: proposals drawn in speculative batches and priced read-only
+  /// through drp::DeltaEvaluator as they are consumed (the tail after an
+  /// accepted move is discarded, so every consumed proposal saw the
+  /// placement it was drawn against).
   /// Naive: one mutate-measure-undo evaluation per proposal.
   EvalPath eval = EvalPath::Delta;
   /// Speculative batch size for the delta path (1 = no speculation).
   std::size_t batch = 32;
-  /// Delta path only: price a batch's proposals in parallel when the
-  /// batch touches enough demand cells to amortise the pool fork.
-  bool parallel_scan = true;
-  std::size_t parallel_min_work = 4096;
 };
 
 drp::ReplicaPlacement run_annealing(const drp::Problem& problem,

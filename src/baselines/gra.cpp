@@ -351,12 +351,8 @@ drp::ReplicaPlacement run_gra(const drp::Problem& problem,
       const std::lock_guard<std::mutex> lock(scratch_mutex);
       scratch_pool.push_back(std::move(scratch));
     };
-    if (config.parallel_scan) {
-      common::ThreadPool::shared().parallel_for(from, population.size(), body,
-                                                /*min_grain=*/1);
-    } else {
-      body(from, population.size());
-    }
+    common::ThreadPool::shared().parallel_for(from, population.size(), body,
+                                              /*min_grain=*/1);
   };
 
   scores.resize(config.population);

@@ -39,9 +39,8 @@ struct GraConfig {
   /// untouched objects priced from the precomputed primaries-only base) —
   /// no placement materialisation, elites keep their scores.  Naive: the
   /// original materialise + total_cost per genome.  Same bits either way.
+  /// The delta path scores the population on the shared pool.
   EvalPath eval = EvalPath::Delta;
-  /// Delta path only: fan population scoring out over the shared pool.
-  bool parallel_scan = true;
 };
 
 drp::ReplicaPlacement run_gra(const drp::Problem& problem,

@@ -124,12 +124,8 @@ drp::ReplicaPlacement run_greedy_delta(const drp::Problem& problem,
                                          sites, scratch, /*parallel=*/false);
     }
   };
-  if (config.parallel_scan) {
-    common::ThreadPool::shared().parallel_for(0, n, seed_scan,
-                                              /*min_grain=*/16);
-  } else {
-    seed_scan(0, n);
-  }
+  common::ThreadPool::shared().parallel_for(0, n, seed_scan,
+                                            /*min_grain=*/16);
 
   std::priority_queue<Candidate> heap;
   for (drp::ObjectIndex k = 0; k < n; ++k) {
@@ -145,7 +141,7 @@ drp::ReplicaPlacement run_greedy_delta(const drp::Problem& problem,
       n, config,
       [&](drp::ObjectIndex k) {
         const auto best =
-            eval.best_add_for_object(k, sites, scratch, config.parallel_scan);
+            eval.best_add_for_object(k, sites, scratch, /*parallel=*/true);
         return Candidate{best.benefit, k, best.server};
       },
       [&](const Candidate& c) { eval.add_replica(c.server, c.object); },

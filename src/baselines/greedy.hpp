@@ -32,13 +32,11 @@ struct GreedyConfig {
   const std::vector<bool>* allowed_sites = nullptr;
   /// Delta: loop-swapped candidate scans through drp::DeltaEvaluator
   /// (byte-identical placements, ~order-of-magnitude faster at paper
-  /// scale).  Naive: the original per-server global_benefit rescan.
+  /// scale); the heap build fans out over objects on the shared pool, each
+  /// re-validation scan over servers once M reaches
+  /// DeltaEvaluator::kParallelMinServers.  Naive: the original per-server
+  /// global_benefit rescan.
   EvalPath eval = EvalPath::Delta;
-  /// Parallelise the delta path's scans on the shared pool: the initial
-  /// heap build fans out over objects, each re-validation scan over
-  /// servers.  Round-size-aware cutoffs keep small instances inline, so
-  /// parallel never loses to serial.  Ignored by the naive path.
-  bool parallel_scan = true;
 };
 
 drp::ReplicaPlacement run_greedy(const drp::Problem& problem,

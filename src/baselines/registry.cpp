@@ -20,7 +20,6 @@ std::vector<AlgorithmEntry> all_algorithms(const AlgoOptions& options) {
       "Greedy", [options](const drp::Problem& p, std::uint64_t) {
         GreedyConfig cfg;
         cfg.eval = options.eval;
-        cfg.parallel_scan = options.parallel_scans;
         return run_greedy(p, cfg);
       }});
   algorithms.push_back(AlgorithmEntry{
@@ -28,14 +27,12 @@ std::vector<AlgorithmEntry> all_algorithms(const AlgoOptions& options) {
         GraConfig cfg;
         cfg.seed = seed;
         cfg.eval = options.eval;
-        cfg.parallel_scan = options.parallel_scans;
         return run_gra(p, cfg);
       }});
   algorithms.push_back(AlgorithmEntry{
       "Ae-Star", [options](const drp::Problem& p, std::uint64_t) {
         AeStarConfig cfg;
         cfg.eval = options.eval;
-        cfg.parallel_scan = options.parallel_scans;
         return run_aestar(p, cfg);
       }});
   algorithms.push_back(AlgorithmEntry{
@@ -87,7 +84,6 @@ std::vector<AlgorithmEntry> extended_algorithms(const AlgoOptions& options) {
         AnnealingConfig cfg;
         cfg.seed = seed;
         cfg.eval = options.eval;
-        cfg.parallel_scan = options.parallel_scans;
         return run_annealing(p, cfg);
       }});
   return algorithms;

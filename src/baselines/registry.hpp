@@ -14,15 +14,12 @@
 
 namespace agtram::baselines {
 
-/// Cross-cutting execution knobs applied to every baseline that supports
-/// them (AGT-RAM and the auction mechanisms have their own runtime policy
-/// and ignore these).
+/// The evaluation path applied to every baseline that has one (AGT-RAM and
+/// the auction mechanisms have their own runtime policy and ignore it).
 struct AlgoOptions {
   /// Naive forces the full-recomputation oracle paths; Delta (default) the
   /// incremental engine.  Placements and costs are bit-identical either way.
   EvalPath eval = EvalPath::Delta;
-  /// Enables the delta paths' pool-parallel candidate scans.
-  bool parallel_scans = true;
 };
 
 struct AlgorithmEntry {

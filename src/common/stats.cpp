@@ -1,7 +1,6 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace agtram::common {
@@ -41,55 +40,5 @@ double RunningStats::variance() const noexcept {
 }
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-double percentile(std::vector<double> sample, double q) {
-  if (sample.empty()) return 0.0;
-  q = std::clamp(q, 0.0, 100.0);
-  std::sort(sample.begin(), sample.end());
-  const double pos = q / 100.0 * static_cast<double>(sample.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const auto hi = std::min(lo + 1, sample.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sample[lo] * (1.0 - frac) + sample[hi] * frac;
-}
-
-double correlation(const std::vector<double>& xs, const std::vector<double>& ys) {
-  assert(xs.size() == ys.size());
-  if (xs.size() < 2) return 0.0;
-  RunningStats sx, sy;
-  for (double x : xs) sx.add(x);
-  for (double y : ys) sy.add(y);
-  if (sx.stddev() == 0.0 || sy.stddev() == 0.0) return 0.0;
-  double cov = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    cov += (xs[i] - sx.mean()) * (ys[i] - sy.mean());
-  }
-  cov /= static_cast<double>(xs.size() - 1);
-  return cov / (sx.stddev() * sy.stddev());
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  assert(hi > lo && buckets > 0);
-}
-
-void Histogram::add(double x) noexcept {
-  const double frac = (x - lo_) / (hi_ - lo_);
-  auto bucket = static_cast<std::ptrdiff_t>(
-      frac * static_cast<double>(counts_.size()));
-  bucket = std::clamp<std::ptrdiff_t>(
-      bucket, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bucket)];
-  ++total_;
-}
-
-double Histogram::bucket_low(std::size_t bucket) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(bucket) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bucket_high(std::size_t bucket) const {
-  return bucket_low(bucket + 1);
-}
 
 }  // namespace agtram::common

@@ -1,9 +1,8 @@
-// Streaming summary statistics and percentile helpers used throughout the
-// bench harness (per-algorithm OTC savings, timing distributions, etc.).
+// Streaming summary statistics for the bench harness (the truthfulness
+// margins of bench/ablation_payment).
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace agtram::common {
 
@@ -27,31 +26,6 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Exact percentile over a copied sample (linear interpolation between
-/// order statistics).  q in [0, 100].
-double percentile(std::vector<double> sample, double q);
-
-/// Pearson correlation of two equal-length series; 0 when degenerate.
-double correlation(const std::vector<double>& xs, const std::vector<double>& ys);
-
-/// Simple fixed-width histogram for diagnostics.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-  void add(double x) noexcept;
-  std::size_t bucket_count() const noexcept { return counts_.size(); }
-  std::size_t count(std::size_t bucket) const { return counts_.at(bucket); }
-  std::size_t total() const noexcept { return total_; }
-  double bucket_low(std::size_t bucket) const;
-  double bucket_high(std::size_t bucket) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace agtram::common

@@ -285,7 +285,6 @@ BatchOutcome OnlineMechanism::apply_events(std::span<const OnlineEvent> batch) {
   AGTRAM_OBS_SPAN("online.apply_batch");
   BatchOutcome out;
   out.events_applied = batch.size();
-  ++batches_;
   events_ += batch.size();
   AGTRAM_OBS_COUNT("online.batches", 1);
   AGTRAM_OBS_COUNT("online.events", batch.size());

@@ -234,7 +234,6 @@ class OnlineMechanism {
   std::size_t repair_rounds_total() const noexcept {
     return rounds_total_ - initial_rounds_;
   }
-  std::size_t batches_applied() const noexcept { return batches_; }
   std::size_t events_applied() const noexcept { return events_; }
   /// Participants queued for the next batch because a bounded repair run
   /// stopped before draining, the eviction pass dropped a replica, or a
@@ -286,7 +285,6 @@ class OnlineMechanism {
   std::vector<AgentOutcome> agents_;
   std::size_t initial_rounds_ = 0;
   std::size_t rounds_total_ = 0;
-  std::size_t batches_ = 0;
   std::size_t events_ = 0;
 };
 

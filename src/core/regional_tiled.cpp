@@ -167,7 +167,6 @@ void collect_allocations(const drp::ReplicaPlacement& placement,
 /// fork: DeltaEvaluator::kParallelMinServers keeps small shards inline, and
 /// under Sharded the pool runs the nested call inline.
 void run_cooperative_shard(const ShardProblem& shard,
-                           const TiledRegionalConfig& config,
                            const std::vector<net::NodeId>& members,
                            ShardRun& run) {
   const drp::Problem& sub = shard.sub;
@@ -194,10 +193,6 @@ void run_cooperative_shard(const ShardProblem& shard,
     if (best.benefit > 0.0) heap.push(HeapEntry{best.benefit, k});
   }
   while (!heap.empty()) {
-    if (config.max_rounds_per_region != 0 &&
-        run.outcome.rounds >= config.max_rounds_per_region) {
-      break;
-    }
     const HeapEntry top = heap.top();
     heap.pop();
     const drp::DeltaEvaluator::BestAdd fresh = eval.best_add_for_object(
@@ -229,7 +224,6 @@ void run_auction_shard(const ShardProblem& shard,
   AgtRamConfig mech_cfg;
   mech_cfg.payment_rule = config.payment_rule;
   mech_cfg.report_mode = ReportMode::Auto;
-  mech_cfg.max_rounds = config.max_rounds_per_region;
   const MechanismResult result = run_agt_ram(shard.sub, mech_cfg);
   run.outcome.rounds = result.rounds.size();
   run.outcome.replicas_placed = result.replicas_placed();
@@ -250,10 +244,10 @@ TiledPartition make_tiled_partition(const drp::SparseInstance& instance,
   clustering_cfg.regions = config.regions;
   clustering_cfg.seed = config.seed;
   clustering_cfg.refine_iterations = config.refine_iterations;
+  // Twice the balanced share: bounds the largest block on skewed
+  // (power-law) topologies.
   clustering_cfg.max_members =
-      config.max_members != 0
-          ? config.max_members
-          : 2 * ((servers + config.regions - 1) / config.regions);
+      2 * ((servers + config.regions - 1) / config.regions);
 
   TiledPartition partition;
   partition.clustering =
@@ -298,7 +292,7 @@ TiledRegionalResult run_regional_tiled(const drp::SparseInstance& instance,
         static_cast<std::uint32_t>(shard.sub.object_count());
     run.outcome.initial_cost = drp::CostModel::initial_cost(shard.sub);
     if (config.cooperative) {
-      run_cooperative_shard(shard, config, members, run);
+      run_cooperative_shard(shard, members, run);
     } else {
       run_auction_shard(shard, config, members, run);
     }

@@ -57,12 +57,7 @@ struct TiledRegionalConfig {
   /// whose estimate exceeds it is refused — within_budget=false, nothing
   /// materialised — never silently truncated.
   std::uint64_t distance_budget_bytes = 4ull << 30;
-  /// Member cap per region; 0 = twice the balanced share, which bounds the
-  /// largest block on skewed (power-law) topologies.
-  std::uint32_t max_members = 0;
   std::uint32_t refine_iterations = 1;
-  /// Per-shard round cap; 0 = run each shard to quiescence.
-  std::size_t max_rounds_per_region = 0;
   /// Pool for Sharded execution; nullptr = common::ThreadPool::shared().
   common::ThreadPool* pool = nullptr;
 };

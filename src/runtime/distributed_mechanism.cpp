@@ -4,16 +4,12 @@
 
 namespace agtram::runtime {
 
-DistributedRunReport run_distributed(const drp::Problem& problem,
-                                     const DistributedConfig& config) {
-  const drp::ServerId centre =
-      config.centre >= 0 ? static_cast<drp::ServerId>(config.centre)
-                         : MessageBus::pick_centre(problem);
+DistributedRunReport run_distributed(const drp::Problem& problem) {
+  const drp::ServerId centre = MessageBus::pick_centre(problem);
   MessageBus bus(problem, centre);
 
   core::AgtRamConfig mech;
-  mech.payment_rule = config.payment_rule;
-  mech.report_mode = config.report_mode;
+  mech.report_mode = core::ReportMode::Incremental;
   mech.observer = &bus;
 
   common::Timer timer;

@@ -11,18 +11,6 @@
 
 namespace agtram::runtime {
 
-struct DistributedConfig {
-  core::PaymentRule payment_rule = core::PaymentRule::SecondPrice;
-  /// Pin the central body to a server; -1 picks the metric medoid.
-  std::int64_t centre = -1;
-  /// Dirty-set protocol (core::ReportMode::Incremental): the centre caches
-  /// standing reports, re-polls only the agents the last allocation could
-  /// have touched, and multicasts OMAX to that set — far fewer messages,
-  /// byte-identical allocation.  ReportMode::Naive accounts the paper's
-  /// literal every-agent-every-round traffic; Auto picks per instance.
-  core::ReportMode report_mode = core::ReportMode::Incremental;
-};
-
 struct DistributedRunReport {
   core::MechanismResult result;
   MessageStats messages;
@@ -30,8 +18,12 @@ struct DistributedRunReport {
   double wall_seconds = 0.0;
 };
 
-/// Runs the mechanism with full message accounting.
-DistributedRunReport run_distributed(const drp::Problem& problem,
-                                     const DistributedConfig& config = {});
+/// Runs the mechanism with full message accounting: second-price payments,
+/// the central body at the metric medoid (MessageBus::pick_centre), and the
+/// dirty-set protocol (core::ReportMode::Incremental) — the centre caches
+/// standing reports, re-polls only the agents the last allocation could
+/// have touched, and multicasts OMAX to that set, with the allocation
+/// byte-identical to the paper's every-agent-every-round sweep.
+DistributedRunReport run_distributed(const drp::Problem& problem);
 
 }  // namespace agtram::runtime

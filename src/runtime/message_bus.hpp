@@ -125,14 +125,8 @@ struct MessageStats {
   std::uint64_t total_bytes() const noexcept {
     return report_bytes + allocation_bytes + broadcast_bytes;
   }
-  std::uint64_t serving_messages() const noexcept {
-    return route_messages + delta_messages + install_messages;
-  }
   std::uint64_t serving_bytes() const noexcept {
     return route_bytes + delta_bytes + install_bytes;
-  }
-  std::uint64_t glauber_messages() const noexcept {
-    return glauber_proposal_messages + glauber_decision_messages;
   }
   std::uint64_t glauber_bytes() const noexcept {
     return glauber_proposal_bytes + glauber_decision_bytes;

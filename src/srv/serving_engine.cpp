@@ -1,13 +1,13 @@
 #include "srv/serving_engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <variant>
 
+#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "obs/obs.hpp"
 
@@ -46,15 +46,14 @@ double ServingStats::mean_read_cost() const noexcept {
 
 ServingEngine::ServingEngine(drp::Problem problem, ServingConfig config)
     : config_(std::move(config)) {
-  pool_ = config_.pool ? config_.pool : &common::ThreadPool::shared();
   shard_count_ = config_.shards != 0
                      ? config_.shards
-                     : std::max<std::size_t>(1, pool_->thread_count());
+                     : std::max<std::size_t>(
+                           1, common::ThreadPool::shared().thread_count());
 
   if (config_.policy == ReconvergePolicy::OnDrift) {
     core::OnlineConfig online;
     online.mechanism = config_.mechanism;
-    online.max_repair_rounds = config_.max_repair_rounds;
     online.eviction_limit = config_.eviction_limit;
     online.differential_oracle = config_.differential_oracle;
     online_ = std::make_unique<core::OnlineMechanism>(std::move(problem),
@@ -106,7 +105,6 @@ ServingEngine::ServingEngine(drp::Problem problem, ServingConfig config)
 
 void ServingEngine::Shard::reset() {
   std::fill(hist.begin(), hist.end(), 0);
-  query_ns.clear();
   reads = writes = local_reads = 0;
   read_units = write_units = read_cost = 0.0;
   refused_at = 0;
@@ -125,8 +123,6 @@ void ServingEngine::route_shard(const RoutingSnapshot& snap,
                                 std::span<const Request> part,
                                 Shard& shard) const {
   const drp::AccessMatrix& access = snap.problem().access;
-  const std::size_t stride = config_.latency_sample_every;
-  std::size_t until_sample = stride;
   for (std::size_t e = 0; e < part.size(); ++e) {
     const Request& req = part[e];
     if (const char* why = refusal(access, reader_cell_, req)) {
@@ -140,18 +136,7 @@ void ServingEngine::route_shard(const RoutingSnapshot& snap,
       shard.write_units += snap.write_units(req.object, req.slot) * count;
       continue;
     }
-    RouteDecision route;
-    if (stride != 0 && --until_sample == 0) {
-      until_sample = stride;
-      const auto t0 = std::chrono::steady_clock::now();
-      route = snap.route_read(req.object, req.slot);
-      const auto t1 = std::chrono::steady_clock::now();
-      shard.query_ns.push_back(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-              .count()));
-    } else {
-      route = snap.route_read(req.object, req.slot);
-    }
+    const RouteDecision route = snap.route_read(req.object, req.slot);
     shard.reads += req.count;
     if (route.distance == 0) shard.local_reads += req.count;
     shard.hist[route.distance] += req.count;
@@ -164,8 +149,6 @@ void ServingEngine::merge_shard(Shard& shard) {
   for (std::size_t d = 0; d < shard.hist.size(); ++d) {
     stats_.read_cost_histogram[d] += shard.hist[d];
   }
-  stats_.query_ns.insert(stats_.query_ns.end(), shard.query_ns.begin(),
-                         shard.query_ns.end());
   stats_.reads += shard.reads;
   stats_.writes += shard.writes;
   stats_.local_reads += shard.local_reads;
@@ -211,7 +194,7 @@ void ServingEngine::run_batch(std::span<const Request> batch) {
     return batch.size() * s / parts;
   };
   if (parts != 0) {
-    pool_->parallel_for(
+    common::ThreadPool::shared().parallel_for(
         0, parts,
         [&](std::size_t first, std::size_t last) {
           for (std::size_t s = first; s < last; ++s) {

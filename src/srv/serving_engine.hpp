@@ -4,9 +4,9 @@
 // Per batch it (1) admits and routes every request off the pinned
 // RoutingSnapshot on the shared thread pool — shard-local scratch, no
 // serve-path locks — accumulating a dense read-latency histogram (distances
-// are bounded by the network diameter, so percentiles are exact) and
-// sampled wall-clock placement-query timings; a batch holding one request
-// the fold could not apply is refused whole, before anything changes;
+// are bounded by the network diameter, so percentiles are exact); a batch
+// holding one request the fold could not apply is refused whole, before
+// anything changes;
 // (2) merges the shards, folds the batch's per-cell counts into a dense,
 // touch-ordered observation window, and feeds a drift trigger that watches
 // two aggregated signals: the L1 volume drift of the observed traffic mix
@@ -34,7 +34,6 @@
 #include <span>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "core/agt_ram.hpp"
 #include "core/online.hpp"
 #include "drp/problem.hpp"
@@ -51,8 +50,6 @@ struct ServingConfig {
   /// Solver configuration shared by the initial solve and every
   /// re-convergence (all report modes allocate identically).
   core::AgtRamConfig mechanism;
-  /// OnDrift: repair-round bound per re-convergence (0 = drain).
-  std::size_t max_repair_rounds = 0;
   /// OnDrift: forwarded to OnlineConfig::eviction_limit — replicas whose
   /// delta-OTC drop benefit went negative under the drifted demand are
   /// dropped, at most this many per re-convergence (0 = off).
@@ -71,12 +68,9 @@ struct ServingConfig {
   /// Trigger: minimum routed requests in the window before it may fire
   /// (small windows are noise).
   std::uint64_t min_window_requests = 2048;
-  /// Sample every Nth routed request's wall-clock query latency (0 = off).
-  std::size_t latency_sample_every = 64;
-  /// Routing shards per batch; 0 = pool thread count.
+  /// Routing shards per batch, fanned out on ThreadPool::shared(); 0 = the
+  /// pool's thread count.
   std::size_t shards = 0;
-  /// Pool to fan routing out on; nullptr = ThreadPool::shared().
-  common::ThreadPool* pool = nullptr;
   /// Optional wire accounting: route queries, demand-delta batches, and
   /// placement installs are charged per MessageBus::WireFormat.
   runtime::MessageBus* bus = nullptr;
@@ -111,12 +105,7 @@ struct ServingStats {
   /// Request-weighted read serving distances, index = path cost (exact
   /// percentiles; size = diameter + 1).
   std::vector<std::uint64_t> read_cost_histogram;
-  /// Sampled placement-query wall latencies, nanoseconds.
-  std::vector<std::uint64_t> query_ns;
 
-  double total_seconds() const noexcept {
-    return serve_seconds + reconverge_seconds;
-  }
   double mean_read_cost() const noexcept;
 };
 
@@ -179,8 +168,7 @@ class ServingEngine {
 
  private:
   struct Shard {
-    std::vector<std::uint64_t> hist;      ///< read distance histogram
-    std::vector<std::uint64_t> query_ns;  ///< sampled query latencies
+    std::vector<std::uint64_t> hist;  ///< read distance histogram
     std::uint64_t reads = 0;
     std::uint64_t writes = 0;
     std::uint64_t local_reads = 0;
@@ -227,7 +215,6 @@ class ServingEngine {
 
   RoutingTable table_;
   std::uint64_t epoch_ = 0;
-  common::ThreadPool* pool_ = nullptr;
   std::size_t shard_count_ = 1;
   std::vector<Shard> shards_;
   /// Per cell: 1 iff its server is in the structural readers(object) list.

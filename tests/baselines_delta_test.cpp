@@ -1,12 +1,16 @@
 // Differential suite for the delta-OTC evaluation engine (DESIGN.md §8):
 // every baseline must produce byte-identical placements and bit-identical
-// (hexfloat-equal) costs on the delta path — serial and pool-parallel — as
-// on the naive full-recomputation oracle, across instance families that
-// cover trace and Dispersed demand up to the paper's own dimensions.
+// (hexfloat-equal) costs on the delta path as on the naive
+// full-recomputation oracle, across instance families that cover trace and
+// Dispersed demand up to the paper's own dimensions.  The delta paths'
+// scans go to the shared pool wherever the instance is large enough, and
+// each parallel site has a case here that checks it really forked.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "baselines/aestar.hpp"
@@ -16,9 +20,11 @@
 #include "baselines/local_search.hpp"
 #include "baselines/selfish_caching.hpp"
 #include "common/prng.hpp"
+#include "common/thread_pool.hpp"
 #include "drp/builder.hpp"
 #include "drp/cost_model.hpp"
 #include "drp/delta_evaluator.hpp"
+#include "obs/obs.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -53,6 +59,17 @@ void expect_identical(const drp::ReplicaPlacement& naive,
   EXPECT_NO_THROW(delta.check_invariants());
 }
 
+std::uint64_t counter(std::string_view name) {
+  return obs::Registry::instance().counter(name).value();
+}
+
+/// A single-worker pool runs every parallel_for inline by design, so the
+/// fork checks below hold only where the shared pool has two or more
+/// workers.
+bool pool_can_fork() {
+  return common::ThreadPool::shared().thread_count() > 1;
+}
+
 struct Family {
   std::string name;
   drp::Problem problem;
@@ -73,7 +90,8 @@ drp::Problem generated(std::uint32_t servers, std::uint32_t objects,
 /// The standard cross-family battery: small trace, mid trace, mid
 /// dispersed, larger dispersed.  (Paper-scale dims get their own targeted
 /// tests below; running every baseline's naive oracle there would dominate
-/// suite time.)
+/// suite time.)  On small-trace-16x40 every other pool call of a run stays
+/// below its grain, so a fork there is the site under test.
 const std::vector<Family>& families() {
   static const std::vector<Family> fams = [] {
     std::vector<Family> f;
@@ -95,12 +113,13 @@ TEST(BaselinesDelta, GreedyMatchesNaive) {
     GreedyConfig naive_cfg;
     naive_cfg.eval = EvalPath::Naive;
     const auto naive = run_greedy(fam.problem, naive_cfg);
-    for (const bool parallel : {false, true}) {
-      SCOPED_TRACE(parallel ? "parallel" : "serial");
-      GreedyConfig delta_cfg;
-      delta_cfg.eval = EvalPath::Delta;
-      delta_cfg.parallel_scan = parallel;
-      expect_identical(naive, run_greedy(fam.problem, delta_cfg));
+    GreedyConfig delta_cfg;
+    delta_cfg.eval = EvalPath::Delta;
+    const std::uint64_t forks = counter("pool.forked_jobs");
+    expect_identical(naive, run_greedy(fam.problem, delta_cfg));
+    // The seed scan fans the object axis out in 16-object grains.
+    if (pool_can_fork()) {
+      EXPECT_GT(counter("pool.forked_jobs"), forks);
     }
   }
 }
@@ -129,12 +148,13 @@ TEST(BaselinesDelta, GraMatchesNaive) {
     naive_cfg.generations = 6;
     naive_cfg.seed = 3;
     const auto naive = run_gra(fam.problem, naive_cfg);
-    for (const bool parallel : {false, true}) {
-      SCOPED_TRACE(parallel ? "parallel" : "serial");
-      GraConfig delta_cfg = naive_cfg;
-      delta_cfg.eval = EvalPath::Delta;
-      delta_cfg.parallel_scan = parallel;
-      expect_identical(naive, run_gra(fam.problem, delta_cfg));
+    GraConfig delta_cfg = naive_cfg;
+    delta_cfg.eval = EvalPath::Delta;
+    const std::uint64_t forks = counter("pool.forked_jobs");
+    expect_identical(naive, run_gra(fam.problem, delta_cfg));
+    // Population scoring forks one genome per grain.
+    if (pool_can_fork()) {
+      EXPECT_GT(counter("pool.forked_jobs"), forks);
     }
   }
 }
@@ -146,12 +166,19 @@ TEST(BaselinesDelta, AeStarMatchesNaive) {
     naive_cfg.eval = EvalPath::Naive;
     naive_cfg.max_expansions = 40;
     const auto naive = run_aestar(fam.problem, naive_cfg);
-    for (const bool parallel : {false, true}) {
-      SCOPED_TRACE(parallel ? "parallel" : "serial");
-      AeStarConfig delta_cfg = naive_cfg;
-      delta_cfg.eval = EvalPath::Delta;
-      delta_cfg.parallel_scan = parallel;
-      expect_identical(naive, run_aestar(fam.problem, delta_cfg));
+    AeStarConfig delta_cfg = naive_cfg;
+    delta_cfg.eval = EvalPath::Delta;
+    const std::uint64_t forks = counter("pool.forked_jobs");
+    const std::uint64_t scored = counter("aestar.shortlist_scored");
+    expect_identical(naive, run_aestar(fam.problem, delta_cfg));
+    // The shortlist is scored in 512-object grains, so from N = 1024 on
+    // (dispersed-256x2560 here) every expansion's scan forks.
+    const std::size_t n = fam.problem.object_count();
+    if (n >= 1024 && pool_can_fork()) {
+      const std::uint64_t scans =
+          (counter("aestar.shortlist_scored") - scored) / n;
+      EXPECT_GE(scans, 2u);
+      EXPECT_GE(counter("pool.forked_jobs") - forks, scans);
     }
   }
 }
@@ -196,20 +223,15 @@ TEST(BaselinesDelta, AnnealingMatchesNaiveAcrossBatchSizes) {
     naive_cfg.proposals = 6000;
     const auto naive = run_annealing(fam.problem, naive_cfg);
     // Per-proposal rng streams make the trajectory independent of the
-    // speculative batch size and of parallel pricing.
-    for (const std::size_t batch : {std::size_t{1}, std::size_t{7}}) {
+    // speculative batch size (32 is the default).
+    for (const std::size_t batch :
+         {std::size_t{1}, std::size_t{7}, std::size_t{32}}) {
       SCOPED_TRACE("batch=" + std::to_string(batch));
       AnnealingConfig delta_cfg = naive_cfg;
       delta_cfg.eval = EvalPath::Delta;
       delta_cfg.batch = batch;
       expect_identical(naive, run_annealing(fam.problem, delta_cfg));
     }
-    AnnealingConfig par_cfg = naive_cfg;
-    par_cfg.eval = EvalPath::Delta;
-    par_cfg.batch = 32;
-    par_cfg.parallel_scan = true;
-    par_cfg.parallel_min_work = 1;  // force the pool even on tiny batches
-    expect_identical(naive, run_annealing(fam.problem, par_cfg));
   }
 }
 
@@ -243,13 +265,14 @@ TEST_F(PaperScaleDelta, GreedyMatchesNaive) {
   naive_cfg.eval = EvalPath::Naive;
   naive_cfg.max_replicas = 64;
   const auto naive = run_greedy(problem(), naive_cfg);
-  for (const bool parallel : {false, true}) {
-    SCOPED_TRACE(parallel ? "parallel" : "serial");
-    GreedyConfig delta_cfg = naive_cfg;
-    delta_cfg.eval = EvalPath::Delta;
-    delta_cfg.parallel_scan = parallel;
-    expect_identical(naive, run_greedy(problem(), delta_cfg));
-  }
+  GreedyConfig delta_cfg = naive_cfg;
+  delta_cfg.eval = EvalPath::Delta;
+  const std::uint64_t scans = counter("delta_eval.scans_parallel");
+  expect_identical(naive, run_greedy(problem(), delta_cfg));
+  // M = 3000 clears kParallelMinServers: re-validation takes the
+  // server-axis branch (BestAddMatchesNaiveArgmaxUnderMask checks that this
+  // branch forks).
+  EXPECT_GT(counter("delta_eval.scans_parallel"), scans);
 }
 
 TEST_F(PaperScaleDelta, GraMatchesNaive) {
@@ -261,7 +284,6 @@ TEST_F(PaperScaleDelta, GraMatchesNaive) {
   const auto naive = run_gra(problem(), naive_cfg);
   GraConfig delta_cfg = naive_cfg;
   delta_cfg.eval = EvalPath::Delta;
-  delta_cfg.parallel_scan = true;
   expect_identical(naive, run_gra(problem(), delta_cfg));
 }
 
@@ -335,34 +357,60 @@ TEST(DeltaEvaluatorFuzz, HypotheticalsMatchFreshRecomputation) {
   EXPECT_NO_THROW(eval.placement().check_invariants());
 }
 
+/// The loop-swapped scan against the naive argmax, inline and on the pool.
+/// The 1100-server instance clears kParallelMinServers, so its parallel
+/// scans fork the server axis on a multi-worker pool: the sanitizer runs,
+/// which skip PaperScaleDelta, see that fork here.
 TEST(DeltaEvaluatorFuzz, BestAddMatchesNaiveArgmaxUnderMask) {
-  const drp::Problem p = testutil::small_instance(17, 32, 60);
-  SelfishCachingConfig seed_cfg;
-  seed_cfg.seed = 2;
-  drp::DeltaEvaluator eval{run_selfish_caching(p, seed_cfg).placement};
-  std::vector<bool> mask(p.server_count(), true);
-  common::Rng rng(77);
-  for (std::size_t i = 0; i < mask.size(); ++i) mask[i] = rng.chance(0.7);
+  drp::InstanceSpec wide;
+  wide.servers = 1100;
+  wide.objects = 40;
+  wide.seed = 19;
+  wide.topology = net::TopologyKind::PowerLaw;
+  wide.demand = drp::DemandModel::Dispersed;
+  std::vector<drp::Problem> problems;
+  problems.push_back(testutil::small_instance(17, 32, 60));
+  problems.push_back(drp::make_instance(wide));
+  for (const drp::Problem& p : problems) {
+    SCOPED_TRACE("M=" + std::to_string(p.server_count()));
+    SelfishCachingConfig seed_cfg;
+    seed_cfg.seed = 2;
+    drp::DeltaEvaluator eval{run_selfish_caching(p, seed_cfg).placement};
+    std::vector<bool> mask(p.server_count(), true);
+    common::Rng rng(77);
+    for (std::size_t i = 0; i < mask.size(); ++i) mask[i] = rng.chance(0.7);
 
-  drp::DeltaEvaluator::ScanScratch scratch;
-  for (drp::ObjectIndex k = 0; k < p.object_count(); ++k) {
-    double naive_benefit = 0.0;
-    drp::ServerId naive_server = 0;
-    for (drp::ServerId i = 0; i < p.server_count(); ++i) {
-      if (!mask[i] || !eval.can_replicate(i, k)) continue;
-      const double b =
-          drp::CostModel::global_benefit(eval.placement(), i, k);
-      if (b > naive_benefit) {
-        naive_benefit = b;
-        naive_server = i;
+    const bool wide_enough =
+        p.server_count() >= drp::DeltaEvaluator::kParallelMinServers;
+    const std::uint64_t scans = counter("delta_eval.scans_parallel");
+    const std::uint64_t forks = counter("pool.forked_jobs");
+    drp::DeltaEvaluator::ScanScratch scratch;
+    for (drp::ObjectIndex k = 0; k < p.object_count(); ++k) {
+      double naive_benefit = 0.0;
+      drp::ServerId naive_server = 0;
+      for (drp::ServerId i = 0; i < p.server_count(); ++i) {
+        if (!mask[i] || !eval.can_replicate(i, k)) continue;
+        const double b =
+            drp::CostModel::global_benefit(eval.placement(), i, k);
+        if (b > naive_benefit) {
+          naive_benefit = b;
+          naive_server = i;
+        }
+      }
+      for (const bool parallel : {false, true}) {
+        const auto best =
+            eval.best_add_for_object(k, &mask, scratch, parallel);
+        ASSERT_EQ(best.benefit, naive_benefit)
+            << "object " << k << " benefit " << hexfloat(best.benefit)
+            << " vs " << hexfloat(naive_benefit);
+        ASSERT_EQ(best.server, naive_server) << "object " << k;
       }
     }
-    for (const bool parallel : {false, true}) {
-      const auto best = eval.best_add_for_object(k, &mask, scratch, parallel);
-      ASSERT_EQ(best.benefit, naive_benefit)
-          << "object " << k << " benefit " << hexfloat(best.benefit) << " vs "
-          << hexfloat(naive_benefit);
-      ASSERT_EQ(best.server, naive_server) << "object " << k;
+    // scans_parallel counts the cutoff decision; forked_jobs shows the
+    // server axis really went to the pool (nothing else here forks).
+    EXPECT_EQ(counter("delta_eval.scans_parallel") > scans, wide_enough);
+    if (pool_can_fork()) {
+      EXPECT_EQ(counter("pool.forked_jobs") > forks, wide_enough);
     }
   }
 }

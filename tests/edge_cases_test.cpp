@@ -8,7 +8,6 @@
 #include "baselines/aestar.hpp"
 #include "baselines/auctions.hpp"
 #include "baselines/gra.hpp"
-#include "common/log.hpp"
 #include "common/timer.hpp"
 #include "core/agt_ram.hpp"
 #include "drp/cost_model.hpp"
@@ -32,16 +31,6 @@ TEST(TimerTest, MeasuresElapsedTimeMonotonically) {
   EXPECT_NEAR(timer.millis(), timer.seconds() * 1e3, 1.0);
   timer.reset();
   EXPECT_LT(timer.seconds(), t1);
-}
-
-TEST(LogTest, LevelThresholdIsSticky) {
-  const common::LogLevel before = common::log_level();
-  common::set_log_level(common::LogLevel::Error);
-  EXPECT_EQ(common::log_level(), common::LogLevel::Error);
-  // Suppressed and emitted paths both must not crash.
-  common::log_debug() << "below threshold, dropped";
-  common::log_error() << "";  // empty messages are dropped too
-  common::set_log_level(before);
 }
 
 // ------------------------------------------------------- tiny dimensions

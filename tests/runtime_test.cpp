@@ -111,13 +111,6 @@ TEST(DistributedTest, ReportFieldsPopulated) {
   EXPECT_GT(report.wall_seconds, 0.0);
 }
 
-TEST(DistributedTest, PinnedCentreIsUsed) {
-  const drp::Problem p = testutil::small_instance(123);
-  DistributedConfig cfg;
-  cfg.centre = 3;
-  EXPECT_EQ(run_distributed(p, cfg).centre, 3u);
-}
-
 TEST(DistributedTest, CentreTrafficIsScalarPerAgentPerRound) {
   // The semi-distributed claim: the centre receives one scalar report per
   // live agent per round and emits one binary decision — its inbound

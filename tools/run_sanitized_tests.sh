@@ -53,7 +53,9 @@ for t in test_common test_net test_mechanism test_runtime \
          test_layout test_trace test_drp; do
   echo "== $SAN-sanitized $t =="
   # The paper-scale differential cases take minutes under a sanitizer's
-  # slowdown; the small-family + fuzz cases exercise the same parallel scans.
+  # slowdown; the small-family + fuzz cases exercise the same parallel scans
+  # (the Greedy, GRA and Aε-Star cases check that their scans forked, and
+  # the best-add fuzz case forks the server axis on an 1100-server instance).
   filter=""
   [ "$t" = test_baselines_delta ] && filter="--gtest_filter=-PaperScaleDelta.*"
   if ! "$BUILD/tests/$t" $filter; then
