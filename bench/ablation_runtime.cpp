@@ -70,8 +70,10 @@ int main(int argc, char** argv) {
         static_cast<double>(std::max<std::size_t>(1, stats.rounds));
     table.add_row({"mean reports per round (<= M)",
                    common::Table::num(reports_per_round, 1)});
-    table.add_row({"report payload (bytes)", "16"});
-    table.add_row({"decision payload (bytes)", "16"});
+    table.add_row({"report payload (bytes)",
+                   std::to_string(runtime::kReportWireBytes)});
+    table.add_row({"decision payload (bytes)",
+                   std::to_string(runtime::kAllocationWireBytes)});
     table.print(std::cout);
   }
 

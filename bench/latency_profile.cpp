@@ -6,42 +6,18 @@
 // read), the locally-served fraction, and the traffic-class breakdown —
 // the end-user view behind the OTC savings of Figures 3/4.
 //
-// Percentiles come from the exact dense read-latency histogram (path costs
-// are bounded by the network diameter) through the shared
-// bench/percentiles.hpp machinery — the same summaries the serving-layer
-// rows report, so the two benches are directly comparable.
-#include <cstdint>
+// Percentiles come from sim::replay's exact request-weighted read-latency
+// distribution (path costs are bounded by the network diameter), under the
+// rank convention the serving-layer rows use (bench/percentiles.hpp), so the
+// two benches are directly comparable.
 #include <iostream>
-#include <vector>
 
 #include "bench_common.hpp"
-#include "percentiles.hpp"
 #include "sim/replay.hpp"
 
-namespace {
-
-using namespace agtram;
-
-/// Exact request-weighted read-latency histogram of a placement:
-/// hist[path cost] = routed reads served at that distance.
-std::vector<std::uint64_t> read_latency_histogram(
-    const drp::ReplicaPlacement& placement) {
-  const drp::Problem& p = placement.problem();
-  std::vector<std::uint64_t> hist(
-      static_cast<std::size_t>(p.distances->diameter()) + 1, 0);
-  for (drp::ObjectIndex k = 0; k < p.object_count(); ++k) {
-    const auto row = p.access.accessors(k);
-    const auto dist = placement.nn_row(k);
-    for (std::size_t slot = 0; slot < row.size(); ++slot) {
-      if (row[slot].reads > 0) hist[dist[slot]] += row[slot].reads;
-    }
-  }
-  return hist;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace agtram;
+
   common::Cli cli("Read-latency profile of every placement method");
   bench::add_common_flags(cli);
   cli.add_flag("capacity", "30", "paper C%%");
@@ -61,10 +37,8 @@ int main(int argc, char** argv) {
 
   const auto add_row = [&table](const std::string& name,
                                 const drp::ReplicaPlacement& placement) {
-    const std::vector<std::uint64_t> hist = read_latency_histogram(placement);
-    const bench::PercentileSummary latency =
-        bench::summarize_histogram(hist);
     const sim::ReplayStats stats = sim::replay(placement);
+    const sim::LatencySummary& latency = stats.read_latency;
     table.add_row({name,
                    common::Table::num(latency.mean, 2),
                    common::Table::num(latency.p50, 1),

@@ -1,9 +1,8 @@
 #include "baselines/annealing.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <optional>
-#include <vector>
+#include <utility>
 
 #include "baselines/selfish_caching.hpp"
 #include "common/prng.hpp"
@@ -185,55 +184,30 @@ drp::ReplicaPlacement run_annealing(const drp::Problem& problem,
   double temperature = current_cost * config.initial_temperature_fraction;
   const double floor_temperature = temperature * 1e-6 + 1e-12;
 
-  const std::size_t batch = use_delta ? std::max<std::size_t>(1, config.batch)
-                                      : 1;
-  std::vector<MoveSpec> specs;
-  specs.reserve(batch);
-
-  std::size_t consumed = 0;
-  while (consumed < config.proposals) {
-    const std::size_t batch_start = consumed;
-    const std::size_t batch_end =
-        std::min(batch_start + batch, config.proposals);
-    specs.clear();
-    for (std::size_t j = batch_start; j < batch_end; ++j) {
-      specs.push_back(draw_spec(problem, current(), config.seed, j));
-    }
-
-    bool accepted_in_batch = false;
-    for (std::size_t j = batch_start; j < batch_end; ++j) {
-      MoveSpec& spec = specs[j - batch_start];
-      AGTRAM_OBS_COUNT("sa.proposals", 1);
-      if (spec.kind != MoveSpec::Kind::None) {
-        // Until a move is accepted the placement is the one the batch was
-        // drawn against, so each spec is priced where it was drawn.
-        const double delta = use_delta ? delta_of(*eval, spec)
-                                       : measure_applied(placement, spec);
-        const bool accept =
-            delta < 0.0 ||
-            (temperature > floor_temperature &&
-             spec.accept_rng.uniform() < std::exp(-delta / temperature));
-        if (accept) {
-          AGTRAM_OBS_COUNT("sa.accepted", 1);
-          if (use_delta) apply(*eval, spec);
-          current_cost += delta;
-          if (current_cost < best_cost) {
-            best_cost = current_cost;
-            best = current();
-          }
-          accepted_in_batch = true;
-        } else if (!use_delta) {
-          undo(placement, spec);
+  for (std::size_t j = 0; j < config.proposals; ++j) {
+    MoveSpec spec = draw_spec(problem, current(), config.seed, j);
+    AGTRAM_OBS_COUNT("sa.proposals", 1);
+    if (spec.kind != MoveSpec::Kind::None) {
+      const double delta = use_delta ? delta_of(*eval, spec)
+                                     : measure_applied(placement, spec);
+      const bool accept =
+          delta < 0.0 ||
+          (temperature > floor_temperature &&
+           spec.accept_rng.uniform() < std::exp(-delta / temperature));
+      if (accept) {
+        AGTRAM_OBS_COUNT("sa.accepted", 1);
+        if (use_delta) apply(*eval, spec);
+        current_cost += delta;
+        if (current_cost < best_cost) {
+          best_cost = current_cost;
+          best = current();
         }
+      } else if (!use_delta) {
+        undo(placement, spec);
       }
-      if ((j + 1) % config.cooling_interval == 0) {
-        temperature *= config.cooling_rate;
-      }
-      consumed = j + 1;
-      if (accepted_in_batch) {  // tail specs are stale — redraw
-        AGTRAM_OBS_COUNT("sa.stale_discarded", batch_end - consumed);
-        break;
-      }
+    }
+    if ((j + 1) % config.cooling_interval == 0) {
+      temperature *= config.cooling_rate;
     }
   }
   return best;

@@ -16,12 +16,11 @@
 
 namespace agtram::baselines {
 
-// Proposals are drawn from per-proposal rng streams (stream j is seeded from
-// `seed` and j alone), so proposal j's moves and acceptance draw do not
-// depend on how many proposals came before it in the same batch.  That makes
-// the trajectory independent of the speculative batch size — delta batches
-// of any size, the naive path, and any proposal budget all walk the same
-// accepted prefix.
+// Each proposal is drawn, priced, and then accepted or rejected, in turn.
+// Proposal j draws from its own rng stream, seeded from `seed` and j alone.
+// One shared stream would serve the loop as well; the per-proposal streams
+// stay because they fix each seed's trajectory, which the recorded bench
+// tables and the tests' placements depend on.
 struct AnnealingConfig {
   std::uint64_t seed = 1;
   std::size_t proposals = 30000;
@@ -34,14 +33,9 @@ struct AnnealingConfig {
   /// Geometric cooling applied every `cooling_interval` proposals.
   double cooling_rate = 0.95;
   std::size_t cooling_interval = 500;
-  /// Delta: proposals drawn in speculative batches and priced read-only
-  /// through drp::DeltaEvaluator as they are consumed (the tail after an
-  /// accepted move is discarded, so every consumed proposal saw the
-  /// placement it was drawn against).
+  /// Delta: each proposal priced read-only through drp::DeltaEvaluator.
   /// Naive: one mutate-measure-undo evaluation per proposal.
   EvalPath eval = EvalPath::Delta;
-  /// Speculative batch size for the delta path (1 = no speculation).
-  std::size_t batch = 32;
 };
 
 drp::ReplicaPlacement run_annealing(const drp::Problem& problem,

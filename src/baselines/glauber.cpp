@@ -38,7 +38,6 @@ GlauberResult run_glauber(const drp::Problem& problem,
   GlauberResult result{drp::ReplicaPlacement(problem), 0.0, 0, 0, 0};
   const std::size_t m = problem.server_count();
   for (std::size_t sweep = 0; sweep < config.sweeps; ++sweep) {
-    std::uint64_t sweep_proposals = 0;
     // Every server with demand proposes one flip per sweep, in id order —
     // the chain is deterministic in (seed) because the single rng stream is
     // drawn in (sweep, server) order on identical placement states.
@@ -80,7 +79,7 @@ GlauberResult run_glauber(const drp::Problem& problem,
         }
       }
 
-      ++sweep_proposals;
+      ++result.proposals;
       const double accept_probability =
           1.0 / (1.0 + std::exp(delta / temperature));
       if (rng.uniform() < accept_probability) {
@@ -101,14 +100,8 @@ GlauberResult run_glauber(const drp::Problem& problem,
       }
     }
 
-    result.proposals += sweep_proposals;
     ++result.sweeps;
     AGTRAM_OBS_COUNT("glauber.sweeps", 1);
-    if (config.bus != nullptr) {
-      // One proposal up, one decision back per evaluated flip.
-      config.bus->account_glauber_proposals(sweep_proposals);
-      config.bus->account_glauber_decisions(sweep_proposals);
-    }
     temperature = std::max(temperature * config.cooling_rate, 1e-12);
   }
 

@@ -1,7 +1,7 @@
 // Glauber-dynamics placement (Etesami, "Distributed Computation for the
 // Non-metric Data Placement Problem using Glauber Dynamics and Auctions",
-// arXiv:2210.07461) — the seventh baseline, and the first that genuinely
-// runs over runtime::MessageBus rather than a centralized loop.
+// arXiv:2210.07461) — the seventh baseline: a distributed heat-bath chain
+// rather than a centralized loop.
 //
 // Protocol: in each sweep every server with demand proposes flipping its
 // membership in one randomly drawn object's replica set (add if it has the
@@ -13,10 +13,9 @@
 //   P(accept) = 1 / (1 + exp(delta / T))
 //
 // under a geometric annealing schedule T_s = T_0 * cooling^s, and answers
-// with an accept/reject decision message.  Every proposal and decision is
-// accounted on the MessageBus (per-kind wire bytes, bus.glauber_* obs
-// counters), so the baseline's convergence traffic is measurable the same
-// way the mechanism's report/broadcast traffic is.
+// with an accept/reject decision.  So the chain's traffic is one proposal up
+// and one decision back per evaluated flip: GlauberResult::proposals (and
+// the glauber.proposals obs counter) counts it.
 //
 // Determinism: a single common::Rng stream drawn in (sweep, server id)
 // order; identical seeds give identical trajectories.  EvalPath::Naive
@@ -31,7 +30,6 @@
 #include "baselines/eval_path.hpp"
 #include "drp/placement.hpp"
 #include "drp/problem.hpp"
-#include "runtime/message_bus.hpp"
 
 namespace agtram::baselines {
 
@@ -47,15 +45,14 @@ struct GlauberConfig {
   /// mutate-measure-undo full evaluation per proposal (the differential
   /// oracle; bit-identical trajectory).
   EvalPath eval = EvalPath::Delta;
-  /// Optional wire accounting; proposals/decisions are charged per sweep.
-  runtime::MessageBus* bus = nullptr;
 };
 
 struct GlauberResult {
   drp::ReplicaPlacement placement;
   double final_cost = 0.0;  ///< OTC of `placement` (bit-exact total)
   std::size_t sweeps = 0;
-  std::size_t proposals = 0;  ///< evaluated flips (= wire proposals)
+  /// Evaluated flips: one proposal up and one decision back each.
+  std::size_t proposals = 0;
   std::size_t accepted = 0;
 };
 

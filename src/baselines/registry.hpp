@@ -35,7 +35,7 @@ struct AlgorithmEntry {
 std::vector<AlgorithmEntry> all_algorithms(const AlgoOptions& options = {});
 
 /// The paper's six plus the extended comparison set from the citation
-/// lineage: Glauber (Etesami heat-bath dynamics over the MessageBus),
+/// lineage: Glauber (Etesami's distributed heat-bath dynamics),
 /// Selfish (Chun et al. best-response Nash), LocalSearch, SA.
 std::vector<AlgorithmEntry> extended_algorithms(
     const AlgoOptions& options = {});

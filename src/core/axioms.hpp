@@ -4,9 +4,9 @@
 //
 //  Axiom 1 (Ingredients)   — a mechanism has (a) an algorithmic output
 //      specification and (b) agent utility functions.
-//      Code: core::AgtRam produces core::MechanismResult (the output x and
-//      the payments p); utilities u_i = p_i + v_i(t_i, x) are tracked in
-//      MechanismResult::agents.
+//      Code: core::run_agt_ram produces core::MechanismResult (the output x
+//      and the payments p); utilities u_i = v_i(t_i, x) - p_i are tracked in
+//      MechanismResult::agents (AgentOutcome::utility()).
 //
 //  Axiom 2 (Agent disposition) — each agent holds private "true data";
 //      everything else is public.  The paper argues DRP[pi] is the only
@@ -27,7 +27,7 @@
 //  Axiom 4 (Utilitarian)   — the objective is the sum of agent valuations,
 //      g(x, t) = sum_i v_i(t_i, x), which is exactly the OTC objective of
 //      Equation 4.  Code: each round allocates argmax of the reported
-//      valuations; core::audit_round checks the argmax property per round.
+//      valuations; core::RoundAuditor checks the argmax property per round.
 //
 //  Axiom 5 (Motivation)    — payments reward hosting: AGT-RAM pays the
 //      *overall second-best* reported valuation (a Vickrey/second-price
@@ -36,31 +36,5 @@
 //
 //  Axiom 6 (Algorithmic output) — the iterative allocation loop of
 //      Figure 2; one replica per round, the centre only takes the binary
-//      replicate / don't-replicate decision.  Code: core::AgtRam::run.
+//      replicate / don't-replicate decision.  Code: core::run_agt_ram.
 #pragma once
-
-namespace agtram::core {
-
-enum class Axiom {
-  Ingredients = 1,
-  AgentDisposition = 2,
-  Truthful = 3,
-  Utilitarian = 4,
-  Motivation = 5,
-  AlgorithmicOutput = 6,
-};
-
-/// Short human-readable description (bench/report output).
-constexpr const char* axiom_name(Axiom axiom) {
-  switch (axiom) {
-    case Axiom::Ingredients: return "ingredients";
-    case Axiom::AgentDisposition: return "agent disposition";
-    case Axiom::Truthful: return "truthful";
-    case Axiom::Utilitarian: return "utilitarian";
-    case Axiom::Motivation: return "motivation";
-    case Axiom::AlgorithmicOutput: return "algorithmic output";
-  }
-  return "?";
-}
-
-}  // namespace agtram::core

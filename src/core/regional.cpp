@@ -102,7 +102,6 @@ RegionalResult run_regional(const drp::Problem& problem,
       }
       live = std::move(bidders);  // the bidders stay in LS
       AGTRAM_OBS_COUNT("regional.reports_polled", polled);
-      AGTRAM_OBS_COUNT("regional.report_bytes", polled * kReportWireBytes);
       if (values.empty()) continue;
 
       std::size_t winner_slot = 0;
@@ -125,13 +124,9 @@ RegionalResult run_regional(const drp::Problem& problem,
         observer->on_allocation(winner, picks[r].object, picks[r].payment);
         observer->on_broadcast(winner, picks[r].object, region_live[r]);
       }
-      const std::uint64_t broadcast =
-          kBroadcastWireBytes * region_live[r].size();
       result.regions[r].replicas_placed += 1;
       result.regions[r].charges += picks[r].payment;
       AGTRAM_OBS_COUNT("regional.replicas_placed", 1);
-      AGTRAM_OBS_COUNT("regional.alloc_bytes", kAllocationWireBytes);
-      AGTRAM_OBS_COUNT("regional.broadcast_bytes", broadcast);
       any_progress = true;
     }
     ++result.epochs;
@@ -283,11 +278,8 @@ RegionalResult run_regional_cooperative(const drp::Problem& problem,
       if (!picks[r].has) continue;
       assert(result.placement.can_replicate(picks[r].server, picks[r].object));
       result.placement.add_replica(picks[r].server, picks[r].object);
-      const std::uint64_t broadcast = kBroadcastWireBytes * members[r].size();
       result.regions[r].replicas_placed += 1;
       AGTRAM_OBS_COUNT("regional.replicas_placed", 1);
-      AGTRAM_OBS_COUNT("regional.alloc_bytes", kAllocationWireBytes);
-      AGTRAM_OBS_COUNT("regional.broadcast_bytes", broadcast);
       any_progress = true;
       const CoalitionMove next = best_coalition_move(
           result.placement, result.clustering, r, members[r],
@@ -401,8 +393,6 @@ HierarchicalResult run_hierarchical(const drp::Problem& problem,
       problem, mech, std::move(result.placement), &participants);
   result.placement = std::move(flat.placement);
   AGTRAM_OBS_COUNT("regional.reports_polled", top.reports_polled());
-  AGTRAM_OBS_COUNT("regional.report_bytes",
-                   top.reports_polled() * kReportWireBytes);
   return result;
 }
 

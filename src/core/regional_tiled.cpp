@@ -296,14 +296,8 @@ TiledRegionalResult run_regional_tiled(const drp::SparseInstance& instance,
     } else {
       run_auction_shard(shard, config, members, run);
     }
-    run.outcome.wire_bytes =
-        run.outcome.reports_computed * kReportWireBytes +
-        static_cast<std::uint64_t>(run.outcome.replicas_placed) *
-            (kAllocationWireBytes + kBroadcastWireBytes * members.size());
     AGTRAM_OBS_COUNT("regional.tiled_shards", 1);
     AGTRAM_OBS_COUNT("regional.reports_polled", run.outcome.reports_computed);
-    AGTRAM_OBS_COUNT("regional.report_bytes",
-                     run.outcome.reports_computed * kReportWireBytes);
     AGTRAM_OBS_COUNT("regional.replicas_placed", run.outcome.replicas_placed);
   });
 

@@ -84,7 +84,6 @@ struct TiledShardOutcome {
   double initial_cost = 0.0;
   double final_cost = 0.0;
   std::uint64_t reports_computed = 0;
-  std::uint64_t wire_bytes = 0;
 };
 
 struct TiledRegionalResult {

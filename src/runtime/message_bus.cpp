@@ -8,11 +8,10 @@
 namespace agtram::runtime {
 
 MessageBus::MessageBus(const drp::Problem& problem, drp::ServerId centre,
-                       ProtocolModel model, WireFormat wire)
+                       ProtocolModel model)
     : problem_(&problem),
       centres_{centre},
       model_(model),
-      wire_(wire),
       rng_(model.seed),
       round_(1) {}
 
@@ -84,7 +83,8 @@ void MessageBus::on_report(drp::ServerId agent, const core::Report& report,
 
   // Even an empty report is a protocol message ("nothing for me") so the
   // centre can retire the agent from LS.
-  const std::uint32_t bytes = report.has_candidate ? wire_.report : 4;
+  const std::uint32_t bytes =
+      report.has_candidate ? kReportWireBytes : kEmptyReportWireBytes;
   ++stats_.report_messages;
   stats_.report_bytes += bytes;
   AGTRAM_OBS_COUNT("bus.report_msgs", 1);
@@ -105,9 +105,9 @@ void MessageBus::on_report(drp::ServerId agent, const core::Report& report,
 void MessageBus::on_allocation(drp::ServerId winner, drp::ObjectIndex,
                                double) {
   ++stats_.allocation_messages;
-  stats_.allocation_bytes += wire_.allocation;
+  stats_.allocation_bytes += kAllocationWireBytes;
   AGTRAM_OBS_COUNT("bus.alloc_msgs", 1);
-  AGTRAM_OBS_COUNT("bus.alloc_bytes", wire_.allocation);
+  AGTRAM_OBS_COUNT("bus.alloc_bytes", kAllocationWireBytes);
   const std::uint32_t region = region_of(winner);
   CentreRound& round = round_[region];
   round.fanout = std::max(round.fanout, send(centres_[region], winner));
@@ -117,7 +117,7 @@ void MessageBus::on_allocation(drp::ServerId winner, drp::ObjectIndex,
 void MessageBus::on_broadcast(drp::ServerId winner, drp::ObjectIndex,
                               std::span<const drp::ServerId> notified) {
   const std::uint64_t bytes =
-      static_cast<std::uint64_t>(wire_.broadcast) * notified.size();
+      std::uint64_t{kBroadcastWireBytes} * notified.size();
   stats_.broadcast_messages += notified.size();
   stats_.broadcast_bytes += bytes;
   AGTRAM_OBS_COUNT("bus.broadcast_msgs", notified.size());
@@ -133,48 +133,27 @@ void MessageBus::on_broadcast(drp::ServerId winner, drp::ObjectIndex,
 }
 
 void MessageBus::account_routes(std::uint64_t requests) {
+  const std::uint64_t bytes = std::uint64_t{kRouteWireBytes} * requests;
   stats_.route_messages += requests;
-  stats_.route_bytes += static_cast<std::uint64_t>(wire_.route) * requests;
+  stats_.route_bytes += bytes;
   AGTRAM_OBS_COUNT("bus.route_msgs", requests);
-  AGTRAM_OBS_COUNT("bus.route_bytes",
-                   static_cast<std::uint64_t>(wire_.route) * requests);
+  AGTRAM_OBS_COUNT("bus.route_bytes", bytes);
 }
 
 void MessageBus::account_demand_batch(std::uint64_t cells) {
+  const std::uint64_t bytes = std::uint64_t{kDeltaCellWireBytes} * cells;
   stats_.delta_messages += cells;
-  stats_.delta_bytes += static_cast<std::uint64_t>(wire_.delta_cell) * cells;
+  stats_.delta_bytes += bytes;
   AGTRAM_OBS_COUNT("bus.delta_msgs", cells);
-  AGTRAM_OBS_COUNT("bus.delta_bytes",
-                   static_cast<std::uint64_t>(wire_.delta_cell) * cells);
+  AGTRAM_OBS_COUNT("bus.delta_bytes", bytes);
 }
 
 void MessageBus::account_install(std::uint64_t entries) {
+  const std::uint64_t bytes = std::uint64_t{kInstallEntryWireBytes} * entries;
   stats_.install_messages += entries;
-  stats_.install_bytes +=
-      static_cast<std::uint64_t>(wire_.install_entry) * entries;
+  stats_.install_bytes += bytes;
   AGTRAM_OBS_COUNT("bus.install_msgs", entries);
-  AGTRAM_OBS_COUNT("bus.install_bytes",
-                   static_cast<std::uint64_t>(wire_.install_entry) * entries);
-}
-
-void MessageBus::account_glauber_proposals(std::uint64_t proposals) {
-  stats_.glauber_proposal_messages += proposals;
-  stats_.glauber_proposal_bytes +=
-      static_cast<std::uint64_t>(wire_.glauber_proposal) * proposals;
-  AGTRAM_OBS_COUNT("bus.glauber_proposal_msgs", proposals);
-  AGTRAM_OBS_COUNT("bus.glauber_proposal_bytes",
-                   static_cast<std::uint64_t>(wire_.glauber_proposal) *
-                       proposals);
-}
-
-void MessageBus::account_glauber_decisions(std::uint64_t decisions) {
-  stats_.glauber_decision_messages += decisions;
-  stats_.glauber_decision_bytes +=
-      static_cast<std::uint64_t>(wire_.glauber_decision) * decisions;
-  AGTRAM_OBS_COUNT("bus.glauber_decision_msgs", decisions);
-  AGTRAM_OBS_COUNT("bus.glauber_decision_bytes",
-                   static_cast<std::uint64_t>(wire_.glauber_decision) *
-                       decisions);
+  AGTRAM_OBS_COUNT("bus.install_bytes", bytes);
 }
 
 drp::ServerId MessageBus::pick_centre(const drp::Problem& problem) {

@@ -39,6 +39,12 @@
 // has one centre per region: each agent talks to its region's medoid, the
 // regions run their rounds concurrently, and an epoch closes on its
 // slowest centre.
+//
+// The bus is the one place that turns messages into bytes.  Each kind's
+// modelled wire size is defined once, below; the engines count messages
+// (reports polled, replicas placed, epochs) and leave the pricing here.
+// The serving plane (srv::ServingEngine) charges its own three kinds
+// through the account_* methods.
 #pragma once
 
 #include <cstdint>
@@ -51,6 +57,22 @@
 #include "net/clustering.hpp"
 
 namespace agtram::runtime {
+
+// Modelled wire sizes (bytes), one per message kind.
+/// Report: object id + fixed-point valuation.
+inline constexpr std::uint32_t kReportWireBytes = 16;
+/// Empty report ("nothing for me").
+inline constexpr std::uint32_t kEmptyReportWireBytes = 4;
+/// Allocation: object id + payment.
+inline constexpr std::uint32_t kAllocationWireBytes = 16;
+/// OMAX broadcast: object id + winner id.
+inline constexpr std::uint32_t kBroadcastWireBytes = 12;
+/// Route query: object id + requested version floor.
+inline constexpr std::uint32_t kRouteWireBytes = 8;
+/// Demand-delta cell: server + object + dr + dw.
+inline constexpr std::uint32_t kDeltaCellWireBytes = 24;
+/// Placement-install entry: object id + replica server id.
+inline constexpr std::uint32_t kInstallEntryWireBytes = 8;
 
 /// Timing of the protocol's legs (seconds), with its network faults.
 struct ProtocolModel {
@@ -106,15 +128,6 @@ struct MessageStats {
   std::uint64_t install_messages = 0;  ///< placement-install table entries
   std::uint64_t install_bytes = 0;
 
-  // Glauber-dynamics baseline traffic (baselines::glauber): per-server flip
-  // proposals carrying the locally priced cost delta, and the coordinator's
-  // accept/reject decisions back.  Accounted separately so obs blocks can
-  // attribute the distributed baseline's chatter.
-  std::uint64_t glauber_proposal_messages = 0;  ///< server -> coordinator
-  std::uint64_t glauber_proposal_bytes = 0;
-  std::uint64_t glauber_decision_messages = 0;  ///< coordinator -> server
-  std::uint64_t glauber_decision_bytes = 0;
-
   /// Every protocol message put on the wire: polls and reports,
   /// allocations, broadcasts and retransmissions.
   std::uint64_t total_messages() const noexcept {
@@ -128,28 +141,13 @@ struct MessageStats {
   std::uint64_t serving_bytes() const noexcept {
     return route_bytes + delta_bytes + install_bytes;
   }
-  std::uint64_t glauber_bytes() const noexcept {
-    return glauber_proposal_bytes + glauber_decision_bytes;
-  }
-};
-
-/// Wire-format sizes (bytes) for the protocol and serving message kinds.
-struct WireFormat {
-  std::uint32_t report = core::kReportWireBytes;
-  std::uint32_t allocation = core::kAllocationWireBytes;
-  std::uint32_t broadcast = core::kBroadcastWireBytes;
-  std::uint32_t route = 8;        ///< object id + requested version floor
-  std::uint32_t delta_cell = 24;  ///< server + object + dr + dw
-  std::uint32_t install_entry = 8;  ///< object id + replica server id
-  std::uint32_t glauber_proposal = 24;  ///< object + flip kind + priced delta
-  std::uint32_t glauber_decision = 12;  ///< object + accept flag + sweep
 };
 
 class MessageBus : public core::MechanismObserver {
  public:
   /// A flat run: `centre` hosts the one central decision body.
   MessageBus(const drp::Problem& problem, drp::ServerId centre,
-             ProtocolModel model = {}, WireFormat wire = {});
+             ProtocolModel model = {});
   /// A regional run: server i talks to the medoid of its region,
   /// `clustering.medoids[clustering.assignment[i]]`.  Pass the clustering
   /// the engine runs on (core::cluster_regions with the same config).
@@ -169,11 +167,6 @@ class MessageBus : public core::MechanismObserver {
   void account_routes(std::uint64_t requests);
   void account_demand_batch(std::uint64_t cells);
   void account_install(std::uint64_t entries);
-
-  // Glauber-baseline accounting (baselines::glauber): one proposal per
-  // evaluated flip, one decision back per proposal.
-  void account_glauber_proposals(std::uint64_t proposals);
-  void account_glauber_decisions(std::uint64_t decisions);
 
   const MessageStats& stats() const noexcept { return stats_; }
   /// The decision bodies, by region (one for a flat run).
@@ -214,7 +207,6 @@ class MessageBus : public core::MechanismObserver {
   std::vector<drp::ServerId> centres_;   ///< by region
   std::vector<std::uint32_t> region_of_; ///< by server; empty: one centre
   ProtocolModel model_;
-  WireFormat wire_;
   common::Rng rng_;
   std::vector<CentreRound> round_;  ///< by region
   std::uint32_t slowest_ = 0;       ///< the open round's slowest region

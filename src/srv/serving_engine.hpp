@@ -72,7 +72,7 @@ struct ServingConfig {
   /// pool's thread count.
   std::size_t shards = 0;
   /// Optional wire accounting: route queries, demand-delta batches, and
-  /// placement installs are charged per MessageBus::WireFormat.
+  /// placement installs are charged on the bus, which prices each kind.
   runtime::MessageBus* bus = nullptr;
 };
 

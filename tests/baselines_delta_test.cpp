@@ -214,77 +214,69 @@ TEST(BaselinesDelta, LocalSearchMatchesNaive) {
   }
 }
 
-TEST(BaselinesDelta, AnnealingMatchesNaiveAcrossBatchSizes) {
+TEST(BaselinesDelta, AnnealingMatchesNaive) {
   for (const Family& fam : families()) {
     SCOPED_TRACE(fam.name);
     AnnealingConfig naive_cfg;
     naive_cfg.eval = EvalPath::Naive;
     naive_cfg.seed = 6;
     naive_cfg.proposals = 6000;
-    const auto naive = run_annealing(fam.problem, naive_cfg);
-    // Per-proposal rng streams make the trajectory independent of the
-    // speculative batch size (32 is the default).
-    for (const std::size_t batch :
-         {std::size_t{1}, std::size_t{7}, std::size_t{32}}) {
-      SCOPED_TRACE("batch=" + std::to_string(batch));
-      AnnealingConfig delta_cfg = naive_cfg;
-      delta_cfg.eval = EvalPath::Delta;
-      delta_cfg.batch = batch;
-      expect_identical(naive, run_annealing(fam.problem, delta_cfg));
-    }
+    AnnealingConfig delta_cfg = naive_cfg;
+    delta_cfg.eval = EvalPath::Delta;
+    expect_identical(run_annealing(fam.problem, naive_cfg),
+                     run_annealing(fam.problem, delta_cfg));
   }
 }
 
 // ------------------------------------------------------ paper-scale dims
 
-/// Paper-scale (M = 3000, N = 25600, Dispersed) differential check for the
-/// two baselines the bench gate tracks.  Configs are trimmed so the naive
+/// Paper-scale (M = 3000, Dispersed) differential check for the two
+/// baselines the bench gate tracks.  Configs are trimmed so the naive
 /// oracle stays affordable inside the suite; the scans still cross the
-/// parallel cutoffs (M >= 1024) and the CSR layout's arena paths.
-class PaperScaleDelta : public ::testing::Test {
- protected:
-  static const drp::Problem& problem() {
-    static const drp::Problem p = [] {
-      drp::InstanceSpec spec;
-      spec.servers = 3000;
-      spec.objects = 25600;
-      spec.seed = 42;
-      spec.topology = net::TopologyKind::PowerLaw;
-      spec.demand = drp::DemandModel::Dispersed;
-      spec.readers_per_object = 8.0;
-      spec.instance.capacity_fraction = 0.01;
-      spec.instance.rw_ratio = 0.9;
-      return drp::make_instance(spec);
-    }();
-    return p;
-  }
-};
+/// parallel cutoffs (M >= 1024) and the CSR layout's arena paths.  GRA runs
+/// at the paper's N = 25600.  Greedy's naive seed scan prices every
+/// (object, server) pair, so it runs at N = 3200: an eighth of that scan,
+/// and the same server-axis re-validation.
+drp::Problem paper_scale_problem(std::uint32_t objects) {
+  drp::InstanceSpec spec;
+  spec.servers = 3000;
+  spec.objects = objects;
+  spec.seed = 42;
+  spec.topology = net::TopologyKind::PowerLaw;
+  spec.demand = drp::DemandModel::Dispersed;
+  spec.readers_per_object = 8.0;
+  spec.instance.capacity_fraction = 0.01;
+  spec.instance.rw_ratio = 0.9;
+  return drp::make_instance(spec);
+}
 
-TEST_F(PaperScaleDelta, GreedyMatchesNaive) {
+TEST(PaperScaleDelta, GreedyMatchesNaive) {
+  const drp::Problem p = paper_scale_problem(3200);
   GreedyConfig naive_cfg;
   naive_cfg.eval = EvalPath::Naive;
   naive_cfg.max_replicas = 64;
-  const auto naive = run_greedy(problem(), naive_cfg);
+  const auto naive = run_greedy(p, naive_cfg);
   GreedyConfig delta_cfg = naive_cfg;
   delta_cfg.eval = EvalPath::Delta;
   const std::uint64_t scans = counter("delta_eval.scans_parallel");
-  expect_identical(naive, run_greedy(problem(), delta_cfg));
+  expect_identical(naive, run_greedy(p, delta_cfg));
   // M = 3000 clears kParallelMinServers: re-validation takes the
   // server-axis branch (BestAddMatchesNaiveArgmaxUnderMask checks that this
   // branch forks).
   EXPECT_GT(counter("delta_eval.scans_parallel"), scans);
 }
 
-TEST_F(PaperScaleDelta, GraMatchesNaive) {
+TEST(PaperScaleDelta, GraMatchesNaive) {
+  const drp::Problem p = paper_scale_problem(25600);
   GraConfig naive_cfg;
   naive_cfg.eval = EvalPath::Naive;
   naive_cfg.population = 6;
   naive_cfg.generations = 3;
   naive_cfg.seed = 8;
-  const auto naive = run_gra(problem(), naive_cfg);
+  const auto naive = run_gra(p, naive_cfg);
   GraConfig delta_cfg = naive_cfg;
   delta_cfg.eval = EvalPath::Delta;
-  expect_identical(naive, run_gra(problem(), delta_cfg));
+  expect_identical(naive, run_gra(p, delta_cfg));
 }
 
 // ------------------------------------------------- delta-evaluator fuzz

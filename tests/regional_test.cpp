@@ -714,7 +714,6 @@ TEST(TiledRegional, ShardedByteIdenticalToSerial) {
     EXPECT_EQ(a.shards[r].charges, b.shards[r].charges);
     EXPECT_EQ(a.shards[r].final_cost, b.shards[r].final_cost);
     EXPECT_EQ(a.shards[r].reports_computed, b.shards[r].reports_computed);
-    EXPECT_EQ(a.shards[r].wire_bytes, b.shards[r].wire_bytes);
   }
   EXPECT_GT(a.replicas_placed(), 0u);
   EXPECT_GT(a.savings(), 0.0);
@@ -800,7 +799,6 @@ TEST(TiledRegional, ShardStatsAreConsistent) {
     replicas += shard.replicas_placed;
     EXPECT_LE(shard.final_cost, shard.initial_cost);
     EXPECT_GT(shard.reports_computed, 0u);
-    EXPECT_GT(shard.wire_bytes, 0u);
   }
   EXPECT_EQ(members, inst.base.server_count());
   EXPECT_EQ(replicas, result.replicas_placed());

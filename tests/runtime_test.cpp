@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -72,22 +73,58 @@ TEST(MessageBusTest, ChargesFreshReportsAndTheirFanOut) {
   }
 }
 
-TEST(MessageBusTest, ByteAccountingMatchesWireFormat) {
-  const drp::Problem p = testutil::line3_problem();
-  WireFormat wire;
-  wire.report = 20;
-  wire.allocation = 24;
-  wire.broadcast = 16;
-  MessageBus bus(p, 0, ProtocolModel{}, wire);
-  core::AgtRamConfig cfg;
-  cfg.observer = &bus;
-  core::run_agt_ram(p, cfg);
-  const MessageStats& stats = bus.stats();
-  // Reports are 20 bytes when carrying a candidate, 4 bytes when empty.
-  EXPECT_LE(stats.report_bytes, stats.report_messages * 20);
-  EXPECT_GE(stats.report_bytes, stats.report_messages * 4);
-  EXPECT_EQ(stats.allocation_bytes, stats.allocation_messages * 24);
-  EXPECT_EQ(stats.broadcast_bytes, stats.broadcast_messages * 16);
+/// Forwards every round callback to the bus and tallies the fresh reports
+/// it prices, split into bids and empty reports.
+class ReportTally : public core::MechanismObserver {
+ public:
+  explicit ReportTally(MessageBus& bus) : bus_(bus) {}
+
+  void on_round_begin(std::size_t round) override {
+    bus_.on_round_begin(round);
+  }
+  void on_report(drp::ServerId agent, const core::Report& report,
+                 bool fresh) override {
+    if (fresh) ++(report.has_candidate ? bids : empties);
+    bus_.on_report(agent, report, fresh);
+  }
+  void on_allocation(drp::ServerId winner, drp::ObjectIndex object,
+                     double payment) override {
+    bus_.on_allocation(winner, object, payment);
+  }
+  void on_broadcast(drp::ServerId winner, drp::ObjectIndex object,
+                    std::span<const drp::ServerId> notified) override {
+    bus_.on_broadcast(winner, object, notified);
+  }
+
+  std::uint64_t bids = 0;
+  std::uint64_t empties = 0;
+
+ private:
+  MessageBus& bus_;
+};
+
+TEST(MessageBusTest, ByteAccountingMatchesWireSizes) {
+  const drp::Problem p = testutil::small_instance(125, 24, 96);
+  for (const core::ReportMode mode :
+       {core::ReportMode::Naive, core::ReportMode::Incremental}) {
+    MessageBus bus(p, MessageBus::pick_centre(p));
+    ReportTally tally(bus);
+    core::AgtRamConfig cfg;
+    cfg.report_mode = mode;
+    cfg.observer = &tally;
+    core::run_agt_ram(p, cfg);
+    const MessageStats& stats = bus.stats();
+    // The terminating round's reports are empty; every allocation had bids.
+    EXPECT_GT(tally.bids, 0u);
+    EXPECT_GT(tally.empties, 0u);
+    EXPECT_EQ(stats.report_messages, tally.bids + tally.empties);
+    EXPECT_EQ(stats.report_bytes, tally.bids * kReportWireBytes +
+                                      tally.empties * kEmptyReportWireBytes);
+    EXPECT_EQ(stats.allocation_bytes,
+              stats.allocation_messages * kAllocationWireBytes);
+    EXPECT_EQ(stats.broadcast_bytes,
+              stats.broadcast_messages * kBroadcastWireBytes);
+  }
 }
 
 TEST(DistributedTest, MatchesSerialAllocation) {

@@ -731,10 +731,14 @@ TEST(ServingEngineTest, BusSeparatesServingFromProtocolBytes) {
 
   const runtime::MessageStats& stats = bus.stats();
   EXPECT_EQ(stats.route_messages, engine.stats().requests);
-  EXPECT_EQ(stats.route_bytes, stats.route_messages * 8);
+  EXPECT_EQ(stats.route_bytes,
+            stats.route_messages * runtime::kRouteWireBytes);
   EXPECT_EQ(stats.delta_messages, engine.stats().demand_delta_cells);
-  EXPECT_EQ(stats.delta_bytes, stats.delta_messages * 24);
+  EXPECT_EQ(stats.delta_bytes,
+            stats.delta_messages * runtime::kDeltaCellWireBytes);
   EXPECT_GT(stats.install_messages, 0u);
+  EXPECT_EQ(stats.install_bytes,
+            stats.install_messages * runtime::kInstallEntryWireBytes);
   EXPECT_EQ(stats.serving_bytes(),
             stats.route_bytes + stats.delta_bytes + stats.install_bytes);
   // Protocol counters stay untouched: the serving plane is accounted apart.
