@@ -87,17 +87,21 @@ RoutingTable::RoutingTable(std::shared_ptr<const RoutingSnapshot> initial) {
   install(std::move(initial));
 }
 
+std::shared_ptr<const RoutingSnapshot> RoutingTable::pin() const {
+  const std::lock_guard<std::mutex> lock(install_mu_);
+  return live_;
+}
+
 void RoutingTable::install(std::shared_ptr<const RoutingSnapshot> next) {
-  const RoutingSnapshot* raw = next.get();
+  std::shared_ptr<const RoutingSnapshot> replaced;
   {
-    // Take ownership first: the snapshot must already be retained when its
-    // pointer becomes visible to readers.
     const std::lock_guard<std::mutex> lock(install_mu_);
-    owned_.push_back(std::move(next));
+    replaced = std::exchange(live_, std::move(next));
+    current_.store(live_.get(), std::memory_order_release);
   }
-  current_.store(raw, std::memory_order_release);
   installs_.fetch_add(1, std::memory_order_relaxed);
   AGTRAM_OBS_COUNT("srv.snapshot_installs", 1);
+  // `replaced` drops here, outside the lock: freed unless a reader pinned it.
 }
 
 }  // namespace agtram::srv

@@ -12,24 +12,29 @@
 // placement's replicator sets or the distance matrix.
 //
 // RoutingTable publishes snapshots RCU-style through one raw
-// std::atomic<const RoutingSnapshot*>: worker threads `acquire()` a snapshot
-// once per shard (a single acquire load — no refcount traffic on the serve
-// path) and then route lock-free off its immutable arrays, while the control
-// thread `install()`s a rebuilt snapshot after every re-convergence.  A
-// worker therefore always serves a *coherent* placement — the epoch it
-// pinned — never a torn mix of two.  Reclamation is deferred: the table
-// keeps ownership of every installed snapshot until it is destroyed, so an
-// acquired pointer stays valid for the table's lifetime with no per-reader
-// grace-period bookkeeping.  Installs are drift-triggered and rare, so the
-// retired set is bounded by the install count, not the request count
-// (tests/serving_test.cpp hammers acquire-vs-install under TSan).
+// std::atomic<const RoutingSnapshot*> and owns only the live snapshot.  The
+// lifetime rule, stated here once:
+//  * `acquire()` is a single acquire load.  Its pointer is valid until the
+//    next `install()`: enough for the thread that installs, which reads
+//    between its own installs.  ServingEngine's control thread acquires once
+//    per batch, and its routing shards join before re-convergence installs,
+//    so the engine holds no pin of its own.
+//  * A thread that reads while another thread installs takes `pin()`, an
+//    owning handle copied under the install lock.  The snapshot it pins
+//    stays valid until that handle drops, whatever installs land meanwhile.
+//  * `install()` drops the table's reference to the snapshot it replaces.
+//    That snapshot is freed at once or, if pinned, when its last pin drops.
+//    So the table keeps one snapshot alive, and an engine that patches the
+//    next snapshot from the live one holds at most two, plus any pinned
+//    (tests/serving_test.cpp soaks this bound and hammers pin-vs-install
+//    under TSan).
 //
 // std::atomic<std::shared_ptr> is deliberately not used here: libstdc++'s
 // _Sp_atomic releases its internal bit-lock with a relaxed RMW on the load
 // path, so the reader's read of the pointer field is not formally ordered
 // against the next installer's write — TSan (correctly, per the memory
-// model) reports that as a race.  The raw-pointer + deferred-ownership
-// scheme is both cleanly ordered and cheaper.
+// model) reports that as a race.  A raw pointer for the fast path and a
+// mutex-guarded owner for pins is both cleanly ordered and cheaper.
 #pragma once
 
 #include <atomic>
@@ -124,27 +129,29 @@ class RoutingSnapshot {
   std::vector<double> write_units_;     ///< per cell, slot scheme
 };
 
-/// Epoch-published routing state.  acquire() is one atomic load; install()
-/// is one atomic store plus a mutex-guarded append to the retire list.  The
-/// per-request route itself never touches the atomic (workers pin a snapshot
-/// per shard), so serving throughput is independent of install frequency.
+/// Epoch-published routing state that owns only the live snapshot.
+/// acquire() is one atomic load; pin() and install() take the install lock.
+/// The per-request route itself never touches either (workers share one
+/// acquired snapshot per batch), so serving throughput is independent of
+/// install frequency.
 class RoutingTable {
  public:
   /// Empty table: acquire() returns null until the first install().
   RoutingTable() = default;
   explicit RoutingTable(std::shared_ptr<const RoutingSnapshot> initial);
 
-  /// Pins the current snapshot (one atomic load).  The pointer stays valid
-  /// for the table's lifetime (deferred reclamation); hold it for the
-  /// duration of a routing shard and re-acquire for the next batch.
+  /// The live snapshot (one atomic load), valid until the next install().
   const RoutingSnapshot* acquire() const {
     return current_.load(std::memory_order_acquire);
   }
 
-  /// Publishes a new snapshot without stalling readers: shards already
-  /// routing keep their pinned epoch, subsequent acquires see the new one.
-  /// The superseded snapshot is retained (owned by the table) so in-flight
-  /// readers never dangle.
+  /// The live snapshot as an owning handle: valid until the handle drops,
+  /// across any number of installs.  For readers on other threads.
+  std::shared_ptr<const RoutingSnapshot> pin() const;
+
+  /// Publishes a new snapshot without stalling readers: pinned readers keep
+  /// their epoch, subsequent acquires see the new one.  Drops the table's
+  /// reference to the replaced snapshot (freed unless pinned).
   void install(std::shared_ptr<const RoutingSnapshot> next);
 
   /// Snapshots installed so far, including the initial one.
@@ -155,11 +162,10 @@ class RoutingTable {
  private:
   std::atomic<const RoutingSnapshot*> current_{nullptr};
   std::atomic<std::uint64_t> installs_{0};
-  /// Every snapshot ever installed, in install order; the deferred-RCU
-  /// grace period is the table's lifetime.  Guarded by install_mu_ (installs
-  /// come from the control thread; readers never touch this).
+  /// Owns the snapshot current_ points at.  Guarded by install_mu_, under
+  /// which install() changes both together.
   mutable std::mutex install_mu_;
-  std::vector<std::shared_ptr<const RoutingSnapshot>> owned_;
+  std::shared_ptr<const RoutingSnapshot> live_;
 };
 
 }  // namespace agtram::srv

@@ -20,6 +20,7 @@ namespace {
 const char* refusal(const drp::AccessMatrix& access,
                     const std::vector<std::uint8_t>& reader_cell,
                     const Request& req) {
+  if (req.count == 0) return "empty request group";
   if (req.object >= access.object_count()) return "object out of range";
   const std::size_t base = access.accessor_base(req.object);
   if (req.slot >= access.accessor_base(req.object + 1) - base) {
@@ -183,8 +184,9 @@ void ServingEngine::observe(std::span<const Request> batch) {
 void ServingEngine::run_batch(std::span<const Request> batch) {
   AGTRAM_OBS_SPAN("srv.batch");
   common::Timer timer;
-  // Pin one snapshot for the whole batch; shards share it (installs landing
-  // mid-batch take effect next batch — a batch is one coherent epoch).
+  // One snapshot for the whole batch, shared by the shards: a batch is one
+  // coherent epoch.  Installs run on this thread after the shards join, so
+  // the acquired pointer needs no pin.
   const RoutingSnapshot* snap = table_.acquire();
 
   const std::size_t parts = batch.empty()

@@ -1,7 +1,7 @@
 // The serving engine (DESIGN.md §13, ROADMAP item 3): a long-running
 // request front-end over the live replica placement.
 //
-// Per batch it (1) admits and routes every request off the pinned
+// Per batch it (1) admits and routes every request off the live
 // RoutingSnapshot on the shared thread pool — shard-local scratch, no
 // serve-path locks — accumulating a dense read-latency histogram (distances
 // are bounded by the network diameter, so percentiles are exact); a batch
@@ -142,10 +142,11 @@ class ServingEngine {
 
   /// Routes one request batch, then re-converges per policy.  Throws
   /// std::invalid_argument, with the stats, the window and the bus
-  /// unchanged, if any request names an object >= N, a slot outside its
-  /// object's accessors, or a read on a cell whose server is not in the
-  /// structural readers(object) list (the fold could not apply it).  The
-  /// message names the first such request's index and the reason.
+  /// unchanged, if any request carries count 0, names an object >= N, a
+  /// slot outside its object's accessors, or a read on a cell whose server
+  /// is not in the structural readers(object) list (the fold could not
+  /// apply it).  The message names the first such request's index and the
+  /// reason.
   void run_batch(std::span<const Request> batch);
 
   /// Folds the current window into the demand matrix and re-converges now,
@@ -156,9 +157,9 @@ class ServingEngine {
   /// The last drift-trigger evaluation (OnDrift evaluates after every
   /// batch; the other policies never do).
   const DriftRecord& last_drift() const noexcept { return last_drift_; }
+  /// The routing table.  Its acquire()d snapshot is valid until the next
+  /// run_batch() or reconverge_now(); pin() one to read from another thread.
   const RoutingTable& routing() const noexcept { return table_; }
-  /// Valid for the engine's lifetime (the table retains every epoch).
-  const RoutingSnapshot* snapshot() const { return table_.acquire(); }
   const drp::Problem& problem() const;
   const drp::ReplicaPlacement& placement() const;
   /// Non-null only under ReconvergePolicy::OnDrift.
@@ -198,7 +199,8 @@ class ServingEngine {
   void observe(std::span<const Request> batch);
   bool drift_crossed();
   /// Publishes a snapshot for the current placement: patched from the
-  /// current one when `changed` is given, else built in full.
+  /// current one when `changed` is given, else built in full.  The install
+  /// frees the current one, so the engine holds two only while patching.
   void install_snapshot(std::uint64_t changed_entries,
                         const std::vector<drp::ObjectIndex>* changed);
   void reset_window();

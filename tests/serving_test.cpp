@@ -4,10 +4,13 @@
 // The load-bearing properties:
 //  * A RoutingSnapshot routes every structural demand cell byte-identically
 //    to a naive nearest-replica scan over the live placement.
-//  * Concurrent readers hammering RoutingTable::acquire while a control
-//    thread installs rebuilt snapshots always observe a *coherent* epoch —
-//    routes match exactly one published snapshot, never a torn mix (this is
-//    the TSan target wired into tools/run_sanitized_tests.sh).
+//  * Concurrent readers hammering RoutingTable::pin while a control thread
+//    installs rebuilt snapshots always observe a *coherent* epoch — routes
+//    match exactly one published snapshot, never a torn mix (this is the
+//    TSan target wired into tools/run_sanitized_tests.sh).
+//  * The table owns only the live snapshot: over a long install soak the
+//    live snapshots are the table's one plus the pinned ones, and a pinned
+//    snapshot stays valid until its pin drops.
 //  * A snapshot patched from the previous epoch over the changed objects
 //    equals a full rebuild, byte for byte.
 //  * The engine's demand fold-back, drift trigger (and its decision record),
@@ -24,6 +27,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -194,8 +198,8 @@ TEST(RoutingSnapshotTest, PatchedSnapshotEqualsFullBuild) {
       if (engine.stats().installs == checked) continue;
       checked = engine.stats().installs;
       const srv::RoutingSnapshot full(engine.placement(),
-                                      engine.snapshot()->epoch());
-      expect_snapshots_equal(*engine.snapshot(), full);
+                                      engine.routing().acquire()->epoch());
+      expect_snapshots_equal(*engine.routing().acquire(), full);
     }
     EXPECT_GE(checked, 5u);
     EXPECT_GT(engine.stats().replicas_evicted, 0u);
@@ -246,26 +250,15 @@ TEST(RoutingTableTest, InstallPublishesAndCountsSnapshots) {
   EXPECT_EQ(table.acquire()->epoch(), 1u);
 }
 
-// The TSan target: N reader threads route off acquire()d snapshots while
-// the control thread installs a sequence of epochs built from an evolving
-// placement.  Every routed probe must checksum-match the pinned epoch —
-// exactly one published snapshot, never a torn mix — and after the last
-// install the table must route identically to a naive scan of the final
-// placement.
-TEST(RoutingTableTest, ConcurrentReadersNeverSeeATornSnapshot) {
-  drp::Problem problem = dispersed_instance(24, 96, 13);
-  core::OnlineMechanism engine(std::move(problem), {});
+/// Placements of `engine` over `count` epochs: epoch 0 is the live one, and
+/// each later epoch shuffles read demand between two readers of every 17th
+/// object, enough to move replicas from one epoch to the next.
+std::vector<drp::ReplicaPlacement> evolving_placements(
+    core::OnlineMechanism& engine, std::size_t count) {
   const drp::Problem& inst = engine.problem();
-
-  // Build the epoch sequence up front (snapshot *construction* is not the
-  // concurrency under test; acquire/install is).
-  constexpr std::size_t kEpochs = 8;
-  std::vector<std::shared_ptr<const srv::RoutingSnapshot>> snapshots;
-  snapshots.push_back(
-      std::make_shared<const srv::RoutingSnapshot>(engine.placement(), 0));
-  for (std::size_t e = 1; e < kEpochs; ++e) {
-    // Shuffle read demand between the two heaviest readers of a few
-    // objects: enough to move replicas between epochs.
+  std::vector<drp::ReplicaPlacement> placements;
+  placements.push_back(engine.placement());
+  for (std::size_t e = 1; e < count; ++e) {
     std::vector<core::OnlineEvent> events;
     for (drp::ObjectIndex k = static_cast<drp::ObjectIndex>(e);
          k < inst.object_count(); k += 17) {
@@ -280,26 +273,67 @@ TEST(RoutingTableTest, ConcurrentReadersNeverSeeATornSnapshot) {
       events.push_back(core::DemandDelta{to, k, moved, 0});
     }
     engine.apply_events(events);
-    snapshots.push_back(
-        std::make_shared<const srv::RoutingSnapshot>(engine.placement(), e));
+    placements.push_back(engine.placement());
   }
+  return placements;
+}
 
-  // Probe set + per-epoch checksums (sum of routed distances).
-  std::vector<std::pair<drp::ObjectIndex, std::uint32_t>> probes;
-  for (drp::ObjectIndex k = 0; k < inst.object_count(); k += 3) {
+using Probes = std::vector<std::pair<drp::ObjectIndex, std::uint32_t>>;
+
+/// Every `object_stride`-th object's every `slot_stride`-th accessor slot.
+Probes probe_cells(const drp::Problem& inst, std::size_t object_stride,
+                   std::size_t slot_stride) {
+  Probes probes;
+  for (drp::ObjectIndex k = 0; k < inst.object_count();
+       k += static_cast<drp::ObjectIndex>(object_stride)) {
     const std::size_t width = inst.access.accessors(k).size();
-    for (std::size_t slot = 0; slot < width; slot += 2) {
+    for (std::size_t slot = 0; slot < width; slot += slot_stride) {
       probes.emplace_back(k, static_cast<std::uint32_t>(slot));
     }
   }
-  std::vector<std::uint64_t> expected(kEpochs, 0);
+  return probes;
+}
+
+/// Routes every probe: the sum of serving distances and replica ids.
+std::uint64_t route_checksum(const srv::RoutingSnapshot& snap,
+                             const Probes& probes) {
+  std::uint64_t sum = 0;
+  for (const auto& [k, slot] : probes) {
+    const srv::RouteDecision route = snap.route_read(k, slot);
+    sum += std::uint64_t{route.distance} * 65536 + route.server;
+  }
+  return sum;
+}
+
+// The TSan target: N reader threads pin() snapshots and route off them
+// while the control thread installs a sequence of epochs built from an
+// evolving placement.  The table and the readers' pins are the snapshots'
+// only owners, so a snapshot freed under a pin shows as a use after free
+// (ASan) or a wrong checksum.  Every routed probe must checksum-match the
+// pinned epoch — exactly one published snapshot, never a torn mix — and
+// after the last install the table must route identically to a naive scan
+// of the final placement, with every replaced snapshot freed.
+TEST(RoutingTableTest, ConcurrentReadersNeverSeeATornSnapshot) {
+  core::OnlineMechanism engine(dispersed_instance(24, 96, 13), {});
+  const drp::Problem& inst = engine.problem();
+  constexpr std::size_t kEpochs = 8;
+  const std::vector<drp::ReplicaPlacement> placements =
+      evolving_placements(engine, kEpochs);
+
+  const Probes probes = probe_cells(inst, 3, 2);
+  std::vector<std::uint64_t> expected;
   for (std::size_t e = 0; e < kEpochs; ++e) {
-    for (const auto& [k, slot] : probes) {
-      expected[e] += snapshots[e]->route_read(k, slot).distance;
-    }
+    expected.push_back(
+        route_checksum(srv::RoutingSnapshot(placements[e], e), probes));
   }
 
-  srv::RoutingTable table(snapshots[0]);
+  std::vector<std::weak_ptr<const srv::RoutingSnapshot>> installed;
+  const auto build = [&](std::size_t e) {
+    auto snap = std::make_shared<const srv::RoutingSnapshot>(placements[e], e);
+    installed.push_back(snap);
+    return snap;
+  };
+  srv::RoutingTable table(build(0));
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> probes_run{0};
   std::vector<std::thread> readers;
@@ -307,12 +341,8 @@ TEST(RoutingTableTest, ConcurrentReadersNeverSeeATornSnapshot) {
   for (std::size_t t = 0; t < kReaders; ++t) {
     readers.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
-        const auto snap = table.acquire();
-        std::uint64_t sum = 0;
-        for (const auto& [k, slot] : probes) {
-          sum += snap->route_read(k, slot).distance;
-        }
-        EXPECT_EQ(sum, expected[snap->epoch()])
+        const std::shared_ptr<const srv::RoutingSnapshot> snap = table.pin();
+        EXPECT_EQ(route_checksum(*snap, probes), expected[snap->epoch()])
             << "torn routing at epoch " << snap->epoch();
         probes_run.fetch_add(1, std::memory_order_relaxed);
       }
@@ -324,13 +354,95 @@ TEST(RoutingTableTest, ConcurrentReadersNeverSeeATornSnapshot) {
     while (probes_run.load(std::memory_order_relaxed) < before + kReaders) {
       std::this_thread::yield();
     }
-    table.install(snapshots[e]);
+    table.install(build(e));
   }
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : readers) t.join();
 
   EXPECT_EQ(table.installs(), kEpochs);
   expect_snapshot_matches_naive(*table.acquire(), engine.placement());
+  for (std::size_t e = 0; e + 1 < kEpochs; ++e) {
+    EXPECT_TRUE(installed[e].expired())
+        << "epoch " << e << " outlived its pins";
+  }
+}
+
+// A long-lived table stays bounded: over 10,000 installs, with pins taken
+// and dropped at random, the live snapshots are exactly the table's one,
+// the next one while it is being built, and the pinned ones (counted
+// through weak_ptrs) — at most 2 plus the pins held.  Each pinned snapshot
+// routes its own epoch until its pin drops.
+TEST(RoutingTableTest, SoakKeepsOnlyTheLiveAndPinnedSnapshots) {
+  core::OnlineMechanism engine(dispersed_instance(16, 48, 5), {});
+  constexpr std::size_t kVariants = 4;
+  const std::vector<drp::ReplicaPlacement> placements =
+      evolving_placements(engine, kVariants);
+  const Probes probes = probe_cells(engine.problem(), 1, 1);
+  std::vector<std::uint64_t> expected;
+  for (std::size_t v = 0; v < kVariants; ++v) {
+    expected.push_back(
+        route_checksum(srv::RoutingSnapshot(placements[v], v), probes));
+  }
+
+  using Snapshot = std::shared_ptr<const srv::RoutingSnapshot>;
+  std::vector<std::weak_ptr<const srv::RoutingSnapshot>> tracked;
+  const auto build = [&](std::uint64_t epoch) {
+    auto snap = std::make_shared<const srv::RoutingSnapshot>(
+        placements[epoch % kVariants], epoch);
+    tracked.push_back(snap);
+    return snap;
+  };
+  // Prunes the expired from `tracked` and checks that the rest are exactly
+  // `live` plus the pinned ones.
+  std::vector<Snapshot> pins;
+  const auto expect_live = [&](std::vector<const srv::RoutingSnapshot*> live,
+                               std::uint64_t epoch) {
+    std::erase_if(tracked, [](const auto& w) { return w.expired(); });
+    for (const Snapshot& pin : pins) live.push_back(pin.get());
+    std::sort(live.begin(), live.end());
+    live.erase(std::unique(live.begin(), live.end()), live.end());
+    std::vector<const srv::RoutingSnapshot*> alive;
+    for (const auto& w : tracked) alive.push_back(w.lock().get());
+    std::sort(alive.begin(), alive.end());
+    ASSERT_EQ(alive, live) << "install " << epoch;
+    ASSERT_LE(alive.size(), 2 + pins.size()) << "install " << epoch;
+  };
+
+  srv::RoutingTable table(build(0));
+  std::mt19937_64 rng(24);
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  constexpr std::uint64_t kInstalls = 10'000;
+  std::size_t pins_taken = 0;
+  std::size_t most_pinned = 0;
+  for (std::uint64_t epoch = 1; epoch <= kInstalls; ++epoch) {
+    if (coin(rng) < 0.3 && pins.size() < 8) {
+      pins.push_back(table.pin());
+      ++pins_taken;
+    }
+    if (!pins.empty() && coin(rng) < 0.3) {
+      const std::size_t at = rng() % pins.size();
+      const Snapshot& pin = pins[at];
+      ASSERT_EQ(route_checksum(*pin, probes),
+                expected[pin->epoch() % kVariants])
+          << "pinned epoch " << pin->epoch() << " at install " << epoch;
+      pins.erase(pins.begin() + static_cast<std::ptrdiff_t>(at));
+    }
+    most_pinned = std::max(most_pinned, pins.size());
+    Snapshot next = build(epoch);
+    ASSERT_NO_FATAL_FAILURE(expect_live({table.acquire(), next.get()}, epoch));
+    table.install(std::move(next));
+    ASSERT_NO_FATAL_FAILURE(expect_live({table.acquire()}, epoch));
+    ASSERT_EQ(table.acquire()->epoch(), epoch);
+  }
+  for (const Snapshot& pin : pins) {
+    EXPECT_EQ(route_checksum(*pin, probes),
+              expected[pin->epoch() % kVariants]);
+  }
+  pins.clear();
+  expect_live({table.acquire()}, kInstalls);
+  EXPECT_EQ(table.installs(), kInstalls + 1);
+  EXPECT_GT(pins_taken, 1000u);
+  EXPECT_GE(most_pinned, 4u);
 }
 
 // ------------------------------------------------------------- Workloads
@@ -458,9 +570,10 @@ TEST(ServingEngineTest, EveryBatchPolicyReconvergesPerBatch) {
   }
   EXPECT_EQ(engine.stats().reconverges, 3u);
   EXPECT_EQ(engine.stats().installs, 3u);
-  EXPECT_EQ(engine.snapshot()->epoch(), 3u);
+  EXPECT_EQ(engine.routing().acquire()->epoch(), 3u);
   // After each reconverge the snapshot matches the re-solved placement.
-  expect_snapshot_matches_naive(*engine.snapshot(), engine.placement());
+  expect_snapshot_matches_naive(*engine.routing().acquire(),
+                                engine.placement());
 }
 
 TEST(ServingEngineTest, OnDriftTriggersAndKeepsRoutingCoherent) {
@@ -491,8 +604,9 @@ TEST(ServingEngineTest, OnDriftTriggersAndKeepsRoutingCoherent) {
   EXPECT_EQ(stats.installs, stats.reconverges);
   EXPECT_GT(stats.demand_delta_cells, 0u);
   // The live snapshot always routes like a naive scan of the live placement.
-  expect_snapshot_matches_naive(*engine.snapshot(), engine.placement());
-  EXPECT_EQ(engine.snapshot()->epoch(), stats.installs);
+  expect_snapshot_matches_naive(*engine.routing().acquire(),
+                                engine.placement());
+  EXPECT_EQ(engine.routing().acquire()->epoch(), stats.installs);
 }
 
 // Re-convergence stage seconds: each non-negative, together within
@@ -595,6 +709,7 @@ TEST(ServingEngineTest, MalformedBatchIsRefusedWhole) {
       {{0, width0, 1, true}, "slot out of range"},
       {{writer_cell->first, writer_cell->second, 4, false},
        "read on a non-reader cell"},
+      {{0, 0, 0, true}, "empty request group"},
   };
   const srv::ServingStats before = engine.stats();
   const std::uint64_t route_messages = bus.stats().route_messages;

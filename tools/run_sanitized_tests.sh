@@ -17,7 +17,9 @@
 # construction on every solve and repair.  The online engine also re-prices
 # a batch's demand-touched objects in one parallel_for; test_online forks
 # that re-price over a thousand objects, and test_serving runs it on every
-# fold.  test_regional runs the tiled engine's shard jobs on an explicit
+# fold; test_serving also pins routing snapshots on reader threads while
+# another thread installs, and soaks the table's reclamation, so a snapshot
+# freed under a pin shows.  test_regional runs the tiled engine's shard jobs on an explicit
 # pool.  test_runtime times the protocol on the bus over flat and regional
 # runs.  test_layout checks the by-server transpose that writes
 # the slots those agents read.  test_obs_counters runs each instrumented
