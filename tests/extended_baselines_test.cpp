@@ -1,15 +1,23 @@
 // Tests for the extended comparison set (selfish caching, local search,
-// simulated annealing), the cooperative regional game, and the economics
-// report.
+// simulated annealing), the cooperative regional game, the economics
+// report, and the pinned outputs of every engine built on a shared loop.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "baselines/aestar.hpp"
 #include "baselines/annealing.hpp"
+#include "baselines/auctions.hpp"
+#include "baselines/greedy.hpp"
 #include "baselines/local_search.hpp"
 #include "baselines/registry.hpp"
 #include "baselines/selfish_caching.hpp"
 #include "core/agt_ram.hpp"
+#include "core/audit.hpp"
 #include "core/economics.hpp"
 #include "core/regional.hpp"
+#include "core/regional_tiled.hpp"
+#include "drp/builder.hpp"
 #include "drp/cost_model.hpp"
 #include "test_helpers.hpp"
 
@@ -205,6 +213,237 @@ TEST(Economics, EmptyRunIsAllZeros) {
   EXPECT_DOUBLE_EQ(econ.welfare, 0.0);
   EXPECT_DOUBLE_EQ(econ.utility_gini, 0.0);
   EXPECT_EQ(econ.winning_agents, 0u);
+}
+
+
+// ---------------------------------------------------------- pinned outputs
+
+/// One engine's pinned outputs.  `cost` is the total OTC (the federated
+/// shard sum for the tiled engine; the summed trial margins for the audit
+/// rows), `replicas` the extra replicas placed (the trial count for the
+/// audit rows); `epochs` and `charges` are recorded for the regional
+/// engines (the tiled engine's epochs are its summed shard rounds) and 0
+/// elsewhere.
+struct Pin {
+  double cost = 0.0;
+  std::size_t replicas = 0;
+  std::size_t epochs = 0;
+  double charges = 0.0;
+};
+
+struct PinCase {
+  const char* name;
+  Pin (*run)(int instance);
+  Pin expected[2];
+};
+
+drp::Problem pin_instance(int instance) {
+  return instance == 0 ? testutil::small_instance(31, 36, 180)
+                       : testutil::small_instance(32, 44, 240, 0.02, 0.8);
+}
+
+drp::SparseInstance pin_sparse_instance(int instance) {
+  drp::InstanceSpec spec;
+  spec.servers = instance == 0 ? 80 : 100;
+  spec.objects = instance == 0 ? 240 : 300;
+  spec.seed = instance == 0 ? 33 : 34;
+  spec.instance.capacity_fraction = 0.05;
+  return drp::make_sparse_instance(spec);
+}
+
+Pin placement_pin(const drp::ReplicaPlacement& placement) {
+  return Pin{cost(placement), placement.extra_replica_count(), 0, 0.0};
+}
+
+Pin greedy_pin(int instance, EvalPath eval) {
+  const drp::Problem p = pin_instance(instance);
+  GreedyConfig cfg;
+  cfg.eval = eval;
+  return placement_pin(run_greedy(p, cfg));
+}
+
+Pin greedy_capped_pin(int instance, EvalPath eval) {
+  const drp::Problem p = pin_instance(instance);
+  GreedyConfig cfg;
+  cfg.eval = eval;
+  cfg.max_replicas = 7;
+  return placement_pin(run_greedy_from(p, drp::ReplicaPlacement(p), cfg));
+}
+
+Pin greedy_masked_pin(int instance, EvalPath eval) {
+  const drp::Problem p = pin_instance(instance);
+  std::vector<bool> even(p.server_count(), false);
+  for (std::size_t i = 0; i < even.size(); i += 2) even[i] = true;
+  GreedyConfig cfg;
+  cfg.eval = eval;
+  cfg.allowed_sites = &even;
+  return placement_pin(
+      run_greedy_from(p, core::run_agt_ram(p).placement, cfg));
+}
+
+Pin aestar_pin(int instance, EvalPath eval) {
+  const drp::Problem p = pin_instance(instance);
+  AeStarConfig cfg;
+  cfg.eval = eval;
+  return placement_pin(run_aestar(p, cfg));
+}
+
+Pin local_search_pin(int instance, EvalPath eval) {
+  const drp::Problem p = pin_instance(instance);
+  LocalSearchConfig cfg;
+  cfg.eval = eval;
+  return placement_pin(run_local_search(p, cfg));
+}
+
+Pin annealing_pin(int instance, EvalPath eval) {
+  const drp::Problem p = pin_instance(instance);
+  AnnealingConfig cfg;
+  cfg.eval = eval;
+  return placement_pin(run_annealing(p, cfg));
+}
+
+Pin regional_pin(const core::RegionalResult& result) {
+  double charges = 0.0;
+  for (const core::RegionOutcome& region : result.regions) {
+    charges += region.charges;
+  }
+  return Pin{cost(result.placement), result.placement.extra_replica_count(),
+             result.epochs, charges};
+}
+
+core::RegionalConfig four_regions() {
+  core::RegionalConfig cfg;
+  cfg.regions = 4;
+  return cfg;
+}
+
+Pin tiled_pin(int instance, bool cooperative) {
+  const drp::SparseInstance inst = pin_sparse_instance(instance);
+  core::TiledRegionalConfig cfg;
+  cfg.regions = 4;
+  cfg.cooperative = cooperative;
+  const core::TiledRegionalResult result = core::run_regional_tiled(inst, cfg);
+  Pin pin{result.final_cost, result.replicas_placed(), 0, 0.0};
+  for (const core::TiledShardOutcome& shard : result.shards) {
+    pin.epochs += shard.rounds;
+    pin.charges += shard.charges;
+  }
+  return pin;
+}
+
+Pin audit_pin(int instance, core::PaymentRule rule) {
+  const drp::Problem p = pin_instance(instance);
+  const std::vector<core::OneShotTrial> trials =
+      core::audit_one_shot_truthfulness(p, rule, {0.5, 0.9, 1.1, 2.0});
+  Pin pin{0.0, trials.size(), 0, 0.0};
+  for (const core::OneShotTrial& trial : trials) pin.cost += trial.margin();
+  return pin;
+}
+
+// Every engine whose loops are shared code, on two instances each, against
+// values recorded before those loops were merged: the pins hold the merged
+// code to the outputs of the copies it replaced.
+const PinCase kPinCases[] = {
+    {"greedy/naive", [](int i) { return greedy_pin(i, EvalPath::Naive); },
+     {{0x1.3145ep+19, 197, 0, 0x0p+0},
+      {0x1.5c0afp+20, 130, 0, 0x0p+0}}},
+    {"greedy/delta", [](int i) { return greedy_pin(i, EvalPath::Delta); },
+     {{0x1.3145ep+19, 197, 0, 0x0p+0},
+      {0x1.5c0afp+20, 130, 0, 0x0p+0}}},
+    {"greedy_from/cap/naive",
+     [](int i) { return greedy_capped_pin(i, EvalPath::Naive); },
+     {{0x1.aab9ep+19, 7, 0, 0x0p+0},
+      {0x1.947d3p+20, 7, 0, 0x0p+0}}},
+    {"greedy_from/cap/delta",
+     [](int i) { return greedy_capped_pin(i, EvalPath::Delta); },
+     {{0x1.aab9ep+19, 7, 0, 0x0p+0},
+      {0x1.947d3p+20, 7, 0, 0x0p+0}}},
+    {"greedy_from/mask/naive",
+     [](int i) { return greedy_masked_pin(i, EvalPath::Naive); },
+     {{0x1.3a5fap+19, 176, 0, 0x0p+0},
+      {0x1.61818p+20, 109, 0, 0x0p+0}}},
+    {"greedy_from/mask/delta",
+     [](int i) { return greedy_masked_pin(i, EvalPath::Delta); },
+     {{0x1.3a5fap+19, 176, 0, 0x0p+0},
+      {0x1.61818p+20, 109, 0, 0x0p+0}}},
+    {"aestar/naive", [](int i) { return aestar_pin(i, EvalPath::Naive); },
+     {{0x1.3c11ap+19, 158, 0, 0x0p+0},
+      {0x1.6734p+20, 104, 0, 0x0p+0}}},
+    {"aestar/delta", [](int i) { return aestar_pin(i, EvalPath::Delta); },
+     {{0x1.3c11ap+19, 158, 0, 0x0p+0},
+      {0x1.6734p+20, 104, 0, 0x0p+0}}},
+    {"dutch",
+     [](int i) { return placement_pin(run_dutch_auction(pin_instance(i))); },
+     {{0x1.4adeap+19, 110, 0, 0x0p+0},
+      {0x1.73c5fp+20, 64, 0, 0x0p+0}}},
+    {"english",
+     [](int i) { return placement_pin(run_english_auction(pin_instance(i))); },
+     {{0x1.4adeap+19, 110, 0, 0x0p+0},
+      {0x1.7408bp+20, 63, 0, 0x0p+0}}},
+    {"local_search/naive",
+     [](int i) { return local_search_pin(i, EvalPath::Naive); },
+     {{0x1.37d66p+19, 223, 0, 0x0p+0},
+      {0x1.6861cp+20, 134, 0, 0x0p+0}}},
+    {"local_search/delta",
+     [](int i) { return local_search_pin(i, EvalPath::Delta); },
+     {{0x1.37d66p+19, 223, 0, 0x0p+0},
+      {0x1.6861cp+20, 134, 0, 0x0p+0}}},
+    {"annealing/naive",
+     [](int i) { return annealing_pin(i, EvalPath::Naive); },
+     {{0x1.34a34p+19, 223, 0, 0x0p+0},
+      {0x1.63f92p+20, 137, 0, 0x0p+0}}},
+    {"annealing/delta",
+     [](int i) { return annealing_pin(i, EvalPath::Delta); },
+     {{0x1.34a34p+19, 223, 0, 0x0p+0},
+      {0x1.63f92p+20, 137, 0, 0x0p+0}}},
+    {"regional/R4",
+     [](int i) {
+       return regional_pin(core::run_regional(pin_instance(i), four_regions()));
+     },
+     {{0x1.4b8a2p+19, 113, 48, 0x1.08cbp+17},
+      {0x1.73c5fp+20, 64, 36, 0x1.ccd5p+16}}},
+    {"regional/R4/failed1",
+     [](int i) {
+       core::RegionalConfig cfg = four_regions();
+       cfg.failed_regions = {1};
+       return regional_pin(core::run_regional(pin_instance(i), cfg));
+     },
+     {{0x1.584aap+19, 84, 50, 0x1.c12dp+16},
+      {0x1.7c2abp+20, 47, 36, 0x1.9b4fp+16}}},
+    {"regional_cooperative/R4",
+     [](int i) {
+       return regional_pin(
+           core::run_regional_cooperative(pin_instance(i), four_regions()));
+     },
+     {{0x1.35b32p+19, 194, 98, 0x0p+0},
+      {0x1.5eb39p+20, 108, 66, 0x0p+0}}},
+    {"tiled/R4/auction", [](int i) { return tiled_pin(i, false); },
+     {{0x1.eaa6cp+20, 57, 57, 0x1.c0768p+17},
+      {0x1.44785p+21, 104, 104, 0x1.7be84p+18}}},
+    {"tiled/R4/cooperative", [](int i) { return tiled_pin(i, true); },
+     {{0x1.daea9p+20, 105, 105, 0x0p+0},
+      {0x1.3aeb08p+21, 153, 153, 0x0p+0}}},
+    {"audit_one_shot/second_price",
+     [](int i) { return audit_pin(i, core::PaymentRule::SecondPrice); },
+     {{0x1.de2p+14, 84, 0, 0x0p+0},
+      {0x1.d2ep+13, 100, 0, 0x0p+0}}},
+    {"audit_one_shot/first_price",
+     [](int i) { return audit_pin(i, core::PaymentRule::FirstPrice); },
+     {{0x1.81f8p+15, 84, 0, 0x0p+0},
+      {0x1.24a4p+15, 100, 0, 0x0p+0}}},
+};
+
+TEST(OutputsPinned, EverySharedLoopOnTwoInstances) {
+  for (const PinCase& c : kPinCases) {
+    for (int instance = 0; instance < 2; ++instance) {
+      const Pin got = c.run(instance);
+      const Pin& want = c.expected[instance];
+      EXPECT_EQ(got.cost, want.cost) << c.name << " #" << instance;
+      EXPECT_EQ(got.replicas, want.replicas) << c.name << " #" << instance;
+      EXPECT_EQ(got.epochs, want.epochs) << c.name << " #" << instance;
+      EXPECT_EQ(got.charges, want.charges) << c.name << " #" << instance;
+    }
+  }
 }
 
 }  // namespace
