@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <memory>
-#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -12,17 +11,14 @@
 #include "common/thread_pool.hpp"
 #include "drp/cost_model.hpp"
 #include "drp/delta_evaluator.hpp"
+#include "drp/lazy_greedy.hpp"
 #include "obs/obs.hpp"
 
 namespace agtram::baselines {
 
 namespace {
 
-struct Move {
-  double benefit;
-  drp::ServerId server;
-  drp::ObjectIndex object;
-};
+using Move = drp::GreedyMove;
 
 struct Scored {
   double score;
@@ -145,47 +141,26 @@ Move best_reader_move(const drp::ReplicaPlacement& placement,
   return best;
 }
 
-/// Exhausts all remaining positive reader-site moves with a lazy per-object
-/// max-heap (benefits only decrease, so stale tops are re-validated on pop).
+/// Exhausts all remaining positive reader-site moves with the lazy greedy.
 /// `State` is either a bare ReplicaPlacement (naive) or a DeltaEvaluator
 /// (delta); both expose the same benefits bit for bit, so the two paths walk
 /// identical move sequences.
 template <typename State>
 void complete_greedily(State& state) {
-  struct HeapEntry {
-    double benefit;
-    drp::ObjectIndex object;
-    bool operator<(const HeapEntry& other) const noexcept {
-      if (benefit != other.benefit) return benefit < other.benefit;
-      return object > other.object;
-    }
-  };
-  const auto best_move = [&](drp::ObjectIndex k) {
+  const auto price = [&](drp::ObjectIndex k) {
     if constexpr (std::is_same_v<State, drp::ReplicaPlacement>) {
       return best_reader_move(state, k);
     } else {
       return best_reader_move(state.placement(), k);
     }
   };
-  std::priority_queue<HeapEntry> heap;
-  const std::size_t n = state.problem().object_count();
-  for (drp::ObjectIndex k = 0; k < n; ++k) {
-    const Move move = best_move(k);
-    if (move.benefit > 0.0) heap.push(HeapEntry{move.benefit, k});
+  drp::LazyGreedyHeap heap;
+  for (drp::ObjectIndex k = 0; k < state.problem().object_count(); ++k) {
+    heap.push(price(k));
   }
-  while (!heap.empty()) {
-    const HeapEntry top = heap.top();
-    heap.pop();
-    const Move fresh = best_move(top.object);
-    if (fresh.benefit <= 0.0) continue;
-    if (!heap.empty() && fresh.benefit < heap.top().benefit) {
-      heap.push(HeapEntry{fresh.benefit, top.object});
-      continue;
-    }
-    state.add_replica(fresh.server, fresh.object);
-    const Move next = best_move(top.object);
-    if (next.benefit > 0.0) heap.push(HeapEntry{next.benefit, top.object});
-  }
+  drp::run_lazy_greedy(heap, price, [&](const Move& move) {
+    state.add_replica(move.server, move.object);
+  });
 }
 
 struct Node {

@@ -4,6 +4,7 @@
 #include <optional>
 #include <utility>
 
+#include "baselines/moves.hpp"
 #include "baselines/selfish_caching.hpp"
 #include "common/prng.hpp"
 #include "drp/cost_model.hpp"
@@ -16,25 +17,13 @@ using common::Rng;
 
 namespace {
 
-/// A fully-drawn proposal: the move (or None when the draw was infeasible)
-/// plus the proposal's rng stream positioned after the move draws, from
-/// which the acceptance test takes its uniform.
-struct MoveSpec {
-  enum class Kind { None, Add, Drop, Swap } kind = Kind::None;
-  drp::ServerId a = 0;  // added/dropped/swap-from
-  drp::ServerId b = 0;  // swap-to
-  drp::ObjectIndex object = 0;
-  Rng accept_rng{0};
-};
-
-/// Draws proposal j read-only against the current placement.  The stream is
-/// seeded from (seed, j) alone; the draw sequence mirrors the historical
-/// mutate-first proposer: object, move kind, then the kind's site picks,
-/// with infeasible draws collapsing to None.
+/// Draws one proposal read-only against the current placement from its own
+/// stream `rng`; the acceptance test takes its uniform from the same stream
+/// afterwards.  The draw sequence mirrors the historical mutate-first
+/// proposer: object, move kind, then the kind's site picks, with infeasible
+/// draws collapsing to None.
 MoveSpec draw_spec(const drp::Problem& p,
-                   const drp::ReplicaPlacement& placement, std::uint64_t seed,
-                   std::uint64_t j) {
-  Rng rng(seed ^ (0x9e3779b97f4a7c15ULL * (j + 1)));
+                   const drp::ReplicaPlacement& placement, Rng& rng) {
   MoveSpec spec;
   const auto k = static_cast<drp::ObjectIndex>(rng.below(p.object_count()));
   spec.object = k;
@@ -78,77 +67,7 @@ MoveSpec draw_spec(const drp::Problem& p,
       break;
     }
   }
-  spec.accept_rng = rng;
   return spec;
-}
-
-double delta_of(const drp::DeltaEvaluator& eval, const MoveSpec& spec) {
-  switch (spec.kind) {
-    case MoveSpec::Kind::Add:
-      return eval.delta_of_add(spec.a, spec.object);
-    case MoveSpec::Kind::Drop:
-      return eval.delta_of_drop(spec.a, spec.object);
-    case MoveSpec::Kind::Swap:
-      return eval.delta_of_swap(spec.a, spec.b, spec.object);
-    case MoveSpec::Kind::None:
-      break;
-  }
-  return 0.0;
-}
-
-/// Naive oracle pricing: apply, measure, leave applied (the caller keeps the
-/// mutation on accept and undoes on reject).
-double measure_applied(drp::ReplicaPlacement& placement, const MoveSpec& spec) {
-  const double before = drp::CostModel::object_cost(placement, spec.object);
-  switch (spec.kind) {
-    case MoveSpec::Kind::Add:
-      placement.add_replica(spec.a, spec.object);
-      break;
-    case MoveSpec::Kind::Drop:
-      placement.remove_replica(spec.a, spec.object);
-      break;
-    case MoveSpec::Kind::Swap:
-      placement.remove_replica(spec.a, spec.object);
-      placement.add_replica(spec.b, spec.object);
-      break;
-    case MoveSpec::Kind::None:
-      break;
-  }
-  return drp::CostModel::object_cost(placement, spec.object) - before;
-}
-
-void undo(drp::ReplicaPlacement& placement, const MoveSpec& spec) {
-  switch (spec.kind) {
-    case MoveSpec::Kind::Add:
-      placement.remove_replica(spec.a, spec.object);
-      break;
-    case MoveSpec::Kind::Drop:
-      placement.add_replica(spec.a, spec.object);
-      break;
-    case MoveSpec::Kind::Swap:
-      placement.remove_replica(spec.b, spec.object);
-      placement.add_replica(spec.a, spec.object);
-      break;
-    case MoveSpec::Kind::None:
-      break;
-  }
-}
-
-void apply(drp::DeltaEvaluator& eval, const MoveSpec& spec) {
-  switch (spec.kind) {
-    case MoveSpec::Kind::Add:
-      eval.add_replica(spec.a, spec.object);
-      break;
-    case MoveSpec::Kind::Drop:
-      eval.remove_replica(spec.a, spec.object);
-      break;
-    case MoveSpec::Kind::Swap:
-      eval.remove_replica(spec.a, spec.object);
-      eval.add_replica(spec.b, spec.object);
-      break;
-    case MoveSpec::Kind::None:
-      break;
-  }
 }
 
 }  // namespace
@@ -185,7 +104,9 @@ drp::ReplicaPlacement run_annealing(const drp::Problem& problem,
   const double floor_temperature = temperature * 1e-6 + 1e-12;
 
   for (std::size_t j = 0; j < config.proposals; ++j) {
-    MoveSpec spec = draw_spec(problem, current(), config.seed, j);
+    // Proposal j's stream is seeded from (seed, j) alone.
+    Rng rng(config.seed ^ (0x9e3779b97f4a7c15ULL * (j + 1)));
+    const MoveSpec spec = draw_spec(problem, current(), rng);
     AGTRAM_OBS_COUNT("sa.proposals", 1);
     if (spec.kind != MoveSpec::Kind::None) {
       const double delta = use_delta ? delta_of(*eval, spec)
@@ -193,7 +114,7 @@ drp::ReplicaPlacement run_annealing(const drp::Problem& problem,
       const bool accept =
           delta < 0.0 ||
           (temperature > floor_temperature &&
-           spec.accept_rng.uniform() < std::exp(-delta / temperature));
+           rng.uniform() < std::exp(-delta / temperature));
       if (accept) {
         AGTRAM_OBS_COUNT("sa.accepted", 1);
         if (use_delta) apply(*eval, spec);

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/prng.hpp"
-#include "core/agent.hpp"
+#include "core/agt_ram.hpp"
 
 namespace agtram::baselines {
 
@@ -13,46 +13,22 @@ using common::Rng;
 
 namespace {
 
-/// Shared auction scaffolding: agents with lazy candidate heaps (the same
-/// core::Agent the mechanism uses), a round loop placing one replica per
-/// auction, and a pluggable winner-selection clock.
+/// Shared auction scaffolding: AGT-RAM's sealed-bid round (the same
+/// core::Agent and core::poll_round the mechanism uses), one replica per
+/// auction, and a pluggable winner-selection clock over the round's bids.
 template <typename PickWinner>
 drp::ReplicaPlacement run_auction_rounds(const drp::Problem& problem,
                                          PickWinner&& pick_winner) {
   drp::ReplicaPlacement placement(problem);
-  std::vector<core::Agent> agents;
-  agents.reserve(problem.server_count());
-  for (drp::ServerId i = 0; i < problem.server_count(); ++i) {
-    agents.emplace_back(problem, i);
-  }
-  std::vector<std::uint32_t> live;
-  for (std::uint32_t i = 0; i < problem.server_count(); ++i) {
-    if (!agents[i].retired()) live.push_back(i);
-  }
-
-  struct Bid {
-    std::uint32_t agent;
-    drp::ObjectIndex object;
-    double valuation;
-  };
+  std::vector<core::Agent> agents = core::build_agents(problem);
+  std::vector<std::uint32_t> live = core::live_agents(agents);
+  core::SealedBids bids;
   while (!live.empty()) {
-    std::vector<Bid> bids;
-    std::vector<std::uint32_t> next_live;
-    bids.reserve(live.size());
-    next_live.reserve(live.size());
-    for (const std::uint32_t i : live) {
-      const core::Report report = agents[i].make_report(placement, nullptr);
-      if (report.has_candidate) {
-        bids.push_back(Bid{i, report.object, report.true_value});
-        next_live.push_back(i);
-      }
-    }
+    core::poll_round(agents, live, placement, {}, nullptr, bids);
     if (bids.empty()) break;
-
     const std::size_t winner = pick_winner(bids);
-    assert(winner < bids.size());
-    placement.add_replica(bids[winner].agent, bids[winner].object);
-    live = std::move(next_live);
+    assert(winner < bids.bidders.size());
+    placement.add_replica(bids.bidders[winner], bids.reports[winner].object);
   }
   return placement;
 }
@@ -64,15 +40,17 @@ drp::ReplicaPlacement run_english_auction(const drp::Problem& problem,
   Rng rng(config.seed);
   const std::uint32_t steps = std::max<std::uint32_t>(2, config.price_steps);
 
-  return run_auction_rounds(problem, [&rng, steps](const auto& bids) {
+  return run_auction_rounds(problem, [&](const core::SealedBids& bids) {
     // Ascending clock.  All valuations are positive; the increment is a
     // fixed fraction of the top estimate, so close valuations fall in the
     // same final bracket and the hammer falls on a random one of them.
     double top = 0.0;
-    for (const auto& b : bids) top = std::max(top, b.valuation);
+    for (const core::Report& b : bids.reports) {
+      top = std::max(top, b.true_value);
+    }
     const double increment = top / static_cast<double>(steps);
 
-    std::vector<std::size_t> active(bids.size());
+    std::vector<std::size_t> active(bids.reports.size());
     for (std::size_t i = 0; i < active.size(); ++i) active[i] = i;
     double price = 0.0;
     while (active.size() > 1) {
@@ -80,7 +58,7 @@ drp::ReplicaPlacement run_english_auction(const drp::Problem& problem,
       std::vector<std::size_t> still_in;
       still_in.reserve(active.size());
       for (const std::size_t i : active) {
-        if (bids[i].valuation >= next_price) still_in.push_back(i);
+        if (bids.reports[i].true_value >= next_price) still_in.push_back(i);
       }
       if (still_in.empty()) break;  // everyone quit this tick: tie bracket
       price = next_price;
@@ -99,9 +77,11 @@ drp::ReplicaPlacement run_dutch_auction(const drp::Problem& problem,
   std::vector<double> shade(problem.server_count());
   for (double& s : shade) s = rng.uniform(config.shade_lo, config.shade_hi);
 
-  return run_auction_rounds(problem, [&](const auto& bids) {
+  return run_auction_rounds(problem, [&](const core::SealedBids& bids) {
     double top = 0.0;
-    for (const auto& b : bids) top = std::max(top, b.valuation);
+    for (const core::Report& b : bids.reports) {
+      top = std::max(top, b.true_value);
+    }
     // Descending clock from just above the best estimate; the first agent
     // whose shaded acceptance threshold meets the price claims the slot.
     double price = top * 1.05;
@@ -109,8 +89,8 @@ drp::ReplicaPlacement run_dutch_auction(const drp::Problem& problem,
     for (std::uint32_t tick = 0; tick < 2 * steps; ++tick) {
       price -= decrement;
       std::vector<std::size_t> takers;
-      for (std::size_t i = 0; i < bids.size(); ++i) {
-        if (shade[bids[i].agent] * bids[i].valuation >= price) {
+      for (std::size_t i = 0; i < bids.reports.size(); ++i) {
+        if (shade[bids.bidders[i]] * bids.reports[i].true_value >= price) {
           takers.push_back(i);
         }
       }
@@ -120,8 +100,8 @@ drp::ReplicaPlacement run_dutch_auction(const drp::Problem& problem,
     }
     // Clock ran out (numerical corner): highest valuation wins.
     std::size_t best = 0;
-    for (std::size_t i = 1; i < bids.size(); ++i) {
-      if (bids[i].valuation > bids[best].valuation) best = i;
+    for (std::size_t i = 1; i < bids.reports.size(); ++i) {
+      if (bids.reports[i].true_value > bids.reports[best].true_value) best = i;
     }
     return best;
   });

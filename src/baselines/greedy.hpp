@@ -9,13 +9,15 @@
 // all demand — that is precisely the centralisation the paper argues
 // against; it serves as the solution-quality yardstick.
 //
-// Implementation: a lazy max-heap keyed by object.  Placing a replica of k
-// only changes k's own candidate values (NN distances of k's accessors) and
-// the chosen server's free capacity; both changes are monotone decreases,
-// so stale heap entries are safely re-validated on pop.
+// Implementation: drp::LazyGreedyHeap, the lazy max-heap keyed by object.
+// Placing a replica of k only changes k's own candidate values (NN
+// distances of k's accessors) and the chosen server's free capacity; both
+// changes are monotone decreases, so stale heap entries are safely
+// re-validated on pop.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "baselines/eval_path.hpp"
 #include "drp/placement.hpp"
@@ -27,13 +29,14 @@ struct GreedyConfig {
   /// Stop after this many placements (0 = run to exhaustion).
   std::size_t max_replicas = 0;
   /// Optional site mask: replicas may only be placed on servers whose
-  /// entry is true (size M).  Used e.g. for global-view repair after a
+  /// entry is true (size M; any other size is refused with
+  /// std::invalid_argument).  Used e.g. for global-view repair after a
   /// regional outage, where the dead region's servers cannot host.
   const std::vector<bool>* allowed_sites = nullptr;
   /// Delta: loop-swapped candidate scans through drp::DeltaEvaluator
-  /// (byte-identical placements, ~order-of-magnitude faster at paper
-  /// scale); the heap build fans out over objects on the shared pool, each
-  /// re-validation scan over servers once M reaches
+  /// (drp::run_greedy_delta: byte-identical placements, ~order-of-magnitude
+  /// faster at paper scale); the heap build fans out over objects on the
+  /// shared pool, each re-validation scan over servers once M reaches
   /// DeltaEvaluator::kParallelMinServers.  Naive: the original per-server
   /// global_benefit rescan.
   EvalPath eval = EvalPath::Delta;

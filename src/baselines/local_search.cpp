@@ -1,10 +1,8 @@
 #include "baselines/local_search.hpp"
 
-#include <algorithm>
-
+#include "baselines/moves.hpp"
 #include "baselines/selfish_caching.hpp"
 #include "common/prng.hpp"
-#include "drp/cost_model.hpp"
 #include "drp/delta_evaluator.hpp"
 #include "obs/obs.hpp"
 
@@ -13,94 +11,6 @@ namespace agtram::baselines {
 using common::Rng;
 
 namespace {
-
-/// A proposal only ever touches one object, so acceptance is decided on
-/// that object's cost contribution alone.  Naive oracle: mutate, measure,
-/// roll back on rejection.
-struct NaiveMoveEvaluator {
-  const drp::Problem& p;
-  drp::ReplicaPlacement& placement;
-
-  const drp::ReplicaPlacement& current() const { return placement; }
-
-  bool try_add(drp::ServerId i, drp::ObjectIndex k) {
-    if (!placement.can_replicate(i, k)) return false;
-    const double before = drp::CostModel::object_cost(placement, k);
-    placement.add_replica(i, k);
-    if (drp::CostModel::object_cost(placement, k) < before) return true;
-    placement.remove_replica(i, k);
-    return false;
-  }
-
-  bool try_drop(drp::ServerId i, drp::ObjectIndex k) {
-    if (i == p.primary[k] || !placement.is_replicator(i, k)) return false;
-    const double before = drp::CostModel::object_cost(placement, k);
-    placement.remove_replica(i, k);
-    if (drp::CostModel::object_cost(placement, k) < before) return true;
-    placement.add_replica(i, k);
-    return false;
-  }
-
-  bool try_swap(drp::ServerId from, drp::ServerId to, drp::ObjectIndex k) {
-    if (from == to || from == p.primary[k]) return false;
-    if (!placement.is_replicator(from, k)) return false;
-    if (placement.is_replicator(to, k)) return false;
-    const double before = drp::CostModel::object_cost(placement, k);
-    placement.remove_replica(from, k);
-    if (!placement.can_replicate(to, k)) {  // capacity at the target
-      placement.add_replica(from, k);
-      return false;
-    }
-    placement.add_replica(to, k);
-    if (drp::CostModel::object_cost(placement, k) < before) return true;
-    placement.remove_replica(to, k);
-    placement.add_replica(from, k);
-    return false;
-  }
-};
-
-/// Delta twin: prices every proposal read-only against the evaluator's
-/// cached object cost and mutates only on acceptance.  The hypothetical
-/// costs are bit-identical to the naive post-mutation measurements
-/// (DESIGN.md §8), so accept/reject decisions — and hence the rng-driven
-/// trajectory — match the oracle exactly.
-struct DeltaMoveEvaluator {
-  const drp::Problem& p;
-  drp::DeltaEvaluator& eval;
-
-  const drp::ReplicaPlacement& current() const { return eval.placement(); }
-
-  bool try_add(drp::ServerId i, drp::ObjectIndex k) {
-    if (!eval.can_replicate(i, k)) return false;
-    if (!(eval.cost_if_added(i, k) < eval.object_cost(k))) return false;
-    eval.add_replica(i, k);
-    return true;
-  }
-
-  bool try_drop(drp::ServerId i, drp::ObjectIndex k) {
-    if (i == p.primary[k] || !eval.placement().is_replicator(i, k)) {
-      return false;
-    }
-    if (!(eval.cost_if_dropped(i, k) < eval.object_cost(k))) return false;
-    eval.remove_replica(i, k);
-    return true;
-  }
-
-  bool try_swap(drp::ServerId from, drp::ServerId to, drp::ObjectIndex k) {
-    if (from == to || from == p.primary[k]) return false;
-    if (!eval.placement().is_replicator(from, k)) return false;
-    if (eval.placement().is_replicator(to, k)) return false;
-    // Capacity at the target is unaffected by dropping `from`, so the plain
-    // can_replicate test equals the naive drop-then-check sequence.
-    if (!eval.can_replicate(to, k)) return false;
-    if (!(eval.cost_if_swapped(from, to, k) < eval.object_cost(k))) {
-      return false;
-    }
-    eval.remove_replica(from, k);
-    eval.add_replica(to, k);
-    return true;
-  }
-};
 
 drp::ServerId random_reader_or_any(const drp::Problem& p, drp::ObjectIndex k,
                                    Rng& rng) {
@@ -111,34 +21,66 @@ drp::ServerId random_reader_or_any(const drp::Problem& p, drp::ObjectIndex k,
   return static_cast<drp::ServerId>(rng.below(p.server_count()));
 }
 
-/// The proposal loop, shared verbatim by both evaluators so the rng stream
-/// cannot diverge between paths.
-template <typename Evaluator>
+/// Draws one proposal read-only against the current placement: object,
+/// move kind, then the kind's site picks (add and swap targets are
+/// reader-biased), with infeasible draws collapsing to None.
+MoveSpec draw_move(const drp::Problem& p,
+                   const drp::ReplicaPlacement& placement, Rng& rng) {
+  MoveSpec spec;
+  const auto k = static_cast<drp::ObjectIndex>(rng.below(p.object_count()));
+  spec.object = k;
+  switch (rng.below(3)) {
+    case 0: {
+      const drp::ServerId i = random_reader_or_any(p, k, rng);
+      if (placement.can_replicate(i, k)) {
+        spec.kind = MoveSpec::Kind::Add;
+        spec.a = i;
+      }
+      break;
+    }
+    case 1: {
+      const auto reps = placement.replicators(k);
+      const drp::ServerId i = reps[rng.below(reps.size())];
+      if (i != p.primary[k]) {
+        spec.kind = MoveSpec::Kind::Drop;
+        spec.a = i;
+      }
+      break;
+    }
+    default: {
+      // The target is drawn before the source: the historical order, which
+      // fixes each seed's trajectory.
+      const drp::ServerId to = random_reader_or_any(p, k, rng);
+      const auto reps = placement.replicators(k);
+      const drp::ServerId from = reps[rng.below(reps.size())];
+      // Capacity at `to` is unaffected by dropping `from`, so the plain
+      // can_replicate test equals a drop-then-check sequence.
+      if (from == to || from == p.primary[k] ||
+          placement.is_replicator(to, k) || !placement.can_replicate(to, k)) {
+        break;
+      }
+      spec.kind = MoveSpec::Kind::Swap;
+      spec.a = from;
+      spec.b = to;
+      break;
+    }
+  }
+  return spec;
+}
+
+/// The proposal loop; `accept(move)` prices a feasible move, keeps it iff it
+/// strictly lowers the cost, and says whether it did.  Both paths share the
+/// draws, so the rng stream cannot diverge between them.
+template <typename Accept>
 void propose_loop(const drp::Problem& problem, const LocalSearchConfig& config,
-                  Evaluator& evaluator, Rng& rng) {
+                  const drp::ReplicaPlacement& placement, Rng& rng,
+                  Accept&& accept) {
   std::size_t quiet = 0;
   for (std::size_t proposal = 0;
        proposal < config.max_proposals && quiet < config.quiet_streak;
        ++proposal) {
-    const auto k =
-        static_cast<drp::ObjectIndex>(rng.below(problem.object_count()));
-    bool accepted = false;
-    switch (rng.below(3)) {
-      case 0:
-        accepted = evaluator.try_add(random_reader_or_any(problem, k, rng), k);
-        break;
-      case 1: {
-        const auto reps = evaluator.current().replicators(k);
-        accepted = evaluator.try_drop(reps[rng.below(reps.size())], k);
-        break;
-      }
-      default: {
-        const auto reps = evaluator.current().replicators(k);
-        accepted = evaluator.try_swap(reps[rng.below(reps.size())],
-                                      random_reader_or_any(problem, k, rng), k);
-        break;
-      }
-    }
+    const MoveSpec move = draw_move(problem, placement, rng);
+    const bool accepted = move.kind != MoveSpec::Kind::None && accept(move);
     AGTRAM_OBS_COUNT("local_search.proposals", 1);
     if (accepted) AGTRAM_OBS_COUNT("local_search.accepted", 1);
     quiet = accepted ? 0 : quiet + 1;
@@ -157,13 +99,20 @@ drp::ReplicaPlacement run_local_search(const drp::Problem& problem,
       run_selfish_caching(problem, seed_cfg).placement;
 
   if (config.eval == EvalPath::Naive) {
-    NaiveMoveEvaluator evaluator{problem, placement};
-    propose_loop(problem, config, evaluator, rng);
+    propose_loop(problem, config, placement, rng, [&](const MoveSpec& move) {
+      const bool lowers = measure_applied(placement, move) < 0.0;
+      if (!lowers) undo(placement, move);
+      return lowers;
+    });
     return placement;
   }
   drp::DeltaEvaluator eval(std::move(placement));
-  DeltaMoveEvaluator evaluator{problem, eval};
-  propose_loop(problem, config, evaluator, rng);
+  propose_loop(problem, config, eval.placement(), rng,
+               [&](const MoveSpec& move) {
+                 const bool lowers = delta_of(eval, move) < 0.0;
+                 if (lowers) apply(eval, move);
+                 return lowers;
+               });
   return std::move(eval).take_placement();
 }
 

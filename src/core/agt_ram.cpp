@@ -80,16 +80,16 @@ std::vector<drp::ServerId> every_server(const drp::Problem& problem) {
   return ids;
 }
 
-// Builds one agent per id (ascending) on the shared pool: Figure 2's PARFOR,
-// once per run.  Each agent prices its own list L_i against state nothing
-// writes during construction.  parallel_for runs ranges shorter than two
-// grains, and nested calls (the tiled engine's shard solves), inline.
-// `source` is the Problem (cold start) or the warm-start placement.
+// Builds one agent per id (ascending) on the shared pool.  Each agent prices
+// its own list L_i against state nothing writes during construction.
+// parallel_for runs ranges shorter than two grains, and nested calls (the
+// tiled engine's shard solves), inline.  `source` is the Problem (cold
+// start) or the warm-start placement.
 constexpr std::size_t kAgentBuildGrain = 16;
 
 template <typename Source>
-std::vector<Agent> build_agents(const Source& source,
-                                std::span<const drp::ServerId> ids) {
+std::vector<Agent> build_agents_on_pool(const Source& source,
+                                        std::span<const drp::ServerId> ids) {
   std::vector<std::optional<Agent>> built(ids.size());
   common::ThreadPool::shared().parallel_for(
       0, ids.size(),
@@ -146,22 +146,14 @@ MechanismResult run_rounds_naive(const drp::Problem& problem,
                                  const AgtRamConfig& config,
                                  drp::ReplicaPlacement start,
                                  std::vector<Agent> agents) {
-  const std::size_t m = problem.server_count();
-
   MechanismResult result{std::move(start), {}, {}};
-  result.agents.resize(m);
+  result.agents.resize(problem.server_count());
 
-  // Initialise LS: every participating server starts as a live agent;
-  // agents whose candidate heap drains are retired (removed from LS in
-  // Figure 2, line 18).  `live` holds indices into `agents`; `reports` is
-  // indexed by server id.
-  std::vector<std::uint32_t> live;
-  live.reserve(agents.size());
-  for (std::uint32_t a = 0; a < agents.size(); ++a) {
-    if (!agents[a].retired()) live.push_back(a);
-  }
-
-  std::vector<Report> reports(m);
+  // LS: every participating server starts as a live agent; agents whose
+  // candidate heap drains are retired (removed from LS in Figure 2, line
+  // 18).  `live` holds indices into `agents`.
+  std::vector<std::uint32_t> live = live_agents(agents);
+  SealedBids bids;
   std::size_t round = 0;
   while (!live.empty()) {
     if (config.max_rounds != 0 && round >= config.max_rounds) {
@@ -175,61 +167,31 @@ MechanismResult run_rounds_naive(const drp::Problem& problem,
     AGTRAM_OBS_GAUGE("polled", static_cast<std::uint64_t>(live.size()));
     AGTRAM_OBS_GAUGE("live", static_cast<std::uint64_t>(live.size()));
 
-    // --- Every live agent reports its best candidate.
-    for (const std::uint32_t a : live) {
-      reports[agents[a].id()] =
-          agents[a].make_report(result.placement, config.strategy);
-    }
+    // --- Every live agent reports; the centre drops the retired ones and
+    // picks the dominant valuation (ties broken towards the lowest id).
+    result.reports_computed += live.size();
+    result.candidate_evaluations += poll_round(
+        agents, live, result.placement, config.strategy, config.observer,
+        bids);
+    if (bids.empty()) break;
 
-    // --- Centre: collect reports, drop retired agents, pick the dominant
-    // valuation (ties broken towards the lowest server id).
-    std::vector<double> round_values;
-    std::vector<std::uint32_t> round_agents;
-    round_values.reserve(live.size());
-    round_agents.reserve(live.size());
-    std::vector<std::uint32_t> next_live;
-    next_live.reserve(live.size());
-    for (const std::uint32_t a : live) {
-      const drp::ServerId i = agents[a].id();
-      result.candidate_evaluations += reports[i].evaluations;
-      ++result.reports_computed;
-      if (config.observer) {
-        config.observer->on_report(i, reports[i], /*fresh=*/true);
-      }
-      if (reports[i].has_candidate) {
-        round_values.push_back(reports[i].claimed_value);
-        round_agents.push_back(i);
-        next_live.push_back(a);
-      } else if (!agents[a].retired()) {
-        // No candidate this round can only mean the heap drained.
-        throw_not_retired(i);
-      }
-    }
-    if (round_values.empty()) break;
-
-    std::size_t winner_slot = 0;
-    for (std::size_t s = 1; s < round_values.size(); ++s) {
-      if (round_values[s] > round_values[winner_slot]) winner_slot = s;
-    }
-    const std::uint32_t winner = round_agents[winner_slot];
-    const Report& winning = reports[winner];
-
+    const std::size_t winner_slot = bids.best();
+    const drp::ServerId winner = bids.bidders[winner_slot];
+    const Report& winning = bids.reports[winner_slot];
     const double payment =
-        compute_payment(config.payment_rule, round_values, winner_slot);
+        compute_payment(config.payment_rule, bids.claims, winner_slot);
 
     allocate(result, winner, winning, payment);
     if (config.observer) {
       config.observer->on_allocation(winner, winning.object, payment);
       // The bidders stay in LS; the agents that retired this round need
       // not hear about (w, k*).
-      config.observer->on_broadcast(winner, winning.object, round_agents);
+      config.observer->on_broadcast(winner, winning.object, bids.bidders);
     }
     AGTRAM_OBS_GAUGE("winner", static_cast<std::uint64_t>(winner));
     AGTRAM_OBS_GAUGE("object", static_cast<std::uint64_t>(winning.object));
     AGTRAM_OBS_GAUGE("claimed_value", winning.claimed_value);
     AGTRAM_OBS_GAUGE("payment", payment);
-
-    live = std::move(next_live);
     ++round;
   }
   return result;
@@ -469,10 +431,65 @@ MechanismResult run_rounds(const drp::Problem& problem,
 
 }  // namespace
 
+std::size_t SealedBids::best() const {
+  std::size_t best = 0;
+  for (std::size_t s = 1; s < claims.size(); ++s) {
+    if (claims[s] > claims[best]) best = s;
+  }
+  return best;
+}
+
+std::vector<Agent> build_agents(const drp::Problem& problem) {
+  return build_agents_on_pool(problem, every_server(problem));
+}
+
+std::vector<Agent> build_agents(const drp::ReplicaPlacement& start,
+                                std::span<const drp::ServerId> ids) {
+  return build_agents_on_pool(start, ids);
+}
+
+std::vector<std::uint32_t> live_agents(const std::vector<Agent>& agents) {
+  std::vector<std::uint32_t> live;
+  live.reserve(agents.size());
+  for (std::uint32_t a = 0; a < agents.size(); ++a) {
+    if (!agents[a].retired()) live.push_back(a);
+  }
+  return live;
+}
+
+std::uint64_t poll_round(std::vector<Agent>& agents,
+                         std::vector<std::uint32_t>& live,
+                         const drp::ReplicaPlacement& placement,
+                         const ReportStrategy& strategy,
+                         MechanismObserver* observer, SealedBids& bids) {
+  bids.bidders.clear();
+  bids.claims.clear();
+  bids.reports.clear();
+  std::uint64_t evaluations = 0;
+  std::size_t kept = 0;
+  for (const std::uint32_t a : live) {
+    Agent& agent = agents[a];
+    const Report report = agent.make_report(placement, strategy);
+    evaluations += report.evaluations;
+    if (observer) observer->on_report(agent.id(), report, /*fresh=*/true);
+    if (report.has_candidate) {
+      bids.bidders.push_back(agent.id());
+      bids.claims.push_back(report.claimed_value);
+      bids.reports.push_back(report);
+      live[kept++] = a;
+    } else if (!agent.retired()) {
+      // No candidate this round can only mean the heap drained.
+      throw_not_retired(agent.id());
+    }
+  }
+  live.resize(kept);
+  return evaluations;
+}
+
 MechanismResult run_agt_ram(const drp::Problem& problem,
                             const AgtRamConfig& config) {
   return run_rounds(problem, config, drp::ReplicaPlacement(problem),
-                    build_agents(problem, every_server(problem)));
+                    build_agents(problem));
 }
 
 MechanismResult run_agt_ram_from(

@@ -66,6 +66,47 @@ class MechanismObserver {
                             std::span<const drp::ServerId> /*notified*/) {}
 };
 
+/// The bids of one sealed-bid round, in ascending agent id.
+struct SealedBids {
+  std::vector<drp::ServerId> bidders;
+  std::vector<double> claims;   ///< the bidders' claimed values
+  std::vector<Report> reports;  ///< the bidders' reports
+
+  bool empty() const noexcept { return bidders.empty(); }
+  /// The slot of the first highest claim (ties go to the lowest id); the
+  /// bids must not be empty.
+  std::size_t best() const;
+};
+
+/// Figure 2's PARFOR, once per run: one agent per server, built on the
+/// shared pool against the primaries-only scheme.
+std::vector<Agent> build_agents(const drp::Problem& problem);
+
+/// The same for the servers in `ids` (ascending) against a warm-start
+/// placement.
+std::vector<Agent> build_agents(const drp::ReplicaPlacement& start,
+                                std::span<const drp::ServerId> ids);
+
+/// Indices of the agents whose candidate lists are not empty: the live set
+/// LS a run starts from.
+std::vector<std::uint32_t> live_agents(const std::vector<Agent>& agents);
+
+/// One sealed-bid round (Figure 2, lines 3–12): every agent in `live`
+/// (indices into `agents`, ascending id) reports against `placement` under
+/// `strategy`, and `observer`, if set, receives each report as fresh.  The
+/// bidders, the agents with a candidate, are written to `bids` and stay in
+/// `live`; the others retire from it (an empty report from an agent whose
+/// candidate heap is not drained throws std::logic_error).  Returns the
+/// candidate evaluations the reports performed.  The flat mechanism's naive
+/// sweep, run_regional's regional centres, the DA/EA baselines and the
+/// one-shot truthfulness audit all run this round; each keeps its own
+/// winner rule.
+std::uint64_t poll_round(std::vector<Agent>& agents,
+                         std::vector<std::uint32_t>& live,
+                         const drp::ReplicaPlacement& placement,
+                         const ReportStrategy& strategy,
+                         MechanismObserver* observer, SealedBids& bids);
+
 /// How the centre gathers per-round reports.  All three produce
 /// byte-identical allocations; they differ only in work per round.
 enum class ReportMode {

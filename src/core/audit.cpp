@@ -63,24 +63,16 @@ void RoundAuditor::on_allocation(drp::ServerId, drp::ObjectIndex,
 std::vector<OneShotTrial> audit_one_shot_truthfulness(
     const drp::Problem& problem, PaymentRule rule,
     const std::vector<double>& distortions) {
+  // The first round's report profile: one sealed-bid round from the
+  // primaries-only scheme.
   const drp::ReplicaPlacement placement(problem);
-  std::vector<Agent> agents;
-  agents.reserve(problem.server_count());
-  for (drp::ServerId i = 0; i < problem.server_count(); ++i) {
-    agents.emplace_back(problem, i);
-  }
-  std::vector<double> claims;
-  std::vector<double> values;
-  std::vector<drp::ServerId> bidders;
-  for (auto& agent : agents) {
-    const Report r = agent.make_report(placement, nullptr);
-    if (!r.has_candidate) continue;
-    claims.push_back(r.claimed_value);
-    values.push_back(r.true_value);
-    bidders.push_back(agent.id());
-  }
+  std::vector<Agent> agents = build_agents(problem);
+  std::vector<std::uint32_t> live = live_agents(agents);
+  SealedBids bids;
+  poll_round(agents, live, placement, {}, nullptr, bids);
+  const std::vector<double>& claims = bids.claims;
 
-  const auto round_utility = [&](std::vector<double> profile,
+  const auto round_utility = [&](const std::vector<double>& profile,
                                  std::size_t slot) {
     // Winner of the round under this report profile (ties: lowest id).
     std::size_t winner = 0;
@@ -88,17 +80,18 @@ std::vector<OneShotTrial> audit_one_shot_truthfulness(
       if (profile[s] > profile[winner]) winner = s;
     }
     if (winner != slot) return 0.0;
-    return values[slot] - compute_payment(rule, profile, slot);
+    return bids.reports[slot].true_value -
+           compute_payment(rule, profile, slot);
   };
 
   std::vector<OneShotTrial> trials;
-  for (std::size_t slot = 0; slot < bidders.size(); ++slot) {
+  for (std::size_t slot = 0; slot < bids.bidders.size(); ++slot) {
     const double truthful = round_utility(claims, slot);
     for (const double factor : distortions) {
       std::vector<double> profile = claims;
       profile[slot] = claims[slot] * factor;
-      trials.push_back(OneShotTrial{bidders[slot], factor, truthful,
-                                    round_utility(std::move(profile), slot)});
+      trials.push_back(OneShotTrial{bids.bidders[slot], factor, truthful,
+                                    round_utility(profile, slot)});
     }
   }
   return trials;

@@ -290,8 +290,8 @@ BatchOutcome OnlineMechanism::apply_events(std::span<const OnlineEvent> batch) {
   AGTRAM_OBS_COUNT("online.events", batch.size());
 
   dirty_.clear();
-  // A bounded repair run that stopped early left live bids inside its
-  // participant set; fold it into this batch before the events add theirs.
+  // The previous batch's evictions, or a batch that threw, left agents to
+  // repair; fold them into this batch before the events add theirs.
   for (const drp::ServerId i : carryover_) mark_dirty(i);
   carryover_.clear();
 
@@ -326,7 +326,7 @@ BatchOutcome OnlineMechanism::apply_events(std::span<const OnlineEvent> batch) {
   if (!dirty_.empty()) {
     AGTRAM_OBS_SPAN("online.repair");
     AgtRamConfig mech = config_.mechanism;
-    mech.max_rounds = config_.max_repair_rounds;
+    mech.max_rounds = 0;  // a repair drains its dirty set
     MechanismResult repair = run_agt_ram_from(
         *problem_, mech, eval_->detach_placement(), &dirty_);
 
@@ -343,31 +343,23 @@ BatchOutcome OnlineMechanism::apply_events(std::span<const OnlineEvent> batch) {
     out.replicas_added = repair.rounds.size();
     out.reports_computed = repair.reports_computed;
     out.candidate_evaluations = repair.candidate_evaluations;
-    out.drained = repair.drained;
     for (const RoundRecord& r : repair.rounds) out.payments += r.payment;
     AGTRAM_OBS_COUNT("online.repair_rounds", repair.rounds.size());
     AGTRAM_OBS_COUNT("online.replicas_added", repair.rounds.size());
-    if (!repair.drained) {
-      // Allocations only lower other agents' valuations, so every
-      // still-live bid is inside the participant set: carry all of it.
-      carryover_ = dirty_;
-      AGTRAM_OBS_COUNT("online.carryover_batches", 1);
-    }
     repair_rounds = std::move(repair.rounds);
   }
   for (const drp::ServerId i : dirty_) dirty_flag_[i] = 0;
   out.repair_seconds = stage.seconds();
 
-  if (config_.differential_oracle && out.drained) {
+  if (config_.differential_oracle) {
     run_oracle(std::move(*oracle_start), repair_rounds);
     out.oracle_checked = true;
     AGTRAM_OBS_COUNT("online.oracle_checks", 1);
   }
 
-  // Bounded eviction pass: only after a drained batch (an un-drained batch
-  // already carries its whole participant set; its objects get re-marked by
-  // the deltas that keep arriving).  The touched-object list is per batch.
-  if (config_.eviction_limit > 0 && out.drained && !demand_touched_.empty()) {
+  // Bounded eviction pass over the objects whose demand this batch touched
+  // (the list is per batch).
+  if (config_.eviction_limit > 0 && !demand_touched_.empty()) {
     stage.reset();
     run_eviction(out);
     out.eviction_seconds = stage.seconds();

@@ -36,7 +36,7 @@
 // set is byte-identical — rounds, payments, placement, NN caches — to the
 // same warm-started run with *every* server participating.  That
 // full-participation re-solve is the differential oracle this engine can run
-// after every drained batch (`OnlineConfig::differential_oracle`); tests and
+// after every batch (`OnlineConfig::differential_oracle`); tests and
 // the bench harness turn it on and fail hard on the first differing byte.
 // The from-scratch `run_agt_ram` re-solve is the *cost* baseline the bench
 // compares against (what a system without this engine must pay per event);
@@ -117,15 +117,12 @@ using OnlineEvent = std::variant<DemandDelta, ReplicaLoss, ServerFail,
 struct OnlineConfig {
   /// Mechanism configuration used for the initial solve, every repair run,
   /// and the oracle re-solve.  All report modes produce byte-identical
-  /// allocations, so the choice only affects speed.
+  /// allocations, so the choice only affects speed.  A repair run always
+  /// drains its dirty set (`max_rounds` bounds only the initial solve and
+  /// the oracle, which refuse to stop short).
   AgtRamConfig mechanism;
-  /// Bound on repair rounds per batch (latency cap); 0 = run until the
-  /// dirty set drains.  When a batch is cut short the engine carries the
-  /// whole participant set into the next batch — allocations only lower
-  /// other agents' valuations, so the un-drained bids all live inside it.
-  std::size_t max_repair_rounds = 0;
   /// Demand-aware eviction (DESIGN.md §13): after the repair run of a
-  /// *drained* batch, walk the objects whose demand the batch touched and
+  /// batch, walk the objects whose demand the batch touched and
   /// repeatedly drop the non-primary replica with the most negative
   /// delta-OTC drop benefit (DeltaEvaluator::delta_of_drop < 0 means the
   /// total cost strictly falls without it), at most this many drops per
@@ -136,7 +133,7 @@ struct OnlineConfig {
   /// object's readers are carried into the next batch's dirty set — the
   /// monotone-retirement identity argument then holds batch to batch.
   std::size_t eviction_limit = 0;
-  /// After every *drained* batch, re-run the mechanism warm-started from the
+  /// After every batch, re-run the mechanism warm-started from the
   /// pre-repair placement with full participation and require byte-identical
   /// rounds, payments, placement, and NN caches; throws std::logic_error on
   /// the first mismatch.  Costs a full re-solve per batch: tests and bench
@@ -160,7 +157,6 @@ struct BatchOutcome {
   std::uint64_t candidate_evaluations = 0;
   double payments = 0.0;             ///< second-price charges this batch
   double total_cost = 0.0;           ///< OTC after the batch (exact, cached)
-  bool drained = true;               ///< false iff max_repair_rounds hit
   bool oracle_checked = false;
   /// Objects whose replicator sets this batch mutated — through loss, fail,
   /// delete, a repair round or an eviction — ascending, each once.  An
@@ -235,9 +231,9 @@ class OnlineMechanism {
     return rounds_total_ - initial_rounds_;
   }
   std::size_t events_applied() const noexcept { return events_; }
-  /// Participants queued for the next batch because a bounded repair run
-  /// stopped before draining, the eviction pass dropped a replica, or a
-  /// batch threw before its repair (empty in steady state without eviction).
+  /// Participants queued for the next batch because the eviction pass
+  /// dropped a replica or a batch threw before its repair (empty in steady
+  /// state without eviction).
   std::span<const drp::ServerId> pending_carryover() const noexcept {
     return carryover_;
   }

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <queue>
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
-#include "drp/cost_model.hpp"
+#include "drp/lazy_greedy.hpp"
 #include "obs/obs.hpp"
 
 namespace agtram::core {
@@ -24,118 +26,88 @@ net::Clustering cluster_regions(const drp::Problem& problem,
   return net::cluster_servers(*problem.distances, clustering_cfg);
 }
 
-RegionalResult run_regional(const drp::Problem& problem,
-                            const RegionalConfig& config) {
-  AGTRAM_OBS_SPAN("regional.run");
-  net::Clustering clustering = cluster_regions(problem, config);
+namespace {
 
-  const std::size_t region_count = clustering.region_count();
-  RegionalResult result{drp::ReplicaPlacement(problem), std::move(clustering),
-                        {}, 0};
-  result.regions.resize(region_count);
-
-  // Per-region live sets.  agents[i] is server i, so the sets hold server
-  // ids, in ascending order.
-  std::vector<Agent> agents;
-  agents.reserve(problem.server_count());
-  std::vector<std::vector<drp::ServerId>> region_live(region_count);
-  for (drp::ServerId i = 0; i < problem.server_count(); ++i) {
-    agents.emplace_back(problem, i);
-    if (!agents.back().retired()) {
-      region_live[result.clustering.assignment[i]].push_back(i);
+/// Flags the regions `config` declares failed, refusing an id the
+/// clustering does not have.
+std::vector<bool> failed_region_flags(const RegionalConfig& config,
+                                      std::size_t region_count) {
+  std::vector<bool> failed(region_count, false);
+  for (const std::uint32_t r : config.failed_regions) {
+    if (r >= region_count) {
+      throw std::invalid_argument(
+          "failed region " + std::to_string(r) + " does not exist: the run "
+          "has " + std::to_string(region_count) + " regions");
     }
+    failed[r] = true;
   }
+  return failed;
+}
+
+/// What one region's centre decides in an epoch: replicate `object` at
+/// `server`, charging `payment`.
+struct RegionPick {
+  bool has = false;
+  drp::ServerId server = 0;
+  drp::ObjectIndex object = 0;
+  double payment = 0.0;
+};
+
+/// The clustering, the region outcomes and the failed regions both dense
+/// engines start from, on the primaries-only scheme.
+RegionalResult start_regions(const drp::Problem& problem,
+                             const RegionalConfig& config) {
+  RegionalResult result{drp::ReplicaPlacement(problem),
+                        cluster_regions(problem, config), {}, 0};
+  const std::size_t region_count = result.clustering.region_count();
+  const std::vector<bool> failed = failed_region_flags(config, region_count);
+  result.regions.resize(region_count);
   for (std::uint32_t r = 0; r < region_count; ++r) {
     result.regions[r].centre = result.clustering.medoids[r];
     result.regions[r].member_count =
         static_cast<std::uint32_t>(result.clustering.members(r).size());
+    result.regions[r].failed = failed[r];  // a dead body allocates nothing
   }
-  for (const std::uint32_t r : config.failed_regions) {
-    if (r < region_count) {
-      result.regions[r].failed = true;
-      region_live[r].clear();  // a dead decision body allocates nothing
-    }
-  }
+  return result;
+}
 
-  // One epoch = a poll phase in which every live region runs its round
-  // against the epoch-start placement snapshot, then a commit phase
-  // applying the <=R winners in ascending region id.  Regions occupy
-  // disjoint servers, so deferred commits can never invalidate another
-  // region's winner — values are simply cleared as reported, which is the
-  // honest concurrent-regions semantics.
-  struct EpochPick {
-    bool has = false;
-    drp::ServerId winner = 0;
-    drp::ObjectIndex object = 0;
-    double payment = 0.0;
-  };
-  std::vector<EpochPick> picks(region_count);
-  std::vector<Report> reports(agents.size());
-  MechanismObserver* const observer = config.observer;
-
+/// The epoch driver both dense engines run.  One epoch is a poll phase in
+/// which every live region's centre picks at most one move against the
+/// epoch-start placement, then a commit phase applying the picks in
+/// ascending region id.  Regions occupy disjoint servers, so a deferred
+/// commit never invalidates another region's pick — values are cleared as
+/// reported, which is the honest concurrent-regions semantics.  The run
+/// ends after an epoch without a pick, or after `max_epochs`.  The engine
+/// supplies begin_epoch(epoch), pick(region, placement), and
+/// committed(region, pick, placement) after the pick's replica lands.
+template <typename BeginEpoch, typename Pick, typename Committed>
+void run_epochs(const RegionalConfig& config, RegionalResult& result,
+                BeginEpoch&& begin_epoch, Pick&& pick, Committed&& committed) {
+  std::vector<RegionPick> picks(result.regions.size());
   bool any_progress = true;
   while (any_progress) {
     if (config.max_epochs != 0 && result.epochs >= config.max_epochs) break;
     any_progress = false;
-    if (observer) observer->on_round_begin(result.epochs);
-
-    for (std::uint32_t r = 0; r < region_count; ++r) {
-      picks[r] = EpochPick{};
-      auto& live = region_live[r];
-      if (live.empty()) continue;
-
-      const std::uint64_t polled = live.size();
-      for (const drp::ServerId i : live) {
-        reports[i] = agents[i].make_report(result.placement, nullptr);
-      }
-
-      std::vector<double> values;
-      std::vector<drp::ServerId> bidders;
-      values.reserve(live.size());
-      bidders.reserve(live.size());
-      for (const drp::ServerId i : live) {
-        if (observer) observer->on_report(i, reports[i], /*fresh=*/true);
-        if (reports[i].has_candidate) {
-          values.push_back(reports[i].claimed_value);
-          bidders.push_back(i);
-        }
-      }
-      live = std::move(bidders);  // the bidders stay in LS
-      AGTRAM_OBS_COUNT("regional.reports_polled", polled);
-      if (values.empty()) continue;
-
-      std::size_t winner_slot = 0;
-      for (std::size_t s = 1; s < values.size(); ++s) {
-        if (values[s] > values[winner_slot]) winner_slot = s;
-      }
-      picks[r].has = true;
-      picks[r].winner = live[winner_slot];
-      picks[r].object = reports[live[winner_slot]].object;
-      picks[r].payment =
-          compute_payment(config.payment_rule, values, winner_slot);
+    begin_epoch(result.epochs);
+    for (std::uint32_t r = 0; r < picks.size(); ++r) {
+      picks[r] =
+          result.regions[r].failed ? RegionPick{} : pick(r, result.placement);
     }
-
-    for (std::uint32_t r = 0; r < region_count; ++r) {
+    for (std::uint32_t r = 0; r < picks.size(); ++r) {
       if (!picks[r].has) continue;
-      const drp::ServerId winner = picks[r].winner;
-      assert(result.placement.can_replicate(winner, picks[r].object));
-      result.placement.add_replica(winner, picks[r].object);
-      if (observer) {
-        observer->on_allocation(winner, picks[r].object, picks[r].payment);
-        observer->on_broadcast(winner, picks[r].object, region_live[r]);
-      }
+      const RegionPick& move = picks[r];
+      assert(result.placement.can_replicate(move.server, move.object));
+      result.placement.add_replica(move.server, move.object);
       result.regions[r].replicas_placed += 1;
-      result.regions[r].charges += picks[r].payment;
+      result.regions[r].charges += move.payment;
       AGTRAM_OBS_COUNT("regional.replicas_placed", 1);
+      committed(r, move, result.placement);
       any_progress = true;
     }
     ++result.epochs;
     AGTRAM_OBS_COUNT("regional.epochs", 1);
   }
-  return result;
 }
-
-namespace {
 
 /// Welfare gain for one region of placing a replica of k at member i:
 /// read savings of the region's members minus i's broadcast subscription.
@@ -162,20 +134,13 @@ double regional_benefit(const drp::ReplicaPlacement& placement,
   return benefit;
 }
 
-struct CoalitionMove {
-  double benefit = 0.0;
-  drp::ServerId server = 0;
-  drp::ObjectIndex object = 0;
-};
-
 /// Best member site for object k from the region's cooperative viewpoint.
-CoalitionMove best_coalition_move(const drp::ReplicaPlacement& placement,
-                                  const net::Clustering& clustering,
-                                  std::uint32_t region,
-                                  const std::vector<net::NodeId>& members,
-                                  drp::ObjectIndex k) {
-  CoalitionMove best;
-  best.object = k;
+drp::GreedyMove best_coalition_move(const drp::ReplicaPlacement& placement,
+                                    const net::Clustering& clustering,
+                                    std::uint32_t region,
+                                    const std::vector<net::NodeId>& members,
+                                    drp::ObjectIndex k) {
+  drp::GreedyMove best{0.0, 0, k};
   for (const net::NodeId i : members) {
     if (!placement.can_replicate(i, k)) continue;
     const double benefit =
@@ -190,107 +155,81 @@ CoalitionMove best_coalition_move(const drp::ReplicaPlacement& placement,
 
 }  // namespace
 
+RegionalResult run_regional(const drp::Problem& problem,
+                            const RegionalConfig& config) {
+  AGTRAM_OBS_SPAN("regional.run");
+  RegionalResult result = start_regions(problem, config);
+  // Each region's centre holds a sealed-bid round over its live members.
+  // agents[i] is server i, so the live sets hold server ids, ascending.
+  std::vector<Agent> agents = build_agents(problem);
+  std::vector<std::vector<std::uint32_t>> live(result.regions.size());
+  for (const std::uint32_t i : live_agents(agents)) {
+    live[result.clustering.assignment[i]].push_back(i);
+  }
+  MechanismObserver* const observer = config.observer;
+  SealedBids bids;
+  run_epochs(
+      config, result,
+      [&](std::size_t epoch) {
+        if (observer) observer->on_round_begin(epoch);
+      },
+      [&](std::uint32_t r, const drp::ReplicaPlacement& placement) {
+        if (live[r].empty()) return RegionPick{};
+        AGTRAM_OBS_COUNT("regional.reports_polled", live[r].size());
+        poll_round(agents, live[r], placement, {}, observer, bids);
+        if (bids.empty()) return RegionPick{};
+        const std::size_t slot = bids.best();
+        return RegionPick{true, bids.bidders[slot],
+                          bids.reports[slot].object,
+                          compute_payment(config.payment_rule, bids.claims,
+                                          slot)};
+      },
+      [&](std::uint32_t r, const RegionPick& pick,
+          const drp::ReplicaPlacement& /*placement*/) {
+        if (!observer) return;
+        observer->on_allocation(pick.server, pick.object, pick.payment);
+        observer->on_broadcast(pick.server, pick.object, live[r]);
+      });
+  return result;
+}
+
 RegionalResult run_regional_cooperative(const drp::Problem& problem,
                                         const RegionalConfig& config) {
   AGTRAM_OBS_SPAN("regional.cooperative_run");
-  net::Clustering clustering = cluster_regions(problem, config);
-  const std::size_t region_count = clustering.region_count();
-
-  RegionalResult result{drp::ReplicaPlacement(problem), std::move(clustering),
-                        {}, 0};
-  result.regions.resize(region_count);
+  RegionalResult result = start_regions(problem, config);
+  // Each coalition keeps a lazy greedy over objects, keyed by the best
+  // member site for the region's welfare.
+  const std::size_t region_count = result.regions.size();
   std::vector<std::vector<net::NodeId>> members(region_count);
+  std::vector<drp::LazyGreedyHeap> heaps(region_count);
+  const auto best_move = [&](const drp::ReplicaPlacement& placement,
+                             std::uint32_t r, drp::ObjectIndex k) {
+    return best_coalition_move(placement, result.clustering, r, members[r],
+                               k);
+  };
   for (std::uint32_t r = 0; r < region_count; ++r) {
     members[r] = result.clustering.members(r);
-    result.regions[r].centre = result.clustering.medoids[r];
-    result.regions[r].member_count =
-        static_cast<std::uint32_t>(members[r].size());
-  }
-  std::vector<bool> region_failed(region_count, false);
-  for (const std::uint32_t r : config.failed_regions) {
-    if (r < region_count) {
-      region_failed[r] = true;
-      result.regions[r].failed = true;
-    }
-  }
-
-  // Per-region lazy max-heap over objects; coalition benefits only decay
-  // (NN distances shrink, capacities shrink), so stale tops re-validate.
-  struct HeapEntry {
-    double benefit;
-    drp::ObjectIndex object;
-    bool operator<(const HeapEntry& other) const noexcept {
-      if (benefit != other.benefit) return benefit < other.benefit;
-      return object > other.object;
-    }
-  };
-  std::vector<std::priority_queue<HeapEntry>> heaps(region_count);
-  for (std::uint32_t r = 0; r < region_count; ++r) {
-    if (region_failed[r]) continue;
-    std::uint64_t scans = 0;
+    if (result.regions[r].failed) continue;
     for (drp::ObjectIndex k = 0; k < problem.object_count(); ++k) {
-      const CoalitionMove move = best_coalition_move(
-          result.placement, result.clustering, r, members[r], k);
-      ++scans;
-      if (move.benefit > 0.0) heaps[r].push(HeapEntry{move.benefit, k});
+      heaps[r].push(best_move(result.placement, r, k));
     }
-    AGTRAM_OBS_COUNT("regional.coalition_scans", scans);
+    AGTRAM_OBS_COUNT("regional.coalition_scans", problem.object_count());
   }
-
-  // Epochs follow the same snapshot/commit split as run_regional: the poll
-  // phase validates each region's heap top against the epoch-start
-  // placement and records at most one move per region; commits then apply
-  // in ascending region id and push the committed object's next move.
-  struct CoopPick {
-    bool has = false;
-    drp::ServerId server = 0;
-    drp::ObjectIndex object = 0;
-  };
-  std::vector<CoopPick> picks(region_count);
-
-  bool any_progress = true;
-  while (any_progress) {
-    if (config.max_epochs != 0 && result.epochs >= config.max_epochs) break;
-    any_progress = false;
-
-    for (std::uint32_t r = 0; r < region_count; ++r) {
-      picks[r] = CoopPick{};
-      auto& heap = heaps[r];
-      std::uint64_t scans = 0;
-      while (!heap.empty()) {
-        const HeapEntry top = heap.top();
-        heap.pop();
-        const CoalitionMove fresh = best_coalition_move(
-            result.placement, result.clustering, r, members[r], top.object);
-        ++scans;
-        if (fresh.benefit <= 0.0) continue;
-        if (!heap.empty() && fresh.benefit < heap.top().benefit) {
-          heap.push(HeapEntry{fresh.benefit, top.object});
-          continue;
-        }
-        picks[r] = CoopPick{true, fresh.server, fresh.object};
-        break;  // one allocation per region per epoch
-      }
-      AGTRAM_OBS_COUNT("regional.coalition_scans", scans);
-    }
-
-    for (std::uint32_t r = 0; r < region_count; ++r) {
-      if (!picks[r].has) continue;
-      assert(result.placement.can_replicate(picks[r].server, picks[r].object));
-      result.placement.add_replica(picks[r].server, picks[r].object);
-      result.regions[r].replicas_placed += 1;
-      AGTRAM_OBS_COUNT("regional.replicas_placed", 1);
-      any_progress = true;
-      const CoalitionMove next = best_coalition_move(
-          result.placement, result.clustering, r, members[r],
-          picks[r].object);
-      if (next.benefit > 0.0) {
-        heaps[r].push(HeapEntry{next.benefit, picks[r].object});
-      }
-    }
-    ++result.epochs;
-    AGTRAM_OBS_COUNT("regional.epochs", 1);
-  }
+  run_epochs(
+      config, result, [](std::size_t /*epoch*/) {},
+      [&](std::uint32_t r, const drp::ReplicaPlacement& placement) {
+        drp::GreedyCounts counts;
+        const std::optional<drp::GreedyMove> move = heaps[r].pop_best(
+            [&](drp::ObjectIndex k) { return best_move(placement, r, k); },
+            counts);
+        AGTRAM_OBS_COUNT("regional.coalition_scans", counts.pops);
+        if (!move) return RegionPick{};
+        return RegionPick{true, move->server, move->object, 0.0};
+      },
+      [&](std::uint32_t r, const RegionPick& pick,
+          const drp::ReplicaPlacement& placement) {
+        heaps[r].push(best_move(placement, r, pick.object));
+      });
   return result;
 }
 
@@ -373,10 +312,8 @@ HierarchicalResult run_hierarchical(const drp::Problem& problem,
                             0};
 
   // A failed region's decision body is down: its members never report.
-  std::vector<bool> region_failed(result.clustering.region_count(), false);
-  for (const std::uint32_t r : config.failed_regions) {
-    if (r < region_failed.size()) region_failed[r] = true;
-  }
+  const std::vector<bool> region_failed =
+      failed_region_flags(config, result.clustering.region_count());
   std::vector<drp::ServerId> participants;
   for (drp::ServerId i = 0; i < problem.server_count(); ++i) {
     if (!region_failed[result.clustering.assignment[i]]) {

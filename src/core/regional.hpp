@@ -29,7 +29,8 @@ struct RegionalConfig {
   std::uint32_t regions = 4;
   PaymentRule payment_rule = PaymentRule::SecondPrice;
   /// Region indices whose mechanism is down (failure injection); their
-  /// agents never allocate.
+  /// agents never allocate.  An index at or above the region count is
+  /// refused with std::invalid_argument.
   std::vector<std::uint32_t> failed_regions;
   /// Clustering seed (medoid initialisation).
   std::uint64_t seed = 1;
@@ -38,7 +39,8 @@ struct RegionalConfig {
   /// Optional instrumentation of run_regional (runtime::MessageBus times
   /// its epochs): on_round_begin once per epoch, on_report for every live
   /// region's fresh reports, then on_allocation and on_broadcast (to the
-  /// region's remaining live members) for each committed winner.
+  /// region's remaining live members) for each committed winner.  The
+  /// cooperative and hierarchical engines do not use it.
   MechanismObserver* observer = nullptr;
 };
 
@@ -64,6 +66,12 @@ struct RegionalResult {
   std::size_t replicas_placed() const;
 };
 
+/// The non-cooperative regional game.  Both dense engines run one epoch
+/// driver: each epoch every live region picks at most one move against the
+/// epoch-start placement, and the picks commit in ascending region id,
+/// until an epoch picks nothing or `max_epochs` epochs ran.  Here a region's
+/// pick is a sealed-bid round (core::poll_round) over its live members,
+/// cleared under `payment_rule`.
 RegionalResult run_regional(const drp::Problem& problem,
                             const RegionalConfig& config = {});
 
@@ -75,6 +83,8 @@ RegionalResult run_regional(const drp::Problem& problem,
 /// Replicas may land on any member (including pure hub members that read
 /// nothing themselves), which is exactly what the non-cooperative game
 /// cannot do; no payments are needed inside a coalition, so charges are 0.
+/// It runs run_regional's epoch driver; a region's pick is the top of its
+/// lazy greedy over objects (drp::LazyGreedyHeap).
 RegionalResult run_regional_cooperative(const drp::Problem& problem,
                                         const RegionalConfig& config = {});
 

@@ -2,34 +2,33 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 
+#include "common/thread_pool.hpp"
 #include "drp/cost_model.hpp"
 #include "drp/delta_evaluator.hpp"
+#include "drp/lazy_greedy.hpp"
 #include "obs/obs.hpp"
 
 namespace agtram::core {
 
 namespace {
 
-/// Runs `body(r)` once per region r < region_count: one pool job per region
-/// under Sharded (on `pool`, or common::ThreadPool::shared() when it is
-/// null), in ascending order under Serial.  Bodies may only write
-/// region-owned state and read shared state, so the two orders are
-/// byte-identical.
+/// Runs `body(r)` once per region r < region_count: one job per region on
+/// the shared pool under Sharded, in ascending order under Serial.  Bodies
+/// may only write region-owned state and read shared state, so the two
+/// orders are byte-identical.
 template <typename Body>
-void for_each_region(RegionalExecution execution, common::ThreadPool* pool,
-                     std::size_t region_count, const Body& body) {
+void for_each_region(RegionalExecution execution, std::size_t region_count,
+                     const Body& body) {
   if (execution == RegionalExecution::Sharded) {
-    (pool != nullptr ? *pool : common::ThreadPool::shared())
-        .parallel_for(
-            0, region_count,
-            [&](std::size_t begin, std::size_t end) {
-              for (std::size_t r = begin; r < end; ++r) {
-                body(static_cast<std::uint32_t>(r));
-              }
-            },
-            /*min_grain=*/1);
+    common::ThreadPool::shared().parallel_for(
+        0, region_count,
+        [&](std::size_t begin, std::size_t end) {
+          for (std::size_t r = begin; r < end; ++r) {
+            body(static_cast<std::uint32_t>(r));
+          }
+        },
+        /*min_grain=*/1);
   } else {
     for (std::size_t r = 0; r < region_count; ++r) {
       body(static_cast<std::uint32_t>(r));
@@ -161,60 +160,27 @@ void collect_allocations(const drp::ReplicaPlacement& placement,
   std::sort(run.allocations.begin(), run.allocations.end());
 }
 
-/// Cooperative shard: greedy welfare loop on a per-region DeltaEvaluator —
-/// lazy max-heap over objects of their best member add (benefits only
-/// decay as replicas land, so stale tops re-validate).  Every scan may
-/// fork: DeltaEvaluator::kParallelMinServers keeps small shards inline, and
-/// under Sharded the pool runs the nested call inline.
+/// Cooperative shard: Greedy's delta loop on a per-region DeltaEvaluator
+/// under the member mask (gateways never host).  Inside a Sharded job the
+/// loop's pool forks run inline.
 void run_cooperative_shard(const ShardProblem& shard,
                            const std::vector<net::NodeId>& members,
                            ShardRun& run) {
   const drp::Problem& sub = shard.sub;
-  const std::size_t n = members.size();
   drp::DeltaEvaluator eval{drp::ReplicaPlacement(sub)};
   std::vector<bool> allowed(sub.server_count(), false);
-  for (std::size_t i = 0; i < n; ++i) allowed[i] = true;
-  drp::DeltaEvaluator::ScanScratch scratch;
-
-  struct HeapEntry {
-    double benefit;
-    drp::ObjectIndex object;
-    bool operator<(const HeapEntry& other) const noexcept {
-      if (benefit != other.benefit) return benefit < other.benefit;
-      return object > other.object;
-    }
-  };
-  std::priority_queue<HeapEntry> heap;
-  std::uint64_t scans = 0;
-  for (drp::ObjectIndex k = 0; k < sub.object_count(); ++k) {
-    const drp::DeltaEvaluator::BestAdd best =
-        eval.best_add_for_object(k, &allowed, scratch, /*parallel=*/true);
-    ++scans;
-    if (best.benefit > 0.0) heap.push(HeapEntry{best.benefit, k});
-  }
-  while (!heap.empty()) {
-    const HeapEntry top = heap.top();
-    heap.pop();
-    const drp::DeltaEvaluator::BestAdd fresh = eval.best_add_for_object(
-        top.object, &allowed, scratch, /*parallel=*/true);
-    ++scans;
-    if (fresh.benefit <= 0.0) continue;
-    if (!heap.empty() && fresh.benefit < heap.top().benefit) {
-      heap.push(HeapEntry{fresh.benefit, top.object});
-      continue;
-    }
-    eval.add_replica(fresh.server, top.object);
-    run.outcome.rounds += 1;
-    run.outcome.replicas_placed += 1;
-    const drp::DeltaEvaluator::BestAdd next = eval.best_add_for_object(
-        top.object, &allowed, scratch, /*parallel=*/true);
-    ++scans;
-    if (next.benefit > 0.0) heap.push(HeapEntry{next.benefit, top.object});
-  }
-  run.outcome.reports_computed = scans;
+  std::fill_n(allowed.begin(), members.size(), true);
+  const drp::GreedyCounts counts =
+      drp::run_greedy_delta(eval, &allowed, /*max_replicas=*/0);
+  run.outcome.rounds = counts.placed;
+  run.outcome.replicas_placed = counts.placed;
+  // One best-add scan seeds each object, re-prices each pop, and re-queues
+  // each placed object.
+  run.outcome.reports_computed =
+      sub.object_count() + counts.pops + counts.placed;
   run.outcome.final_cost = eval.total();
-  const drp::ReplicaPlacement placement = std::move(eval).take_placement();
-  collect_allocations(placement, members, *shard.global_objects, run);
+  collect_allocations(std::move(eval).take_placement(), members,
+                      *shard.global_objects, run);
 }
 
 void run_auction_shard(const ShardProblem& shard,
@@ -280,8 +246,7 @@ TiledRegionalResult run_regional_tiled(const drp::SparseInstance& instance,
   // Shards share no mutable state (each builds and solves its own
   // subproblem), so Serial and Sharded execution are byte-identical.
   std::vector<ShardRun> runs(region_count);
-  for_each_region(config.execution, config.pool, region_count,
-                  [&](std::uint32_t r) {
+  for_each_region(config.execution, region_count, [&](std::uint32_t r) {
     ShardRun& run = runs[r];
     const std::vector<net::NodeId>& members = partition.tiles.members(r);
     const ShardProblem shard =

@@ -6,8 +6,9 @@
 // ceiling: servers are clustered directly on the graph
 // (net::cluster_servers_sampled), distances are tiled into per-region
 // blocks plus centre strips (net::TiledDistances), and each region runs a
-// fully independent AGT-RAM auction — or a cooperative greedy coalition on
-// a per-region drp::DeltaEvaluator shard — over its own subproblem:
+// fully independent AGT-RAM auction — or a cooperative coalition, which is
+// Greedy's delta loop (drp::run_greedy_delta) on a per-region
+// drp::DeltaEvaluator under the member mask — over its own subproblem:
 //
 //   * member servers keep their global capacities; objects enter a shard
 //     when a member reads/writes them or homes their primary;
@@ -29,7 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "core/regional.hpp"
 #include "drp/builder.hpp"
 #include "net/clustering.hpp"
@@ -42,7 +42,7 @@ namespace agtram::core {
 /// outcomes merge in ascending region id.
 enum class RegionalExecution : std::uint8_t {
   Serial,   ///< solve regions one after another (the differential oracle)
-  Sharded,  ///< solve all regions concurrently on the thread pool
+  Sharded,  ///< solve all regions concurrently on the shared thread pool
 };
 
 struct TiledRegionalConfig {
@@ -50,16 +50,15 @@ struct TiledRegionalConfig {
   std::uint64_t seed = 1;
   PaymentRule payment_rule = PaymentRule::SecondPrice;
   RegionalExecution execution = RegionalExecution::Serial;
-  /// Greedy welfare loop on a per-region DeltaEvaluator shard instead of
-  /// the per-region auction (no payments inside a coalition).
+  /// Greedy's delta loop on a per-region DeltaEvaluator shard, restricted
+  /// to the members, instead of the per-region auction (no payments inside
+  /// a coalition).
   bool cooperative = false;
   /// Budget for the tiled distance state (blocks + strips).  A partition
   /// whose estimate exceeds it is refused — within_budget=false, nothing
   /// materialised — never silently truncated.
   std::uint64_t distance_budget_bytes = 4ull << 30;
   std::uint32_t refine_iterations = 1;
-  /// Pool for Sharded execution; nullptr = common::ThreadPool::shared().
-  common::ThreadPool* pool = nullptr;
 };
 
 /// The reusable expensive part: clustering + tiled distance blocks.  Built

@@ -1,6 +1,10 @@
 // Tests for the five comparison baselines and the brute-force oracle.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "baselines/aestar.hpp"
 #include "baselines/auctions.hpp"
 #include "baselines/brute_force.hpp"
@@ -104,6 +108,25 @@ TEST(Greedy, SiteMaskIsRespected) {
     for (const drp::ServerId i : placement.replicators(k)) {
       if (i == p.primary[k]) continue;
       EXPECT_TRUE(allowed[i]) << "replica on masked server " << i;
+    }
+  }
+}
+
+TEST(Greedy, SiteMaskOfTheWrongSizeIsRefused) {
+  // A mask shorter than M would be read past its end on both paths.
+  const drp::Problem p = testutil::small_instance(107, 20, 60);
+  const std::vector<bool> short_mask(p.server_count() - 5, true);
+  for (const EvalPath eval : {EvalPath::Naive, EvalPath::Delta}) {
+    GreedyConfig cfg;
+    cfg.eval = eval;
+    cfg.allowed_sites = &short_mask;
+    try {
+      run_greedy(p, cfg);
+      ADD_FAILURE() << "a 15-entry mask was accepted for 20 servers";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("15"), std::string::npos) << what;
+      EXPECT_NE(what.find("20"), std::string::npos) << what;
     }
   }
 }

@@ -1,6 +1,6 @@
 // Differential suite for the online re-convergence engine (DESIGN.md §12).
 //
-// The load-bearing property: after every drained event batch, the engine's
+// The load-bearing property: after every event batch, the engine's
 // dirty-set repair run must be byte-identical — rounds, payments, placement,
 // NN caches — to a full-participation warm re-solve on the mutated instance.
 // Every OnlineMechanism here runs with `differential_oracle = true`, so the
@@ -253,7 +253,6 @@ TEST(OnlineMechanismTest, EmptyAndNoOpBatchesAreCleanNoOps) {
   const core::BatchOutcome empty = engine.apply_events({});
   EXPECT_EQ(empty.dirty_agents, 0u);
   EXPECT_EQ(empty.repair_rounds, 0u);
-  EXPECT_TRUE(empty.drained);
   EXPECT_TRUE(empty.oracle_checked);
   EXPECT_EQ(empty.total_cost, cost0);
 
@@ -500,58 +499,6 @@ TEST(OnlineMechanismTest, OutcomeAccountingAddsUp) {
   EXPECT_EQ(won, engine.initial_rounds() + engine.repair_rounds_total());
 }
 
-// ---------------------------------------------- bounded repair + carryover
-
-TEST(OnlineMechanismTest, BoundedRepairCarriesOverAndConvergesIdentically) {
-  // Engine A caps repair at one allocation per batch; engine B is
-  // unbounded.  After A drains through empty batches both must hold
-  // byte-identical placements — the carryover preserves the exact round
-  // sequence.
-  core::OnlineConfig capped = oracle_config();
-  capped.max_repair_rounds = 1;
-  core::OnlineMechanism a(dispersed_instance(), capped);
-  core::OnlineMechanism b(dispersed_instance(), oracle_config());
-
-  // A demand surge big enough to need several repair rounds: every reader
-  // of a few objects doubles its reads.
-  std::vector<core::OnlineEvent> surge;
-  const drp::Problem& p = b.problem();
-  for (drp::ObjectIndex k = 0; k < p.object_count() && k < 24; ++k) {
-    for (const drp::ServerId i : p.access.readers(k)) {
-      const std::uint64_t r = p.access.reads(i, k);
-      if (r > 0) {
-        surge.push_back(
-            core::DemandDelta{i, k, static_cast<std::int64_t>(r), 0});
-      }
-    }
-  }
-  ASSERT_FALSE(surge.empty());
-
-  const core::BatchOutcome full = b.apply_events(surge);
-  ASSERT_TRUE(full.drained);
-  ASSERT_GE(full.repair_rounds, 2u)
-      << "surge too small to exercise the round cap";
-
-  core::BatchOutcome step = a.apply_events(surge);
-  EXPECT_FALSE(step.drained);
-  EXPECT_FALSE(step.oracle_checked);  // identity is only claimed at drain
-  EXPECT_FALSE(a.pending_carryover().empty());
-  std::size_t rounds = step.repair_rounds;
-  std::size_t guard = 0;
-  while (!step.drained) {
-    ASSERT_LT(++guard, 200u) << "bounded repair failed to drain";
-    step = a.apply_events({});
-    rounds += step.repair_rounds;
-  }
-  EXPECT_TRUE(step.oracle_checked);
-  EXPECT_TRUE(a.pending_carryover().empty());
-  EXPECT_EQ(rounds, full.repair_rounds);
-
-  std::string why;
-  EXPECT_TRUE(core::placements_identical(a.placement(), b.placement(), &why))
-      << why;
-}
-
 // ----------------------------------------------- randomized event streams
 
 void run_randomized_stream(drp::Problem problem, std::uint64_t seed,
@@ -649,24 +596,20 @@ TEST(OnlineMechanismTest, ChangedObjectsCoverEveryReplicatorChange) {
   EXPECT_GT(evicted, 0u);
 }
 
-TEST(OnlineMechanismTest, RandomizedStreamWithBoundedRepair) {
-  core::OnlineConfig capped = oracle_config();
-  capped.max_repair_rounds = 2;
-  core::OnlineMechanism engine(dispersed_instance(), capped);
+// A repair always drains its dirty set: without eviction every batch is
+// oracle-checked and nothing is carried into the next one.
+TEST(OnlineMechanismTest, RepairDrainsEveryBatchWithoutCarryover) {
+  core::OnlineMechanism engine(dispersed_instance(), oracle_config());
   runtime::OnlineEventModel model;
   model.seed = 404;
   model.replica_loss_rate = 0.05;
   model.flash_crowd_probability = 0.3;
   runtime::OnlineEventSource source(engine, model);
-  for (int b = 0; b < 20; ++b) engine.apply_events(source.next_batch());
-  // Drain whatever is still pending, then the oracle must hold.
-  std::size_t guard = 0;
-  while (!engine.pending_carryover().empty()) {
-    ASSERT_LT(++guard, 500u);
-    engine.apply_events({});
+  for (int b = 0; b < 20; ++b) {
+    const core::BatchOutcome out = engine.apply_events(source.next_batch());
+    EXPECT_TRUE(out.oracle_checked) << "batch " << b;
+    EXPECT_TRUE(engine.pending_carryover().empty()) << "batch " << b;
   }
-  const core::BatchOutcome final_check = engine.apply_events({});
-  EXPECT_TRUE(final_check.oracle_checked);
 }
 
 // ------------------------------------------------ demand-aware eviction

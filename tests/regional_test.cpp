@@ -11,7 +11,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.hpp"
+#include "baselines/greedy.hpp"
 #include "core/agt_ram.hpp"
 #include "core/regional.hpp"
 #include "core/regional_tiled.hpp"
@@ -149,6 +149,25 @@ TEST(Regional, FailedRegionAllocatesNothing) {
       if (i == p.primary[k]) continue;
       EXPECT_FALSE(failed_servers.contains(i));
     }
+  }
+}
+
+TEST(Regional, FailedRegionThatDoesNotExistIsRefused) {
+  // Region 7 of a four-region run names no region: every engine refuses it
+  // instead of running as if nothing had failed.
+  const drp::Problem p = testutil::small_instance(214, 24, 80);
+  core::RegionalConfig cfg;
+  cfg.regions = 4;
+  cfg.failed_regions = {7};
+  EXPECT_THROW(core::run_regional(p, cfg), std::invalid_argument);
+  EXPECT_THROW(core::run_regional_cooperative(p, cfg), std::invalid_argument);
+  EXPECT_THROW(core::run_hierarchical(p, cfg), std::invalid_argument);
+  try {
+    core::run_regional(p, cfg);
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find('7'), std::string::npos) << what;
+    EXPECT_NE(what.find('4'), std::string::npos) << what;
   }
 }
 
@@ -691,14 +710,12 @@ TEST(TiledDistancesTest, SingleRegionBlockIsExactClosure) {
 // ------------------------------------------------------------ tiled engine
 
 TEST(TiledRegional, ShardedByteIdenticalToSerial) {
-  common::ThreadPool pool(4);
   const drp::SparseInstance inst = sparse_instance(260, 300, 600);
   core::TiledRegionalConfig serial;
   serial.regions = 6;
   serial.execution = core::RegionalExecution::Serial;
   core::TiledRegionalConfig sharded = serial;
   sharded.execution = core::RegionalExecution::Sharded;
-  sharded.pool = &pool;
   const core::TiledPartition partition =
       core::make_tiled_partition(inst, serial);
   ASSERT_TRUE(partition.within_budget);
@@ -720,7 +737,6 @@ TEST(TiledRegional, ShardedByteIdenticalToSerial) {
 }
 
 TEST(TiledRegional, CooperativeShardedByteIdenticalToSerial) {
-  common::ThreadPool pool(4);
   const drp::SparseInstance inst = sparse_instance(261, 240, 480);
   core::TiledRegionalConfig serial;
   serial.regions = 5;
@@ -728,7 +744,6 @@ TEST(TiledRegional, CooperativeShardedByteIdenticalToSerial) {
   serial.execution = core::RegionalExecution::Serial;
   core::TiledRegionalConfig sharded = serial;
   sharded.execution = core::RegionalExecution::Sharded;
-  sharded.pool = &pool;
   const core::TiledPartition partition =
       core::make_tiled_partition(inst, serial);
   ASSERT_TRUE(partition.within_budget);
@@ -784,6 +799,37 @@ TEST(TiledRegional, SingleRegionMatchesFlatMechanism) {
   ASSERT_EQ(tiled.shards.size(), 1u);
   EXPECT_EQ(tiled.shards[0].charges, flat.total_payments());
   EXPECT_EQ(tiled.shards[0].rounds, flat.rounds.size());
+}
+
+TEST(TiledRegional, CooperativeSingleRegionIsGreedy) {
+  // At R=1 the cooperative shard is the whole problem, and the coalition is
+  // Greedy under the member mask: same replica set, same cost, bit for bit.
+  drp::InstanceSpec spec;
+  spec.servers = 64;
+  spec.objects = 160;
+  spec.seed = 263;
+  spec.instance.capacity_fraction = 0.05;
+  const drp::Problem dense = drp::make_instance(spec);
+  const drp::SparseInstance sparse = drp::make_sparse_instance(spec);
+  const drp::ReplicaPlacement greedy = baselines::run_greedy(dense);
+
+  core::TiledRegionalConfig cfg;
+  cfg.regions = 1;
+  cfg.cooperative = true;
+  const auto tiled = core::run_regional_tiled(sparse, cfg);
+  ASSERT_TRUE(tiled.within_budget);
+
+  std::vector<std::pair<drp::ServerId, drp::ObjectIndex>> greedy_allocs;
+  for (drp::ObjectIndex k = 0; k < dense.object_count(); ++k) {
+    for (const drp::ServerId s : greedy.replicators(k)) {
+      if (s != dense.primary[k]) greedy_allocs.emplace_back(s, k);
+    }
+  }
+  std::sort(greedy_allocs.begin(), greedy_allocs.end());
+  EXPECT_EQ(tiled.allocations, greedy_allocs);
+  EXPECT_EQ(tiled.final_cost, drp::CostModel::total_cost(greedy));
+  ASSERT_EQ(tiled.shards.size(), 1u);
+  EXPECT_EQ(tiled.shards[0].replicas_placed, greedy_allocs.size());
 }
 
 TEST(TiledRegional, ShardStatsAreConsistent) {

@@ -19,9 +19,13 @@
 # that re-price over a thousand objects, and test_serving runs it on every
 # fold; test_serving also pins routing snapshots on reader threads while
 # another thread installs, and soaks the table's reclamation, so a snapshot
-# freed under a pin shows.  test_regional runs the tiled engine's shard jobs on an explicit
-# pool.  test_runtime times the protocol on the bus over flat and regional
-# runs.  test_layout checks the by-server transpose that writes
+# freed under a pin shows.  test_regional runs the tiled engine's shard
+# jobs on the shared pool, and run_regional builds its agents there.
+# test_baselines and test_extended_baselines run every other caller of the
+# sealed-bid round and the lazy greedy (DA/EA, the one-shot audit, Greedy,
+# Aε-Star, the cooperative engines), whose agent builds and seed scans fork
+# on the pool.  test_runtime times the protocol on the bus over flat and
+# regional runs.  test_layout checks the by-server transpose that writes
 # the slots those agents read.  test_obs_counters runs each instrumented
 # layer once and checks that its counters moved.  test_trace and test_drp
 # feed the day-log and placement readers malformed lines, which they must
@@ -42,14 +46,16 @@ cmake -B "$BUILD" -S "$SRC" \
   -DAGTRAM_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD" -j "$(nproc)" \
   --target test_common test_net test_mechanism test_runtime \
-           test_baselines_delta test_kernels test_online test_obs \
+           test_baselines test_baselines_delta test_extended_baselines \
+           test_kernels test_online test_obs \
            test_obs_counters test_regional test_serving \
            test_strategic test_glauber test_tree_placement test_horizon \
            test_layout test_trace test_drp
 
 status=0
 for t in test_common test_net test_mechanism test_runtime \
-         test_baselines_delta test_kernels test_online test_obs \
+         test_baselines test_baselines_delta test_extended_baselines \
+         test_kernels test_online test_obs \
          test_obs_counters test_regional test_serving \
          test_strategic test_glauber test_tree_placement test_horizon \
          test_layout test_trace test_drp; do
