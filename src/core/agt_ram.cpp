@@ -432,11 +432,11 @@ MechanismResult run_rounds(const drp::Problem& problem,
 }  // namespace
 
 std::size_t SealedBids::best() const {
-  std::size_t best = 0;
+  std::size_t winner = 0;
   for (std::size_t s = 1; s < claims.size(); ++s) {
-    if (claims[s] > claims[best]) best = s;
+    if (claims[s] > claims[winner]) winner = s;
   }
-  return best;
+  return winner;
 }
 
 std::vector<Agent> build_agents(const drp::Problem& problem) {

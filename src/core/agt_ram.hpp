@@ -91,7 +91,7 @@ std::vector<Agent> build_agents(const drp::ReplicaPlacement& start,
 /// LS a run starts from.
 std::vector<std::uint32_t> live_agents(const std::vector<Agent>& agents);
 
-/// One sealed-bid round (Figure 2, lines 3–12): every agent in `live`
+/// One sealed-bid round of Figure 2: every agent in `live`
 /// (indices into `agents`, ascending id) reports against `placement` under
 /// `strategy`, and `observer`, if set, receives each report as fresh.  The
 /// bidders, the agents with a candidate, are written to `bids` and stay in
