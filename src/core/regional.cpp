@@ -71,7 +71,7 @@ RegionalResult start_regions(const drp::Problem& problem,
   return result;
 }
 
-/// The epoch driver both dense engines run.  One epoch is a poll phase in
+/// The epoch loop both dense engines run.  One epoch is a poll phase in
 /// which every live region's centre picks at most one move against the
 /// epoch-start placement, then a commit phase applying the picks in
 /// ascending region id.  Regions occupy disjoint servers, so a deferred

@@ -67,7 +67,7 @@ struct RegionalResult {
 };
 
 /// The non-cooperative regional game.  Both dense engines run one epoch
-/// driver: each epoch every live region picks at most one move against the
+/// loop: each epoch every live region picks at most one move against the
 /// epoch-start placement, and the picks commit in ascending region id,
 /// until an epoch picks nothing or `max_epochs` epochs ran.  Here a region's
 /// pick is a sealed-bid round (core::poll_round) over its live members,
@@ -83,7 +83,7 @@ RegionalResult run_regional(const drp::Problem& problem,
 /// Replicas may land on any member (including pure hub members that read
 /// nothing themselves), which is exactly what the non-cooperative game
 /// cannot do; no payments are needed inside a coalition, so charges are 0.
-/// It runs run_regional's epoch driver; a region's pick is the top of its
+/// It runs run_regional's epoch loop; a region's pick is the top of its
 /// lazy greedy over objects (drp::LazyGreedyHeap).
 RegionalResult run_regional_cooperative(const drp::Problem& problem,
                                         const RegionalConfig& config = {});
