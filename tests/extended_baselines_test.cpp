@@ -8,6 +8,7 @@
 #include "baselines/aestar.hpp"
 #include "baselines/annealing.hpp"
 #include "baselines/auctions.hpp"
+#include "baselines/glauber.hpp"
 #include "baselines/greedy.hpp"
 #include "baselines/local_search.hpp"
 #include "baselines/registry.hpp"
@@ -222,8 +223,9 @@ TEST(Economics, EmptyRunIsAllZeros) {
 /// shard sum for the tiled engine; the summed trial margins for the audit
 /// rows), `replicas` the extra replicas placed (the trial count for the
 /// audit rows); `epochs` and `charges` are recorded for the regional
-/// engines (the tiled engine's epochs are its summed shard rounds) and 0
-/// elsewhere.
+/// engines (the tiled engine's epochs are its summed shard rounds) and for
+/// the strategic audit (its total round violations and the ring's
+/// revenue), and 0 elsewhere.
 struct Pin {
   double cost = 0.0;
   std::size_t replicas = 0;
@@ -340,9 +342,53 @@ Pin audit_pin(int instance, core::PaymentRule rule) {
   return pin;
 }
 
-// Every engine whose loops are shared code, on two instances each, against
-// values recorded before those loops were merged: the pins hold the merged
-// code to the outputs of the copies it replaced.
+// The factors cover every deviation kind a factor maps to: zero, deflate,
+// truthful and inflate.
+Pin full_game_audit_pin(int instance, core::PaymentRule rule) {
+  const drp::Problem p = pin_instance(instance);
+  const auto trials =
+      core::audit_truthfulness(p, rule, /*agent=*/2, {0.0, 0.5, 1.0, 2.0});
+  Pin pin{0.0, trials.size(), 0, 0.0};
+  for (const auto& trial : trials) pin.cost += trial.margin();
+  return pin;
+}
+
+// The trials and the ring's reversions: their count and summed full-game
+// margins, the total round violations and the ring's revenue.
+Pin strategic_audit_pin(int instance) {
+  const core::StrategicAuditReport report =
+      core::strategic_audit(pin_instance(instance));
+  Pin pin{0.0, 0, report.total_round_violations,
+          report.collusion.collusive_revenue};
+  for (const auto* trials : {&report.trials, &report.collusion.reversion}) {
+    for (const core::StrategicTrial& trial : *trials) {
+      pin.cost += trial.margin();
+      ++pin.replicas;
+    }
+  }
+  return pin;
+}
+
+Pin glauber_pin(int instance, EvalPath eval) {
+  const drp::Problem p = pin_instance(instance);
+  GlauberConfig cfg;
+  cfg.eval = eval;
+  const GlauberResult result = run_glauber(p, cfg);
+  return Pin{result.final_cost, result.placement.extra_replica_count(), 0,
+             0.0};
+}
+
+Pin selfish_pin(int instance, EvalPath eval) {
+  const drp::Problem p = pin_instance(instance);
+  SelfishCachingConfig cfg;
+  cfg.eval = eval;
+  return placement_pin(run_selfish_caching(p, cfg).placement);
+}
+
+// Every engine whose loops are shared code, and the audits and baselines
+// whose copies were merged, on two instances each, against values recorded
+// before the merge: the pins hold the merged code to the outputs of the
+// copies it replaced.
 const PinCase kPinCases[] = {
     {"greedy/naive", [](int i) { return greedy_pin(i, EvalPath::Naive); },
      {{0x1.3145ep+19, 197, 0, 0x0p+0},
@@ -431,6 +477,29 @@ const PinCase kPinCases[] = {
      [](int i) { return audit_pin(i, core::PaymentRule::FirstPrice); },
      {{0x1.81f8p+15, 84, 0, 0x0p+0},
       {0x1.24a4p+15, 100, 0, 0x0p+0}}},
+    {"audit_full_game/second_price",
+     [](int i) { return full_game_audit_pin(i, core::PaymentRule::SecondPrice); },
+     {{-0x1.7ep+7, 4, 0, 0x0p+0},
+      {-0x1.ep+3, 4, 0, 0x0p+0}}},
+    {"audit_full_game/first_price",
+     [](int i) { return full_game_audit_pin(i, core::PaymentRule::FirstPrice); },
+     {{-0x1.aap+7, 4, 0, 0x0p+0},
+      {-0x1.bp+5, 4, 0, 0x0p+0}}},
+    {"strategic_audit", [](int i) { return strategic_audit_pin(i); },
+     {{0x1.5e784p+18, 26, 0, 0x1.cb75p+16},
+      {0x1.387ep+17, 26, 0, 0x1.7c4cp+15}}},
+    {"glauber/naive", [](int i) { return glauber_pin(i, EvalPath::Naive); },
+     {{0x1.78fcp+19, 193, 0, 0x0p+0},
+      {0x1.8496fp+20, 104, 0, 0x0p+0}}},
+    {"glauber/delta", [](int i) { return glauber_pin(i, EvalPath::Delta); },
+     {{0x1.78fcp+19, 193, 0, 0x0p+0},
+      {0x1.8496fp+20, 104, 0, 0x0p+0}}},
+    {"selfish/naive", [](int i) { return selfish_pin(i, EvalPath::Naive); },
+     {{0x1.4b85ep+19, 117, 0, 0x0p+0},
+      {0x1.749c7p+20, 65, 0, 0x0p+0}}},
+    {"selfish/delta", [](int i) { return selfish_pin(i, EvalPath::Delta); },
+     {{0x1.4b85ep+19, 117, 0, 0x0p+0},
+      {0x1.749c7p+20, 65, 0, 0x0p+0}}},
 };
 
 TEST(OutputsPinned, EverySharedLoopOnTwoInstances) {
