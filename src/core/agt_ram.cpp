@@ -462,9 +462,7 @@ std::uint64_t poll_round(std::vector<Agent>& agents,
                          const drp::ReplicaPlacement& placement,
                          const ReportStrategy& strategy,
                          MechanismObserver* observer, SealedBids& bids) {
-  bids.bidders.clear();
-  bids.claims.clear();
-  bids.reports.clear();
+  bids.clear();
   std::uint64_t evaluations = 0;
   std::size_t kept = 0;
   for (const std::uint32_t a : live) {
@@ -473,9 +471,7 @@ std::uint64_t poll_round(std::vector<Agent>& agents,
     evaluations += report.evaluations;
     if (observer) observer->on_report(agent.id(), report, /*fresh=*/true);
     if (report.has_candidate) {
-      bids.bidders.push_back(agent.id());
-      bids.claims.push_back(report.claimed_value);
-      bids.reports.push_back(report);
+      bids.add(agent.id(), report);
       live[kept++] = a;
     } else if (!agent.retired()) {
       // No candidate this round can only mean the heap drained.

@@ -73,6 +73,17 @@ struct SealedBids {
   std::vector<Report> reports;  ///< the bidders' reports
 
   bool empty() const noexcept { return bidders.empty(); }
+  void clear() noexcept {
+    bidders.clear();
+    claims.clear();
+    reports.clear();
+  }
+  /// Appends `agent`'s bid; agents arrive in ascending id.
+  void add(drp::ServerId agent, const Report& report) {
+    bidders.push_back(agent);
+    claims.push_back(report.claimed_value);
+    reports.push_back(report);
+  }
   /// The slot of the first highest claim (ties go to the lowest id); the
   /// bids must not be empty.
   std::size_t best() const;
@@ -99,8 +110,8 @@ std::vector<std::uint32_t> live_agents(const std::vector<Agent>& agents);
 /// candidate heap is not drained throws std::logic_error).  Returns the
 /// candidate evaluations the reports performed.  The flat mechanism's naive
 /// sweep, run_regional's regional centres, the DA/EA baselines and the
-/// one-shot truthfulness audit all run this round; each keeps its own
-/// winner rule.
+/// one-shot truthfulness audit all run this round; DA/EA keep their own
+/// winner rule, the others take best().
 std::uint64_t poll_round(std::vector<Agent>& agents,
                          std::vector<std::uint32_t>& live,
                          const drp::ReplicaPlacement& placement,

@@ -4,218 +4,60 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <span>
 #include <stdexcept>
 
 #include "obs/obs.hpp"
 
 namespace agtram::core {
 
-void RoundAuditor::on_round_begin(std::size_t) {
-  round_values_.clear();
-  ++rounds_;
-}
-
-void RoundAuditor::on_report(drp::ServerId, const Report& report,
-                             bool /*fresh*/) {
-  if (report.has_candidate) round_values_.push_back(report.claimed_value);
-}
-
-void RoundAuditor::on_allocation(drp::ServerId, drp::ObjectIndex,
-                                 double payment) {
-  if (round_values_.empty()) {
-    throw std::logic_error("allocation without any report");
-  }
-  const double best = *std::max_element(round_values_.begin(),
-                                        round_values_.end());
-  // Axiom 4 (utilitarian): the centre must have chosen the argmax report.
-  // We cannot see which agent won from here, but the winning value equals
-  // the payment under FirstPrice and bounds it under SecondPrice.
-  double expected_payment = 0.0;
-  switch (rule_) {
-    case PaymentRule::None:
-      expected_payment = 0.0;
-      break;
-    case PaymentRule::FirstPrice:
-      expected_payment = best;
-      break;
-    case PaymentRule::SecondPrice: {
-      // Second-highest value (0 with a single bidder).
-      double second = 0.0;
-      double first = -1.0;
-      for (double v : round_values_) {
-        if (v > first) {
-          second = first < 0.0 ? 0.0 : first;
-          first = v;
-        } else {
-          second = std::max(second, v);
-        }
-      }
-      expected_payment = std::max(0.0, second);
-      break;
-    }
-  }
-  if (std::abs(payment - expected_payment) > 1e-6 * std::max(1.0, best)) {
-    throw std::logic_error("payment does not match the payment rule");
-  }
-}
-
-std::vector<OneShotTrial> audit_one_shot_truthfulness(
-    const drp::Problem& problem, PaymentRule rule,
-    const std::vector<double>& distortions) {
-  // The first round's report profile: one sealed-bid round from the
-  // primaries-only scheme.
-  const drp::ReplicaPlacement placement(problem);
-  std::vector<Agent> agents = build_agents(problem);
-  std::vector<std::uint32_t> live = live_agents(agents);
-  SealedBids bids;
-  poll_round(agents, live, placement, {}, nullptr, bids);
-  const std::vector<double>& claims = bids.claims;
-
-  const auto round_utility = [&](const std::vector<double>& profile,
-                                 std::size_t slot) {
-    // Winner of the round under this report profile (ties: lowest id).
-    std::size_t winner = 0;
-    for (std::size_t s = 1; s < profile.size(); ++s) {
-      if (profile[s] > profile[winner]) winner = s;
-    }
-    if (winner != slot) return 0.0;
-    return bids.reports[slot].true_value -
-           compute_payment(rule, profile, slot);
-  };
-
-  std::vector<OneShotTrial> trials;
-  for (std::size_t slot = 0; slot < bids.bidders.size(); ++slot) {
-    const double truthful = round_utility(claims, slot);
-    for (const double factor : distortions) {
-      std::vector<double> profile = claims;
-      profile[slot] = claims[slot] * factor;
-      trials.push_back(OneShotTrial{bids.bidders[slot], factor, truthful,
-                                    round_utility(profile, slot)});
-    }
-  }
-  return trials;
-}
-
-std::vector<TruthfulnessTrial> audit_truthfulness(
-    const drp::Problem& problem, PaymentRule rule, drp::ServerId agent,
-    const std::vector<double>& distortions) {
-  AgtRamConfig truthful_cfg;
-  truthful_cfg.payment_rule = rule;
-  const MechanismResult truthful = run_agt_ram(problem, truthful_cfg);
-  const double truthful_utility = truthful.agents[agent].utility();
-
-  std::vector<TruthfulnessTrial> trials;
-  trials.reserve(distortions.size());
-  for (const double factor : distortions) {
-    AgtRamConfig deviant_cfg;
-    deviant_cfg.payment_rule = rule;
-    deviant_cfg.strategy = [agent, factor](drp::ServerId who, double value) {
-      return who == agent ? value * factor : value;
-    };
-    const MechanismResult deviant = run_agt_ram(problem, deviant_cfg);
-    trials.push_back(TruthfulnessTrial{agent, factor, truthful_utility,
-                                       deviant.agents[agent].utility()});
-  }
-  return trials;
-}
-
-DominanceAuditor::DominanceAuditor(PaymentRule rule,
-                                   std::vector<drp::ServerId> watched)
-    : rule_(rule), watched_(std::move(watched)) {
-  std::sort(watched_.begin(), watched_.end());
-  watched_.erase(std::unique(watched_.begin(), watched_.end()),
-                 watched_.end());
-}
-
-void DominanceAuditor::on_round_begin(std::size_t) {
-  profile_.clear();
-  ++rounds_;
-  AGTRAM_OBS_COUNT("audit.rounds", 1);
-}
-
-void DominanceAuditor::on_report(drp::ServerId agent, const Report& report,
-                                 bool /*fresh*/) {
-  if (report.has_candidate) {
-    profile_.push_back(Standing{agent, report.claimed_value,
-                                report.true_value});
-  }
-}
-
-void DominanceAuditor::on_allocation(drp::ServerId winner, drp::ObjectIndex,
-                                     double payment) {
-  for (const drp::ServerId who : watched_) {
-    // The watched agent's standing report this round; absent means it had no
-    // feasible candidate, so no bid (truthful or not) was possible.
-    const Standing* mine = nullptr;
-    double best_other = 0.0;
-    drp::ServerId best_other_id = 0;
-    bool any_other = false;
-    for (const Standing& s : profile_) {
-      if (s.agent == who) {
-        mine = &s;
-        continue;
-      }
-      // Mirror the centre's strict-greater sweep over ascending ids: the
-      // lowest id among the maximal claims wins ties.
-      if (!any_other || s.claimed > best_other) {
-        best_other = s.claimed;
-        best_other_id = s.agent;
-        any_other = true;
-      }
-    }
-    if (mine == nullptr) continue;
-
-    // Realized round utility of the actual (possibly distorted) bid.
-    const double realized =
-        winner == who ? mine->true_value - payment : 0.0;
-
-    // Counterfactual: the same round with `who` bidding its true valuation,
-    // everyone else's claims fixed.
-    const bool would_win =
-        !any_other || mine->true_value > best_other ||
-        (mine->true_value == best_other && who < best_other_id);
-    double truthful = 0.0;
-    if (would_win) {
-      const double standing[2] = {mine->true_value,
-                                  any_other ? best_other : 0.0};
-      truthful = mine->true_value -
-                 compute_payment(rule_, std::span<const double>(standing, 2),
-                                 0);
-    }
-
-    const double margin = truthful - realized;
-    min_margin_ = std::min(min_margin_, margin);
-    ++checks_;
-    AGTRAM_OBS_COUNT("audit.checks", 1);
-    const double eps =
-        1e-6 * std::max({1.0, std::abs(truthful), std::abs(realized)});
-    if (margin < -eps) {
-      ++violations_;
-      AGTRAM_OBS_COUNT("audit.violations", 1);
-    }
-  }
-}
-
 namespace {
 
-// One deviant mechanism run with the dominance auditor installed.
-StrategicTrial run_strategic_trial(const drp::Problem& problem,
-                                   const StrategicAuditConfig& config,
-                                   const StrategyProfile& profile,
-                                   drp::ServerId agent, DeviationKind kind,
-                                   double factor, double truthful_utility) {
+// The round utility of the bidder in `slot` under the mechanism's own rules:
+// its true value less its charge when it holds the best claim, else 0.
+double round_utility(const SealedBids& bids, std::size_t slot,
+                     PaymentRule rule) {
+  if (bids.best() != slot) return 0.0;
+  return bids.reports[slot].true_value -
+         compute_payment(rule, bids.claims, slot);
+}
+
+// A misreport factor as a deviation: 1 is truthful, 0 zeroes the claim,
+// and any other factor inflates or deflates it.
+DeviationKind deviation_kind(double factor) {
+  if (factor == 1.0) return DeviationKind::Truthful;
+  if (factor == 0.0) return DeviationKind::Zero;
+  return factor > 1.0 ? DeviationKind::Inflate : DeviationKind::Deflate;
+}
+
+// The mechanism run under `profile`, with `observer` installed.
+MechanismResult run_profile(const drp::Problem& problem,
+                            const StrategicAuditConfig& config,
+                            const StrategyProfile& profile,
+                            MechanismObserver* observer = nullptr) {
   AgtRamConfig cfg;
   cfg.payment_rule = config.payment_rule;
   cfg.report_mode = config.report_mode;
   cfg.strategy = profile.compile(problem.server_count());
-  DominanceAuditor auditor(config.payment_rule, profile.deviating_agents());
-  cfg.observer = &auditor;
-  const MechanismResult deviant = run_agt_ram(problem, cfg);
+  cfg.observer = observer;
+  return run_agt_ram(problem, cfg);
+}
+
+// One deviant run: `agent` scales every claim by `factor`, the others stay
+// truthful, and a RoundAuditor watches the deviant.
+StrategicTrial run_trial(const drp::Problem& problem,
+                         const StrategicAuditConfig& config,
+                         drp::ServerId agent, double factor,
+                         double truthful_utility) {
+  StrategyProfile profile;
+  profile.deviations.push_back(
+      Deviation{agent, deviation_kind(factor), factor});
+  RoundAuditor auditor(config.payment_rule, profile.deviating_agents());
+  const MechanismResult deviant =
+      run_profile(problem, config, profile, &auditor);
 
   StrategicTrial trial;
   trial.agent = agent;
-  trial.kind = kind;
+  trial.kind = profile.deviations.front().kind;
   trial.factor = factor;
   trial.truthful_utility = truthful_utility;
   trial.deviant_utility = deviant.agents[agent].utility();
@@ -230,12 +72,116 @@ StrategicTrial run_strategic_trial(const drp::Problem& problem,
 
 }  // namespace
 
+RoundAuditor::RoundAuditor(PaymentRule rule,
+                           std::vector<drp::ServerId> watched)
+    : rule_(rule), watched_(std::move(watched)) {
+  std::sort(watched_.begin(), watched_.end());
+  watched_.erase(std::unique(watched_.begin(), watched_.end()),
+                 watched_.end());
+}
+
+void RoundAuditor::on_round_begin(std::size_t) {
+  bids_.clear();
+  ++rounds_;
+  AGTRAM_OBS_COUNT("audit.rounds", 1);
+}
+
+void RoundAuditor::on_report(drp::ServerId agent, const Report& report,
+                             bool /*fresh*/) {
+  if (report.has_candidate) bids_.add(agent, report);
+}
+
+void RoundAuditor::on_allocation(drp::ServerId winner, drp::ObjectIndex,
+                                 double payment) {
+  if (bids_.empty()) {
+    throw std::logic_error("allocation without any report");
+  }
+  const std::size_t best = bids_.best();
+  if (winner != bids_.bidders[best]) {
+    throw std::logic_error("the winner does not hold the highest claim");
+  }
+  const double expected = compute_payment(rule_, bids_.claims, best);
+  if (std::abs(payment - expected) >
+      1e-6 * std::max(1.0, bids_.claims[best])) {
+    throw std::logic_error("payment does not match the payment rule");
+  }
+
+  for (const drp::ServerId who : watched_) {
+    // No standing report means no feasible candidate, so no bid (truthful
+    // or not) was possible.
+    const auto it = std::find(bids_.bidders.begin(), bids_.bidders.end(), who);
+    if (it == bids_.bidders.end()) continue;
+    const auto slot = static_cast<std::size_t>(it - bids_.bidders.begin());
+    const double true_value = bids_.reports[slot].true_value;
+
+    // Realised round utility of the actual (possibly distorted) bid.
+    const double realized = winner == who ? true_value - payment : 0.0;
+
+    // Counterfactual: the same round with `who` bidding its true valuation,
+    // everyone else's claims fixed.
+    const double claimed = bids_.claims[slot];
+    bids_.claims[slot] = true_value;
+    const double truthful = round_utility(bids_, slot, rule_);
+    bids_.claims[slot] = claimed;
+
+    const double margin = truthful - realized;
+    min_margin_ = std::min(min_margin_, margin);
+    ++checks_;
+    AGTRAM_OBS_COUNT("audit.checks", 1);
+    const double eps =
+        1e-6 * std::max({1.0, std::abs(truthful), std::abs(realized)});
+    if (margin < -eps) {
+      ++violations_;
+      AGTRAM_OBS_COUNT("audit.violations", 1);
+    }
+  }
+}
+
+std::vector<OneShotTrial> audit_one_shot_truthfulness(
+    const drp::Problem& problem, PaymentRule rule,
+    const std::vector<double>& distortions) {
+  // The first round's report profile: one sealed-bid round from the
+  // primaries-only scheme.
+  const drp::ReplicaPlacement placement(problem);
+  std::vector<Agent> agents = build_agents(problem);
+  std::vector<std::uint32_t> live = live_agents(agents);
+  SealedBids bids;
+  poll_round(agents, live, placement, {}, nullptr, bids);
+
+  std::vector<OneShotTrial> trials;
+  for (std::size_t slot = 0; slot < bids.bidders.size(); ++slot) {
+    const double claim = bids.claims[slot];
+    const double truthful = round_utility(bids, slot, rule);
+    for (const double factor : distortions) {
+      bids.claims[slot] = claim * factor;
+      trials.push_back(OneShotTrial{bids.bidders[slot], factor, truthful,
+                                    round_utility(bids, slot, rule)});
+    }
+    bids.claims[slot] = claim;
+  }
+  return trials;
+}
+
+std::vector<StrategicTrial> audit_truthfulness(
+    const drp::Problem& problem, PaymentRule rule, drp::ServerId agent,
+    const std::vector<double>& distortions) {
+  StrategicAuditConfig config;
+  config.payment_rule = rule;
+  const double truthful_utility =
+      run_profile(problem, config, {}).agents[agent].utility();
+
+  std::vector<StrategicTrial> trials;
+  trials.reserve(distortions.size());
+  for (const double factor : distortions) {
+    trials.push_back(
+        run_trial(problem, config, agent, factor, truthful_utility));
+  }
+  return trials;
+}
+
 StrategicAuditReport strategic_audit(const drp::Problem& problem,
                                      const StrategicAuditConfig& config) {
-  AgtRamConfig truthful_cfg;
-  truthful_cfg.payment_rule = config.payment_rule;
-  truthful_cfg.report_mode = config.report_mode;
-  const MechanismResult truthful = run_agt_ram(problem, truthful_cfg);
+  const MechanismResult truthful = run_profile(problem, config, {});
 
   // Probe the truthful run's top winners: their misreports are the ones
   // that can actually move the allocation.
@@ -263,17 +209,12 @@ StrategicAuditReport strategic_audit(const drp::Problem& problem,
   StrategicAuditReport report;
   for (const drp::ServerId who : probes) {
     const double truthful_utility = truthful.agents[who].utility();
-    const auto sweep = [&](DeviationKind kind, double factor) {
-      StrategyProfile profile;
-      profile.deviations.push_back(Deviation{who, kind, factor});
-      report.trials.push_back(run_strategic_trial(
-          problem, config, profile, who, kind, factor, truthful_utility));
-    };
-    for (const double f : config.inflate_factors) {
-      sweep(DeviationKind::Inflate, f);
-    }
-    for (const double f : config.deflate_factors) {
-      sweep(f == 0.0 ? DeviationKind::Zero : DeviationKind::Deflate, f);
+    for (const auto* factors :
+         {&config.inflate_factors, &config.deflate_factors}) {
+      for (const double factor : *factors) {
+        report.trials.push_back(
+            run_trial(problem, config, who, factor, truthful_utility));
+      }
     }
   }
 
@@ -288,14 +229,10 @@ StrategicAuditReport strategic_audit(const drp::Problem& problem,
 
     StrategyProfile ring_profile;
     ring_profile.collusion_groups.push_back(ring);
-    AgtRamConfig ring_cfg;
-    ring_cfg.payment_rule = config.payment_rule;
-    ring_cfg.report_mode = config.report_mode;
-    ring_cfg.strategy = ring_profile.compile(problem.server_count());
-    DominanceAuditor ring_auditor(config.payment_rule,
-                                  ring_profile.deviating_agents());
-    ring_cfg.observer = &ring_auditor;
-    const MechanismResult ring_run = run_agt_ram(problem, ring_cfg);
+    RoundAuditor ring_auditor(config.payment_rule,
+                              ring_profile.deviating_agents());
+    const MechanismResult ring_run =
+        run_profile(problem, config, ring_profile, &ring_auditor);
 
     report.collusion.members = ring.members;
     report.collusion.truthful_revenue = truthful.total_payments();
@@ -312,11 +249,8 @@ StrategicAuditReport strategic_audit(const drp::Problem& problem,
       }
       StrategyProfile revert_profile;
       revert_profile.collusion_groups.push_back(rest);
-      AgtRamConfig revert_cfg;
-      revert_cfg.payment_rule = config.payment_rule;
-      revert_cfg.report_mode = config.report_mode;
-      revert_cfg.strategy = revert_profile.compile(problem.server_count());
-      const MechanismResult revert_run = run_agt_ram(problem, revert_cfg);
+      const MechanismResult revert_run =
+          run_profile(problem, config, revert_profile);
 
       StrategicTrial reversion;
       reversion.agent = member;
@@ -351,14 +285,6 @@ StrategicAuditReport strategic_audit(const drp::Problem& problem,
   report.dominance_holds =
       report.total_round_violations == 0 && !report.trials.empty();
   return report;
-}
-
-double utilitarian_discrepancy(const MechanismResult& result) {
-  double per_round = 0.0;
-  for (const RoundRecord& r : result.rounds) per_round += r.true_value;
-  double per_agent = 0.0;
-  for (const AgentOutcome& a : result.agents) per_agent += a.true_value;
-  return std::abs(per_round - per_agent);
 }
 
 }  // namespace agtram::core

@@ -1,6 +1,8 @@
 // Axiom audits: executable checks of the game-theoretic properties the
-// paper proves on paper (Lemma 1, Theorems 3 and 5).  Tests and the payment
-// ablation bench run these on concrete instances.
+// paper proves on paper (Lemma 1, Theorems 3 and 5).  Tests, the payment
+// ablation bench and the truthfulness demo run these on concrete instances.
+// Every audit judges a round by the mechanism's own winner rule
+// (SealedBids::best()) and payment rule (compute_payment).
 #pragma once
 
 #include <cstdint>
@@ -13,16 +15,30 @@
 
 namespace agtram::core {
 
-/// Per-round axiom verification (Axioms 4-6): the chosen allocation is the
-/// argmax of the reports (utilitarian), the payment matches the rule
-/// (motivation), and the winner's allocation was feasible.  Install as
-/// AgtRamConfig::observer; violations throw std::logic_error.
+/// Per-round audit, installed as AgtRamConfig::observer.  It keeps each
+/// round's standing bids (both report paths deliver them in ascending id)
+/// and checks every allocation against them:
+///  - Axiom 4 (utilitarian): the winner holds SealedBids::best(), the first
+///    highest claim;
+///  - Axiom 5 (motivation): the payment equals compute_payment over the
+///    standing claims.
+/// A mismatch is a mechanism bug and throws std::logic_error.  (Feasibility
+/// is the mechanism's own check_feasible, not the auditor's.)
+///
+/// For each `watched` agent, typically the misreporting agents of a
+/// strategic run, it also checks the exact one-shot invariant behind
+/// Lemma 1 / Theorem 5: with all other claims held fixed, the agent's round
+/// utility had it bid its true valuation is >= the utility its actual bid
+/// realised.  Under PaymentRule::SecondPrice this holds in every round;
+/// under FirstPrice deflation legitimately breaks it, so a violation is
+/// counted, not thrown.
 class RoundAuditor : public MechanismObserver {
  public:
-  explicit RoundAuditor(PaymentRule rule) : rule_(rule) {}
+  explicit RoundAuditor(PaymentRule rule,
+                        std::vector<drp::ServerId> watched = {});
 
   void on_round_begin(std::size_t round) override;
-  /// Audits the full standing-report profile: under the incremental
+  /// Records the full standing-report profile: under the incremental
   /// protocol cached (non-fresh) reports are part of the round's argmax and
   /// payment basis exactly like fresh ones.
   void on_report(drp::ServerId agent, const Report& report,
@@ -31,11 +47,22 @@ class RoundAuditor : public MechanismObserver {
                      double payment) override;
 
   std::size_t rounds_audited() const noexcept { return rounds_; }
+  /// (round, watched agent) pairs checked; an agent with no standing
+  /// candidate in a round is skipped, since it cannot bid at all.
+  std::size_t checks() const noexcept { return checks_; }
+  std::size_t violations() const noexcept { return violations_; }
+  /// Smallest (truthful - realised) round margin seen; >= 0 when dominance
+  /// held everywhere, +inf when nothing was checked.
+  double min_round_margin() const noexcept { return min_margin_; }
 
  private:
   PaymentRule rule_;
-  std::vector<double> round_values_;
+  std::vector<drp::ServerId> watched_;
+  SealedBids bids_;
   std::size_t rounds_ = 0;
+  std::size_t checks_ = 0;
+  std::size_t violations_ = 0;
+  double min_margin_ = std::numeric_limits<double>::infinity();
 };
 
 /// One-shot dominance audit (the exact property behind Lemma 1 / Theorem 5;
@@ -57,77 +84,11 @@ std::vector<OneShotTrial> audit_one_shot_truthfulness(
     const drp::Problem& problem, PaymentRule rule,
     const std::vector<double>& distortions);
 
-/// Result of one *full-game* truthfulness trial: the utility an agent
-/// achieved when truthful vs. when deviating with some distortion factor in
-/// every round.  The sequential game is not dominance-solvable in general
-/// (the paper's proofs are one-shot), so these margins are an empirical
-/// measurement consumed by the payment-rule ablation bench, not an exact
-/// invariant.
-struct TruthfulnessTrial {
-  drp::ServerId agent;
-  double distortion;        ///< multiplicative misreport factor applied
-  double truthful_utility;
-  double deviant_utility;
-  /// Dominance margin: >= 0 means truth-telling was (weakly) better.
-  double margin() const noexcept { return truthful_utility - deviant_utility; }
-};
-
-/// Empirically checks Axiom 3 / Theorem 5: runs the mechanism with agent
-/// `agent` truthful, then re-runs it with the agent scaling every report by
-/// each factor in `distortions` (others stay truthful), comparing utilities.
-/// With PaymentRule::SecondPrice every margin should be >= -epsilon.
-std::vector<TruthfulnessTrial> audit_truthfulness(
-    const drp::Problem& problem, PaymentRule rule, drp::ServerId agent,
-    const std::vector<double>& distortions);
-
-/// Per-round dominance auditor for *strategic* runs (the adversarial side
-/// of Lemma 1 / Theorem 5).  Installed as the observer of a mechanism run in
-/// which the `watched` agents misreport, it records every round's standing
-/// report profile and, at each allocation, checks the exact one-shot
-/// invariant: with all other reports held fixed, the watched agent's round
-/// utility had it bid its true valuation is >= the round utility its actual
-/// (distorted) bid realised.  Under PaymentRule::SecondPrice this holds in
-/// every round of every run — a violation means the mechanism itself is
-/// broken; under FirstPrice, deflation legitimately produces violations.
-class DominanceAuditor : public MechanismObserver {
- public:
-  DominanceAuditor(PaymentRule rule, std::vector<drp::ServerId> watched);
-
-  void on_round_begin(std::size_t round) override;
-  void on_report(drp::ServerId agent, const Report& report,
-                 bool fresh) override;
-  void on_allocation(drp::ServerId winner, drp::ObjectIndex object,
-                     double payment) override;
-
-  /// (round, watched agent) pairs actually checked (agents with no standing
-  /// candidate in a round are skipped: they cannot bid at all).
-  std::size_t checks() const noexcept { return checks_; }
-  std::size_t rounds_audited() const noexcept { return rounds_; }
-  std::size_t violations() const noexcept { return violations_; }
-  /// Smallest (truthful - realized) round margin seen; >= 0 when dominance
-  /// held everywhere, +inf when nothing was checked.
-  double min_round_margin() const noexcept { return min_margin_; }
-
- private:
-  struct Standing {
-    drp::ServerId agent;
-    double claimed;
-    double true_value;
-  };
-
-  PaymentRule rule_;
-  std::vector<drp::ServerId> watched_;
-  std::vector<Standing> profile_;
-  std::size_t checks_ = 0;
-  std::size_t rounds_ = 0;
-  std::size_t violations_ = 0;
-  double min_margin_ = std::numeric_limits<double>::infinity();
-};
-
-/// One swept deviation: the agent's full-game utilities truthful vs deviant
-/// plus the per-round dominance evidence from the deviant run.  The
-/// full-game margin is an empirical measurement (the sequential game is not
-/// dominance-solvable in general; see TruthfulnessTrial); the round
+/// One *full-game* deviation: the agent's utility over the whole run when
+/// truthful vs. when deviating in every round, plus the per-round dominance
+/// evidence a RoundAuditor gathered in the deviant run.  The sequential game
+/// is not dominance-solvable in general (the paper's proofs are one-shot),
+/// so the full-game margin is an empirical measurement; the round
 /// violations are the exact invariant and must be 0 under SecondPrice.
 struct StrategicTrial {
   drp::ServerId agent = 0;
@@ -138,8 +99,17 @@ struct StrategicTrial {
   std::size_t rounds_checked = 0;
   std::size_t round_violations = 0;
   double min_round_margin = 0.0;
+  /// >= 0 means truth-telling was (weakly) better over the whole game.
   double margin() const noexcept { return truthful_utility - deviant_utility; }
 };
+
+/// Empirically checks Axiom 3 / Theorem 5: runs the mechanism with every
+/// agent truthful, then once per factor in `distortions` with `agent`
+/// scaling every claim by it (0 zeroes the claim, 1 is truthful), the
+/// others truthful.  Each deviant run is a strategic_audit trial.
+std::vector<StrategicTrial> audit_truthfulness(
+    const drp::Problem& problem, PaymentRule rule, drp::ServerId agent,
+    const std::vector<double>& distortions);
 
 /// The bidding-ring case: members (except the leader) zero-bid.  The ring
 /// depresses the clearing prices — collusive_revenue <= truthful_revenue —
@@ -189,16 +159,10 @@ struct StrategicAuditReport {
 };
 
 /// Sweeps deviation magnitudes over the truthful run's top winners, running
-/// the mechanism once per (agent, factor) with a DominanceAuditor installed,
-/// plus the collusion-ring case.  Deterministic: the mechanism is
+/// the mechanism once per (agent, factor) with a RoundAuditor watching the
+/// deviant, plus the collusion-ring case.  Deterministic: the mechanism is
 /// deterministic and the probe set derives from the truthful run.
 StrategicAuditReport strategic_audit(const drp::Problem& problem,
                                      const StrategicAuditConfig& config = {});
-
-/// Axiom 4 consistency: the utilitarian objective equals the sum of agent
-/// valuations; concretely, the sum of winners' true values across rounds
-/// must equal the total value the mechanism reports per agent.  Returns the
-/// absolute discrepancy (0 in exact arithmetic).
-double utilitarian_discrepancy(const MechanismResult& result);
 
 }  // namespace agtram::core

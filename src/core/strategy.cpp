@@ -1,8 +1,6 @@
 #include "core/strategy.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace agtram::core {
@@ -54,39 +52,6 @@ ReportStrategy StrategyProfile::compile(std::size_t server_count) const {
   return [table = std::move(table)](drp::ServerId who, double value) {
     return who < table.size() ? value * table[who] : value;
   };
-}
-
-drp::Problem distorted_problem(const drp::Problem& problem,
-                               const StrategyProfile& profile) {
-  const std::size_t servers = problem.server_count();
-  const std::size_t objects = problem.object_count();
-  std::vector<double> multiplier(servers, 1.0);
-  for (drp::ServerId who = 0; who < servers; ++who) {
-    multiplier[who] = std::max(0.0, profile.multiplier_for(who));
-  }
-
-  std::vector<std::vector<drp::Access>> rows(objects);
-  for (drp::ObjectIndex k = 0; k < objects; ++k) {
-    const auto cells = problem.access.accessors(k);
-    rows[k].reserve(cells.size());
-    for (const drp::Access& cell : cells) {
-      const double scaled =
-          std::round(static_cast<double>(cell.reads) * multiplier[cell.server]);
-      const auto reads = static_cast<std::uint64_t>(
-          std::min(scaled, static_cast<double>(
-                               std::numeric_limits<std::int64_t>::max())));
-      rows[k].push_back(drp::Access{cell.server, reads, cell.writes});
-    }
-  }
-
-  drp::Problem distorted;
-  distorted.distances = problem.distances;
-  distorted.object_units = problem.object_units;
-  distorted.primary = problem.primary;
-  distorted.capacity = problem.capacity;
-  distorted.access =
-      drp::AccessMatrix::build(servers, objects, std::move(rows));
-  return distorted;
 }
 
 }  // namespace agtram::core

@@ -92,14 +92,4 @@ struct StrategyProfile {
   ReportStrategy compile(std::size_t server_count) const;
 };
 
-/// The same misreports aimed at the non-truthful baselines: since Greedy,
-/// GRA, and the auctions consume demand rather than reports, a deviating
-/// agent's lie enters as distorted *read volumes* (reads scaled by the
-/// agent's multiplier — the demand claim behind its Eq.-5 valuation).
-/// Returns a Problem identical to `problem` except those read cells; write
-/// demand, capacities, primaries, and the metric stay untouched, so any
-/// placement feasible on the distorted instance is feasible on the true one.
-drp::Problem distorted_problem(const drp::Problem& problem,
-                               const StrategyProfile& profile);
-
 }  // namespace agtram::core

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <string>
 
 #include "core/agent.hpp"
@@ -240,9 +241,32 @@ TEST(Audit, RoundAuditorAcceptsFirstPriceRun) {
   EXPECT_NO_THROW(run_agt_ram(p, cfg));
 }
 
+// A hand-fed round: agent 2's claim beats agent 1's, so an allocation to
+// agent 1 breaks Axiom 4 even where the payment rule cannot tell.
+TEST(Audit, RoundAuditorRefusesALowerClaimWinning) {
+  RoundAuditor auditor(PaymentRule::None);
+  auditor.on_round_begin(0);
+  Report low;
+  low.object = 0;
+  low.claimed_value = low.true_value = 5.0;
+  low.has_candidate = true;
+  Report high = low;
+  high.claimed_value = high.true_value = 9.0;
+  auditor.on_report(1, low, /*fresh=*/true);
+  auditor.on_report(2, high, /*fresh=*/true);
+  EXPECT_THROW(auditor.on_allocation(1, 0, 0.0), std::logic_error);
+}
+
+// Axiom 4 consistency: the winners' true values summed over the rounds
+// equal the true values summed over the agents.
 TEST(Audit, UtilitarianDiscrepancyIsZero) {
   const drp::Problem p = testutil::small_instance(73);
-  EXPECT_DOUBLE_EQ(utilitarian_discrepancy(run_agt_ram(p)), 0.0);
+  const MechanismResult result = run_agt_ram(p);
+  double per_round = 0.0;
+  for (const RoundRecord& r : result.rounds) per_round += r.true_value;
+  double per_agent = 0.0;
+  for (const AgentOutcome& a : result.agents) per_agent += a.true_value;
+  EXPECT_EQ(per_round, per_agent);
 }
 
 class Truthfulness : public ::testing::TestWithParam<std::uint64_t> {};

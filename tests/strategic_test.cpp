@@ -1,20 +1,17 @@
 // Strategic-agent suite: StrategyProfile compilation, the per-round
 // dominance invariant under randomized deviation profiles (dispersed and
-// trace demand), the bidding-ring collusion case, and the misreport damage
-// the same lies inflict on the non-truthful baselines.
+// trace demand), and the bidding-ring collusion case.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <vector>
 
-#include "baselines/strategic_damage.hpp"
 #include "common/prng.hpp"
 #include "core/agt_ram.hpp"
 #include "core/audit.hpp"
 #include "core/strategy.hpp"
 #include "drp/builder.hpp"
-#include "drp/cost_model.hpp"
 #include "test_helpers.hpp"
 
 namespace agtram {
@@ -80,33 +77,6 @@ TEST(StrategyProfile, CompileMatchesMultipliers) {
   EXPECT_FALSE(truthful.compile(6));
 }
 
-TEST(StrategyProfile, DistortedProblemScalesOnlyReads) {
-  const drp::Problem p = testutil::line3_problem();
-  StrategyProfile profile;
-  profile.deviations.push_back({1, DeviationKind::Inflate, 2.0});
-  const drp::Problem d = core::distorted_problem(p, profile);
-
-  ASSERT_EQ(d.server_count(), p.server_count());
-  ASSERT_EQ(d.object_count(), p.object_count());
-  EXPECT_EQ(d.primary, p.primary);
-  EXPECT_EQ(d.capacity, p.capacity);
-  for (drp::ObjectIndex k = 0; k < p.object_count(); ++k) {
-    for (const auto& cell : p.access.accessors(k)) {
-      const double mult = cell.server == 1 ? 2.0 : 1.0;
-      bool found = false;
-      for (const auto& dcell : d.access.accessors(k)) {
-        if (dcell.server != cell.server) continue;
-        found = true;
-        EXPECT_EQ(dcell.reads,
-                  static_cast<std::int64_t>(std::llround(
-                      static_cast<double>(cell.reads) * mult)));
-        EXPECT_EQ(dcell.writes, cell.writes);
-      }
-      EXPECT_TRUE(found);
-    }
-  }
-}
-
 // The exact invariant: in a run where randomly chosen agents misreport,
 // every audited round shows the deviating agent could not have done better
 // than its truthful bid under second price.  Swept over both demand
@@ -142,8 +112,8 @@ TEST(StrategicDominance, RandomDeviationProfilesNeverGain) {
           profile.deviations.push_back(dev);
         }
 
-        core::DominanceAuditor auditor(core::PaymentRule::SecondPrice,
-                                       profile.deviating_agents());
+        core::RoundAuditor auditor(core::PaymentRule::SecondPrice,
+                                   profile.deviating_agents());
         core::AgtRamConfig cfg;
         cfg.report_mode = mode;
         cfg.strategy = profile.compile(p.server_count());
@@ -229,57 +199,6 @@ TEST(StrategicAudit, AuditIsDeterministic) {
     EXPECT_EQ(a.trials[i].deviant_utility, b.trials[i].deviant_utility);
   }
   EXPECT_EQ(a.min_full_game_margin, b.min_full_game_margin);
-}
-
-// The same misreports aimed at the demand-consuming baselines: the agents a
-// strategic audit probes zero their demand (the strongest lie it sweeps),
-// and replaying each plan onto the true instance never breaks feasibility
-// (capacities are untouched by the distortion).  At least one of
-// Greedy/GRA/DA/EA must lose measurable savings; AGT-RAM's row is context
-// (its allocation reacts to lies too, but lying is irrational under it).
-// Dispersed 48x480, seed 42: Greedy loses ~0.023 and DA/EA ~0.026.
-TEST(MisreportDamage, RowsAreWellFormedAndFeasible) {
-  drp::InstanceSpec spec;
-  spec.servers = 48;
-  spec.objects = 480;
-  spec.seed = 42;
-  spec.demand = drp::DemandModel::Dispersed;
-  spec.readers_per_object = 8.0;
-  spec.instance.capacity_fraction = 0.01;
-  spec.instance.rw_ratio = 0.9;
-  const drp::Problem p = drp::make_instance(spec);
-
-  core::StrategicAuditConfig audit;
-  audit.agents_to_probe = 2;
-  audit.inflate_factors = {2.0};
-  audit.deflate_factors = {0.0, 0.5};
-  const core::StrategicAuditReport report = core::strategic_audit(p, audit);
-  StrategyProfile profile;
-  for (const core::StrategicTrial& trial : report.trials) {
-    if (!profile.deviates(trial.agent)) {
-      profile.deviations.push_back({trial.agent, DeviationKind::Zero, 1.0});
-    }
-  }
-  ASSERT_EQ(profile.deviations.size(), audit.agents_to_probe);
-
-  const auto rows = baselines::misreport_damage(
-      p, profile, {"Greedy", "GRA", "DA", "EA", "AGT-RAM"}, /*seed=*/7);
-  ASSERT_EQ(rows.size(), 5u);
-  bool any_damage = false;
-  for (const auto& row : rows) {
-    EXPECT_GT(row.truthful_savings, 0.0) << row.algorithm;
-    EXPECT_EQ(row.skipped_infeasible, 0u) << row.algorithm;
-    // Replayed placements are scored on the true instance, so the damage is
-    // a finite, meaningful number (it may be 0 when the lie did not move
-    // the plan; it is never NaN).
-    EXPECT_TRUE(std::isfinite(row.damage())) << row.algorithm;
-    const double tolerance =
-        1e-6 * std::max(1.0, std::abs(row.truthful_savings));
-    if (row.algorithm != "AGT-RAM" && row.damage() > tolerance) {
-      any_damage = true;
-    }
-  }
-  EXPECT_TRUE(any_damage) << "no baseline lost savings planning on the lie";
 }
 
 }  // namespace
