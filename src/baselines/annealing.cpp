@@ -17,6 +17,12 @@ using common::Rng;
 
 namespace {
 
+/// Initial temperature as a fraction of the starting OTC (auto-scaled).
+constexpr double kInitialTemperatureFraction = 2e-5;
+/// Geometric cooling applied every kCoolingInterval proposals.
+constexpr double kCoolingRate = 0.95;
+constexpr std::size_t kCoolingInterval = 500;
+
 /// Draws one proposal read-only against the current placement from its own
 /// stream `rng`; the acceptance test takes its uniform from the same stream
 /// afterwards.  The draw sequence mirrors the historical mutate-first
@@ -74,14 +80,10 @@ MoveSpec draw_spec(const drp::Problem& p,
 
 drp::ReplicaPlacement run_annealing(const drp::Problem& problem,
                                     const AnnealingConfig& config) {
-  drp::ReplicaPlacement start = [&] {
-    if (config.seed_from_equilibrium) {
-      SelfishCachingConfig seed_cfg;
-      seed_cfg.seed = config.seed ^ 0x5a5a;
-      return run_selfish_caching(problem, seed_cfg).placement;
-    }
-    return drp::ReplicaPlacement(problem);
-  }();
+  SelfishCachingConfig seed_cfg;
+  seed_cfg.seed = config.seed ^ 0x5a5a;
+  drp::ReplicaPlacement start =
+      run_selfish_caching(problem, seed_cfg).placement;
 
   const bool use_delta = config.eval == EvalPath::Delta;
   std::optional<drp::DeltaEvaluator> eval;
@@ -100,7 +102,7 @@ drp::ReplicaPlacement run_annealing(const drp::Problem& problem,
   drp::ReplicaPlacement best = current();
   double best_cost = current_cost;
 
-  double temperature = current_cost * config.initial_temperature_fraction;
+  double temperature = current_cost * kInitialTemperatureFraction;
   const double floor_temperature = temperature * 1e-6 + 1e-12;
 
   for (std::size_t j = 0; j < config.proposals; ++j) {
@@ -127,9 +129,7 @@ drp::ReplicaPlacement run_annealing(const drp::Problem& problem,
         undo(placement, spec);
       }
     }
-    if ((j + 1) % config.cooling_interval == 0) {
-      temperature *= config.cooling_rate;
-    }
+    if ((j + 1) % kCoolingInterval == 0) temperature *= kCoolingRate;
   }
   return best;
 }

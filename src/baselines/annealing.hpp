@@ -5,7 +5,10 @@
 //
 // Same add/drop/swap move set as local search; worsening moves are
 // accepted with probability exp(-delta / T) under a geometric cooling
-// schedule.  The incumbent (best-ever) scheme is returned.
+// schedule.  The walk starts from the selfish-caching equilibrium: a cold
+// random walk from the primaries cannot reach the ~10^3-replica region of
+// good schemes within any reasonable proposal budget.  The incumbent
+// (best-ever) scheme is returned.
 #pragma once
 
 #include <cstdint>
@@ -24,15 +27,6 @@ namespace agtram::baselines {
 struct AnnealingConfig {
   std::uint64_t seed = 1;
   std::size_t proposals = 30000;
-  /// Start from the selfish-caching equilibrium instead of primaries-only
-  /// (a cold random walk cannot reach the ~10^3-replica region of good
-  /// schemes within any reasonable proposal budget).
-  bool seed_from_equilibrium = true;
-  /// Initial temperature as a fraction of the starting OTC (auto-scaled).
-  double initial_temperature_fraction = 2e-5;
-  /// Geometric cooling applied every `cooling_interval` proposals.
-  double cooling_rate = 0.95;
-  std::size_t cooling_interval = 500;
   /// Delta: each proposal priced read-only through drp::DeltaEvaluator.
   /// Naive: one mutate-measure-undo evaluation per proposal.
   EvalPath eval = EvalPath::Delta;

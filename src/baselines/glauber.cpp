@@ -1,15 +1,26 @@
 #include "baselines/glauber.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <utility>
 
+#include "baselines/moves.hpp"
 #include "common/prng.hpp"
 #include "drp/cost_model.hpp"
 #include "drp/delta_evaluator.hpp"
 #include "obs/obs.hpp"
 
 namespace agtram::baselines {
+
+namespace {
+
+/// T_0 as a fraction of the primaries-only OTC (auto-scaled, like SA).
+constexpr double kInitialTemperatureFraction = 2e-5;
+/// Geometric cooling applied every sweep.
+constexpr double kCoolingRate = 0.85;
+
+}  // namespace
 
 GlauberResult run_glauber(const drp::Problem& problem,
                           const GlauberConfig& config) {
@@ -19,10 +30,9 @@ GlauberResult run_glauber(const drp::Problem& problem,
 
   // Heat-bath temperature anchored to the primaries-only OTC, like SA's
   // auto-scaled schedule; the floor keeps exp(delta / T) well-defined.
-  double temperature =
-      std::max(config.initial_temperature_fraction *
-                   drp::CostModel::initial_cost(problem),
-               1e-12);
+  double temperature = std::max(
+      kInitialTemperatureFraction * drp::CostModel::initial_cost(problem),
+      1e-12);
 
   std::optional<drp::DeltaEvaluator> evaluator;
   std::optional<drp::ReplicaPlacement> naive;
@@ -49,60 +59,34 @@ GlauberResult run_glauber(const drp::Problem& problem,
       // Flip direction from the server's current membership; proposals the
       // placement model forbids (primary drop, no capacity) are withheld
       // locally and never reach the wire.
-      bool drop = false;
+      MoveSpec flip{MoveSpec::Kind::Add, i, 0, k};
       if (placement().is_replicator(i, k)) {
         if (problem.primary[k] == i) continue;
-        drop = true;
+        flip.kind = MoveSpec::Kind::Drop;
       } else if (!placement().can_replicate(i, k)) {
         continue;
       }
 
       // Local pricing: the exact OTC delta of the flip.  The naive oracle
-      // measures mutate-undo around a real mutation; DeltaEvaluator's core
-      // invariant is that its read-only delta carries the same bits.
-      double delta = 0.0;
-      if (delta_path) {
-        delta = drop ? evaluator->delta_of_drop(i, k)
-                     : evaluator->delta_of_add(i, k);
-      } else {
-        const double before = drp::CostModel::object_cost(*naive, k);
-        if (drop) {
-          naive->remove_replica(i, k);
-        } else {
-          naive->add_replica(i, k);
-        }
-        delta = drp::CostModel::object_cost(*naive, k) - before;
-        if (drop) {
-          naive->add_replica(i, k);
-        } else {
-          naive->remove_replica(i, k);
-        }
-      }
+      // measures it on the applied flip; DeltaEvaluator's core invariant is
+      // that its read-only delta carries the same bits.
+      const double delta = delta_path ? delta_of(*evaluator, flip)
+                                      : measure_applied(*naive, flip);
 
       ++result.proposals;
       const double accept_probability =
           1.0 / (1.0 + std::exp(delta / temperature));
       if (rng.uniform() < accept_probability) {
         ++result.accepted;
-        if (delta_path) {
-          if (drop) {
-            evaluator->remove_replica(i, k);
-          } else {
-            evaluator->add_replica(i, k);
-          }
-        } else {
-          if (drop) {
-            naive->remove_replica(i, k);
-          } else {
-            naive->add_replica(i, k);
-          }
-        }
+        if (delta_path) apply(*evaluator, flip);
+      } else if (!delta_path) {
+        undo(*naive, flip);
       }
     }
 
     ++result.sweeps;
     AGTRAM_OBS_COUNT("glauber.sweeps", 1);
-    temperature = std::max(temperature * config.cooling_rate, 1e-12);
+    temperature = std::max(temperature * kCoolingRate, 1e-12);
   }
 
   AGTRAM_OBS_COUNT("glauber.proposals", result.proposals);

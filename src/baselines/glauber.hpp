@@ -12,17 +12,20 @@
 //
 //   P(accept) = 1 / (1 + exp(delta / T))
 //
-// under a geometric annealing schedule T_s = T_0 * cooling^s, and answers
-// with an accept/reject decision.  So the chain's traffic is one proposal up
-// and one decision back per evaluated flip: GlauberResult::proposals (and
-// the glauber.proposals obs counter) counts it.
+// under a geometric annealing schedule T_s = T_0 * 0.85^s, with T_0 at 2e-5
+// of the primaries-only OTC, and answers with an accept/reject decision.
+// So the chain's traffic is one proposal up and one decision back per
+// evaluated flip: GlauberResult::proposals (and the glauber.proposals obs
+// counter) counts it.
 //
 // Determinism: a single common::Rng stream drawn in (sweep, server id)
-// order; identical seeds give identical trajectories.  EvalPath::Naive
-// replaces the DeltaEvaluator pricing with mutate-measure-undo full
-// re-evaluation — the deltas are bit-identical (DeltaEvaluator's core
-// invariant), so the naive oracle walks the exact same accept/reject
-// sequence and lands on the exact same placement (tests assert this).
+// order; identical seeds give identical trajectories.  A flip is a MoveSpec
+// add or drop, priced as LocalSearch and SA price theirs
+// (baselines/moves.hpp): EvalPath::Naive applies it, measures the object's
+// cost change and undoes it on reject — the deltas are bit-identical
+// (DeltaEvaluator's core invariant), so the naive oracle walks the exact
+// same accept/reject sequence and lands on the exact same placement (tests
+// assert this).
 #pragma once
 
 #include <cstdint>
@@ -37,13 +40,9 @@ struct GlauberConfig {
   std::uint64_t seed = 1;
   /// Full passes over the servers; each live server proposes once per sweep.
   std::size_t sweeps = 64;
-  /// T_0 as a fraction of the primaries-only OTC (auto-scaled, like SA).
-  double initial_temperature_fraction = 2e-5;
-  /// Geometric cooling applied every sweep.
-  double cooling_rate = 0.85;
-  /// Delta: flips priced read-only by drp::DeltaEvaluator.  Naive: one
-  /// mutate-measure-undo full evaluation per proposal (the differential
-  /// oracle; bit-identical trajectory).
+  /// Delta: flips priced read-only by drp::DeltaEvaluator.  Naive: each
+  /// flip applied and measured, undone on reject (the differential oracle;
+  /// bit-identical trajectory).
   EvalPath eval = EvalPath::Delta;
 };
 

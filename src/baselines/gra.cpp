@@ -19,6 +19,15 @@ using common::Rng;
 
 namespace {
 
+/// Tournament size of the parent selection.
+constexpr std::uint32_t kTournament = 3;
+/// P(a child takes the second parent's rows from a random cut onwards).
+constexpr double kCrossoverRate = 0.9;
+/// Expected number of add/remove flips applied to each offspring.
+constexpr double kMutationsPerChild = 4.0;
+/// Fraction of each random initial genome's free capacity to fill.
+constexpr double kInitFill = 0.2;
+
 /// A chromosome: for every server, the sorted set of extra replicas it
 /// hosts (primaries are implicit and immutable).
 struct Genome {
@@ -304,11 +313,11 @@ drp::ReplicaPlacement run_gra(const drp::Problem& problem,
       config.population / 4, config.population - 1);
   for (std::uint32_t g = 0; g < seeded; ++g) {
     population.push_back(
-        demand_seeded_genome(problem, headroom, config.init_fill, rng));
+        demand_seeded_genome(problem, headroom, kInitFill, rng));
   }
   while (population.size() < config.population) {
     population.push_back(
-        random_genome(problem, headroom, config.init_fill, rng));
+        random_genome(problem, headroom, kInitFill, rng));
   }
   // Primaries-only per-object costs: the delta fitness prices every object a
   // genome does not touch straight from this table.
@@ -371,7 +380,7 @@ drp::ReplicaPlacement run_gra(const drp::Problem& problem,
 
   const auto tournament_pick = [&]() -> const Genome& {
     std::size_t winner = rng.below(population.size());
-    for (std::uint32_t t = 1; t < config.tournament; ++t) {
+    for (std::uint32_t t = 1; t < kTournament; ++t) {
       const std::size_t challenger = rng.below(population.size());
       if (scores[challenger] < scores[winner]) winner = challenger;
     }
@@ -399,14 +408,14 @@ drp::ReplicaPlacement run_gra(const drp::Problem& problem,
 
     while (next.size() < config.population) {
       Genome child = tournament_pick();
-      if (rng.chance(config.crossover_rate)) {
+      if (rng.chance(kCrossoverRate)) {
         const Genome& other = tournament_pick();
         const std::size_t cut = rng.below(problem.server_count());
         for (std::size_t i = cut; i < problem.server_count(); ++i) {
           child.rows[i] = other.rows[i];
         }
       }
-      mutate(problem, child, headroom, config.mutations_per_child, rng);
+      mutate(problem, child, headroom, kMutationsPerChild, rng);
       for (drp::ServerId i = 0; i < problem.server_count(); ++i) {
         repair_row(problem, i, child.rows[i], headroom, rng);
       }

@@ -4,7 +4,7 @@
 //
 // A chromosome is a full replication scheme (per-server sets of extra
 // replicas on top of the primaries).  Fitness is the OTC of Equation 4.
-// Selection is k-tournament with elitism; crossover swaps whole server rows
+// Selection is 3-tournament with elitism; crossover swaps whole server rows
 // between parents (one-point over server ids) followed by a capacity-repair
 // pass; mutation flips random replicas in or out.
 //
@@ -26,12 +26,6 @@ namespace agtram::baselines {
 struct GraConfig {
   std::uint32_t population = 20;
   std::uint32_t generations = 40;
-  std::uint32_t tournament = 3;
-  double crossover_rate = 0.9;
-  /// Expected number of add/remove flips applied to each offspring.
-  double mutations_per_child = 4.0;
-  /// Fraction of each random initial genome's free capacity to fill.
-  double init_fill = 0.2;
   std::uint32_t elites = 2;
   std::uint64_t seed = 1;
   /// Delta: genome fitness evaluated straight off the chromosome rows

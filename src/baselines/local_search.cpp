@@ -12,6 +12,9 @@ using common::Rng;
 
 namespace {
 
+/// Stop early after this many consecutive rejected proposals.
+constexpr std::size_t kQuietStreak = 2000;
+
 drp::ServerId random_reader_or_any(const drp::Problem& p, drp::ObjectIndex k,
                                    Rng& rng) {
   const auto accessors = p.access.accessors(k);
@@ -77,7 +80,7 @@ void propose_loop(const drp::Problem& problem, const LocalSearchConfig& config,
                   Accept&& accept) {
   std::size_t quiet = 0;
   for (std::size_t proposal = 0;
-       proposal < config.max_proposals && quiet < config.quiet_streak;
+       proposal < config.max_proposals && quiet < kQuietStreak;
        ++proposal) {
     const MoveSpec move = draw_move(problem, placement, rng);
     const bool accepted = move.kind != MoveSpec::Kind::None && accept(move);

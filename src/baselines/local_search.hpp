@@ -7,7 +7,8 @@
 // servers; a move is accepted iff it strictly lowers the global OTC.  The
 // search starts from the selfish-caching equilibrium (a good, cheap seed)
 // and runs randomised move proposals until a proposal budget is exhausted
-// or a full quiet streak proves local optimality.
+// or a quiet streak of 2000 rejected proposals in a row proves local
+// optimality.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +23,6 @@ struct LocalSearchConfig {
   std::uint64_t seed = 1;
   /// Total move proposals (the time budget).
   std::size_t max_proposals = 20000;
-  /// Stop early after this many consecutive rejected proposals.
-  std::size_t quiet_streak = 2000;
   /// Delta: proposals priced read-only through drp::DeltaEvaluator (the
   /// placement is only mutated on acceptance).  Naive: the original
   /// mutate-measure-rollback loop.  Same rng stream, same bits either way.

@@ -1,9 +1,9 @@
-// The add/drop/swap proposals LocalSearch and simulated annealing share
-// (baselines-internal).  Each algorithm draws its own proposals; both price
-// them here, through drp::DeltaEvaluator on the delta path or by mutating,
-// measuring and undoing on the naive path.  A proposal touches one object,
-// so its price is that object's cost change, and the two paths agree bit for
-// bit (DESIGN.md §8).
+// The add/drop/swap proposals LocalSearch, simulated annealing and Glauber
+// share (baselines-internal).  Each algorithm draws its own proposals; all
+// three price them here, through drp::DeltaEvaluator on the delta path or
+// by mutating, measuring and undoing on the naive path.  A proposal touches
+// one object, so its price is that object's cost change, and the two paths
+// agree bit for bit (DESIGN.md §8).
 #pragma once
 
 #include "drp/cost_model.hpp"

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/prng.hpp"
-#include "common/thread_pool.hpp"
 #include "drp/cost_model.hpp"
 #include "obs/obs.hpp"
 
@@ -52,21 +51,21 @@ bool naive_turn(const drp::Problem& problem, drp::ReplicaPlacement& placement,
 /// (ties to the lowest object, matching the naive first-strict-max over
 /// ascending objects), and walked with a feasibility re-check.  Capacity
 /// only shrinks within a turn, so the walk replays the naive pick sequence
-/// exactly.
+/// exactly.  Each benefit reads the cell's accessor slot off the by-server
+/// view, as core::Agent does, instead of agent_benefit's binary search.
 bool delta_turn(const drp::Problem& problem, drp::ReplicaPlacement& placement,
-                drp::ServerId i, const std::vector<std::size_t>& slots,
+                drp::ServerId i,
                 std::vector<std::pair<double, drp::ObjectIndex>>& candidates,
                 std::size_t& moves) {
   candidates.clear();
   const auto objects = problem.access.server_objects(i);
   std::size_t scanned = 0;
-  for (std::size_t c = 0; c < objects.size(); ++c) {
-    const auto& access = objects[c];
+  for (const auto& access : objects) {
     if (access.reads == 0) continue;
     if (!placement.can_replicate(i, access.object)) continue;
     ++scanned;
     const double benefit = drp::CostModel::agent_benefit_at(
-        placement, i, access.object, slots[c]);
+        placement, i, access.object, access.slot);
     if (benefit > 0.0) candidates.emplace_back(benefit, access.object);
   }
   AGTRAM_OBS_COUNT("selfish.candidates_scanned", scanned);
@@ -96,28 +95,7 @@ SelfishCachingResult run_selfish_caching(const drp::Problem& problem,
   std::vector<drp::ServerId> order(problem.server_count());
   std::iota(order.begin(), order.end(), 0);
 
-  // Delta path: resolve each (server, object) demand cell's accessor slot
-  // once up front, so per-turn benefit gathering skips the binary search
-  // agent_benefit performs on every call.
-  std::vector<std::vector<std::size_t>> slots;
   std::vector<std::pair<double, drp::ObjectIndex>> candidates;
-  if (config.eval == EvalPath::Delta) {
-    slots.resize(problem.server_count());
-    common::ThreadPool::shared().parallel_for(
-        0, problem.server_count(),
-        [&](std::size_t first, std::size_t last) {
-          for (std::size_t i = first; i < last; ++i) {
-            const auto objects =
-                problem.access.server_objects(static_cast<drp::ServerId>(i));
-            slots[i].resize(objects.size());
-            for (std::size_t c = 0; c < objects.size(); ++c) {
-              slots[i][c] = problem.access.accessor_slot(
-                  static_cast<drp::ServerId>(i), objects[c].object);
-            }
-          }
-        },
-        /*min_grain=*/64);
-  }
 
   bool anyone_moved = true;
   while (anyone_moved) {
@@ -130,7 +108,7 @@ SelfishCachingResult run_selfish_caching(const drp::Problem& problem,
     for (const drp::ServerId i : order) {
       const bool moved =
           config.eval == EvalPath::Delta
-              ? delta_turn(problem, result.placement, i, slots[i], candidates,
+              ? delta_turn(problem, result.placement, i, candidates,
                            result.moves)
               : naive_turn(problem, result.placement, i, result.moves);
       anyone_moved = anyone_moved || moved;

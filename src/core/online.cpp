@@ -340,12 +340,10 @@ BatchOutcome OnlineMechanism::apply_events(std::span<const OnlineEvent> batch) {
 
     accumulate(repair);
     out.repair_rounds = repair.rounds.size();
-    out.replicas_added = repair.rounds.size();
     out.reports_computed = repair.reports_computed;
     out.candidate_evaluations = repair.candidate_evaluations;
     for (const RoundRecord& r : repair.rounds) out.payments += r.payment;
     AGTRAM_OBS_COUNT("online.repair_rounds", repair.rounds.size());
-    AGTRAM_OBS_COUNT("online.replicas_added", repair.rounds.size());
     repair_rounds = std::move(repair.rounds);
   }
   for (const drp::ServerId i : dirty_) dirty_flag_[i] = 0;

@@ -148,8 +148,7 @@ struct BatchOutcome {
   std::size_t events_applied = 0;
   std::size_t dirty_agents = 0;      ///< repair participants (incl. carryover)
   std::size_t reports_saved = 0;     ///< servers the repair never polled
-  std::size_t repair_rounds = 0;     ///< allocations made by the repair run
-  std::size_t replicas_added = 0;    ///< == repair_rounds (one per round)
+  std::size_t repair_rounds = 0;     ///< repair allocations, one replica each
   std::size_t replicas_lost = 0;     ///< dropped by loss/fail/delete events
   std::size_t replicas_evicted = 0;  ///< dropped by the eviction pass
   double eviction_cost_delta = 0.0;  ///< <= 0: OTC change from evictions

@@ -22,6 +22,10 @@ std::vector<NodeId> Clustering::members(std::uint32_t region) const {
 
 namespace {
 
+/// Sampled medoid candidates per region per refinement sweep (besides the
+/// incumbent).
+constexpr std::uint32_t kMedoidCandidates = 4;
+
 /// Assigns every node to its nearest medoid; returns the within-distance.
 double assign_all(const DistanceMatrix& d, const std::vector<NodeId>& medoids,
                   std::vector<std::uint32_t>& assignment) {
@@ -224,12 +228,11 @@ Clustering cluster_servers_sampled(const Graph& graph,
           }
         }
       }
-      // Incumbent first, then up to medoid_candidates distinct samples.
+      // Incumbent first, then up to kMedoidCandidates distinct samples.
       std::vector<NodeId> candidates{result.medoids[r]};
-      const std::uint32_t tries = config.medoid_candidates * 3;
+      const std::uint32_t tries = kMedoidCandidates * 3;
       for (std::uint32_t t = 0;
-           t < tries && candidates.size() < config.medoid_candidates + 1u;
-           ++t) {
+           t < tries && candidates.size() < kMedoidCandidates + 1u; ++t) {
         const NodeId pick = mem[rng.below(mem.size())];
         if (std::find(candidates.begin(), candidates.end(), pick) ==
             candidates.end()) {

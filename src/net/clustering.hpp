@@ -52,8 +52,6 @@ struct SampledClusteringConfig {
   /// sampled per-region candidate scoring plus one full-graph Dijkstra per
   /// region whose medoid moved).
   std::uint32_t refine_iterations = 2;
-  /// Sampled medoid candidates per region per sweep (besides the incumbent).
-  std::uint32_t medoid_candidates = 4;
   /// Hard cap on members per region; 0 leaves regions uncapped.  A cap
   /// bounds the per-region distance-block footprint on skewed topologies
   /// (clamped up to ceil(n/k) so the assignment always stays feasible).

@@ -12,6 +12,11 @@ using common::Rng;
 
 namespace {
 
+/// TransitStub: transit-core nodes (at most half the graph); each sponsors
+/// kStubDomainsPerTransit stub domains, which share the other nodes.
+constexpr std::uint32_t kTransitNodes = 8;
+constexpr std::uint32_t kStubDomainsPerTransit = 3;
+
 Cost draw_cost(Rng& rng, const TopologyConfig& cfg, double scale = 1.0) {
   const auto span = static_cast<std::uint64_t>(cfg.max_cost - cfg.min_cost);
   const Cost base = cfg.min_cost + static_cast<Cost>(rng.below(span + 1));
@@ -60,7 +65,7 @@ Graph waxman(const TopologyConfig& cfg, Rng& rng) {
 /// than stub links, giving the hierarchical cost structure of the Internet.
 Graph transit_stub(const TopologyConfig& cfg, Rng& rng) {
   const std::uint32_t transit =
-      std::max<std::uint32_t>(2, std::min(cfg.transit_nodes, cfg.nodes / 2));
+      std::max<std::uint32_t>(2, std::min(kTransitNodes, cfg.nodes / 2));
   Graph g(cfg.nodes);
 
   // Transit core: random graph with high connectivity and expensive links.
@@ -74,7 +79,7 @@ Graph transit_stub(const TopologyConfig& cfg, Rng& rng) {
   // nodes round-robin.
   const std::uint32_t stubs = cfg.nodes - transit;
   const std::uint32_t domains =
-      std::max<std::uint32_t>(1, transit * cfg.stub_domains_per_transit);
+      std::max<std::uint32_t>(1, transit * kStubDomainsPerTransit);
   std::vector<std::vector<NodeId>> domain_members(domains);
   for (std::uint32_t s = 0; s < stubs; ++s) {
     domain_members[s % domains].push_back(transit + s);

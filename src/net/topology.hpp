@@ -63,11 +63,6 @@ struct TopologyConfig {
   double waxman_alpha = 0.25;
   double waxman_beta = 0.35;
 
-  /// TransitStub: number of transit-core nodes; each sponsors
-  /// (nodes / transit_nodes - 1) stub nodes split into stub_domains domains.
-  std::uint32_t transit_nodes = 8;
-  std::uint32_t stub_domains_per_transit = 3;
-
   /// PowerLaw: edges attached per arriving node.
   std::uint32_t attachment_edges = 2;
 

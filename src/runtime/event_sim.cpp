@@ -7,6 +7,13 @@
 
 namespace agtram::runtime {
 
+namespace {
+
+/// A flash crowd multiplies each reader's reads of its object by this.
+constexpr double kFlashCrowdMultiplier = 4.0;
+
+}  // namespace
+
 OnlineEventSource::OnlineEventSource(const core::OnlineMechanism& engine,
                                      OnlineEventModel model)
     : engine_(&engine), model_(model), rng_(model.seed) {}
@@ -91,7 +98,7 @@ std::vector<core::OnlineEvent> OnlineEventSource::next_batch() {
         const std::uint64_t r = p.access.reads(i, k);
         if (r == 0) continue;
         const auto extra = static_cast<std::int64_t>(
-            static_cast<double>(r) * (model_.flash_crowd_multiplier - 1.0));
+            static_cast<double>(r) * (kFlashCrowdMultiplier - 1.0));
         if (extra > 0) demand.push_back(core::DemandDelta{i, k, extra, 0});
       }
     }

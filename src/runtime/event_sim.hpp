@@ -34,9 +34,9 @@ struct OnlineEventModel {
   /// P(one drift move also shifts write volume between two accessor cells) —
   /// write deltas reprice every reader, the expensive-dirty case.
   double write_drift_probability = 0.25;
-  /// P(a flash crowd this step): one object's readers multiply their reads.
+  /// P(a flash crowd this step): one object's readers multiply their reads
+  /// by four.
   double flash_crowd_probability = 0.05;
-  double flash_crowd_multiplier = 4.0;
   /// P(one active object is deleted this step) and P(one previously deleted
   /// object is recreated this step).
   double object_churn_probability = 0.02;

@@ -7,6 +7,13 @@
 
 namespace agtram::runtime {
 
+namespace {
+
+/// Seconds before a lost protocol message is sent again.
+constexpr double kRetransmitTimeout = 0.05;
+
+}  // namespace
+
 MessageBus::MessageBus(const drp::Problem& problem, drp::ServerId centre,
                        ProtocolModel model)
     : problem_(&problem),
@@ -32,7 +39,7 @@ double MessageBus::send(drp::ServerId from, drp::ServerId to) {
          rng_.chance(model_.loss_probability)) {
     ++stats_.lost_messages;
     AGTRAM_OBS_COUNT("bus.lost_msgs", 1);
-    delay += model_.retransmit_timeout;
+    delay += kRetransmitTimeout;
   }
   return delay;
 }

@@ -89,9 +89,8 @@ struct ProtocolModel {
   /// uniformly from [1, 1 + straggler_factor].
   double straggler_factor = 0.0;
   /// Probability that any message is lost; lost messages are retransmitted
-  /// after `retransmit_timeout` seconds.
+  /// after 0.05 s.
   double loss_probability = 0.0;
-  double retransmit_timeout = 0.05;
 
   /// Seeds the straggler and loss draws.
   std::uint64_t seed = 1;

@@ -404,7 +404,7 @@ void ServingEngine::reconverge_now() {
     AGTRAM_OBS_COUNT("srv.reconverges", 1);
     // Incremental install: only the added/evicted entries ship, and only
     // the objects whose replicators changed are re-filled.
-    install_snapshot(outcome.replicas_added + outcome.replicas_evicted +
+    install_snapshot(outcome.repair_rounds + outcome.replicas_evicted +
                          outcome.replicas_lost,
                      &outcome.changed_objects);
   } else {

@@ -17,6 +17,12 @@ using common::ZipfSampler;
 
 namespace {
 
+/// Lognormal of object size, in data units.
+constexpr double kSizeMu = 2.2;
+constexpr double kSizeSigma = 1.0;
+/// Bounded-Pareto client skew.
+constexpr double kClientActivityAlpha = 1.2;
+
 void validate(const WorldCupConfig& cfg) {
   if (cfg.days == 0) throw std::invalid_argument("days must be >= 1");
   if (cfg.object_universe == 0 || cfg.clients == 0) {
@@ -36,7 +42,7 @@ void validate(const WorldCupConfig& cfg) {
 class ClientSampler {
  public:
   ClientSampler(const WorldCupConfig& cfg, Rng& rng) : cdf_(cfg.clients) {
-    BoundedParetoSampler activity(cfg.client_activity_alpha, 1.0, 1e4);
+    BoundedParetoSampler activity(kClientActivityAlpha, 1.0, 1e4);
     double acc = 0.0;
     for (std::uint32_t c = 0; c < cfg.clients; ++c) {
       acc += activity(rng);
@@ -63,12 +69,12 @@ std::vector<std::uint32_t> worldcup_object_sizes(const WorldCupConfig& cfg) {
   // Sizes come from an Rng stream independent of the request stream so the
   // same object universe backs every day sample.
   Rng rng(cfg.seed ^ 0x5151515151515151ULL);
-  LognormalSampler size_dist(cfg.size_mu, cfg.size_sigma);
+  LognormalSampler size_dist(kSizeMu, kSizeSigma);
   std::vector<std::uint32_t> sizes(cfg.object_universe);
   for (auto& s : sizes) {
     const double raw = std::max(1.0, size_dist(rng));
     s = static_cast<std::uint32_t>(
-        std::min<double>(raw, cfg.max_object_units));
+        std::min<double>(raw, kMaxObjectUnits));
   }
   return sizes;
 }

@@ -30,10 +30,6 @@ struct WorldCupConfig {
   std::uint32_t clients = 800;        ///< distinct client IPs
   std::uint64_t requests_per_day = 100000;
   double popularity_exponent = 1.1;   ///< Zipf exponent for object choice
-  double size_mu = 2.2;               ///< lognormal of object size, data units
-  double size_sigma = 1.0;
-  std::uint32_t max_object_units = 500;  ///< clamp for pathological draws
-  double client_activity_alpha = 1.2; ///< bounded-Pareto client skew
   double day_ramp = 0.35;             ///< late-tournament traffic growth
   /// Day-to-day popularity flux: each day, this fraction of the object
   /// universe has its popularity rank swapped with a random peer (match
@@ -42,6 +38,9 @@ struct WorldCupConfig {
   double daily_flux = 0.0;
   std::uint64_t seed = 42;
 };
+
+/// Clamp on an object's size draw, in data units (for pathological draws).
+inline constexpr std::uint32_t kMaxObjectUnits = 500;
 
 /// Base (true) size of each object in the universe, in data units; the
 /// placement instance uses these via the pipeline's per-object size stats.

@@ -250,7 +250,7 @@ DayMoves adapt_one_day(core::OnlineMechanism& engine, double drift,
   const core::BatchOutcome day =
       engine.apply_events(day_batch(engine, drift, seed));
   const core::BatchOutcome settle = engine.apply_events({});
-  return {day.replicas_added + settle.replicas_added,
+  return {day.repair_rounds + settle.repair_rounds,
           day.replicas_evicted + settle.replicas_evicted};
 }
 
@@ -271,7 +271,7 @@ TEST(Eviction, DropsOnlyUnprofitableReplicas) {
   EXPECT_TRUE(engine.placement().is_replicator(0, 1));
   // A second pass is a no-op (fixed point).
   const core::BatchOutcome again = engine.apply_events({});
-  EXPECT_EQ(again.replicas_added + again.replicas_evicted, 0u);
+  EXPECT_EQ(again.repair_rounds + again.replicas_evicted, 0u);
 }
 
 TEST(Eviction, MechanismOutputIsEvictionStable) {
@@ -289,7 +289,7 @@ TEST(Eviction, MechanismOutputIsEvictionStable) {
     }
   }
   const core::BatchOutcome out = engine.apply_events(touch_all);
-  EXPECT_EQ(out.replicas_added, 0u);
+  EXPECT_EQ(out.repair_rounds, 0u);
   EXPECT_LE(out.eviction_cost_delta, 0.0);
   EXPECT_NO_THROW(engine.placement().check_invariants());
   EXPECT_LE(engine.total_cost(), before + 1e-6);
@@ -299,7 +299,7 @@ TEST(Adaptive, NoChangeNoMigration) {
   const drp::Problem p = testutil::small_instance(312, 24, 80);
   core::OnlineMechanism engine(p, adapt_config());
   const core::BatchOutcome out = engine.apply_events({});
-  EXPECT_EQ(out.replicas_added + out.replicas_evicted, 0u)
+  EXPECT_EQ(out.repair_rounds + out.replicas_evicted, 0u)
       << "stable demand must not churn replicas";
   EXPECT_TRUE(core::placements_identical(engine.placement(),
                                          core::run_agt_ram(p).placement));

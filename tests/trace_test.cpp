@@ -86,7 +86,7 @@ TEST(WorldCup, ObjectSizesDeterministicAndBounded) {
   EXPECT_EQ(a, b);
   for (auto s : a) {
     EXPECT_GE(s, 1u);
-    EXPECT_LE(s, cfg.max_object_units);
+    EXPECT_LE(s, kMaxObjectUnits);
   }
 }
 
