@@ -122,9 +122,9 @@ int main(int argc, char** argv) {
   // --- 5. Strategic agents in the *full* sequential game: inject a
   // StrategyProfile into the report path and sweep deviation magnitudes
   // with core::strategic_audit.  The exact invariant (checked every round
-  // by a DominanceAuditor) is the one-shot one; the full-game margins are
-  // empirical — under-bidders can shift wins to later, cheaper rounds, but
-  // no single round ever rewards the lie.
+  // by a RoundAuditor watching the deviant) is the one-shot one; the
+  // full-game margins are empirical — under-bidders can shift wins to
+  // later, cheaper rounds, but no single round ever rewards the lie.
   {
     core::StrategicAuditConfig audit_cfg;
     audit_cfg.agents_to_probe = 3;

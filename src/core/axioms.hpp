@@ -19,15 +19,18 @@
 //  Axiom 3 (Truthful)      — truth-telling must be a dominant strategy
 //      (Lemma 1 / Theorem 5).  Code: with PaymentRule::SecondPrice the
 //      winner's payment is independent of its own report, which makes
-//      misreporting weakly dominated; core::audit_truthfulness verifies the
-//      dominance empirically on concrete instances, and the strategic
-//      ReportStrategy hooks let benches demonstrate what breaks under
-//      first-price payments.
+//      misreporting weakly dominated; core::audit_one_shot_truthfulness
+//      checks the one-shot dominance exactly, core::RoundAuditor checks it
+//      round by round for the misreporting agents of a strategic run, and
+//      core::audit_truthfulness / strategic_audit measure full-game
+//      margins; the strategic ReportStrategy hooks let benches demonstrate
+//      what breaks under first-price payments.
 //
 //  Axiom 4 (Utilitarian)   — the objective is the sum of agent valuations,
 //      g(x, t) = sum_i v_i(t_i, x), which is exactly the OTC objective of
-//      Equation 4.  Code: each round allocates argmax of the reported
-//      valuations; core::RoundAuditor checks the argmax property per round.
+//      Equation 4.  Code: each round allocates the argmax of the reported
+//      valuations (core::SealedBids::best(), ties to the lowest id);
+//      core::RoundAuditor checks each winner and its payment per round.
 //
 //  Axiom 5 (Motivation)    — payments reward hosting: AGT-RAM pays the
 //      *overall second-best* reported valuation (a Vickrey/second-price
