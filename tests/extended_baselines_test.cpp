@@ -9,6 +9,7 @@
 #include "baselines/annealing.hpp"
 #include "baselines/auctions.hpp"
 #include "baselines/glauber.hpp"
+#include "baselines/gra.hpp"
 #include "baselines/greedy.hpp"
 #include "baselines/local_search.hpp"
 #include "baselines/registry.hpp"
@@ -290,6 +291,13 @@ Pin aestar_pin(int instance, EvalPath eval) {
   return placement_pin(run_aestar(p, cfg));
 }
 
+Pin gra_pin(int instance, EvalPath eval) {
+  const drp::Problem p = pin_instance(instance);
+  GraConfig cfg;
+  cfg.eval = eval;
+  return placement_pin(run_gra(p, cfg));
+}
+
 Pin local_search_pin(int instance, EvalPath eval) {
   const drp::Problem p = pin_instance(instance);
   LocalSearchConfig cfg;
@@ -418,6 +426,12 @@ const PinCase kPinCases[] = {
     {"aestar/delta", [](int i) { return aestar_pin(i, EvalPath::Delta); },
      {{0x1.3c11ap+19, 158, 0, 0x0p+0},
       {0x1.6734p+20, 104, 0, 0x0p+0}}},
+    {"gra/naive", [](int i) { return gra_pin(i, EvalPath::Naive); },
+     {{0x1.7339ap+19, 113, 0, 0x0p+0},
+      {0x1.8c435p+20, 63, 0, 0x0p+0}}},
+    {"gra/delta", [](int i) { return gra_pin(i, EvalPath::Delta); },
+     {{0x1.7339ap+19, 113, 0, 0x0p+0},
+      {0x1.8c435p+20, 63, 0, 0x0p+0}}},
     {"dutch",
      [](int i) { return placement_pin(run_dutch_auction(pin_instance(i))); },
      {{0x1.4adeap+19, 110, 0, 0x0p+0},

@@ -332,6 +332,36 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, TopologyKindTest,
                            return name;
                          });
 
+// Each generator at its defaults: edge count and summed edge cost, recorded
+// before the generators' tuning knobs became constants.
+TEST(TopologyTest, DefaultOutputsPinned) {
+  struct Expected {
+    TopologyKind kind;
+    std::size_t edges;
+    std::uint64_t total_cost;
+  };
+  const Expected cases[] = {
+      {TopologyKind::FlatRandom, 2480, 13728},
+      {TopologyKind::Waxman, 495, 2192},
+      {TopologyKind::TransitStub, 139, 1096},
+      {TopologyKind::PowerLaw, 197, 1078},
+      {TopologyKind::Tree, 99, 567},
+  };
+  for (const Expected& want : cases) {
+    TopologyConfig cfg;
+    cfg.kind = want.kind;
+    const Graph g = generate_topology(cfg);
+    std::uint64_t total_cost = 0;
+    for (NodeId u = 0; u < g.node_count(); ++u) {
+      for (const Edge& e : g.neighbors(u)) {
+        if (e.to > u) total_cost += e.cost;
+      }
+    }
+    EXPECT_EQ(g.edge_count(), want.edges) << to_string(want.kind);
+    EXPECT_EQ(total_cost, want.total_cost) << to_string(want.kind);
+  }
+}
+
 TEST(TopologyTest, FlatRandomEdgeDensityTracksProbability) {
   TopologyConfig cfg;
   cfg.nodes = 100;

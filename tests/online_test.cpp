@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -610,6 +611,53 @@ TEST(OnlineMechanismTest, RepairDrainsEveryBatchWithoutCarryover) {
     EXPECT_TRUE(out.oracle_checked) << "batch " << b;
     EXPECT_TRUE(engine.pending_carryover().empty()) << "batch " << b;
   }
+}
+
+// The event source under its default model, fed back through the engine
+// for 40 batches: an FNV-1a digest over every event's kind and fields, the
+// event count and the final OTC, recorded before the model's write-drift
+// rate became a constant.
+TEST(OnlineEventSourceTest, DefaultModelStreamPinned) {
+  core::OnlineMechanism engine(dispersed_instance(), core::OnlineConfig{});
+  runtime::OnlineEventSource source(engine, runtime::OnlineEventModel{});
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  const auto fold = [&digest](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= (value >> (8 * byte)) & 0xff;
+      digest *= 0x100000001b3ULL;
+    }
+  };
+  std::size_t events = 0;
+  for (int b = 0; b < 40; ++b) {
+    const std::vector<core::OnlineEvent> batch = source.next_batch();
+    for (const core::OnlineEvent& event : batch) {
+      fold(event.index());
+      std::visit(
+          [&fold](const auto& e) {
+            using E = std::decay_t<decltype(e)>;
+            if constexpr (std::is_same_v<E, core::DemandDelta>) {
+              fold(e.server);
+              fold(e.object);
+              fold(static_cast<std::uint64_t>(e.delta_reads));
+              fold(static_cast<std::uint64_t>(e.delta_writes));
+            } else if constexpr (std::is_same_v<E, core::ReplicaLoss>) {
+              fold(e.server);
+              fold(e.object);
+            } else if constexpr (std::is_same_v<E, core::ServerFail> ||
+                                 std::is_same_v<E, core::ServerJoin>) {
+              fold(e.server);
+            } else {
+              fold(e.object);
+            }
+          },
+          event);
+    }
+    events += batch.size();
+    engine.apply_events(batch);
+  }
+  EXPECT_EQ(digest, 0x834e9de89f438f34ULL);
+  EXPECT_EQ(events, 493u);
+  EXPECT_EQ(engine.total_cost(), 0x1.394f8p+17);
 }
 
 // ------------------------------------------------ demand-aware eviction

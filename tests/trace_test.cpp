@@ -2,10 +2,12 @@
 // serialisation, and the log-processing pipeline.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "trace/access_log.hpp"
 #include "trace/pipeline.hpp"
@@ -100,6 +102,24 @@ TEST(WorldCup, PopularityIsZipfSkewed) {
   }
   // Rank 0 should dominate the median object by a wide margin.
   EXPECT_GT(counts[0], 8 * counts[cfg.object_universe / 2]);
+}
+
+// The generator at its defaults: requests per day and summed units,
+// recorded before its ramp and flux knobs became constants.
+TEST(WorldCup, DefaultOutputsPinned) {
+  const std::vector<std::size_t> want_requests = {
+      100000, 102916, 105833, 108749, 111666, 114583, 117500,
+      120416, 123333, 126250, 129166, 132083, 135000};
+  const std::uint64_t want_units = 23937632;
+  const auto days = generate_worldcup_trace(WorldCupConfig{});
+  std::vector<std::size_t> requests;
+  std::uint64_t units = 0;
+  for (const DayLog& day : days) {
+    requests.push_back(day.requests.size());
+    for (const Request& r : day.requests) units += r.units;
+  }
+  EXPECT_EQ(requests, want_requests);
+  EXPECT_EQ(units, want_units);
 }
 
 TEST(WorldCup, InvalidConfigsThrow) {
