@@ -20,6 +20,13 @@ namespace {
 
 using Move = drp::GreedyMove;
 
+/// ε-admissibility factor (0 would be pure best-first A*).
+constexpr double kEpsilon = 0.15;
+/// Children generated per expanded node (top global-benefit moves).
+constexpr std::uint32_t kBranching = 3;
+/// Open-list size cap (worst nodes evicted).
+constexpr std::size_t kMaxOpen = 256;
+
 struct Scored {
   double score;
   drp::ServerId server;
@@ -203,8 +210,7 @@ drp::ReplicaPlacement search(const AeStarConfig& config, MakeRoot make_root,
     for (std::size_t i = 1; i < open.size(); ++i) {
       if (open[i]->f < open[min_f]->f) min_f = i;
     }
-    const double focal_bound = open[min_f]->f * (1.0 + config.epsilon) +
-                               1e-9;
+    const double focal_bound = open[min_f]->f * (1.0 + kEpsilon) + 1e-9;
     std::size_t pick = min_f;
     for (std::size_t i = 0; i < open.size(); ++i) {
       if (open[i]->f <= focal_bound && open[i]->g < open[pick]->g) pick = i;
@@ -237,11 +243,11 @@ drp::ReplicaPlacement search(const AeStarConfig& config, MakeRoot make_root,
       }
       open.push_back(std::move(child));
     }
-    if (open.size() > config.max_open) {
+    if (open.size() > kMaxOpen) {
       // Evict the worst-f tail to bound memory.
       std::sort(open.begin(), open.end(),
                 [](const auto& a, const auto& b) { return a->f < b->f; });
-      open.resize(config.max_open);
+      open.resize(kMaxOpen);
     }
   }
 
@@ -267,7 +273,7 @@ drp::ReplicaPlacement run_aestar_naive(const drp::Problem& problem,
             Node{root, root_cost, root_cost - optimistic_saving(root)});
       },
       [&](const Node& node) {
-        return candidate_moves(node.placement, config.branching,
+        return candidate_moves(node.placement, kBranching,
                                /*parallel=*/false);
       },
       [&](const Node& node) {
@@ -297,7 +303,7 @@ drp::ReplicaPlacement run_aestar_delta(const drp::Problem& problem,
             DeltaNode{std::move(eval), root_cost, f});
       },
       [&](const DeltaNode& node) {
-        return candidate_moves(node.eval.placement(), config.branching,
+        return candidate_moves(node.eval.placement(), kBranching,
                                /*parallel=*/true);
       },
       [&](const DeltaNode& node) {

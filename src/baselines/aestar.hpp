@@ -25,15 +25,9 @@
 namespace agtram::baselines {
 
 struct AeStarConfig {
-  /// ε-admissibility factor (0 = pure best-first A*).
-  double epsilon = 0.15;
-  /// Children generated per expanded node (top global-benefit moves).
-  std::uint32_t branching = 3;
   /// Hard cap on node expansions; the best partial solution found within
   /// the budget is completed greedily (reader sites only).
   std::size_t max_expansions = 150;
-  /// Open-list size cap (worst nodes evicted).
-  std::size_t max_open = 256;
   /// Delta: nodes carry a drp::DeltaEvaluator, so each child's h bound is an
   /// O(N) re-sum of cached per-object savings instead of a full accessor
   /// sweep, and leaf costs come from the cache; the per-object candidate

@@ -13,6 +13,16 @@ using common::Rng;
 
 namespace {
 
+/// English clock increments per round: the price rises by (top estimate /
+/// steps).
+constexpr std::uint32_t kEnglishPriceSteps = 12;
+/// Dutch clock decrements per round.
+constexpr std::uint32_t kDutchPriceSteps = 24;
+/// Dutch bid-shading band: each agent accepts at price <= shade * valuation
+/// with shade drawn uniformly from [kShadeLo, kShadeHi] per agent.
+constexpr double kShadeLo = 0.85;
+constexpr double kShadeHi = 0.98;
+
 /// Shared auction scaffolding: AGT-RAM's sealed-bid round (the same
 /// core::Agent and core::poll_round the mechanism uses), one replica per
 /// auction, and a pluggable winner-selection clock over the round's bids.
@@ -38,7 +48,6 @@ drp::ReplicaPlacement run_auction_rounds(const drp::Problem& problem,
 drp::ReplicaPlacement run_english_auction(const drp::Problem& problem,
                                           const EnglishAuctionConfig& config) {
   Rng rng(config.seed);
-  const std::uint32_t steps = std::max<std::uint32_t>(2, config.price_steps);
 
   return run_auction_rounds(problem, [&](const core::SealedBids& bids) {
     // Ascending clock.  All valuations are positive; the increment is a
@@ -48,7 +57,7 @@ drp::ReplicaPlacement run_english_auction(const drp::Problem& problem,
     for (const core::Report& b : bids.reports) {
       top = std::max(top, b.true_value);
     }
-    const double increment = top / static_cast<double>(steps);
+    const double increment = top / static_cast<double>(kEnglishPriceSteps);
 
     std::vector<std::size_t> active(bids.reports.size());
     for (std::size_t i = 0; i < active.size(); ++i) active[i] = i;
@@ -71,11 +80,10 @@ drp::ReplicaPlacement run_english_auction(const drp::Problem& problem,
 drp::ReplicaPlacement run_dutch_auction(const drp::Problem& problem,
                                         const DutchAuctionConfig& config) {
   Rng rng(config.seed);
-  const std::uint32_t steps = std::max<std::uint32_t>(2, config.price_steps);
 
   // Per-agent shading factors, fixed for the whole game.
   std::vector<double> shade(problem.server_count());
-  for (double& s : shade) s = rng.uniform(config.shade_lo, config.shade_hi);
+  for (double& s : shade) s = rng.uniform(kShadeLo, kShadeHi);
 
   return run_auction_rounds(problem, [&](const core::SealedBids& bids) {
     double top = 0.0;
@@ -85,8 +93,8 @@ drp::ReplicaPlacement run_dutch_auction(const drp::Problem& problem,
     // Descending clock from just above the best estimate; the first agent
     // whose shaded acceptance threshold meets the price claims the slot.
     double price = top * 1.05;
-    const double decrement = price / static_cast<double>(steps);
-    for (std::uint32_t tick = 0; tick < 2 * steps; ++tick) {
+    const double decrement = price / static_cast<double>(kDutchPriceSteps);
+    for (std::uint32_t tick = 0; tick < 2 * kDutchPriceSteps; ++tick) {
       price -= decrement;
       std::vector<std::size_t> takers;
       for (std::size_t i = 0; i < bids.reports.size(); ++i) {

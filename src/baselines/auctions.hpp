@@ -30,18 +30,10 @@
 namespace agtram::baselines {
 
 struct EnglishAuctionConfig {
-  /// Clock increments per round: the price rises by (top estimate / steps).
-  std::uint32_t price_steps = 12;
   std::uint64_t seed = 3;
 };
 
 struct DutchAuctionConfig {
-  /// Clock decrements per round.
-  std::uint32_t price_steps = 24;
-  /// Bid-shading band: each agent accepts at price <= shade * valuation with
-  /// shade drawn uniformly from [shade_lo, shade_hi] per agent.
-  double shade_lo = 0.85;
-  double shade_hi = 0.98;
   std::uint64_t seed = 5;
 };
 

@@ -15,6 +15,8 @@ namespace agtram::baselines {
 
 namespace {
 
+/// Full passes over the servers; each live server proposes once per sweep.
+constexpr std::size_t kSweeps = 64;
 /// T_0 as a fraction of the primaries-only OTC (auto-scaled, like SA).
 constexpr double kInitialTemperatureFraction = 2e-5;
 /// Geometric cooling applied every sweep.
@@ -45,9 +47,9 @@ GlauberResult run_glauber(const drp::Problem& problem,
     return delta_path ? evaluator->placement() : *naive;
   };
 
-  GlauberResult result{drp::ReplicaPlacement(problem), 0.0, 0, 0, 0};
+  GlauberResult result{drp::ReplicaPlacement(problem), 0.0, 0, 0};
   const std::size_t m = problem.server_count();
-  for (std::size_t sweep = 0; sweep < config.sweeps; ++sweep) {
+  for (std::size_t sweep = 0; sweep < kSweeps; ++sweep) {
     // Every server with demand proposes one flip per sweep, in id order —
     // the chain is deterministic in (seed) because the single rng stream is
     // drawn in (sweep, server) order on identical placement states.
@@ -84,7 +86,6 @@ GlauberResult run_glauber(const drp::Problem& problem,
       }
     }
 
-    ++result.sweeps;
     AGTRAM_OBS_COUNT("glauber.sweeps", 1);
     temperature = std::max(temperature * kCoolingRate, 1e-12);
   }

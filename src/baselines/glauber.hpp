@@ -3,7 +3,7 @@
 // arXiv:2210.07461) — the seventh baseline: a distributed heat-bath chain
 // rather than a centralized loop.
 //
-// Protocol: in each sweep every server with demand proposes flipping its
+// Protocol: in each of 64 sweeps every server with demand proposes flipping its
 // membership in one randomly drawn object's replica set (add if it has the
 // capacity, drop if it is a non-primary replicator).  The server prices the
 // flip locally through drp::DeltaEvaluator — O(affected readers), the exact
@@ -38,8 +38,6 @@ namespace agtram::baselines {
 
 struct GlauberConfig {
   std::uint64_t seed = 1;
-  /// Full passes over the servers; each live server proposes once per sweep.
-  std::size_t sweeps = 64;
   /// Delta: flips priced read-only by drp::DeltaEvaluator.  Naive: each
   /// flip applied and measured, undone on reject (the differential oracle;
   /// bit-identical trajectory).
@@ -49,7 +47,6 @@ struct GlauberConfig {
 struct GlauberResult {
   drp::ReplicaPlacement placement;
   double final_cost = 0.0;  ///< OTC of `placement` (bit-exact total)
-  std::size_t sweeps = 0;
   /// Evaluated flips: one proposal up and one decision back each.
   std::size_t proposals = 0;
   std::size_t accepted = 0;

@@ -19,6 +19,9 @@ using common::Rng;
 
 namespace {
 
+/// Best genomes carried unchanged into the next generation (at most the
+/// minimum population of 2).
+constexpr std::uint32_t kElites = 2;
 /// Tournament size of the parent selection.
 constexpr std::uint32_t kTournament = 3;
 /// P(a child takes the second parent's rows from a random cut onwards).
@@ -397,11 +400,9 @@ drp::ReplicaPlacement run_gra(const drp::Problem& problem,
     std::sort(order.begin(), order.end(), [&scores](std::size_t a, std::size_t b) {
       return scores[a] < scores[b];
     });
-    const std::uint32_t elite_count =
-        std::min<std::uint32_t>(config.elites, config.population);
     std::vector<double> elite_scores;
-    elite_scores.reserve(elite_count);
-    for (std::uint32_t e = 0; e < elite_count; ++e) {
+    elite_scores.reserve(kElites);
+    for (std::uint32_t e = 0; e < kElites; ++e) {
       next.push_back(population[order[e]]);
       elite_scores.push_back(scores[order[e]]);
     }

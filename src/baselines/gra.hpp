@@ -26,7 +26,6 @@ namespace agtram::baselines {
 struct GraConfig {
   std::uint32_t population = 20;
   std::uint32_t generations = 40;
-  std::uint32_t elites = 2;
   std::uint64_t seed = 1;
   /// Delta: genome fitness evaluated straight off the chromosome rows
   /// (object_cost_with_replicators over the per-object replicator sets,

@@ -99,7 +99,6 @@ SelfishCachingResult run_selfish_caching(const drp::Problem& problem,
 
   bool anyone_moved = true;
   while (anyone_moved) {
-    if (config.max_sweeps != 0 && result.sweeps >= config.max_sweeps) break;
     anyone_moved = false;
     // Fisher-Yates reshuffle: asynchronous, unordered best responses.
     for (std::size_t i = order.size(); i > 1; --i) {
@@ -117,7 +116,6 @@ SelfishCachingResult run_selfish_caching(const drp::Problem& problem,
     ++result.sweeps;
     AGTRAM_OBS_COUNT("selfish.sweeps", 1);
   }
-  result.equilibrium_reached = !anyone_moved;
   return result;
 }
 

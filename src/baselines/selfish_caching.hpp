@@ -25,8 +25,6 @@ struct SelfishCachingConfig {
   /// Order in which servers take best-response turns is reshuffled each
   /// sweep with this seed.
   std::uint64_t seed = 1;
-  /// Safety valve on best-response sweeps (0 = until equilibrium).
-  std::size_t max_sweeps = 0;
   /// Delta: each turn gathers agent benefits once and walks them in sorted
   /// order (benefits of a server's other objects are invariant under its own
   /// adds, so the naive per-add rescan re-derives the same numbers).  Naive:
@@ -34,11 +32,12 @@ struct SelfishCachingConfig {
   EvalPath eval = EvalPath::Delta;
 };
 
+/// Best responses only ever add replicas and capacity is finite, so the
+/// dynamics always reach the equilibrium: `placement` is one.
 struct SelfishCachingResult {
   drp::ReplicaPlacement placement;
   std::size_t sweeps = 0;          ///< sweeps until quiescence
   std::size_t moves = 0;           ///< replicas placed by best responses
-  bool equilibrium_reached = false;
 };
 
 SelfishCachingResult run_selfish_caching(

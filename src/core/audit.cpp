@@ -12,6 +12,10 @@ namespace agtram::core {
 
 namespace {
 
+// The strategic audit's deviation factors, in sweep order: inflation (> 1),
+// then deflation (< 1; 0 is bid suppression).
+constexpr double kDeviationFactors[] = {1.25, 2.0, 5.0, 0.0, 0.5, 0.8};
+
 // The round utility of the bidder in `slot` under the mechanism's own rules:
 // its true value less its charge when it holds the best claim, else 0.
 double round_utility(const SealedBids& bids, std::size_t slot,
@@ -209,12 +213,9 @@ StrategicAuditReport strategic_audit(const drp::Problem& problem,
   StrategicAuditReport report;
   for (const drp::ServerId who : probes) {
     const double truthful_utility = truthful.agents[who].utility();
-    for (const auto* factors :
-         {&config.inflate_factors, &config.deflate_factors}) {
-      for (const double factor : *factors) {
-        report.trials.push_back(
-            run_trial(problem, config, who, factor, truthful_utility));
-      }
+    for (const double factor : kDeviationFactors) {
+      report.trials.push_back(
+          run_trial(problem, config, who, factor, truthful_utility));
     }
   }
 

@@ -130,10 +130,6 @@ struct CollusionAudit {
 struct StrategicAuditConfig {
   PaymentRule payment_rule = PaymentRule::SecondPrice;
   ReportMode report_mode = ReportMode::Auto;
-  /// Inflation sweep (> 1) and deflation sweep (< 1; 0 entries become
-  /// DeviationKind::Zero, i.e. bid suppression).
-  std::vector<double> inflate_factors = {1.25, 2.0, 5.0};
-  std::vector<double> deflate_factors = {0.0, 0.5, 0.8};
   /// How many agents to probe, picked from the truthful run's top winners
   /// (their deviations are the ones that can move the allocation).
   std::size_t agents_to_probe = 4;
@@ -160,7 +156,9 @@ struct StrategicAuditReport {
 
 /// Sweeps deviation magnitudes over the truthful run's top winners, running
 /// the mechanism once per (agent, factor) with a RoundAuditor watching the
-/// deviant, plus the collusion-ring case.  Deterministic: the mechanism is
+/// deviant, plus the collusion-ring case.  The factors are fixed: the
+/// inflation sweep 1.25, 2 and 5, then the deflation sweep 0 (bid
+/// suppression, DeviationKind::Zero), 0.5 and 0.8.  Deterministic: the mechanism is
 /// deterministic and the probe set derives from the truthful run.
 StrategicAuditReport strategic_audit(const drp::Problem& problem,
                                      const StrategicAuditConfig& config = {});

@@ -22,6 +22,10 @@ std::vector<NodeId> Clustering::members(std::uint32_t region) const {
 
 namespace {
 
+/// PAM refinement sweeps of cluster_servers (it stops earlier at a fixed
+/// point).
+constexpr std::uint32_t kMaxIterations = 32;
+
 /// Sampled medoid candidates per region per refinement sweep (besides the
 /// incumbent).
 constexpr std::uint32_t kMedoidCandidates = 4;
@@ -90,7 +94,7 @@ Clustering cluster_servers(const DistanceMatrix& distances,
 
   // Lloyd-style PAM refinement: recompute each region's medoid, reassign,
   // stop at a fixed point (or the iteration cap).
-  for (std::uint32_t iter = 0; iter < config.max_iterations; ++iter) {
+  for (std::uint32_t iter = 0; iter < kMaxIterations; ++iter) {
     bool changed = false;
     for (std::uint32_t r = 0; r < k; ++r) {
       const auto members = result.members(r);

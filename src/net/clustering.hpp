@@ -36,8 +36,7 @@ struct Clustering {
 
 struct ClusteringConfig {
   std::uint32_t regions = 4;
-  std::uint32_t max_iterations = 32;  ///< PAM refinement sweeps
-  std::uint64_t seed = 1;             ///< initial medoid choice
+  std::uint64_t seed = 1;  ///< initial medoid choice
 };
 
 /// k-medoids over the metric closure.  Deterministic in the config; clamps

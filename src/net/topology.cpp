@@ -16,10 +16,15 @@ namespace {
 /// kStubDomainsPerTransit stub domains, which share the other nodes.
 constexpr std::uint32_t kTransitNodes = 8;
 constexpr std::uint32_t kStubDomainsPerTransit = 3;
+/// Waxman: edge density (alpha) and long-link affinity (beta).
+constexpr double kWaxmanAlpha = 0.25;
+constexpr double kWaxmanBeta = 0.35;
+/// PowerLaw: edges attached per arriving node.
+constexpr std::uint32_t kAttachmentEdges = 2;
 
-Cost draw_cost(Rng& rng, const TopologyConfig& cfg, double scale = 1.0) {
-  const auto span = static_cast<std::uint64_t>(cfg.max_cost - cfg.min_cost);
-  const Cost base = cfg.min_cost + static_cast<Cost>(rng.below(span + 1));
+Cost draw_cost(Rng& rng, double scale = 1.0) {
+  constexpr auto kSpan = static_cast<std::uint64_t>(kMaxCost - kMinCost);
+  const Cost base = kMinCost + static_cast<Cost>(rng.below(kSpan + 1));
   const double scaled = std::max(1.0, std::round(static_cast<double>(base) * scale));
   return static_cast<Cost>(scaled);
 }
@@ -30,7 +35,7 @@ Graph flat_random(const TopologyConfig& cfg, Rng& rng) {
   for (NodeId a = 0; a < cfg.nodes; ++a) {
     for (NodeId b = a + 1; b < cfg.nodes; ++b) {
       if (rng.chance(cfg.edge_probability)) {
-        g.add_edge(a, b, draw_cost(rng, cfg));
+        g.add_edge(a, b, draw_cost(rng));
       }
     }
   }
@@ -50,10 +55,9 @@ Graph waxman(const TopologyConfig& cfg, Rng& rng) {
   for (NodeId a = 0; a < cfg.nodes; ++a) {
     for (NodeId b = a + 1; b < cfg.nodes; ++b) {
       const double d = std::hypot(x[a] - x[b], y[a] - y[b]);
-      const double p =
-          cfg.waxman_alpha * std::exp(-d / (cfg.waxman_beta * max_dist));
+      const double p = kWaxmanAlpha * std::exp(-d / (kWaxmanBeta * max_dist));
       if (rng.chance(p)) {
-        g.add_edge(a, b, draw_cost(rng, cfg, 0.5 + d / max_dist));
+        g.add_edge(a, b, draw_cost(rng, 0.5 + d / max_dist));
       }
     }
   }
@@ -71,7 +75,7 @@ Graph transit_stub(const TopologyConfig& cfg, Rng& rng) {
   // Transit core: random graph with high connectivity and expensive links.
   for (NodeId a = 0; a < transit; ++a) {
     for (NodeId b = a + 1; b < transit; ++b) {
-      if (rng.chance(0.6)) g.add_edge(a, b, draw_cost(rng, cfg, 3.0));
+      if (rng.chance(0.6)) g.add_edge(a, b, draw_cost(rng, 3.0));
     }
   }
 
@@ -89,12 +93,12 @@ Graph transit_stub(const TopologyConfig& cfg, Rng& rng) {
     if (members.empty()) continue;
     // Gateway link into the sponsoring transit node (medium cost).
     const NodeId gateway = static_cast<NodeId>(d % transit);
-    g.add_edge(members.front(), gateway, draw_cost(rng, cfg, 2.0));
+    g.add_edge(members.front(), gateway, draw_cost(rng, 2.0));
     // Dense cheap intra-domain mesh.
     for (std::size_t i = 0; i < members.size(); ++i) {
       for (std::size_t j = i + 1; j < members.size(); ++j) {
         if (rng.chance(0.7)) {
-          g.add_edge(members[i], members[j], draw_cost(rng, cfg, 1.0));
+          g.add_edge(members[i], members[j], draw_cost(rng, 1.0));
         }
       }
     }
@@ -104,14 +108,14 @@ Graph transit_stub(const TopologyConfig& cfg, Rng& rng) {
 
 /// Inet-style AS topology: Barabási–Albert preferential attachment.
 Graph power_law(const TopologyConfig& cfg, Rng& rng) {
-  const std::uint32_t m = std::max<std::uint32_t>(1, cfg.attachment_edges);
+  constexpr std::uint32_t m = kAttachmentEdges;
   Graph g(cfg.nodes);
   // Repeated-node trick: targets proportional to degree.
   std::vector<NodeId> endpoint_pool;
   const std::uint32_t seed_nodes = std::min(cfg.nodes, m + 1);
   for (NodeId a = 0; a < seed_nodes; ++a) {
     for (NodeId b = a + 1; b < seed_nodes; ++b) {
-      g.add_edge(a, b, draw_cost(rng, cfg));
+      g.add_edge(a, b, draw_cost(rng));
       endpoint_pool.push_back(a);
       endpoint_pool.push_back(b);
     }
@@ -124,7 +128,7 @@ Graph power_law(const TopologyConfig& cfg, Rng& rng) {
       const NodeId target =
           endpoint_pool[rng.below(endpoint_pool.size())];
       if (target == v || g.has_edge(v, target)) continue;
-      g.add_edge(v, target, draw_cost(rng, cfg));
+      g.add_edge(v, target, draw_cost(rng));
       endpoint_pool.push_back(v);
       endpoint_pool.push_back(target);
       ++added;
@@ -132,7 +136,7 @@ Graph power_law(const TopologyConfig& cfg, Rng& rng) {
     if (added == 0) {
       // Degenerate fallback: attach to a uniformly random earlier node.
       const NodeId target = static_cast<NodeId>(rng.below(v));
-      g.add_edge(v, target, draw_cost(rng, cfg));
+      g.add_edge(v, target, draw_cost(rng));
       endpoint_pool.push_back(v);
       endpoint_pool.push_back(target);
     }
@@ -149,13 +153,13 @@ Graph tree(const TopologyConfig& cfg, Rng& rng) {
     case TreeShape::Random:
       // Uniform recursive tree.
       for (NodeId v = 1; v < cfg.nodes; ++v) {
-        g.add_edge(v, static_cast<NodeId>(rng.below(v)), draw_cost(rng, cfg));
+        g.add_edge(v, static_cast<NodeId>(rng.below(v)), draw_cost(rng));
       }
       break;
     case TreeShape::Balanced: {
       const std::uint32_t arity = std::max<std::uint32_t>(1, cfg.tree_arity);
       for (NodeId v = 1; v < cfg.nodes; ++v) {
-        g.add_edge(v, (v - 1) / arity, draw_cost(rng, cfg));
+        g.add_edge(v, (v - 1) / arity, draw_cost(rng));
       }
       break;
     }
@@ -163,10 +167,10 @@ Graph tree(const TopologyConfig& cfg, Rng& rng) {
       // Spine of ceil(n/2) nodes; the rest hang off it round-robin.
       const NodeId spine = (cfg.nodes + 1) / 2;
       for (NodeId v = 1; v < spine; ++v) {
-        g.add_edge(v, v - 1, draw_cost(rng, cfg));
+        g.add_edge(v, v - 1, draw_cost(rng));
       }
       for (NodeId v = spine; v < cfg.nodes; ++v) {
-        g.add_edge(v, (v - spine) % spine, draw_cost(rng, cfg));
+        g.add_edge(v, (v - spine) % spine, draw_cost(rng));
       }
       break;
     }
@@ -204,9 +208,6 @@ std::string to_string(TopologyKind kind) {
 
 Graph generate_topology(const TopologyConfig& cfg) {
   if (cfg.nodes == 0) throw std::invalid_argument("topology needs >= 1 node");
-  if (cfg.min_cost == 0 || cfg.min_cost > cfg.max_cost) {
-    throw std::invalid_argument("require 0 < min_cost <= max_cost");
-  }
   if (cfg.kind == TopologyKind::FlatRandom &&
       (cfg.edge_probability <= 0.0 || cfg.edge_probability > 1.0)) {
     throw std::invalid_argument("edge_probability must be in (0, 1]");
@@ -223,7 +224,7 @@ Graph generate_topology(const TopologyConfig& cfg) {
     }
     throw std::logic_error("unreachable");
   }();
-  g.make_connected(cfg.max_cost);
+  g.make_connected(kMaxCost);
   assert(g.connected());
   return g;
 }

@@ -59,22 +59,16 @@ struct TopologyConfig {
   /// FlatRandom: independent edge probability.
   double edge_probability = 0.5;
 
-  /// Waxman parameters (alpha: edge density, beta: long-link affinity).
-  double waxman_alpha = 0.25;
-  double waxman_beta = 0.35;
-
-  /// PowerLaw: edges attached per arriving node.
-  std::uint32_t attachment_edges = 2;
-
   /// Tree family: shape and (Balanced only) the branching factor.
   TreeShape tree_shape = TreeShape::Random;
   std::uint32_t tree_arity = 3;
-
-  /// Link costs are drawn uniformly from [min_cost, max_cost] and scaled by
-  /// the model-specific distance factor.
-  Cost min_cost = 1;
-  Cost max_cost = 10;
 };
+
+/// Link costs are drawn uniformly from [kMinCost, kMaxCost] and scaled by
+/// the model-specific distance factor; components are patched with
+/// kMaxCost edges.
+inline constexpr Cost kMinCost = 1;
+inline constexpr Cost kMaxCost = 10;
 
 /// Builds a connected topology per the config.  Deterministic in (config).
 Graph generate_topology(const TopologyConfig& config);

@@ -9,6 +9,9 @@ namespace agtram::runtime {
 
 namespace {
 
+/// P(one drift move also shifts write volume between two accessor cells) —
+/// write deltas reprice every reader, the expensive-dirty case.
+constexpr double kWriteDriftProbability = 0.25;
 /// A flash crowd multiplies each reader's reads of its object by this.
 constexpr double kFlashCrowdMultiplier = 4.0;
 
@@ -66,7 +69,7 @@ std::vector<core::OnlineEvent> OnlineEventSource::next_batch() {
     pending[{dst, k}].first += moved;
     demand.push_back(core::DemandDelta{src, k, -moved, 0});
     demand.push_back(core::DemandDelta{dst, k, moved, 0});
-    if (coin(rng_) < model_.write_drift_probability) {
+    if (coin(rng_) < kWriteDriftProbability) {
       // Writes may move to any structural cell (no reader restriction).
       const auto cells = p.access.accessors(k);
       const drp::Access from = cells[pick(cells.size())];

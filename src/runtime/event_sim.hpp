@@ -30,10 +30,10 @@ struct OnlineEventModel {
   /// of one reader's read volume onto another structural reader.
   std::size_t demand_drift_moves = 8;
   /// Fraction of the source cell's reads moved per drift (at least 1 unit).
+  /// A drift move also shifts this fraction of one accessor cell's writes
+  /// onto another with probability 0.25: write deltas reprice every reader,
+  /// the expensive-dirty case.
   double drift_fraction = 0.25;
-  /// P(one drift move also shifts write volume between two accessor cells) —
-  /// write deltas reprice every reader, the expensive-dirty case.
-  double write_drift_probability = 0.25;
   /// P(a flash crowd this step): one object's readers multiply their reads
   /// by four.
   double flash_crowd_probability = 0.05;

@@ -9,6 +9,14 @@ namespace agtram::runtime {
 
 namespace {
 
+/// Seconds per metric-closure cost unit of distance.
+constexpr double kSecondsPerCostUnit = 1e-4;
+/// Fixed per-message overhead (serialisation, kernel, queueing).
+constexpr double kMessageOverhead = 2e-4;
+/// Seconds per candidate evaluation inside an agent.
+constexpr double kSecondsPerEvaluation = 5e-7;
+/// Centre decision time per received bid (scalar comparison).
+constexpr double kSecondsPerReportAtCentre = 1e-7;
 /// Seconds before a lost protocol message is sent again.
 constexpr double kRetransmitTimeout = 0.05;
 
@@ -33,8 +41,8 @@ MessageBus::MessageBus(const drp::Problem& problem,
 
 double MessageBus::send(drp::ServerId from, drp::ServerId to) {
   double delay = static_cast<double>(problem_->distance(from, to)) *
-                     model_.seconds_per_cost_unit +
-                 model_.message_overhead;
+                     kSecondsPerCostUnit +
+                 kMessageOverhead;
   while (model_.loss_probability > 0.0 &&
          rng_.chance(model_.loss_probability)) {
     ++stats_.lost_messages;
@@ -48,8 +56,8 @@ void MessageBus::time_round(std::uint32_t region) {
   // A centre's round time only grows as its legs land, so the slowest
   // centre so far is the round's barrier if the round ended now.
   const CentreRound& c = round_[region];
-  const double decide = static_cast<double>(c.bids) *
-                        model_.seconds_per_report_at_centre;
+  const double decide =
+      static_cast<double>(c.bids) * kSecondsPerReportAtCentre;
   const double total = c.chain + decide + c.fanout;
   if (region == slowest_ || total > open_.total) {
     slowest_ = region;
@@ -81,8 +89,8 @@ void MessageBus::on_report(drp::ServerId agent, const core::Report& report,
   const std::uint32_t region = region_of(agent);
   const drp::ServerId centre = centres_[region];
   const double poll = send(centre, agent);
-  double compute = static_cast<double>(report.evaluations) *
-                   model_.seconds_per_evaluation;
+  double compute =
+      static_cast<double>(report.evaluations) * kSecondsPerEvaluation;
   if (model_.straggler_factor > 0.0) {
     compute *= 1.0 + rng_.uniform() * model_.straggler_factor;
   }

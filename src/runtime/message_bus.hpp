@@ -74,17 +74,10 @@ inline constexpr std::uint32_t kDeltaCellWireBytes = 24;
 /// Placement-install entry: object id + replica server id.
 inline constexpr std::uint32_t kInstallEntryWireBytes = 8;
 
-/// Timing of the protocol's legs (seconds), with its network faults.
+/// The protocol's network faults.  The legs' timing is fixed: 1e-4 s per
+/// cost unit of distance plus 2e-4 s per message, 5e-7 s per candidate
+/// evaluation inside an agent and 1e-7 s per bid the centre scans.
 struct ProtocolModel {
-  /// Seconds per metric-closure cost unit of distance.
-  double seconds_per_cost_unit = 1e-4;
-  /// Fixed per-message overhead (serialisation, kernel, queueing).
-  double message_overhead = 2e-4;
-  /// Seconds per candidate evaluation inside an agent.
-  double seconds_per_evaluation = 5e-7;
-  /// Centre decision time per received bid (scalar comparison).
-  double seconds_per_report_at_centre = 1e-7;
-
   /// Each fresh report's compute step is inflated by a factor drawn
   /// uniformly from [1, 1 + straggler_factor].
   double straggler_factor = 0.0;

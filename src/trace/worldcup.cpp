@@ -22,6 +22,9 @@ constexpr double kSizeMu = 2.2;
 constexpr double kSizeSigma = 1.0;
 /// Bounded-Pareto client skew.
 constexpr double kClientActivityAlpha = 1.2;
+/// Late-tournament traffic growth: the last day carries this much more
+/// volume than the first, ramped linearly.
+constexpr double kDayRamp = 0.35;
 
 void validate(const WorldCupConfig& cfg) {
   if (cfg.days == 0) throw std::invalid_argument("days must be >= 1");
@@ -94,24 +97,9 @@ std::vector<DayLog> generate_worldcup_trace(const WorldCupConfig& cfg) {
     DayLog log;
     log.day_index = d;
 
-    // Daily popularity flux: a per-day permutation of the ranks, so "who
-    // is hot" rotates while the shape of the law is preserved.
-    std::vector<ObjectId> rank_map(cfg.object_universe);
-    for (ObjectId k = 0; k < cfg.object_universe; ++k) rank_map[k] = k;
-    if (cfg.daily_flux > 0.0 && d > 0) {
-      const auto swaps = static_cast<std::size_t>(
-          cfg.daily_flux * static_cast<double>(cfg.object_universe));
-      Rng flux_rng = master.fork(0x1000 + d);
-      for (std::size_t s = 0; s < swaps; ++s) {
-        const std::size_t a = flux_rng.below(cfg.object_universe);
-        const std::size_t b = flux_rng.below(cfg.object_universe);
-        std::swap(rank_map[a], rank_map[b]);
-      }
-    }
-
-    // Fridays later in the tournament are busier: linear ramp by day_ramp.
+    // Fridays later in the tournament are busier: linear ramp by kDayRamp.
     const double ramp =
-        1.0 + cfg.day_ramp * static_cast<double>(d) /
+        1.0 + kDayRamp * static_cast<double>(d) /
                   static_cast<double>(std::max(1u, cfg.days - 1));
     const auto volume =
         static_cast<std::uint64_t>(static_cast<double>(cfg.requests_per_day) * ramp);
@@ -131,7 +119,7 @@ std::vector<DayLog> generate_worldcup_trace(const WorldCupConfig& cfg) {
     // Guarantee the persistent core appears in every day sample.
     for (ObjectId k = 0; k < cfg.core_objects; ++k) emit(k);
     for (std::uint64_t i = cfg.core_objects; i < volume; ++i) {
-      emit(rank_map[popularity(rng)]);
+      emit(static_cast<ObjectId>(popularity(rng)));
     }
     days.push_back(std::move(log));
   }

@@ -30,12 +30,6 @@ struct WorldCupConfig {
   std::uint32_t clients = 800;        ///< distinct client IPs
   std::uint64_t requests_per_day = 100000;
   double popularity_exponent = 1.1;   ///< Zipf exponent for object choice
-  double day_ramp = 0.35;             ///< late-tournament traffic growth
-  /// Day-to-day popularity flux: each day, this fraction of the object
-  /// universe has its popularity rank swapped with a random peer (match
-  /// schedules made different pages hot on different days).  0 = the same
-  /// static law every day.
-  double daily_flux = 0.0;
   std::uint64_t seed = 42;
 };
 

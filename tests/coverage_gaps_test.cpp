@@ -1,4 +1,4 @@
-// Behaviours not yet pinned down by the per-module suites: generator
+// Behaviours not yet pinned down by the per-module suites: pipeline
 // parameter effects, degenerate participant sets, builder clamps, and
 // bus/format corners.
 #include <gtest/gtest.h>
@@ -7,70 +7,14 @@
 #include "core/regional.hpp"
 #include "drp/builder.hpp"
 #include "drp/cost_model.hpp"
-#include "net/clustering.hpp"
-#include "net/graph_stats.hpp"
-#include "net/topology.hpp"
 #include "trace/pipeline.hpp"
-#include "trace/worldcup.hpp"
 #include "test_helpers.hpp"
 
 namespace {
 
 using namespace agtram;
 
-// -------------------------------------------------- generator parameters
-
-TEST(TopologyParams, WaxmanAlphaControlsDensity) {
-  net::TopologyConfig sparse, dense;
-  sparse.kind = dense.kind = net::TopologyKind::Waxman;
-  sparse.nodes = dense.nodes = 150;
-  sparse.seed = dense.seed = 9;
-  sparse.waxman_alpha = 0.05;
-  dense.waxman_alpha = 0.6;
-  EXPECT_GT(net::generate_topology(dense).edge_count(),
-            net::generate_topology(sparse).edge_count() * 2);
-}
-
-TEST(TopologyParams, WaxmanBetaFavoursLongLinks) {
-  // Higher beta keeps long links alive; with beta near zero almost every
-  // non-trivial link is suppressed and the patcher has to chain things up.
-  net::TopologyConfig local, global;
-  local.kind = global.kind = net::TopologyKind::Waxman;
-  local.nodes = global.nodes = 150;
-  local.seed = global.seed = 10;
-  local.waxman_beta = 0.02;
-  global.waxman_beta = 0.9;
-  EXPECT_GT(net::generate_topology(global).edge_count(),
-            net::generate_topology(local).edge_count());
-}
-
-TEST(TopologyParams, AttachmentEdgesControlPowerLawDensity) {
-  net::TopologyConfig thin, thick;
-  thin.kind = thick.kind = net::TopologyKind::PowerLaw;
-  thin.nodes = thick.nodes = 200;
-  thin.seed = thick.seed = 11;
-  thin.attachment_edges = 1;
-  thick.attachment_edges = 4;
-  const auto thin_mean = net::degree_stats(net::generate_topology(thin)).mean;
-  const auto thick_mean = net::degree_stats(net::generate_topology(thick)).mean;
-  EXPECT_NEAR(thin_mean, 2.0, 0.5);   // ~2m for BA graphs
-  EXPECT_NEAR(thick_mean, 8.0, 1.5);
-}
-
-TEST(TraceParams, DayRampZeroKeepsVolumesFlat) {
-  trace::WorldCupConfig cfg;
-  cfg.days = 4;
-  cfg.object_universe = 60;
-  cfg.core_objects = 20;
-  cfg.clients = 20;
-  cfg.requests_per_day = 4000;
-  cfg.day_ramp = 0.0;
-  cfg.seed = 12;
-  const auto days = trace::generate_worldcup_trace(cfg);
-  for (const auto& day : days) {
-    EXPECT_EQ(day.requests.size(), days[0].requests.size());
-  }
-}
+// --------------------------------------------------- pipeline parameters
 
 TEST(TraceParams, TopClientsZeroKeepsNothing) {
   trace::DayLog day{0, {{0, 0, 1}, {1, 1, 1}}};
@@ -154,20 +98,6 @@ TEST(MechanismCorners, AllRegionsFailedMeansNoReplicas) {
   cfg.failed_regions = {0, 1};
   const auto result = core::run_regional(p, cfg);
   EXPECT_EQ(result.replicas_placed(), 0u);
-}
-
-TEST(MechanismCorners, ClusteringSingleIterationStillValid) {
-  const drp::Problem p = testutil::small_instance(905, 20, 60);
-  net::ClusteringConfig cfg;
-  cfg.regions = 4;
-  cfg.max_iterations = 0;  // seed assignment only, no PAM refinement
-  const auto c = net::cluster_servers(*p.distances, cfg);
-  EXPECT_EQ(c.assignment.size(), p.server_count());
-  std::size_t covered = 0;
-  for (std::uint32_t r = 0; r < c.region_count(); ++r) {
-    covered += c.members(r).size();
-  }
-  EXPECT_EQ(covered, p.server_count());
 }
 
 }  // namespace

@@ -5,9 +5,6 @@
 #include <thread>
 #include <vector>
 
-#include "baselines/aestar.hpp"
-#include "baselines/auctions.hpp"
-#include "baselines/gra.hpp"
 #include "common/timer.hpp"
 #include "core/agt_ram.hpp"
 #include "drp/cost_model.hpp"
@@ -84,38 +81,6 @@ TEST(EdgeCase, ZeroCapacityHeadroom) {
 }
 
 // ------------------------------------------------------- config corners
-
-TEST(EdgeCase, GraWithOversizedElitism) {
-  const drp::Problem p = testutil::small_instance(801, 12, 30);
-  baselines::GraConfig cfg;
-  cfg.population = 4;
-  cfg.elites = 100;  // clamped internally
-  cfg.generations = 3;
-  EXPECT_NO_THROW(baselines::run_gra(p, cfg).check_invariants());
-}
-
-TEST(EdgeCase, AuctionsWithMinimalClocks) {
-  const drp::Problem p = testutil::small_instance(802, 12, 30);
-  baselines::EnglishAuctionConfig ea;
-  ea.price_steps = 1;  // clamped to 2
-  EXPECT_NO_THROW(baselines::run_english_auction(p, ea).check_invariants());
-  baselines::DutchAuctionConfig da;
-  da.price_steps = 1;
-  da.shade_lo = da.shade_hi = 0.9;
-  EXPECT_NO_THROW(baselines::run_dutch_auction(p, da).check_invariants());
-}
-
-TEST(EdgeCase, AeStarWithSingletonOpenList) {
-  const drp::Problem p = testutil::small_instance(803, 12, 30);
-  baselines::AeStarConfig cfg;
-  cfg.max_open = 1;
-  cfg.branching = 1;
-  cfg.max_expansions = 5;
-  const auto placement = baselines::run_aestar(p, cfg);
-  EXPECT_NO_THROW(placement.check_invariants());
-  EXPECT_LE(drp::CostModel::total_cost(placement),
-            drp::CostModel::initial_cost(p));
-}
 
 TEST(EdgeCase, PipelineWithSingleServer) {
   trace::DayLog day{0, {{0, 0, 4}, {1, 1, 6}}};

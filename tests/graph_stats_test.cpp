@@ -52,7 +52,6 @@ TEST(GraphStats, PowerLawDegreeDistributionHasNegativeSlope) {
   TopologyConfig cfg;
   cfg.kind = TopologyKind::PowerLaw;
   cfg.nodes = 600;
-  cfg.attachment_edges = 2;
   cfg.seed = 6;
   const Graph g = generate_topology(cfg);
   const double slope = degree_power_law_slope(g);
@@ -81,14 +80,12 @@ TEST(GraphStats, FlatRandomIsNotPowerLaw) {
 TEST(GraphStats, MeanEdgeCostWithinConfiguredBand) {
   TopologyConfig cfg;
   cfg.nodes = 80;
-  cfg.min_cost = 4;
-  cfg.max_cost = 8;
   cfg.seed = 8;
   const Graph g = generate_topology(cfg);
   const double mean = mean_edge_cost(g);
-  EXPECT_GE(mean, 4.0);
-  EXPECT_LE(mean, 8.0);
-  EXPECT_NEAR(mean, 6.0, 0.5);
+  EXPECT_GE(mean, static_cast<double>(kMinCost));
+  EXPECT_LE(mean, static_cast<double>(kMaxCost));
+  EXPECT_NEAR(mean, (kMinCost + kMaxCost) / 2.0, 0.5);
 }
 
 TEST(GraphStats, TransitStubClustersMoreThanRandom) {

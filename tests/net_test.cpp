@@ -379,7 +379,6 @@ TEST(TopologyTest, PowerLawHasHubs) {
   TopologyConfig cfg;
   cfg.kind = TopologyKind::PowerLaw;
   cfg.nodes = 300;
-  cfg.attachment_edges = 2;
   cfg.seed = 12;
   const Graph g = generate_topology(cfg);
   std::size_t max_degree = 0;
@@ -393,12 +392,6 @@ TEST(TopologyTest, InvalidConfigsThrow) {
   cfg.nodes = 0;
   EXPECT_THROW(generate_topology(cfg), std::invalid_argument);
   cfg.nodes = 10;
-  cfg.min_cost = 0;
-  EXPECT_THROW(generate_topology(cfg), std::invalid_argument);
-  cfg.min_cost = 5;
-  cfg.max_cost = 2;
-  EXPECT_THROW(generate_topology(cfg), std::invalid_argument);
-  cfg.max_cost = 10;
   cfg.edge_probability = 0.0;
   EXPECT_THROW(generate_topology(cfg), std::invalid_argument);
 }
@@ -406,14 +399,12 @@ TEST(TopologyTest, InvalidConfigsThrow) {
 TEST(TopologyTest, CostsWithinConfiguredBand) {
   TopologyConfig cfg;
   cfg.nodes = 50;
-  cfg.min_cost = 3;
-  cfg.max_cost = 9;
   cfg.seed = 77;
   const Graph g = generate_topology(cfg);
   for (NodeId i = 0; i < 50; ++i) {
     for (const Edge& e : g.neighbors(i)) {
-      EXPECT_GE(e.cost, 3u);
-      EXPECT_LE(e.cost, 9u);
+      EXPECT_GE(e.cost, kMinCost);
+      EXPECT_LE(e.cost, kMaxCost);
     }
   }
 }

@@ -128,16 +128,12 @@ TEST(ObsCounters, EveryInstrumentedLayerMovesItsCounters) {
   before = registry.counters();
   core::StrategicAuditConfig audit;
   audit.agents_to_probe = 1;
-  audit.inflate_factors = {2.0};
-  audit.deflate_factors = {0.5};
   audit.collusion_size = 0;
   core::strategic_audit(p, audit);
   expect_moved(before, {"audit.trials", "audit.rounds", "audit.checks"});
 
   before = registry.counters();
-  baselines::GlauberConfig glauber;
-  glauber.sweeps = 8;
-  baselines::run_glauber(p, glauber);
+  baselines::run_glauber(p);
   expect_moved(before, {"glauber.sweeps", "glauber.proposals",
                         "glauber.accepted"});
 }

@@ -556,7 +556,6 @@ TEST(OnlineMechanismTest, ChangedObjectsCoverEveryReplicatorChange) {
   model.replica_loss_rate = 0.05;
   model.server_fail_rate = 0.03;
   model.server_recover_rate = 0.5;
-  model.write_drift_probability = 0.6;
   model.flash_crowd_probability = 0.2;
   model.object_churn_probability = 0.3;
   runtime::OnlineEventSource source(engine, model);
