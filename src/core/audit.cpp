@@ -46,6 +46,15 @@ MechanismResult run_profile(const drp::Problem& problem,
   return run_agt_ram(problem, cfg);
 }
 
+// Copies a deviant run's per-round evidence into its trial.
+void record_rounds(const RoundAuditor& auditor, StrategicTrial& trial) {
+  trial.rounds_checked = auditor.rounds_audited();
+  trial.round_violations = auditor.violations();
+  trial.min_round_margin = std::isfinite(auditor.min_round_margin())
+                               ? auditor.min_round_margin()
+                               : 0.0;
+}
+
 // One deviant run: `agent` scales every claim by `factor`, the others stay
 // truthful, and a RoundAuditor watches the deviant.
 StrategicTrial run_trial(const drp::Problem& problem,
@@ -65,11 +74,7 @@ StrategicTrial run_trial(const drp::Problem& problem,
   trial.factor = factor;
   trial.truthful_utility = truthful_utility;
   trial.deviant_utility = deviant.agents[agent].utility();
-  trial.rounds_checked = auditor.rounds_audited();
-  trial.round_violations = auditor.violations();
-  trial.min_round_margin = std::isfinite(auditor.min_round_margin())
-                               ? auditor.min_round_margin()
-                               : 0.0;
+  record_rounds(auditor, trial);
   AGTRAM_OBS_COUNT("audit.trials", 1);
   return trial;
 }
@@ -250,8 +255,10 @@ StrategicAuditReport strategic_audit(const drp::Problem& problem,
       }
       StrategyProfile revert_profile;
       revert_profile.collusion_groups.push_back(rest);
+      RoundAuditor revert_auditor(config.payment_rule,
+                                  revert_profile.deviating_agents());
       const MechanismResult revert_run =
-          run_profile(problem, config, revert_profile);
+          run_profile(problem, config, revert_profile, &revert_auditor);
 
       StrategicTrial reversion;
       reversion.agent = member;
@@ -259,6 +266,7 @@ StrategicAuditReport strategic_audit(const drp::Problem& problem,
       reversion.factor = 0.0;
       reversion.truthful_utility = revert_run.agents[member].utility();
       reversion.deviant_utility = ring_run.agents[member].utility();
+      record_rounds(revert_auditor, reversion);
       report.collusion.reversion.push_back(reversion);
       AGTRAM_OBS_COUNT("audit.trials", 1);
     }
@@ -272,6 +280,7 @@ StrategicAuditReport strategic_audit(const drp::Problem& problem,
         std::min(report.min_full_game_margin, trial.margin());
   }
   for (const StrategicTrial& trial : report.collusion.reversion) {
+    report.total_round_violations += trial.round_violations;
     report.min_full_game_margin =
         std::min(report.min_full_game_margin, trial.margin());
   }

@@ -118,6 +118,10 @@ std::vector<StrategicTrial> audit_truthfulness(
 /// that round).  `reversion` reports each non-leader member's full-game
 /// utility when it unilaterally reverts to truth vs staying suppressed —
 /// empirical data, like all full-game margins (see StrategicAuditReport).
+/// A reversion trial's rounds_checked, round_violations and
+/// min_round_margin come from a RoundAuditor on its reversion run, which
+/// watches the members that still zero-bid there; the reverting member bids
+/// its truth and is not watched.
 struct CollusionAudit {
   std::vector<drp::ServerId> members;
   double truthful_revenue = 0.0;   ///< total payments, all agents truthful
@@ -140,6 +144,7 @@ struct StrategicAuditConfig {
 struct StrategicAuditReport {
   std::vector<StrategicTrial> trials;
   CollusionAudit collusion;
+  /// Over the trials, the ring run and the ring's reversion runs.
   std::size_t total_round_violations = 0;
   /// min over trials (and collusion reversions) of the full-game margin.
   /// Empirical only: negative values are legitimate — under the global

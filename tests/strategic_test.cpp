@@ -181,11 +181,14 @@ TEST(StrategicAudit, CollusionRingDepressesRevenueButNotRounds) {
   // ...but no suppressed member's zero bid ever beat truth within a round:
   // the exact invariant survives collusion.
   EXPECT_EQ(ring.round_violations, 0u);
-  // One reversion trial per non-leader member, with finite utilities.
+  // One reversion trial per non-leader member, with finite utilities; the
+  // members still zero-bidding in each reversion run are audited too.
   EXPECT_EQ(ring.reversion.size(), ring.members.size() - 1);
   for (const core::StrategicTrial& trial : ring.reversion) {
     EXPECT_TRUE(std::isfinite(trial.truthful_utility));
     EXPECT_TRUE(std::isfinite(trial.deviant_utility));
+    EXPECT_GT(trial.rounds_checked, 0u);
+    EXPECT_EQ(trial.round_violations, 0u);
   }
 }
 
