@@ -27,11 +27,11 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
 
   const bench::Dims dims = bench::resolve_dims(cli);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  const auto seed = cli.get_unsigned<std::uint64_t>("seed");
   const double drift = cli.get_double("drift");
 
   sim::HorizonConfig config;
-  config.days = static_cast<std::uint32_t>(cli.get_int("episodes")) + 1;
+  config.days = cli.get_unsigned<std::uint32_t>("episodes") + 1;
   config.drift = drift;
   config.seed = seed;
   const sim::HorizonResult result = sim::run_horizon(

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
     dims.servers = std::min<std::uint32_t>(dims.servers, 80);
     dims.objects = std::min<std::uint32_t>(dims.objects, 800);
   }
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  const auto seed = cli.get_unsigned<std::uint64_t>("seed");
   const drp::Problem problem = bench::build_instance(
       dims, cli.get_double("capacity"), cli.get_double("rw"), seed);
   const double initial = drp::CostModel::initial_cost(problem);

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
 
   const bench::Dims dims = bench::resolve_dims(cli);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  const auto seed = cli.get_unsigned<std::uint64_t>("seed");
   const drp::Problem problem = bench::build_instance(
       dims, cli.get_double("capacity"), cli.get_double("rw"), seed);
   const double initial = drp::CostModel::initial_cost(problem);
@@ -43,9 +43,10 @@ int main(int argc, char** argv) {
     table.set_title(
         "region sweep (flat mechanism: " + common::Table::pct(flat_savings) +
         " savings in " + std::to_string(flat.rounds.size()) + " rounds)");
-    for (const double r : cli.get_double_list("regions")) {
+    for (const std::uint32_t r :
+         cli.get_unsigned_list<std::uint32_t>("regions")) {
       core::RegionalConfig cfg;
-      cfg.regions = static_cast<std::uint32_t>(r);
+      cfg.regions = r;
       cfg.seed = seed;
       const auto result = core::run_regional(problem, cfg);
       const double savings =

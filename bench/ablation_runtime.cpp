@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
 
   const bench::Dims dims = bench::resolve_dims(cli);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  const auto seed = cli.get_unsigned<std::uint64_t>("seed");
   const drp::Problem problem = bench::build_instance(
       dims, cli.get_double("capacity"), cli.get_double("rw"), seed);
 

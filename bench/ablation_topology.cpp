@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   const bench::Dims dims = bench::resolve_dims(cli);
   const double capacity = cli.get_double("capacity");
   const double rw = cli.get_double("rw");
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  const auto seed = cli.get_unsigned<std::uint64_t>("seed");
   const auto algorithms = baselines::all_algorithms();
 
   {

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
 
   const bench::Dims dims = bench::resolve_dims(cli);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  const auto seed = cli.get_unsigned<std::uint64_t>("seed");
   const auto capacities = cli.get_double_list("capacities");
   const auto updates = cli.get_double_list("updates");
   const auto agtram = baselines::find_algorithm("AGT-RAM");

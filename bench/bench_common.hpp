@@ -178,8 +178,8 @@ struct Dims {
 
 inline Dims resolve_dims(const common::Cli& cli) {
   if (cli.get("scale") == "paper") return Dims{3718, 25000};
-  return Dims{static_cast<std::uint32_t>(cli.get_int("servers")),
-              static_cast<std::uint32_t>(cli.get_int("objects"))};
+  return Dims{cli.get_unsigned<std::uint32_t>("servers"),
+              cli.get_unsigned<std::uint32_t>("objects")};
 }
 
 /// Builds the experiment instance for a (C%, R/W) cell.
@@ -223,9 +223,9 @@ inline RunOutcome run_algorithm(const baselines::AlgorithmEntry& algorithm,
 template <typename MakeInstance>
 RunOutcome run_trials(const baselines::AlgorithmEntry& algorithm,
                       const MakeInstance& make, std::uint64_t base_seed,
-                      std::int64_t trials) {
+                      std::uint32_t trials) {
   RunOutcome mean{0.0, 0.0, 0};
-  for (std::int64_t t = 0; t < trials; ++t) {
+  for (std::uint32_t t = 0; t < trials; ++t) {
     const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(t);
     const drp::Problem problem = make(seed);
     const double initial = drp::CostModel::initial_cost(problem);

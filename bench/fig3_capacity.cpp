@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
 
   const bench::Dims dims = bench::resolve_dims(cli);
   const double rw = cli.get_double("rw");
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  const auto seed = cli.get_unsigned<std::uint64_t>("seed");
   const auto capacities = cli.get_double_list("capacities");
   const auto algorithms = baselines::all_algorithms();
 
@@ -36,7 +36,8 @@ int main(int argc, char** argv) {
                   ", N=" + std::to_string(dims.objects) +
                   ", R/W=" + common::Table::num(rw, 2) + "]");
 
-  const std::int64_t trials = std::max<std::int64_t>(1, cli.get_int("trials"));
+  const auto trials =
+      std::max<std::uint32_t>(1, cli.get_unsigned<std::uint32_t>("trials"));
   for (const double c : capacities) {
     std::vector<std::string> row{common::Table::num(c, 0) + "%"};
     std::size_t agtram_replicas = 0;

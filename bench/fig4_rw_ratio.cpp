@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
 
   const bench::Dims dims = bench::resolve_dims(cli);
   const double capacity = cli.get_double("capacity");
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  const auto seed = cli.get_unsigned<std::uint64_t>("seed");
   const auto ratios = cli.get_double_list("ratios");
   const auto algorithms = baselines::all_algorithms();
 
@@ -34,7 +34,8 @@ int main(int argc, char** argv) {
                   std::to_string(dims.objects) + ", C=" +
                   common::Table::num(capacity, 0) + "%]");
 
-  const std::int64_t trials = std::max<std::int64_t>(1, cli.get_int("trials"));
+  const auto trials =
+      std::max<std::uint32_t>(1, cli.get_unsigned<std::uint32_t>("trials"));
   for (const double rw : ratios) {
     const drp::Problem problem = bench::build_instance(dims, capacity, rw, seed);
     const double initial = drp::CostModel::initial_cost(problem);

@@ -47,16 +47,16 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
 
   const bench::Dims dims = bench::resolve_dims(cli);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  const auto seed = cli.get_unsigned<std::uint64_t>("seed");
   const auto total_requests =
-      static_cast<std::uint64_t>(cli.get_int("requests"));
+      cli.get_unsigned<std::uint64_t>("requests");
   const std::string which = cli.get("policy");
 
   srv::WorkloadConfig wconfig;
-  wconfig.requests_per_batch = static_cast<std::size_t>(cli.get_int("batch"));
-  wconfig.mean_count = static_cast<std::uint32_t>(cli.get_int("mean-count"));
+  wconfig.requests_per_batch = cli.get_unsigned<std::size_t>("batch");
+  wconfig.mean_count = cli.get_unsigned<std::uint32_t>("mean-count");
   wconfig.drift_interval =
-      static_cast<std::size_t>(cli.get_int("drift-interval"));
+      cli.get_unsigned<std::size_t>("drift-interval");
   wconfig.drift_fraction = cli.get_double("drift-fraction");
   // Keep the drifted fraction of the catalogue constant across scales so
   // the trigger sees the same relative signal at any N.
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
     srv::ServingConfig config;
     config.policy = policy;
     config.eviction_limit =
-        static_cast<std::size_t>(cli.get_int("eviction-limit"));
+        cli.get_unsigned<std::size_t>("eviction-limit");
     config.bus = &bus;
     srv::ServingEngine engine(std::move(problem), config);
     srv::SyntheticWorkload workload(engine.problem(), wconfig);

@@ -34,9 +34,9 @@ int main(int argc, char** argv) {
 
   const double capacity = cli.get_double("capacity");
   const double rw = cli.get_double("rw");
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  auto m_grid = cli.get_double_list("m-grid");
-  auto n_grid = cli.get_double_list("n-grid");
+  const auto seed = cli.get_unsigned<std::uint64_t>("seed");
+  auto m_grid = cli.get_unsigned_list<std::uint32_t>("m-grid");
+  auto n_grid = cli.get_unsigned_list<std::uint32_t>("n-grid");
   if (cli.get("scale") == "paper") {
     m_grid = {2500, 3000, 3718};
     n_grid = {15000, 20000, 25000};
@@ -64,10 +64,9 @@ int main(int argc, char** argv) {
   }
 
   bench::JsonWriter json;
-  for (const double m : m_grid) {
-    for (const double n : n_grid) {
-      const bench::Dims dims{static_cast<std::uint32_t>(m),
-                             static_cast<std::uint32_t>(n)};
+  for (const std::uint32_t m : m_grid) {
+    for (const std::uint32_t n : n_grid) {
+      const bench::Dims dims{m, n};
       const drp::Problem problem =
           bench::build_instance(dims, capacity, rw, seed);
       const double initial = drp::CostModel::initial_cost(problem);

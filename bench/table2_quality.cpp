@@ -59,14 +59,14 @@ int main(int argc, char** argv) {
 
   double divisor = cli.get_double("divisor");
   if (cli.get("scale") == "paper") divisor = 1.0;
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  const auto seed = cli.get_unsigned<std::uint64_t>("seed");
 
   // --regional 1: per paper row, quality loss of the concurrent-regions
   // variants relative to the flat mechanism — the cost of decomposing the
   // single global auction into R regional ones.
   if (cli.get_bool("regional")) {
     const auto regions_flag =
-        static_cast<std::uint32_t>(cli.get_int("regions"));
+        cli.get_unsigned<std::uint32_t>("regions");
     common::Table table({"problem size", "flat", "regional", "cooperative",
                          "hierarchical", "worst quality loss"});
     table.set_title(

@@ -25,16 +25,16 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
 
   drp::InstanceSpec spec;
-  spec.servers = static_cast<std::uint32_t>(cli.get_int("servers"));
-  spec.objects = static_cast<std::uint32_t>(cli.get_int("objects"));
-  spec.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  spec.servers = cli.get_unsigned<std::uint32_t>("servers");
+  spec.objects = cli.get_unsigned<std::uint32_t>("objects");
+  spec.seed = cli.get_unsigned<std::uint64_t>("seed");
   spec.instance.capacity_fraction = 0.012;
   spec.instance.rw_ratio = 0.92;
   const drp::Problem problem = drp::make_instance(spec);
   std::cout << "instance: " << problem.summary() << "\n\n";
 
   sim::HorizonConfig cfg;
-  cfg.days = static_cast<std::uint32_t>(cli.get_int("days"));
+  cfg.days = cli.get_unsigned<std::uint32_t>("days");
   cfg.drift = cli.get_double("drift");
   cfg.seed = spec.seed;
   const sim::HorizonResult result = sim::run_horizon(problem, cfg);

@@ -32,16 +32,16 @@ int main(int argc, char** argv) {
   cli.add_flag("seed", "1998", "experiment seed");
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
 
-  const auto servers = static_cast<std::uint32_t>(cli.get_int("servers"));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  const auto servers = cli.get_unsigned<std::uint32_t>("servers");
+  const auto seed = cli.get_unsigned<std::uint64_t>("seed");
 
   // --- 1. Synthesise the access logs.
   trace::WorldCupConfig wc;
-  wc.days = static_cast<std::uint32_t>(cli.get_int("days"));
-  wc.object_universe = static_cast<std::uint32_t>(cli.get_int("objects"));
+  wc.days = cli.get_unsigned<std::uint32_t>("days");
+  wc.object_universe = cli.get_unsigned<std::uint32_t>("objects");
   wc.core_objects = wc.object_universe * 2 / 3;
-  wc.clients = static_cast<std::uint32_t>(cli.get_int("clients")) * 2;
-  wc.requests_per_day = static_cast<std::uint64_t>(cli.get_int("requests"));
+  wc.clients = cli.get_unsigned<std::uint32_t>("clients") * 2;
+  wc.requests_per_day = cli.get_unsigned<std::uint64_t>("requests");
   wc.seed = seed;
   const auto days = trace::generate_worldcup_trace(wc);
   std::uint64_t raw_requests = 0;
@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   // --- 2. The paper's log-processing script.
   trace::PipelineConfig pipe;
   pipe.servers = servers;
-  pipe.top_clients = static_cast<std::uint32_t>(cli.get_int("clients"));
+  pipe.top_clients = cli.get_unsigned<std::uint32_t>("clients");
   pipe.min_fanout = 1;
   pipe.max_fanout = 3;
   pipe.seed = seed ^ 0xc0ffee;

@@ -27,11 +27,11 @@ int main(int argc, char** argv) {
   // 1. Build an instance: GT-ITM-style topology + synthetic World Cup '98
   //    trace + capacities/primaries per the paper's setup.
   drp::InstanceSpec spec;
-  spec.servers = static_cast<std::uint32_t>(cli.get_int("servers"));
-  spec.objects = static_cast<std::uint32_t>(cli.get_int("objects"));
+  spec.servers = cli.get_unsigned<std::uint32_t>("servers");
+  spec.objects = cli.get_unsigned<std::uint32_t>("objects");
   spec.instance.capacity_fraction = cli.get_double("capacity");
   spec.instance.rw_ratio = cli.get_double("rw");
-  spec.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  spec.seed = cli.get_unsigned<std::uint64_t>("seed");
   const drp::Problem problem = drp::make_instance(spec);
   std::cout << "instance: " << problem.summary() << "\n";
 

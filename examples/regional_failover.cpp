@@ -30,17 +30,17 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
 
   drp::InstanceSpec spec;
-  spec.servers = static_cast<std::uint32_t>(cli.get_int("servers"));
-  spec.objects = static_cast<std::uint32_t>(cli.get_int("objects"));
+  spec.servers = cli.get_unsigned<std::uint32_t>("servers");
+  spec.objects = cli.get_unsigned<std::uint32_t>("objects");
   spec.topology = net::TopologyKind::TransitStub;  // hierarchical Internet
-  spec.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  spec.seed = cli.get_unsigned<std::uint64_t>("seed");
   spec.instance.capacity_fraction = 0.015;
   spec.instance.rw_ratio = 0.93;
   const drp::Problem problem = drp::make_instance(spec);
   const double initial = drp::CostModel::initial_cost(problem);
 
   core::RegionalConfig healthy;
-  healthy.regions = static_cast<std::uint32_t>(cli.get_int("regions"));
+  healthy.regions = cli.get_unsigned<std::uint32_t>("regions");
   healthy.seed = spec.seed;
 
   // --- 1. Healthy regional placement.

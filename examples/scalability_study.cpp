@@ -25,17 +25,17 @@ int main(int argc, char** argv) {
   cli.add_flag("seed", "17", "experiment seed");
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
 
-  const auto density = static_cast<std::uint32_t>(cli.get_int("density"));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  const auto density = cli.get_unsigned<std::uint32_t>("density");
+  const auto seed = cli.get_unsigned<std::uint64_t>("seed");
 
   common::Table table({"M", "N", "AGT-RAM (s)", "Greedy (s)", "speedup",
                        "rounds", "centre msgs/round", "AGT-RAM savings",
                        "Greedy savings"});
   table.set_title("scaling sweep (fixed object density per server)");
 
-  for (const double m : cli.get_double_list("sizes")) {
+  for (const std::uint32_t m : cli.get_unsigned_list<std::uint32_t>("sizes")) {
     drp::InstanceSpec spec;
-    spec.servers = static_cast<std::uint32_t>(m);
+    spec.servers = m;
     spec.objects = spec.servers * density;
     spec.seed = seed;
     spec.instance.capacity_fraction = 0.01;

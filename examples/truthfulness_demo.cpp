@@ -26,9 +26,9 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
 
   drp::InstanceSpec spec;
-  spec.servers = static_cast<std::uint32_t>(cli.get_int("servers"));
-  spec.objects = static_cast<std::uint32_t>(cli.get_int("objects"));
-  spec.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  spec.servers = cli.get_unsigned<std::uint32_t>("servers");
+  spec.objects = cli.get_unsigned<std::uint32_t>("objects");
+  spec.seed = cli.get_unsigned<std::uint64_t>("seed");
   spec.instance.capacity_fraction = 0.08;
   spec.instance.rw_ratio = 0.9;
   const drp::Problem problem = drp::make_instance(spec);

@@ -1,9 +1,11 @@
 #include "common/cli.hpp"
 
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 namespace agtram::common {
 
@@ -60,25 +62,47 @@ std::string Cli::get(const std::string& name) const {
   return it->second.value;
 }
 
-std::int64_t Cli::get_int(const std::string& name) const {
-  return std::stoll(get(name));
+void Cli::refuse(const std::string& name, const std::string& value,
+                 const std::string& expected) {
+  throw std::invalid_argument("--" + name + " '" + value + "': expected " +
+                              expected);
+}
+
+double Cli::to_double(const std::string& name, const std::string& value) {
+  double out = 0.0;
+  const char* const last = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), last, out);
+  if (ec != std::errc() || ptr != last || !std::isfinite(out)) {
+    refuse(name, value, "a finite number");
+  }
+  return out;
+}
+
+std::vector<std::string> Cli::split_list(const std::string& name) const {
+  std::vector<std::string> tokens;
+  std::stringstream ss(get(name));
+  std::string token;
+  while (std::getline(ss, token, ',')) {
+    if (!token.empty()) tokens.push_back(token);
+  }
+  return tokens;
 }
 
 double Cli::get_double(const std::string& name) const {
-  return std::stod(get(name));
+  return to_double(name, get(name));
 }
 
 bool Cli::get_bool(const std::string& name) const {
   const std::string v = get(name);
-  return v == "1" || v == "true" || v == "yes" || v == "on";
+  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
+  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
+  refuse(name, v, "one of 1, true, yes, on, 0, false, no, off");
 }
 
 std::vector<double> Cli::get_double_list(const std::string& name) const {
   std::vector<double> out;
-  std::stringstream ss(get(name));
-  std::string token;
-  while (std::getline(ss, token, ',')) {
-    if (!token.empty()) out.push_back(std::stod(token));
+  for (const std::string& token : split_list(name)) {
+    out.push_back(to_double(name, token));
   }
   return out;
 }

@@ -1,13 +1,19 @@
 // Minimal `--flag value` command-line parser for the bench/example binaries.
 // Unknown flags abort with a usage message so typos never silently run the
-// default experiment.
+// default experiment, and a value that does not read as its flag's type is
+// refused (std::invalid_argument naming the flag and the value) instead of
+// being misread.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "common/parse.hpp"
 
 namespace agtram::common {
 
@@ -28,12 +34,28 @@ class Cli {
   bool help_requested() const noexcept { return help_requested_; }
 
   std::string get(const std::string& name) const;
-  std::int64_t get_int(const std::string& name) const;
+  /// The whole value as an unsigned decimal in the range of `Unsigned`: no
+  /// sign, no fraction, no trailing junk.
+  template <typename Unsigned>
+  Unsigned get_unsigned(const std::string& name) const {
+    return to_unsigned<Unsigned>(name, get(name));
+  }
+  /// The whole value as a finite number.
   double get_double(const std::string& name) const;
+  /// 1/true/yes/on or 0/false/no/off.
   bool get_bool(const std::string& name) const;
 
-  /// Comma-separated list of doubles, e.g. --caps 0.1,0.2,0.3
+  /// Comma-separated lists, each token read as by get_double or
+  /// get_unsigned (empty tokens are skipped), e.g. --caps 0.1,0.2,0.3
   std::vector<double> get_double_list(const std::string& name) const;
+  template <typename Unsigned>
+  std::vector<Unsigned> get_unsigned_list(const std::string& name) const {
+    std::vector<Unsigned> out;
+    for (const std::string& token : split_list(name)) {
+      out.push_back(to_unsigned<Unsigned>(name, token));
+    }
+    return out;
+  }
 
   void print_usage(std::ostream& os) const;
 
@@ -43,6 +65,23 @@ class Cli {
     std::string default_value;
     std::string help;
   };
+
+  template <typename Unsigned>
+  static Unsigned to_unsigned(const std::string& name,
+                              const std::string& value) {
+    Unsigned out{};
+    if (!parse_unsigned(std::string_view(value), out)) {
+      refuse(name, value,
+             "an unsigned integer no larger than " +
+                 std::to_string(std::numeric_limits<Unsigned>::max()));
+    }
+    return out;
+  }
+  static double to_double(const std::string& name, const std::string& value);
+  [[noreturn]] static void refuse(const std::string& name,
+                                  const std::string& value,
+                                  const std::string& expected);
+  std::vector<std::string> split_list(const std::string& name) const;
 
   std::string description_;
   std::map<std::string, Flag> flags_;

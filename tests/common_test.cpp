@@ -6,9 +6,11 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -438,7 +440,7 @@ TEST(CliTest, EqualsSyntax) {
   cli.add_flag("n", "1", "count");
   const char* argv[] = {"prog", "--n=42"};
   ASSERT_TRUE(cli.parse(2, argv));
-  EXPECT_EQ(cli.get_int("n"), 42);
+  EXPECT_EQ(cli.get_unsigned<std::uint32_t>("n"), 42u);
 }
 
 TEST(CliTest, HelpRequestedDistinguishedFromErrors) {
@@ -482,6 +484,56 @@ TEST(CliTest, BoolParsing) {
   const char* argv[] = {"prog", "--flag", "true"};
   ASSERT_TRUE(cli.parse(3, argv));
   EXPECT_TRUE(cli.get_bool("flag"));
+}
+
+// A value that does not read as its flag's type is refused, naming the flag
+// and the value, instead of being truncated, wrapped or rounded.
+TEST(CliTest, MalformedValuesAreRefused) {
+  Cli cli("test");
+  cli.add_flag("n", "1", "count");
+  cli.add_flag("x", "0.5", "number");
+  cli.add_flag("b", "false", "switch");
+  cli.add_flag("list", "1,2", "counts");
+  const auto refusal = [&cli](const char* flag, const char* value,
+                              const auto& read) -> std::string {
+    const char* argv[] = {"prog", flag, value};
+    EXPECT_TRUE(cli.parse(3, argv));
+    try {
+      read();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  const auto as_u32 = [&cli] { return cli.get_unsigned<std::uint32_t>("n"); };
+  for (const char* bad : {"12abc", "-5", "+2", "2.5", "5000000000", ""}) {
+    const std::string why = refusal("--n", bad, as_u32);
+    EXPECT_NE(why.find(std::string("--n '") + bad + "'"), std::string::npos)
+        << why;
+  }
+  EXPECT_EQ(refusal("--n", "4294967295", as_u32), "accepted");
+  const auto as_double = [&cli] { return cli.get_double("x"); };
+  for (const char* bad : {"0.5x", "nan", "inf", "-inf", "x"}) {
+    EXPECT_NE(refusal("--x", bad, as_double).find("--x '"), std::string::npos)
+        << bad;
+  }
+  EXPECT_EQ(refusal("--x", "-2.5e-3", as_double), "accepted");
+  const auto as_bool = [&cli] { return cli.get_bool("b"); };
+  EXPECT_NE(refusal("--b", "maybe", as_bool).find("--b 'maybe'"),
+            std::string::npos);
+  EXPECT_EQ(refusal("--b", "off", as_bool), "accepted");
+  EXPECT_FALSE(cli.get_bool("b"));
+  const auto as_list = [&cli] {
+    return cli.get_unsigned_list<std::uint32_t>("list");
+  };
+  EXPECT_NE(refusal("--list", "4,-1", as_list).find("--list '-1'"),
+            std::string::npos);
+  const auto as_doubles = [&cli] { return cli.get_double_list("list"); };
+  EXPECT_NE(refusal("--list", "0.5,1e400", as_doubles).find("--list '1e400'"),
+            std::string::npos);
+  EXPECT_EQ(refusal("--list", "4,16", as_list), "accepted");
+  EXPECT_EQ(cli.get_unsigned_list<std::uint32_t>("list"),
+            (std::vector<std::uint32_t>{4, 16}));
 }
 
 }  // namespace

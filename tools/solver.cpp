@@ -4,6 +4,7 @@
 //   agtram_solver --algorithm AGT-RAM --servers 200 --objects 2000
 //   agtram_solver --algorithm Greedy --placement-out scheme.txt
 //   agtram_solver --placement-in scheme.txt       # score an existing scheme
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -18,7 +19,9 @@
 #include "net/topology.hpp"
 #include "sim/replay.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace agtram;
 
   common::Cli cli("solve a data-replication instance with any of the six "
@@ -38,10 +41,10 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
 
   drp::InstanceSpec spec;
-  spec.servers = static_cast<std::uint32_t>(cli.get_int("servers"));
-  spec.objects = static_cast<std::uint32_t>(cli.get_int("objects"));
+  spec.servers = cli.get_unsigned<std::uint32_t>("servers");
+  spec.objects = cli.get_unsigned<std::uint32_t>("objects");
   spec.topology = net::parse_topology_kind(cli.get("topology"));
-  spec.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  spec.seed = cli.get_unsigned<std::uint64_t>("seed");
   spec.instance.capacity_fraction = cli.get_double("capacity");
   spec.instance.rw_ratio = cli.get_double("rw");
   const drp::Problem problem = drp::make_instance(spec);
@@ -95,4 +98,17 @@ int main(int argc, char** argv) {
     std::cout << "scheme written to " << out << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+// A refused flag value, an unreadable input or an invalid configuration
+// ends the tool with its reason and exit status 1.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "agtram_solver: " << e.what() << "\n";
+    return 1;
+  }
 }

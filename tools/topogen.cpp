@@ -3,6 +3,7 @@
 //
 //   agtram_topogen --kind power-law --nodes 500 --out as_level.topo
 //   agtram_topogen --in as_level.topo            # re-analyse a saved file
+#include <exception>
 #include <fstream>
 #include <iostream>
 
@@ -13,7 +14,9 @@
 #include "net/shortest_paths.hpp"
 #include "net/topology.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace agtram;
 
   common::Cli cli("generate / analyse network topologies");
@@ -34,9 +37,9 @@ int main(int argc, char** argv) {
     }
     net::TopologyConfig cfg;
     cfg.kind = net::parse_topology_kind(cli.get("kind"));
-    cfg.nodes = static_cast<std::uint32_t>(cli.get_int("nodes"));
+    cfg.nodes = cli.get_unsigned<std::uint32_t>("nodes");
     cfg.edge_probability = cli.get_double("p");
-    cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+    cfg.seed = cli.get_unsigned<std::uint64_t>("seed");
     return net::generate_topology(cfg);
   }();
 
@@ -72,4 +75,17 @@ int main(int argc, char** argv) {
     std::cout << "edge list written to " << out << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+// A refused flag value, an unreadable input or an invalid configuration
+// ends the tool with its reason and exit status 1.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "agtram_topogen: " << e.what() << "\n";
+    return 1;
+  }
 }

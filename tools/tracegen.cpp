@@ -7,6 +7,7 @@
 // Files are written as <out>/day_<n>.log in the text format of
 // trace/access_log.hpp, so external tooling (or a real trace converted to
 // the same shape) can feed the pipeline interchangeably.
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -15,7 +16,9 @@
 #include "trace/pipeline.hpp"
 #include "trace/worldcup.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace agtram;
   namespace fs = std::filesystem;
 
@@ -33,13 +36,14 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
 
   trace::WorldCupConfig cfg;
-  cfg.days = static_cast<std::uint32_t>(cli.get_int("days"));
-  cfg.object_universe = static_cast<std::uint32_t>(cli.get_int("objects"));
-  cfg.core_objects = static_cast<std::uint32_t>(cli.get_int("core"));
-  cfg.clients = static_cast<std::uint32_t>(cli.get_int("clients"));
-  cfg.requests_per_day = static_cast<std::uint64_t>(cli.get_int("requests"));
+  cfg.days = cli.get_unsigned<std::uint32_t>("days");
+  cfg.object_universe = cli.get_unsigned<std::uint32_t>("objects");
+  cfg.core_objects = cli.get_unsigned<std::uint32_t>("core");
+  cfg.clients = cli.get_unsigned<std::uint32_t>("clients");
+  cfg.requests_per_day = cli.get_unsigned<std::uint64_t>("requests");
   cfg.popularity_exponent = cli.get_double("zipf");
-  cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  cfg.seed = cli.get_unsigned<std::uint64_t>("seed");
+  const bool verify = cli.get_bool("verify");
 
   const fs::path out(cli.get("out"));
   fs::create_directories(out);
@@ -59,7 +63,7 @@ int main(int argc, char** argv) {
   std::cout << "wrote " << days.size() << " day logs (" << total
             << " requests) to " << out << "\n";
 
-  if (cli.get_bool("verify")) {
+  if (verify) {
     std::vector<trace::DayLog> loaded;
     for (std::uint32_t d = 0; d < cfg.days; ++d) {
       std::ifstream is(out / ("day_" + std::to_string(d) + ".log"));
@@ -75,4 +79,17 @@ int main(int argc, char** argv) {
               << " clients\n";
   }
   return 0;
+}
+
+}  // namespace
+
+// A refused flag value, an unreadable input or an invalid configuration
+// ends the tool with its reason and exit status 1.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "agtram_tracegen: " << e.what() << "\n";
+    return 1;
+  }
 }
