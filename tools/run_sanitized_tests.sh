@@ -29,7 +29,10 @@
 # the slots those agents read.  test_obs_counters runs each instrumented
 # layer once and checks that its counters moved.  test_trace and test_drp
 # feed the day-log and placement readers malformed lines, which they must
-# refuse without reading past a field.
+# refuse without reading past a field.  test_graph_stats runs the topology
+# generators on their fixed cost band, and test_edge_cases and
+# test_coverage_gaps the degenerate instances and configuration corners of
+# the mechanism, the regional engine, the bus, the pipeline and the builder.
 #
 # Usage:  tools/run_sanitized_tests.sh [build-dir]
 #   SAN=address|thread|undefined   sanitizer to use (default: thread)
@@ -50,7 +53,8 @@ cmake --build "$BUILD" -j "$(nproc)" \
            test_kernels test_online test_obs \
            test_obs_counters test_regional test_serving \
            test_strategic test_glauber test_tree_placement test_horizon \
-           test_layout test_trace test_drp
+           test_layout test_trace test_drp \
+           test_graph_stats test_edge_cases test_coverage_gaps
 
 status=0
 for t in test_common test_net test_mechanism test_runtime \
@@ -58,7 +62,8 @@ for t in test_common test_net test_mechanism test_runtime \
          test_kernels test_online test_obs \
          test_obs_counters test_regional test_serving \
          test_strategic test_glauber test_tree_placement test_horizon \
-         test_layout test_trace test_drp; do
+         test_layout test_trace test_drp \
+         test_graph_stats test_edge_cases test_coverage_gaps; do
   echo "== $SAN-sanitized $t =="
   # The paper-scale differential cases take minutes under a sanitizer's
   # slowdown; the small-family + fuzz cases exercise the same parallel scans
