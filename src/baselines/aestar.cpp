@@ -81,12 +81,12 @@ Scored shortlist_entry(const drp::ReplicaPlacement& placement,
 
 /// Cheap candidate generator: for each object, score its hungriest
 /// non-replicator reader; evaluate exact global benefit only for the
-/// highest-scoring shortlist and return the top `want` moves.  When
+/// highest-scoring shortlist and return the top kBranching moves.  When
 /// `parallel` is set the per-object scoring fans out over the pool; the
 /// compaction, sorts and exact walk stay serial in deterministic order, so
 /// the returned moves are byte-identical either way.
 std::vector<Move> candidate_moves(const drp::ReplicaPlacement& placement,
-                                  std::uint32_t want, bool parallel) {
+                                  bool parallel) {
   const drp::Problem& p = placement.problem();
   const std::size_t n = p.object_count();
   std::vector<Scored> scored(n);
@@ -111,11 +111,11 @@ std::vector<Move> candidate_moves(const drp::ReplicaPlacement& placement,
   std::sort(shortlist.begin(), shortlist.end(),
             [](const Scored& a, const Scored& b) { return a.score > b.score; });
   // Walk the shortlist in score order, evaluating exact global benefits.
-  // The walk goes deeper than 4x`want` only while it has not yet found
-  // `want` positive moves, so "no moves returned" really means exhaustion.
+  // The walk goes deeper than 4x kBranching only while it has not yet found
+  // kBranching positive moves, so "no moves returned" means exhaustion.
   std::vector<Move> moves;
   for (std::size_t s = 0; s < shortlist.size(); ++s) {
-    if (s >= std::size_t{4} * want && moves.size() >= want) break;
+    if (s >= 4 * kBranching && moves.size() >= kBranching) break;
     AGTRAM_OBS_COUNT("aestar.exact_evals", 1);
     const double benefit = drp::CostModel::global_benefit(
         placement, shortlist[s].server, shortlist[s].object);
@@ -126,7 +126,7 @@ std::vector<Move> candidate_moves(const drp::ReplicaPlacement& placement,
   std::sort(moves.begin(), moves.end(), [](const Move& a, const Move& b) {
     return a.benefit > b.benefit;
   });
-  if (moves.size() > want) moves.resize(want);
+  if (moves.size() > kBranching) moves.resize(kBranching);
   AGTRAM_OBS_COUNT("aestar.moves_returned", moves.size());
   return moves;
 }
@@ -273,8 +273,7 @@ drp::ReplicaPlacement run_aestar_naive(const drp::Problem& problem,
             Node{root, root_cost, root_cost - optimistic_saving(root)});
       },
       [&](const Node& node) {
-        return candidate_moves(node.placement, kBranching,
-                               /*parallel=*/false);
+        return candidate_moves(node.placement, /*parallel=*/false);
       },
       [&](const Node& node) {
         drp::ReplicaPlacement leaf = node.placement;
@@ -303,8 +302,7 @@ drp::ReplicaPlacement run_aestar_delta(const drp::Problem& problem,
             DeltaNode{std::move(eval), root_cost, f});
       },
       [&](const DeltaNode& node) {
-        return candidate_moves(node.eval.placement(), kBranching,
-                               /*parallel=*/true);
+        return candidate_moves(node.eval.placement(), /*parallel=*/true);
       },
       [&](const DeltaNode& node) {
         drp::DeltaEvaluator leaf = node.eval;

@@ -13,10 +13,8 @@ using common::Rng;
 
 namespace {
 
-/// English clock increments per round: the price rises by (top estimate /
-/// steps).
+/// Clock ticks per round: each moves the price by (top estimate / steps).
 constexpr std::uint32_t kEnglishPriceSteps = 12;
-/// Dutch clock decrements per round.
 constexpr std::uint32_t kDutchPriceSteps = 24;
 /// Dutch bid-shading band: each agent accepts at price <= shade * valuation
 /// with shade drawn uniformly from [kShadeLo, kShadeHi] per agent.

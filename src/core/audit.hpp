@@ -163,8 +163,9 @@ struct StrategicAuditReport {
 /// the mechanism once per (agent, factor) with a RoundAuditor watching the
 /// deviant, plus the collusion-ring case.  The factors are fixed: the
 /// inflation sweep 1.25, 2 and 5, then the deflation sweep 0 (bid
-/// suppression, DeviationKind::Zero), 0.5 and 0.8.  Deterministic: the mechanism is
-/// deterministic and the probe set derives from the truthful run.
+/// suppression, DeviationKind::Zero), 0.5 and 0.8.  Deterministic: the
+/// mechanism is deterministic and the probe set derives from the truthful
+/// run.
 StrategicAuditReport strategic_audit(const drp::Problem& problem,
                                      const StrategicAuditConfig& config = {});
 

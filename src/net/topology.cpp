@@ -23,8 +23,8 @@ constexpr double kWaxmanBeta = 0.35;
 constexpr std::uint32_t kAttachmentEdges = 2;
 
 Cost draw_cost(Rng& rng, double scale = 1.0) {
-  constexpr auto kSpan = static_cast<std::uint64_t>(kMaxCost - kMinCost);
-  const Cost base = kMinCost + static_cast<Cost>(rng.below(kSpan + 1));
+  const Cost base =
+      kMinCost + static_cast<Cost>(rng.below(kMaxCost - kMinCost + 1));
   const double scaled = std::max(1.0, std::round(static_cast<double>(base) * scale));
   return static_cast<Cost>(scaled);
 }
@@ -82,8 +82,7 @@ Graph transit_stub(const TopologyConfig& cfg, Rng& rng) {
   // Distribute the remaining nodes into stub domains hanging off transit
   // nodes round-robin.
   const std::uint32_t stubs = cfg.nodes - transit;
-  const std::uint32_t domains =
-      std::max<std::uint32_t>(1, transit * kStubDomainsPerTransit);
+  const std::uint32_t domains = transit * kStubDomainsPerTransit;
   std::vector<std::vector<NodeId>> domain_members(domains);
   for (std::uint32_t s = 0; s < stubs; ++s) {
     domain_members[s % domains].push_back(transit + s);

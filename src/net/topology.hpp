@@ -65,8 +65,7 @@ struct TopologyConfig {
 };
 
 /// Link costs are drawn uniformly from [kMinCost, kMaxCost] and scaled by
-/// the model-specific distance factor; components are patched with
-/// kMaxCost edges.
+/// the model-specific distance factor.
 inline constexpr Cost kMinCost = 1;
 inline constexpr Cost kMaxCost = 10;
 

@@ -40,9 +40,9 @@ MessageBus::MessageBus(const drp::Problem& problem,
       round_(clustering.region_count()) {}
 
 double MessageBus::send(drp::ServerId from, drp::ServerId to) {
-  double delay = static_cast<double>(problem_->distance(from, to)) *
-                     kSecondsPerCostUnit +
-                 kMessageOverhead;
+  double delay =
+      static_cast<double>(problem_->distance(from, to)) * kSecondsPerCostUnit +
+      kMessageOverhead;
   while (model_.loss_probability > 0.0 &&
          rng_.chance(model_.loss_probability)) {
     ++stats_.lost_messages;
