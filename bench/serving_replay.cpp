@@ -48,15 +48,13 @@ int main(int argc, char** argv) {
 
   const bench::Dims dims = bench::resolve_dims(cli);
   const auto seed = cli.get_unsigned<std::uint64_t>("seed");
-  const auto total_requests =
-      cli.get_unsigned<std::uint64_t>("requests");
+  const auto total_requests = cli.get_unsigned<std::uint64_t>("requests");
   const std::string which = cli.get("policy");
 
   srv::WorkloadConfig wconfig;
   wconfig.requests_per_batch = cli.get_unsigned<std::size_t>("batch");
   wconfig.mean_count = cli.get_unsigned<std::uint32_t>("mean-count");
-  wconfig.drift_interval =
-      cli.get_unsigned<std::size_t>("drift-interval");
+  wconfig.drift_interval = cli.get_unsigned<std::size_t>("drift-interval");
   wconfig.drift_fraction = cli.get_double("drift-fraction");
   // Keep the drifted fraction of the catalogue constant across scales so
   // the trigger sees the same relative signal at any N.
@@ -71,8 +69,7 @@ int main(int argc, char** argv) {
                             runtime::MessageBus::pick_centre(problem));
     srv::ServingConfig config;
     config.policy = policy;
-    config.eviction_limit =
-        cli.get_unsigned<std::size_t>("eviction-limit");
+    config.eviction_limit = cli.get_unsigned<std::size_t>("eviction-limit");
     config.bus = &bus;
     srv::ServingEngine engine(std::move(problem), config);
     srv::SyntheticWorkload workload(engine.problem(), wconfig);

@@ -65,8 +65,7 @@ int main(int argc, char** argv) {
   // variants relative to the flat mechanism — the cost of decomposing the
   // single global auction into R regional ones.
   if (cli.get_bool("regional")) {
-    const auto regions_flag =
-        cli.get_unsigned<std::uint32_t>("regions");
+    const auto regions_flag = cli.get_unsigned<std::uint32_t>("regions");
     common::Table table({"problem size", "flat", "regional", "cooperative",
                          "hierarchical", "worst quality loss"});
     table.set_title(

@@ -45,10 +45,9 @@ int run(int argc, char** argv) {
   cfg.seed = cli.get_unsigned<std::uint64_t>("seed");
   const bool verify = cli.get_bool("verify");
 
+  const auto days = trace::generate_worldcup_trace(cfg);
   const fs::path out(cli.get("out"));
   fs::create_directories(out);
-
-  const auto days = trace::generate_worldcup_trace(cfg);
   std::uint64_t total = 0;
   for (const trace::DayLog& day : days) {
     const fs::path file = out / ("day_" + std::to_string(day.day_index) + ".log");
