@@ -10,7 +10,6 @@
 #include <limits>
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/parse.hpp"
@@ -70,7 +69,7 @@ class Cli {
   static Unsigned to_unsigned(const std::string& name,
                               const std::string& value) {
     Unsigned out{};
-    if (!parse_unsigned(std::string_view(value), out)) {
+    if (!parse_unsigned(value, out)) {
       refuse(name, value,
              "an unsigned integer no larger than " +
                  std::to_string(std::numeric_limits<Unsigned>::max()));
