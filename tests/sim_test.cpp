@@ -2,8 +2,12 @@
 // between the routed totals and the analytic Equation-4 cost engine.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "baselines/registry.hpp"
 #include "core/agt_ram.hpp"
+#include "drp/builder.hpp"
 #include "drp/cost_model.hpp"
 #include "sim/replay.hpp"
 #include "test_helpers.hpp"
@@ -125,6 +129,43 @@ TEST(Replay, LocalFractionIsOneWhenFullyReplicated) {
   const sim::ReplayStats stats = sim::replay(result.placement);
   EXPECT_DOUBLE_EQ(stats.read_latency.local_fraction, 1.0);
   EXPECT_DOUBLE_EQ(stats.read_units, 0.0);
+}
+
+std::string hexfloat(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+// The read-latency summary of an AGT-RAM placement, bit for bit, on one
+// trace-demand and one dispersed-demand instance.
+TEST(Replay, LatencySummaryPinned) {
+  drp::InstanceSpec dispersed;
+  dispersed.servers = 40;
+  dispersed.objects = 200;
+  dispersed.seed = 411;
+  dispersed.demand = drp::DemandModel::Dispersed;
+  dispersed.instance.capacity_fraction = 0.05;
+  const drp::Problem instances[] = {
+      testutil::small_instance(410, 30, 120, 0.06),
+      drp::make_instance(dispersed)};
+  const double expected[2][6] = {
+      // mean, p50, p90, p99, worst, local fraction
+      {0x1.16bd99e83432bp+1, 0x1p+1, 0x1.8p+2, 0x1.cp+2, 0x1.2p+3,
+       0x1.97f66113eeb4p-2},
+      {0x1.cc36458ac92f3p+0, 0x1p+0, 0x1.4p+2, 0x1.cp+2, 0x1.2p+3,
+       0x1.d64bb874f7e89p-2},
+  };
+  for (int i = 0; i < 2; ++i) {
+    const sim::LatencySummary got =
+        sim::replay(core::run_agt_ram(instances[i]).placement).read_latency;
+    const double values[] = {got.mean, got.p50,   got.p90,
+                             got.p99,  got.worst, got.local_fraction};
+    for (int v = 0; v < 6; ++v) {
+      EXPECT_EQ(values[v], expected[i][v])
+          << "instance " << i << " value " << v << ": " << hexfloat(values[v]);
+    }
+  }
 }
 
 }  // namespace
