@@ -14,7 +14,9 @@
 #include "bench_common.hpp"
 #include "sim/horizon.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace agtram;
 
   common::Cli cli("Adaptive migration ablation over demand-drift episodes");
@@ -63,4 +65,10 @@ int main(int argc, char** argv) {
                  std::to_string(result.rebuild.total_churn_units)});
   bench::emit(cli, table);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return agtram::common::run_main(argc, argv, run);
 }

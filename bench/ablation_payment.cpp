@@ -18,7 +18,9 @@
 #include "core/agt_ram.hpp"
 #include "core/audit.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace agtram;
   using core::PaymentRule;
 
@@ -31,7 +33,7 @@ int main(int argc, char** argv) {
   bench::Dims dims = bench::resolve_dims(cli);
   // This bench re-runs the full mechanism per (agent, distortion); keep the
   // default instance modest.
-  if (cli.get("scale") != "paper") {
+  if (!bench::paper_scale(cli)) {
     dims.servers = std::min<std::uint32_t>(dims.servers, 80);
     dims.objects = std::min<std::uint32_t>(dims.objects, 800);
   }
@@ -137,4 +139,10 @@ int main(int argc, char** argv) {
     table.print(std::cout);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return agtram::common::run_main(argc, argv, run);
 }

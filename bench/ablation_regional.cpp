@@ -15,7 +15,9 @@
 #include "core/economics.hpp"
 #include "core/regional.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace agtram;
 
   common::Cli cli("Regional mechanism ablation: region sweep + failure "
@@ -155,4 +157,10 @@ int main(int argc, char** argv) {
   }
 
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return agtram::common::run_main(argc, argv, run);
 }

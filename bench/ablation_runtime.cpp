@@ -10,7 +10,9 @@
 #include "core/regional.hpp"
 #include "runtime/distributed_mechanism.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace agtram;
 
   common::Cli cli("Runtime ablation: semi-distributed traffic and protocol "
@@ -132,4 +134,10 @@ int main(int argc, char** argv) {
     table.print(std::cout);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return agtram::common::run_main(argc, argv, run);
 }

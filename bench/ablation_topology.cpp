@@ -29,9 +29,7 @@ agtram::drp::Problem instance_with_topology(const agtram::bench::Dims& dims,
   return agtram::drp::make_instance(spec);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace agtram;
 
   common::Cli cli("Topology ablation: GT-ITM p-sweep and generator families");
@@ -91,4 +89,10 @@ int main(int argc, char** argv) {
     table.print(std::cout);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return agtram::common::run_main(argc, argv, run);
 }

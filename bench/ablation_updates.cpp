@@ -9,7 +9,9 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace agtram;
 
   common::Cli cli("Update-ratio ablation: capacity sweep at U% in {5,10,20}");
@@ -78,4 +80,10 @@ int main(int argc, char** argv) {
     table.print(std::cout);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return agtram::common::run_main(argc, argv, run);
 }

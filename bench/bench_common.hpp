@@ -165,7 +165,7 @@ inline void add_baseline_eval_flag(common::Cli& cli) {
 
 inline baselines::AlgoOptions resolve_algo_options(const common::Cli& cli) {
   baselines::AlgoOptions options;
-  options.eval = cli.get("baseline-eval") == "naive"
+  options.eval = cli.get_choice("baseline-eval", {"delta", "naive"}) == "naive"
                      ? baselines::EvalPath::Naive
                      : baselines::EvalPath::Delta;
   return options;
@@ -176,8 +176,13 @@ struct Dims {
   std::uint32_t objects;
 };
 
+/// --scale paper: the paper's full experiment sizes.
+inline bool paper_scale(const common::Cli& cli) {
+  return cli.get_choice("scale", {"default", "paper"}) == "paper";
+}
+
 inline Dims resolve_dims(const common::Cli& cli) {
-  if (cli.get("scale") == "paper") return Dims{3718, 25000};
+  if (paper_scale(cli)) return Dims{3718, 25000};
   return Dims{cli.get_unsigned<std::uint32_t>("servers"),
               cli.get_unsigned<std::uint32_t>("objects")};
 }

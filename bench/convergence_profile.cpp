@@ -10,7 +10,9 @@
 #include "core/agt_ram.hpp"
 #include "core/regional.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace agtram;
 
   common::Cli cli("anytime convergence profile of the mechanism");
@@ -70,4 +72,10 @@ int main(int argc, char** argv) {
             << " epochs (" << regional.replicas_placed() << " replicas): "
             << common::Table::pct(regional_savings) << " savings\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return agtram::common::run_main(argc, argv, run);
 }

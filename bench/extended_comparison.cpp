@@ -16,7 +16,9 @@
 #include "core/economics.hpp"
 #include "sim/replay.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace agtram;
 
   common::Cli cli("Extended nine-method comparison + mechanism economics");
@@ -74,4 +76,10 @@ int main(int argc, char** argv) {
     table.print(std::cout);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return agtram::common::run_main(argc, argv, run);
 }

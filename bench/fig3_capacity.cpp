@@ -10,7 +10,9 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace agtram;
 
   common::Cli cli("Figure 3: OTC savings vs. server capacity "
@@ -71,4 +73,10 @@ int main(int argc, char** argv) {
                    2)
             << "x)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return agtram::common::run_main(argc, argv, run);
 }

@@ -8,7 +8,9 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace agtram;
 
   common::Cli cli("Figure 4: OTC savings vs. read/write ratio "
@@ -69,4 +71,10 @@ int main(int argc, char** argv) {
   }
   bench::emit(cli, table);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return agtram::common::run_main(argc, argv, run);
 }

@@ -7,15 +7,17 @@
 // the end-user view behind the OTC savings of Figures 3/4.
 //
 // Percentiles come from sim::replay's exact request-weighted read-latency
-// distribution (path costs are bounded by the network diameter), under the
-// rank convention the serving-layer rows use (bench/percentiles.hpp), so the
-// two benches are directly comparable.
+// distribution, summarised by common::summarize_weighted, the function that
+// summarises serving_replay's read-cost histogram too, so the two benches
+// are directly comparable.
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "sim/replay.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace agtram;
 
   common::Cli cli("Read-latency profile of every placement method");
@@ -63,4 +65,10 @@ int main(int argc, char** argv) {
                "replication should pull it far below the primaries-only "
                "concentration.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return agtram::common::run_main(argc, argv, run);
 }

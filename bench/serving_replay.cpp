@@ -13,10 +13,11 @@
 #include <algorithm>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "percentiles.hpp"
+#include "common/stats.hpp"
 #include "runtime/message_bus.hpp"
 #include "srv/serving_engine.hpp"
 #include "srv/workload.hpp"
@@ -29,12 +30,9 @@ struct PolicyRun {
   std::string name;
   srv::ServingStats stats;
   runtime::MessageStats wire;
-  double mean_read_cost = 0.0;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   common::Cli cli("Serving-layer replay: policies under demand drift");
   bench::add_common_flags(cli);
   cli.add_flag("requests", "1000000", "total routed requests per policy");
@@ -49,7 +47,8 @@ int main(int argc, char** argv) {
   const bench::Dims dims = bench::resolve_dims(cli);
   const auto seed = cli.get_unsigned<std::uint64_t>("seed");
   const auto total_requests = cli.get_unsigned<std::uint64_t>("requests");
-  const std::string which = cli.get("policy");
+  const std::string which =
+      cli.get_choice("policy", {"all", "static", "resolve", "ondrift"});
 
   srv::WorkloadConfig wconfig;
   wconfig.requests_per_batch = cli.get_unsigned<std::size_t>("batch");
@@ -82,7 +81,6 @@ int main(int argc, char** argv) {
     run.name = name;
     run.stats = engine.stats();
     run.wire = bus.stats();
-    run.mean_read_cost = engine.stats().mean_read_cost();
     std::cerr << "  " << name << " done (" << run.stats.requests
               << " requests, " << run.stats.reconverges << " reconverges)\n";
     return run;
@@ -98,10 +96,6 @@ int main(int argc, char** argv) {
   if (which == "all" || which == "ondrift") {
     runs.push_back(run_policy("ondrift", srv::ReconvergePolicy::OnDrift));
   }
-  if (runs.empty()) {
-    std::cerr << "unknown --policy " << which << "\n";
-    return 1;
-  }
 
   common::Table table({"policy", "req/s (serve)", "read cost mean", "p99",
                        "local reads", "units moved", "installs", "reconv",
@@ -111,8 +105,13 @@ int main(int argc, char** argv) {
                   std::to_string(dims.objects) + ", " +
                   std::to_string(total_requests) + " requests/policy]");
   for (const PolicyRun& run : runs) {
-    const bench::PercentileSummary cost =
-        bench::summarize_histogram(run.stats.read_cost_histogram);
+    const std::vector<std::uint64_t>& hist = run.stats.read_cost_histogram;
+    std::vector<common::WeightedValue> costs;
+    for (std::size_t d = 0; d < hist.size(); ++d) {
+      if (hist[d] != 0) costs.push_back({d, hist[d]});
+    }
+    const common::WeightedSummary cost =
+        common::summarize_weighted(std::move(costs));
     const double serve_rate =
         run.stats.serve_seconds > 0.0
             ? static_cast<double>(run.stats.requests) / run.stats.serve_seconds
@@ -139,4 +138,10 @@ int main(int argc, char** argv) {
                "for reads + writes under each policy's placement "
                "trajectory.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return agtram::common::run_main(argc, argv, run);
 }

@@ -13,7 +13,9 @@
 #include "core/agt_ram.hpp"
 #include "obs_writer.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace agtram;
 
   common::Cli cli("Table 1: running time (seconds) of the placement methods "
@@ -37,7 +39,7 @@ int main(int argc, char** argv) {
   const auto seed = cli.get_unsigned<std::uint64_t>("seed");
   auto m_grid = cli.get_unsigned_list<std::uint32_t>("m-grid");
   auto n_grid = cli.get_unsigned_list<std::uint32_t>("n-grid");
-  if (cli.get("scale") == "paper") {
+  if (bench::paper_scale(cli)) {
     m_grid = {2500, 3000, 3718};
     n_grid = {15000, 20000, 25000};
   }
@@ -170,4 +172,10 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return agtram::common::run_main(argc, argv, run);
 }

@@ -32,9 +32,7 @@ constexpr PaperRow kRows[] = {
     {3718, 25000, 10, 0.40},
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace agtram;
 
   common::Cli cli("Table 2: average OTC savings (%) under the paper's ten "
@@ -58,7 +56,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
 
   double divisor = cli.get_double("divisor");
-  if (cli.get("scale") == "paper") divisor = 1.0;
+  if (bench::paper_scale(cli)) divisor = 1.0;
   const auto seed = cli.get_unsigned<std::uint64_t>("seed");
 
   // --regional 1: per paper row, quality loss of the concurrent-regions
@@ -120,16 +118,13 @@ int main(int argc, char** argv) {
   // table, and the AGT-RAM column shows what lifting the ancestor
   // restriction buys.
   if (cli.get_bool("tree")) {
-    const std::string shape_name = cli.get("tree-shape");
-    net::TreeShape shape = net::TreeShape::Random;
-    if (shape_name == "balanced") {
-      shape = net::TreeShape::Balanced;
-    } else if (shape_name == "caterpillar") {
-      shape = net::TreeShape::Caterpillar;
-    } else if (shape_name != "random") {
-      std::cerr << "unknown --tree-shape: " << shape_name << "\n";
-      return 1;
-    }
+    const std::string shape_name =
+        cli.get_choice("tree-shape", {"random", "balanced", "caterpillar"});
+    const net::TreeShape shape = shape_name == "balanced"
+                                     ? net::TreeShape::Balanced
+                                 : shape_name == "caterpillar"
+                                     ? net::TreeShape::Caterpillar
+                                     : net::TreeShape::Random;
     common::Table table({"problem size", "AGT-RAM", "tree greedy",
                          "tree exact", "exact vs greedy"});
     table.set_title("tree-topology quality: AGT-RAM vs the "
@@ -226,4 +221,10 @@ int main(int argc, char** argv) {
   }
   bench::emit(cli, table);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return agtram::common::run_main(argc, argv, run);
 }

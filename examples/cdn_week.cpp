@@ -11,7 +11,9 @@
 #include "drp/builder.hpp"
 #include "sim/horizon.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace agtram;
 
   common::Cli cli("one simulated week of drifting demand under three "
@@ -65,4 +67,10 @@ int main(int argc, char** argv) {
   std::cout << "the adaptive protocol tracks rebuild-quality savings at a "
                "fraction of the churn — the paper's migration claim.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return agtram::common::run_main(argc, argv, run);
 }

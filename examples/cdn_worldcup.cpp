@@ -18,7 +18,9 @@
 #include "trace/pipeline.hpp"
 #include "trace/worldcup.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace agtram;
 
   common::Cli cli("CDN replica placement from synthetic World Cup '98 logs");
@@ -119,4 +121,10 @@ int main(int argc, char** argv) {
   }
   hot.print(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return agtram::common::run_main(argc, argv, run);
 }

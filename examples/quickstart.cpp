@@ -13,7 +13,9 @@
 #include "drp/builder.hpp"
 #include "drp/cost_model.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace agtram;
 
   common::Cli cli("AGT-RAM quickstart: one instance, all six methods");
@@ -60,4 +62,10 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return agtram::common::run_main(argc, argv, run);
 }

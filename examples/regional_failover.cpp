@@ -19,7 +19,9 @@
 #include "drp/cost_model.hpp"
 #include "sim/replay.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace agtram;
 
   common::Cli cli("Regional mechanisms with failover and survivor re-plan");
@@ -130,4 +132,10 @@ int main(int argc, char** argv) {
                    degraded.placement.extra_replica_count()
             << " replicas near the orphaned demand.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return agtram::common::run_main(argc, argv, run);
 }

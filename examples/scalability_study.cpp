@@ -15,7 +15,9 @@
 #include "drp/cost_model.hpp"
 #include "runtime/distributed_mechanism.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace agtram;
 
   common::Cli cli("Scalability of the semi-distributed mechanism vs. the "
@@ -76,4 +78,10 @@ int main(int argc, char** argv) {
                "valuation work (O(candidate lists)) runs on the servers —\n"
                "the paper's semi-distributed scalability claim.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return agtram::common::run_main(argc, argv, run);
 }

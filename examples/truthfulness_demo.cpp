@@ -15,7 +15,9 @@
 #include "drp/builder.hpp"
 #include "drp/cost_model.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace agtram;
 
   common::Cli cli("Axiomatic mechanism walkthrough: valuations, clearing, "
@@ -174,4 +176,10 @@ int main(int argc, char** argv) {
               << " (lying)\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return agtram::common::run_main(argc, argv, run);
 }

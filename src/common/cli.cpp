@@ -99,6 +99,19 @@ bool Cli::get_bool(const std::string& name) const {
   refuse(name, v, "one of 1, true, yes, on, 0, false, no, off");
 }
 
+std::string Cli::get_choice(
+    const std::string& name,
+    std::initializer_list<std::string_view> choices) const {
+  std::string v = get(name);
+  std::string listed;
+  for (const std::string_view choice : choices) {
+    if (v == choice) return v;
+    if (!listed.empty()) listed += ", ";
+    listed += choice;
+  }
+  refuse(name, v, "one of " + listed);
+}
+
 std::vector<double> Cli::get_double_list(const std::string& name) const {
   std::vector<double> out;
   for (const std::string& token : split_list(name)) {
@@ -112,6 +125,17 @@ void Cli::print_usage(std::ostream& os) const {
   for (const auto& [name, flag] : flags_) {
     os << "  --" << name << " (default: " << flag.default_value << ")\n      "
        << flag.help << "\n";
+  }
+}
+
+int run_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    const std::string_view path = argc > 0 ? argv[0] : "";
+    std::cerr << path.substr(path.find_last_of('/') + 1) << ": " << e.what()
+              << "\n";
+    return 1;
   }
 }
 

@@ -1,15 +1,18 @@
-// Minimal `--flag value` command-line parser for the bench/example binaries.
-// Unknown flags abort with a usage message so typos never silently run the
-// default experiment, and a value that does not read as its flag's type is
-// refused (std::invalid_argument naming the flag and the value) instead of
-// being misread.
+// Minimal `--flag value` command-line parser for the bench, example and
+// tool binaries.  Unknown flags abort with a usage message so typos never
+// silently run the default experiment, and a value that does not read as
+// its flag's type, or is not one of its flag's listed choices, is refused
+// (std::invalid_argument naming the flag and the value) instead of being
+// misread.  run_main ends a binary on such a refusal with its reason.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <iosfwd>
 #include <limits>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/parse.hpp"
@@ -43,6 +46,9 @@ class Cli {
   double get_double(const std::string& name) const;
   /// 1/true/yes/on or 0/false/no/off.
   bool get_bool(const std::string& name) const;
+  /// The value, which must be one of `choices`.
+  std::string get_choice(const std::string& name,
+                         std::initializer_list<std::string_view> choices) const;
 
   /// Comma-separated lists, each token read as by get_double or
   /// get_unsigned (empty tokens are skipped), e.g. --caps 0.1,0.2,0.3
@@ -86,5 +92,11 @@ class Cli {
   std::map<std::string, Flag> flags_;
   bool help_requested_ = false;
 };
+
+/// Runs `body(argc, argv)` as a binary's main.  An exception it throws (a
+/// refused flag value, an unreadable input, an invalid configuration) ends
+/// the binary with `<name>: <reason>` on stderr and exit status 1, where
+/// <name> is the last path component of argv[0].
+int run_main(int argc, char** argv, int (*body)(int, char**));
 
 }  // namespace agtram::common

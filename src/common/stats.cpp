@@ -41,4 +41,39 @@ double RunningStats::variance() const noexcept {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
+WeightedSummary summarize_weighted(std::vector<WeightedValue> samples) {
+  std::sort(samples.begin(), samples.end(),
+            [](const WeightedValue& a, const WeightedValue& b) {
+              return a.value < b.value;
+            });
+  WeightedSummary out;
+  double weighted = 0.0;
+  std::uint64_t at_zero = 0;
+  for (const WeightedValue& s : samples) {
+    if (s.weight == 0) continue;
+    out.count += s.weight;
+    weighted += static_cast<double>(s.value) * static_cast<double>(s.weight);
+    if (s.value == 0) at_zero += s.weight;
+    out.max = static_cast<double>(s.value);
+  }
+  if (out.count == 0) return out;
+  out.mean = weighted / static_cast<double>(out.count);
+  out.zero_fraction =
+      static_cast<double>(at_zero) / static_cast<double>(out.count);
+  const auto at = [&samples, &out](double q) {
+    const auto target = static_cast<std::uint64_t>(
+        q / 100.0 * static_cast<double>(out.count - 1));
+    std::uint64_t seen = 0;
+    for (const WeightedValue& s : samples) {
+      seen += s.weight;
+      if (seen > target) return static_cast<double>(s.value);
+    }
+    return out.max;
+  };
+  out.p50 = at(50.0);
+  out.p90 = at(90.0);
+  out.p99 = at(99.0);
+  return out;
+}
+
 }  // namespace agtram::common

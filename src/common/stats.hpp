@@ -1,10 +1,39 @@
-// Streaming summary statistics for the bench harness (the truthfulness
-// margins of bench/ablation_payment).
+// Summary statistics: streaming moments for the bench harness (the
+// truthfulness margins of bench/ablation_payment), and the one
+// request-weighted summary of read costs (sim::replay's read latency and
+// the serving engine's read-cost histogram in bench/serving_replay).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 namespace agtram::common {
+
+/// An integral value (a read cost in metric-closure hops) and the number of
+/// requests that observed it.
+struct WeightedValue {
+  std::uint64_t value = 0;
+  std::uint64_t weight = 0;
+};
+
+/// Request-weighted summary of integral values.
+struct WeightedSummary {
+  std::uint64_t count = 0;  ///< total weight
+  double mean = 0.0;
+  double p50 = 0.0;
+  double p90 = 0.0;
+  double p99 = 0.0;
+  double max = 0.0;            ///< largest value of nonzero weight
+  double zero_fraction = 0.0;  ///< share of the weight at value 0
+};
+
+/// Summarises `samples` in any order; a value may appear more than once.
+/// Percentile q is the first value, ascending, whose cumulative weight
+/// exceeds floor(q/100 * (count - 1)).  Every value and weight is integral,
+/// so the mean is exact in any summation order while sum(value * weight)
+/// stays below 2^53.  All zeros when the total weight is 0.
+WeightedSummary summarize_weighted(std::vector<WeightedValue> samples);
 
 /// Welford online mean/variance plus min/max.
 class RunningStats {

@@ -223,7 +223,8 @@ struct MechanismResult {
   /// True when the round loop ended because no agent had a positive feasible
   /// candidate left (the mechanism's natural fixpoint); false only when
   /// `max_rounds` cut it short, in which case live agents may still hold
-  /// bids.  The online engine keys its carryover and oracle checks on this.
+  /// bids.  The online and serving engines refuse an initial solve that did
+  /// not drain, and the online engine's oracle an undrained re-solve.
   bool drained = true;
 
   double total_payments() const;

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/timer.hpp"
 #include "obs/obs.hpp"
 
 namespace agtram::core {
@@ -295,21 +294,22 @@ BatchOutcome OnlineMechanism::apply_events(std::span<const OnlineEvent> batch) {
   for (const drp::ServerId i : carryover_) mark_dirty(i);
   carryover_.clear();
 
-  common::Timer stage;
-  try {
-    for (const OnlineEvent& event : batch) apply_one(event, out);
-  } catch (...) {
-    // The events before the rejected one stay applied.  Leave them for the
-    // next batch to repair: exact caches, their agents carried over, and
-    // both flag arrays clear for the next batch's marks.
+  {
+    AGTRAM_OBS_SPAN("online.events", out.events_seconds);
+    try {
+      for (const OnlineEvent& event : batch) apply_one(event, out);
+    } catch (...) {
+      // The events before the rejected one stay applied.  Leave them for
+      // the next batch to repair: exact caches, their agents carried over,
+      // and both flag arrays clear for the next batch's marks.
+      refresh_demand_touched();
+      carryover_ = dirty_;
+      for (const drp::ServerId i : dirty_) dirty_flag_[i] = 0;
+      clear_demand_touched();
+      throw;
+    }
     refresh_demand_touched();
-    carryover_ = dirty_;
-    for (const drp::ServerId i : dirty_) dirty_flag_[i] = 0;
-    clear_demand_touched();
-    throw;
   }
-  refresh_demand_touched();
-  out.events_seconds = stage.seconds();
 
   out.dirty_agents = dirty_.size();
   out.reports_saved = problem_->server_count() - dirty_.size();
@@ -322,9 +322,8 @@ BatchOutcome OnlineMechanism::apply_events(std::span<const OnlineEvent> batch) {
   if (config_.differential_oracle) oracle_start.emplace(eval_->placement());
 
   std::vector<RoundRecord> repair_rounds;
-  stage.reset();
   if (!dirty_.empty()) {
-    AGTRAM_OBS_SPAN("online.repair");
+    AGTRAM_OBS_SPAN("online.repair", out.repair_seconds);
     AgtRamConfig mech = config_.mechanism;
     mech.max_rounds = 0;  // a repair drains its dirty set
     MechanismResult repair = run_agt_ram_from(
@@ -345,9 +344,8 @@ BatchOutcome OnlineMechanism::apply_events(std::span<const OnlineEvent> batch) {
     for (const RoundRecord& r : repair.rounds) out.payments += r.payment;
     AGTRAM_OBS_COUNT("online.repair_rounds", repair.rounds.size());
     repair_rounds = std::move(repair.rounds);
+    for (const drp::ServerId i : dirty_) dirty_flag_[i] = 0;
   }
-  for (const drp::ServerId i : dirty_) dirty_flag_[i] = 0;
-  out.repair_seconds = stage.seconds();
 
   if (config_.differential_oracle) {
     run_oracle(std::move(*oracle_start), repair_rounds);
@@ -358,9 +356,7 @@ BatchOutcome OnlineMechanism::apply_events(std::span<const OnlineEvent> batch) {
   // Bounded eviction pass over the objects whose demand this batch touched
   // (the list is per batch).
   if (config_.eviction_limit > 0 && !demand_touched_.empty()) {
-    stage.reset();
     run_eviction(out);
-    out.eviction_seconds = stage.seconds();
   }
   clear_demand_touched();
 
@@ -376,7 +372,7 @@ BatchOutcome OnlineMechanism::apply_events(std::span<const OnlineEvent> batch) {
 }
 
 void OnlineMechanism::run_eviction(BatchOutcome& out) {
-  AGTRAM_OBS_SPAN("online.evict");
+  AGTRAM_OBS_SPAN("online.evict", out.eviction_seconds);
   std::size_t budget = config_.eviction_limit;
   const std::size_t carryover_mark = carryover_.size();
   for (const drp::ObjectIndex k : demand_touched_) {

@@ -9,6 +9,11 @@
 // coarse phases; the trace sink records per-round gauge snapshots next to
 // the decision that produced them.
 //
+// One clock: ScopedSpan is the only wall clock the library reads.  A stage
+// that a result struct exports in seconds (BatchOutcome, ServingStats,
+// DistributedRunReport) is timed by one span that also adds its reading to
+// that field, so the field and the span cannot disagree (DESIGN.md §9).
+//
 // Cost contract: the layer is compiled into every build.  A counter hit is
 // one relaxed atomic add on a cached reference (the registry lookup happens
 // once per site, at static-local initialisation).  Spans add two
@@ -25,6 +30,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -96,25 +102,38 @@ class Span {
   std::atomic<std::uint64_t> total_ns_{0};
 };
 
-/// RAII timer feeding a Span on scope exit.
+/// The one wall clock: spans read it, and so does common::Timer.
+using Clock = std::chrono::steady_clock;
+
+/// RAII timer feeding a Span on scope exit.  With `seconds`, the same
+/// reading is also added to that field; the field must outlive the scope.
+/// A scope left by an exception records nothing, in the span or the field:
+/// a refused batch or a thrown repair is not a stage that ran.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(Span& span) noexcept
-      : span_(span), start_(std::chrono::steady_clock::now()) {}
+  explicit ScopedSpan(Span& span, double* seconds = nullptr) noexcept
+      : span_(span),
+        seconds_(seconds),
+        exceptions_(std::uncaught_exceptions()),
+        start_(Clock::now()) {}
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
   ~ScopedSpan() {
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    span_.record(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-            .count()));
+    if (std::uncaught_exceptions() > exceptions_) return;
+    const auto elapsed = Clock::now() - start_;
+    const auto ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
+    span_.record(ns);
+    if (seconds_ != nullptr) *seconds_ += static_cast<double>(ns) * 1e-9;
   }
 
  private:
   Span& span_;
-  std::chrono::steady_clock::time_point start_;
+  double* seconds_;
+  int exceptions_;
+  Clock::time_point start_;
 };
 
 struct CounterSnapshot {
@@ -191,15 +210,20 @@ TraceSink* active_trace() noexcept;
         static_cast<std::uint64_t>(delta));                  \
   } while (0)
 
-/// Times the enclosing scope into the named span (two clock reads).
-#define AGTRAM_OBS_SPAN(name)                                             \
+/// Times the enclosing scope into the named span (two clock reads).  An
+/// optional second argument, a `double` lvalue, receives the same reading
+/// in seconds: AGTRAM_OBS_SPAN("srv.install", stats_.install_seconds).
+// clang-format off
+#define AGTRAM_OBS_SPAN(name, ...)                                        \
   static ::agtram::obs::Span& AGTRAM_OBS_CONCAT_(agtram_obs_span_ref_,    \
                                                  __LINE__) =              \
       ::agtram::obs::Registry::instance().span(name);                     \
   const ::agtram::obs::ScopedSpan AGTRAM_OBS_CONCAT_(                     \
       agtram_obs_span_, __LINE__) {                                       \
     AGTRAM_OBS_CONCAT_(agtram_obs_span_ref_, __LINE__)                    \
+    __VA_OPT__(, &(__VA_ARGS__))                                          \
   }
+// clang-format on
 
 /// Opens round `round` on the installed trace sink, if any.
 #define AGTRAM_OBS_ROUND(round)                                  \

@@ -1,6 +1,6 @@
 #include "runtime/distributed_mechanism.hpp"
 
-#include "common/timer.hpp"
+#include "obs/obs.hpp"
 
 namespace agtram::runtime {
 
@@ -12,12 +12,13 @@ DistributedRunReport run_distributed(const drp::Problem& problem) {
   mech.report_mode = core::ReportMode::Incremental;
   mech.observer = &bus;
 
-  common::Timer timer;
-  core::MechanismResult result = core::run_agt_ram(problem, mech);
-
-  DistributedRunReport report{std::move(result), bus.stats(), centre,
-                              timer.seconds()};
-  return report;
+  double wall_seconds = 0.0;
+  core::MechanismResult result = [&] {
+    AGTRAM_OBS_SPAN("runtime.distributed_run", wall_seconds);
+    return core::run_agt_ram(problem, mech);
+  }();
+  return DistributedRunReport{std::move(result), bus.stats(), centre,
+                              wall_seconds};
 }
 
 }  // namespace agtram::runtime

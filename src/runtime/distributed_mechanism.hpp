@@ -15,7 +15,7 @@ struct DistributedRunReport {
   core::MechanismResult result;
   MessageStats messages;
   drp::ServerId centre;
-  double wall_seconds = 0.0;
+  double wall_seconds = 0.0;  ///< the runtime.distributed_run span's reading
 };
 
 /// Runs the mechanism with full message accounting: second-price payments,

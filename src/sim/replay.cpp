@@ -4,33 +4,17 @@
 #include <utility>
 #include <vector>
 
+#include "common/stats.hpp"
+
 namespace agtram::sim {
-
-namespace {
-
-/// Request-weighted percentile over (latency, weight) samples.
-double weighted_percentile(std::vector<std::pair<double, std::uint64_t>>& s,
-                           std::uint64_t total, double q) {
-  if (s.empty() || total == 0) return 0.0;
-  const auto target = static_cast<std::uint64_t>(
-      q / 100.0 * static_cast<double>(total - 1));
-  std::uint64_t seen = 0;
-  for (const auto& [latency, weight] : s) {
-    seen += weight;
-    if (seen > target) return latency;
-  }
-  return s.back().first;
-}
-
-}  // namespace
 
 ReplayStats replay(const drp::ReplicaPlacement& placement) {
   const drp::Problem& p = placement.problem();
   ReplayStats stats;
 
-  std::vector<std::pair<double, std::uint64_t>> latency_samples;
-  double latency_sum = 0.0;
-  std::uint64_t local_reads = 0;
+  // One sample per reading cell: distances may reach the diameter of a
+  // graph read from disk, so a dense histogram is not an option.
+  std::vector<common::WeightedValue> latency_samples;
   std::vector<std::uint64_t> served(p.server_count(), 0);
 
   for (drp::ObjectIndex k = 0; k < p.object_count(); ++k) {
@@ -45,12 +29,11 @@ ReplayStats replay(const drp::ReplicaPlacement& placement) {
       if (access.reads > 0) {
         const drp::ServerId serving = placement.nn_server(access.server, k);
         served[serving] += access.reads;
-        const auto hop = static_cast<double>(p.distance(access.server, serving));
-        stats.read_units += static_cast<double>(access.reads) * o * hop;
+        const net::Cost hop = p.distance(access.server, serving);
+        stats.read_units += static_cast<double>(access.reads) * o *
+                            static_cast<double>(hop);
         stats.read_requests += access.reads;
-        latency_samples.emplace_back(hop, access.reads);
-        latency_sum += hop * static_cast<double>(access.reads);
-        if (hop == 0.0) local_reads += access.reads;
+        latency_samples.push_back({hop, access.reads});
       }
       // --- Writes: shipped to the primary...
       if (access.writes > 0) {
@@ -75,23 +58,10 @@ ReplayStats replay(const drp::ReplicaPlacement& placement) {
     (void)writes_seen;
   }
 
-  // Latency distribution (request-weighted).
-  std::sort(latency_samples.begin(), latency_samples.end());
-  if (stats.read_requests > 0) {
-    stats.read_latency.mean =
-        latency_sum / static_cast<double>(stats.read_requests);
-    stats.read_latency.p50 =
-        weighted_percentile(latency_samples, stats.read_requests, 50.0);
-    stats.read_latency.p90 =
-        weighted_percentile(latency_samples, stats.read_requests, 90.0);
-    stats.read_latency.p99 =
-        weighted_percentile(latency_samples, stats.read_requests, 99.0);
-    stats.read_latency.worst =
-        latency_samples.empty() ? 0.0 : latency_samples.back().first;
-    stats.read_latency.local_fraction =
-        static_cast<double>(local_reads) /
-        static_cast<double>(stats.read_requests);
-  }
+  const common::WeightedSummary latency =
+      common::summarize_weighted(std::move(latency_samples));
+  stats.read_latency = {latency.mean, latency.p50, latency.p90,
+                        latency.p99,  latency.max, latency.zero_fraction};
 
   // Server service-load distribution.
   if (stats.read_requests > 0 && !served.empty()) {

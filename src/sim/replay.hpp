@@ -24,6 +24,7 @@
 
 namespace agtram::sim {
 
+/// Request-weighted read latency, as common::summarize_weighted reports it.
 struct LatencySummary {
   double mean = 0.0;
   double p50 = 0.0;

@@ -14,7 +14,6 @@ RoutingSnapshot::RoutingSnapshot(const drp::ReplicaPlacement& placement,
     : problem_(&placement.problem()),
       epoch_(epoch),
       replica_count_(placement.replica_count()) {
-  AGTRAM_OBS_SPAN("srv.snapshot_build");
   const std::size_t nnz = problem_->access.nonzeros();
   nn_dist_.resize(nnz);
   nn_node_.resize(nnz);
@@ -34,7 +33,6 @@ RoutingSnapshot::RoutingSnapshot(const RoutingSnapshot& previous,
       nn_dist_(previous.nn_dist_),
       nn_node_(previous.nn_node_),
       write_units_(previous.write_units_) {
-  AGTRAM_OBS_SPAN("srv.snapshot_patch");
   if (previous.problem_ != problem_) {
     throw std::invalid_argument(
         "RoutingSnapshot: patching across different Problems");

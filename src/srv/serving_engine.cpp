@@ -8,7 +8,6 @@
 #include <variant>
 
 #include "common/thread_pool.hpp"
-#include "common/timer.hpp"
 #include "obs/obs.hpp"
 
 namespace agtram::srv {
@@ -33,17 +32,6 @@ const char* refusal(const drp::AccessMatrix& access,
 }
 
 }  // namespace
-
-double ServingStats::mean_read_cost() const noexcept {
-  std::uint64_t total = 0;
-  double weighted = 0.0;
-  for (std::size_t d = 0; d < read_cost_histogram.size(); ++d) {
-    total += read_cost_histogram[d];
-    weighted += static_cast<double>(read_cost_histogram[d]) *
-                static_cast<double>(d);
-  }
-  return total == 0 ? 0.0 : weighted / static_cast<double>(total);
-}
 
 ServingEngine::ServingEngine(drp::Problem problem, ServingConfig config)
     : config_(std::move(config)) {
@@ -183,7 +171,18 @@ void ServingEngine::observe(std::span<const Request> batch) {
 
 void ServingEngine::run_batch(std::span<const Request> batch) {
   AGTRAM_OBS_SPAN("srv.batch");
-  common::Timer timer;
+  route_batch(batch);
+  if (config_.policy == ReconvergePolicy::EveryBatch) {
+    reconverge_now();
+  } else if (config_.policy == ReconvergePolicy::OnDrift && drift_crossed()) {
+    ++stats_.drift_triggers;
+    AGTRAM_OBS_COUNT("srv.drift_triggers", 1);
+    reconverge_now();
+  }
+}
+
+void ServingEngine::route_batch(std::span<const Request> batch) {
+  AGTRAM_OBS_SPAN("srv.route", stats_.serve_seconds);
   // One snapshot for the whole batch, shared by the shards: a batch is one
   // coherent epoch.  Installs run on this thread after the shards join, so
   // the acquired pointer needs no pin.
@@ -237,15 +236,6 @@ void ServingEngine::run_batch(std::span<const Request> batch) {
   }
   ++stats_.batches;
   AGTRAM_OBS_COUNT("srv.batches", 1);
-  stats_.serve_seconds += timer.seconds();
-
-  if (config_.policy == ReconvergePolicy::EveryBatch) {
-    reconverge_now();
-  } else if (config_.policy == ReconvergePolicy::OnDrift && drift_crossed()) {
-    ++stats_.drift_triggers;
-    AGTRAM_OBS_COUNT("srv.drift_triggers", 1);
-    reconverge_now();
-  }
 }
 
 bool ServingEngine::drift_crossed() {
@@ -314,9 +304,40 @@ bool ServingEngine::drift_crossed() {
 }
 
 void ServingEngine::reconverge_now() {
-  AGTRAM_OBS_SPAN("srv.reconverge");
-  common::Timer timer;
-  common::Timer stage;
+  AGTRAM_OBS_SPAN("srv.reconverge", stats_.reconverge_seconds);
+  fold_window();
+  if (online_) {
+    const core::BatchOutcome outcome = online_->apply_events(fold_events_);
+    stats_.fold_seconds += outcome.events_seconds;
+    stats_.repair_seconds += outcome.repair_seconds;
+    stats_.eviction_seconds += outcome.eviction_seconds;
+    stats_.repair_rounds += outcome.repair_rounds;
+    stats_.replicas_evicted += outcome.replicas_evicted;
+    ++stats_.reconverges;
+    AGTRAM_OBS_COUNT("srv.reconverges", 1);
+    // Incremental install: only the added/evicted entries ship, and only
+    // the objects whose replicators changed are re-filled.
+    install_snapshot(outcome.repair_rounds + outcome.replicas_evicted +
+                         outcome.replicas_lost,
+                     &outcome.changed_objects);
+  } else {
+    {
+      AGTRAM_OBS_SPAN("srv.resolve", stats_.repair_seconds);
+      core::MechanismResult result =
+          core::run_agt_ram(*problem_, config_.mechanism);
+      stats_.repair_rounds += result.rounds.size();
+      placement_.emplace(std::move(result.placement));
+    }
+    ++stats_.reconverges;
+    AGTRAM_OBS_COUNT("srv.reconverges", 1);
+    // Cold re-solve: the whole routing table ships and is rebuilt.
+    install_snapshot(placement_->replica_count(), nullptr);
+  }
+  reset_window();
+}
+
+void ServingEngine::fold_window() {
+  AGTRAM_OBS_SPAN("srv.fold", stats_.fold_seconds);
   const drp::AccessMatrix& access = problem().access;
 
   // Fold the observed window into the registered demand as an
@@ -392,62 +413,36 @@ void ServingEngine::reconverge_now() {
   AGTRAM_OBS_COUNT("srv.demand_delta_cells", fold_events_.size());
   if (config_.bus) config_.bus->account_demand_batch(fold_events_.size());
 
-  if (online_) {
-    stats_.fold_seconds += stage.seconds();
-    const core::BatchOutcome outcome = online_->apply_events(fold_events_);
-    stats_.fold_seconds += outcome.events_seconds;
-    stats_.repair_seconds += outcome.repair_seconds;
-    stats_.eviction_seconds += outcome.eviction_seconds;
-    stats_.repair_rounds += outcome.repair_rounds;
-    stats_.replicas_evicted += outcome.replicas_evicted;
-    ++stats_.reconverges;
-    AGTRAM_OBS_COUNT("srv.reconverges", 1);
-    // Incremental install: only the added/evicted entries ship, and only
-    // the objects whose replicators changed are re-filled.
-    install_snapshot(outcome.repair_rounds + outcome.replicas_evicted +
-                         outcome.replicas_lost,
-                     &outcome.changed_objects);
-  } else {
+  // The online engine applies the deltas as its events stage; a cold
+  // re-solve reads them from the matrix this engine owns.
+  if (!online_) {
     for (const core::OnlineEvent& event : fold_events_) {
       const auto& d = std::get<core::DemandDelta>(event);
       problem_->access.apply_demand_delta(d.server, d.object, d.delta_reads,
                                           d.delta_writes);
     }
-    stats_.fold_seconds += stage.seconds();
-    stage.reset();
-    core::MechanismResult result =
-        core::run_agt_ram(*problem_, config_.mechanism);
-    stats_.repair_rounds += result.rounds.size();
-    placement_.emplace(std::move(result.placement));
-    stats_.repair_seconds += stage.seconds();
-    ++stats_.reconverges;
-    AGTRAM_OBS_COUNT("srv.reconverges", 1);
-    // Cold re-solve: the whole routing table ships and is rebuilt.
-    install_snapshot(placement_->replica_count(), nullptr);
   }
-  reset_window();
-  stats_.reconverge_seconds += timer.seconds();
 }
 
 void ServingEngine::install_snapshot(
     std::uint64_t changed_entries,
     const std::vector<drp::ObjectIndex>* changed) {
-  common::Timer stage;
-  ++epoch_;
-  auto snap = changed != nullptr
-                  ? std::make_shared<const RoutingSnapshot>(
-                        *table_.acquire(), placement(), *changed, epoch_)
-                  : std::make_shared<const RoutingSnapshot>(placement(),
-                                                            epoch_);
-  stats_.snapshot_seconds += stage.seconds();
-  stage.reset();
+  std::shared_ptr<const RoutingSnapshot> snap;
+  {
+    AGTRAM_OBS_SPAN("srv.snapshot", stats_.snapshot_seconds);
+    ++epoch_;
+    snap = changed != nullptr
+               ? std::make_shared<const RoutingSnapshot>(
+                     *table_.acquire(), placement(), *changed, epoch_)
+               : std::make_shared<const RoutingSnapshot>(placement(), epoch_);
+  }
+  AGTRAM_OBS_SPAN("srv.install", stats_.install_seconds);
   table_.install(std::move(snap));
   ++stats_.installs;
   if (config_.bus) {
     config_.bus->account_install(changed_entries == 0 ? 1 : changed_entries);
   }
   install_mean_read_cost_ = expected_mean_read_cost();
-  stats_.install_seconds += stage.seconds();
 }
 
 void ServingEngine::reset_window() {

@@ -215,6 +215,26 @@ TEST(RunningStats, MergeWithEmpty) {
   EXPECT_EQ(b.mean(), 3.0);
 }
 
+// Unsorted samples, a repeated value and a zero weight: the rank rule takes
+// the first value whose cumulative weight exceeds floor(q/100 * (count-1)).
+TEST(WeightedSummary, HandComputedRanks) {
+  const WeightedSummary s =
+      summarize_weighted({{3, 1}, {0, 2}, {9, 0}, {3, 1}, {7, 1}, {1, 0}});
+  EXPECT_EQ(s.count, 5u);
+  EXPECT_EQ(s.mean, 13.0 / 5.0);
+  EXPECT_EQ(s.p50, 3.0);  // target 2: weights 2 (value 0), then 3
+  EXPECT_EQ(s.p90, 3.0);  // target 3: the second 3 takes it to 4
+  EXPECT_EQ(s.p99, 3.0);
+  EXPECT_EQ(s.max, 7.0);  // 9 has no weight
+  EXPECT_EQ(s.zero_fraction, 2.0 / 5.0);
+
+  const WeightedSummary none = summarize_weighted({{4, 0}});
+  EXPECT_EQ(none.count, 0u);
+  EXPECT_EQ(none.mean, 0.0);
+  EXPECT_EQ(none.p99, 0.0);
+  EXPECT_EQ(none.max, 0.0);
+}
+
 // --------------------------------------------------------- thread pool
 
 TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
@@ -534,6 +554,29 @@ TEST(CliTest, MalformedValuesAreRefused) {
   EXPECT_EQ(refusal("--list", "4,16", as_list), "accepted");
   EXPECT_EQ(cli.get_unsigned_list<std::uint32_t>("list"),
             (std::vector<std::uint32_t>{4, 16}));
+}
+
+// A choice flag takes only its listed spellings, whole and case-sensitive.
+TEST(CliTest, ChoiceOutsideItsSetIsRefused) {
+  Cli cli("test");
+  cli.add_flag("scale", "default", "default | paper");
+  const char* defaults[] = {"prog"};
+  ASSERT_TRUE(cli.parse(1, defaults));
+  EXPECT_EQ(cli.get_choice("scale", {"default", "paper"}), "default");
+  for (const char* bad : {"bogus", "Paper", "pape", "paper ", ""}) {
+    const char* argv[] = {"prog", "--scale", bad};
+    ASSERT_TRUE(cli.parse(3, argv));
+    try {
+      cli.get_choice("scale", {"default", "paper"});
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), std::string("--scale '") + bad +
+                                           "': expected one of default, paper");
+    }
+  }
+  const char* paper[] = {"prog", "--scale", "paper"};
+  ASSERT_TRUE(cli.parse(3, paper));
+  EXPECT_EQ(cli.get_choice("scale", {"default", "paper"}), "paper");
 }
 
 }  // namespace

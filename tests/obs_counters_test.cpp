@@ -1,6 +1,7 @@
 // The counter contract: one tiny run of each instrumented layer (mechanism,
 // distributed runtime, regional, online, serving, strategic audit, Glauber)
-// must move the counters that layer exports.
+// must move the counters that layer exports.  The one-clock contract: every
+// stage a result struct exports in seconds is the reading of its spans.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -136,6 +137,102 @@ TEST(ObsCounters, EveryInstrumentedLayerMovesItsCounters) {
   baselines::run_glauber(p);
   expect_moved(before, {"glauber.sweeps", "glauber.proposals",
                         "glauber.accepted"});
+}
+
+/// Expects `seconds` to be what the named spans recorded since `before`,
+/// up to the rounding of adding nanosecond readings up as seconds.
+void expect_reading(double seconds,
+                    const std::vector<obs::SpanSnapshot>& before,
+                    const std::vector<std::string_view>& names) {
+  std::uint64_t ns = 0;
+  for (const obs::SpanSnapshot& span : obs::Registry::instance().spans()) {
+    for (const std::string_view name : names) {
+      if (span.name == name) ns += span.total_ns;
+    }
+  }
+  for (const obs::SpanSnapshot& span : before) {
+    for (const std::string_view name : names) {
+      if (span.name == name) ns -= span.total_ns;
+    }
+  }
+  const double want = static_cast<double>(ns) * 1e-9;
+  EXPECT_NEAR(seconds, want, 1e-12 * want) << names.front();
+}
+
+drp::Problem dispersed_instance(std::uint64_t seed) {
+  drp::InstanceSpec spec;
+  spec.servers = 24;
+  spec.objects = 96;
+  spec.seed = seed;
+  spec.demand = drp::DemandModel::Dispersed;
+  spec.readers_per_object = 5.0;
+  spec.instance.capacity_fraction = 0.05;
+  return drp::make_instance(spec);
+}
+
+// One clock: each stage field and its spans are one reading, on an online
+// event stream, on both re-converging serving policies, and on a
+// distributed run.
+TEST(ObsSpans, StageFieldsAreTheirSpansReadings) {
+  const obs::Registry& registry = obs::Registry::instance();
+  {
+    core::OnlineConfig config;
+    config.eviction_limit = 16;
+    core::OnlineMechanism engine(dispersed_instance(505), config);
+    runtime::OnlineEventModel model;
+    model.seed = 505;
+    model.replica_loss_rate = 0.05;
+    model.server_fail_rate = 0.02;
+    model.server_recover_rate = 0.5;
+    runtime::OnlineEventSource source(engine, model);
+    for (int b = 0; b < 8; ++b) {
+      const std::vector<core::OnlineEvent> events = source.next_batch();
+      const auto before = registry.spans();
+      const core::BatchOutcome out = engine.apply_events(events);
+      expect_reading(out.events_seconds, before, {"online.events"});
+      expect_reading(out.repair_seconds, before, {"online.repair"});
+      expect_reading(out.eviction_seconds, before, {"online.evict"});
+    }
+  }
+
+  // Each policy runs only one of the two spans behind fold_seconds and
+  // repair_seconds; the other stays still.
+  for (const srv::ReconvergePolicy policy :
+       {srv::ReconvergePolicy::OnDrift, srv::ReconvergePolicy::EveryBatch}) {
+    const auto before = registry.spans();
+    srv::ServingConfig config;
+    config.policy = policy;
+    config.eviction_limit = 8;
+    srv::ServingEngine engine(dispersed_instance(29), config);
+    srv::WorkloadConfig workload_config;
+    workload_config.requests_per_batch = 1024;
+    workload_config.drift_interval = 1;
+    workload_config.drift_fraction = 0.5;
+    srv::SyntheticWorkload workload(engine.problem(), workload_config);
+    std::vector<srv::Request> batch;
+    for (int b = 0; b < 4; ++b) {
+      workload.next_batch(batch);
+      engine.run_batch(batch);
+      engine.reconverge_now();
+    }
+    const srv::ServingStats& stats = engine.stats();
+    ASSERT_GT(stats.reconverges, 0u);
+    EXPECT_GT(stats.snapshot_seconds, 0.0);
+    expect_reading(stats.serve_seconds, before, {"srv.route"});
+    expect_reading(stats.reconverge_seconds, before, {"srv.reconverge"});
+    expect_reading(stats.fold_seconds, before, {"srv.fold", "online.events"});
+    expect_reading(stats.repair_seconds, before,
+                   {"online.repair", "srv.resolve"});
+    expect_reading(stats.eviction_seconds, before, {"online.evict"});
+    expect_reading(stats.snapshot_seconds, before, {"srv.snapshot"});
+    expect_reading(stats.install_seconds, before, {"srv.install"});
+  }
+
+  const drp::Problem problem = dispersed_instance(31);
+  const auto before = registry.spans();
+  const runtime::DistributedRunReport report =
+      runtime::run_distributed(problem);
+  expect_reading(report.wall_seconds, before, {"runtime.distributed_run"});
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 //   agtram_solver --algorithm AGT-RAM --servers 200 --objects 2000
 //   agtram_solver --algorithm Greedy --placement-out scheme.txt
 //   agtram_solver --placement-in scheme.txt       # score an existing scheme
-#include <exception>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -102,13 +101,6 @@ int run(int argc, char** argv) {
 
 }  // namespace
 
-// A refused flag value, an unreadable input or an invalid configuration
-// ends the tool with its reason and exit status 1.
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "agtram_solver: " << e.what() << "\n";
-    return 1;
-  }
+  return agtram::common::run_main(argc, argv, run);
 }

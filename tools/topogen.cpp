@@ -3,7 +3,6 @@
 //
 //   agtram_topogen --kind power-law --nodes 500 --out as_level.topo
 //   agtram_topogen --in as_level.topo            # re-analyse a saved file
-#include <exception>
 #include <fstream>
 #include <iostream>
 
@@ -79,13 +78,6 @@ int run(int argc, char** argv) {
 
 }  // namespace
 
-// A refused flag value, an unreadable input or an invalid configuration
-// ends the tool with its reason and exit status 1.
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "agtram_topogen: " << e.what() << "\n";
-    return 1;
-  }
+  return agtram::common::run_main(argc, argv, run);
 }

@@ -7,7 +7,6 @@
 // Files are written as <out>/day_<n>.log in the text format of
 // trace/access_log.hpp, so external tooling (or a real trace converted to
 // the same shape) can feed the pipeline interchangeably.
-#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -82,13 +81,6 @@ int run(int argc, char** argv) {
 
 }  // namespace
 
-// A refused flag value, an unreadable input or an invalid configuration
-// ends the tool with its reason and exit status 1.
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "agtram_tracegen: " << e.what() << "\n";
-    return 1;
-  }
+  return agtram::common::run_main(argc, argv, run);
 }
