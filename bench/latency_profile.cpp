@@ -7,7 +7,7 @@
 // the end-user view behind the OTC savings of Figures 3/4.
 //
 // Percentiles come from sim::replay's exact request-weighted read-latency
-// distribution, summarised by common::summarize_weighted, the function that
+// distribution, summarised by common::summarize_read_costs, the function that
 // summarises serving_replay's read-cost histogram too, so the two benches
 // are directly comparable.
 #include <iostream>

@@ -106,12 +106,12 @@ int run(int argc, char** argv) {
                   std::to_string(total_requests) + " requests/policy]");
   for (const PolicyRun& run : runs) {
     const std::vector<std::uint64_t>& hist = run.stats.read_cost_histogram;
-    std::vector<common::WeightedValue> costs;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> costs;
     for (std::size_t d = 0; d < hist.size(); ++d) {
-      if (hist[d] != 0) costs.push_back({d, hist[d]});
+      if (hist[d] != 0) costs.emplace_back(d, hist[d]);
     }
-    const common::WeightedSummary cost =
-        common::summarize_weighted(std::move(costs));
+    const common::LatencySummary cost =
+        common::summarize_read_costs(std::move(costs));
     const double serve_rate =
         run.stats.serve_seconds > 0.0
             ? static_cast<double>(run.stats.requests) / run.stats.serve_seconds

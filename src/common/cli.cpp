@@ -93,10 +93,9 @@ double Cli::get_double(const std::string& name) const {
 }
 
 bool Cli::get_bool(const std::string& name) const {
-  const std::string v = get(name);
-  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
-  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  refuse(name, v, "one of 1, true, yes, on, 0, false, no, off");
+  const std::string v =
+      get_choice(name, {"1", "true", "yes", "on", "0", "false", "no", "off"});
+  return v == "1" || v == "true" || v == "yes" || v == "on";
 }
 
 std::string Cli::get_choice(

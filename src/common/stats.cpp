@@ -41,34 +41,31 @@ double RunningStats::variance() const noexcept {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-WeightedSummary summarize_weighted(std::vector<WeightedValue> samples) {
-  std::sort(samples.begin(), samples.end(),
-            [](const WeightedValue& a, const WeightedValue& b) {
-              return a.value < b.value;
-            });
-  WeightedSummary out;
+LatencySummary summarize_read_costs(
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> samples) {
+  std::sort(samples.begin(), samples.end());
+  LatencySummary out;
+  std::uint64_t reads = 0;
+  std::uint64_t local = 0;
   double weighted = 0.0;
-  std::uint64_t at_zero = 0;
-  for (const WeightedValue& s : samples) {
-    if (s.weight == 0) continue;
-    out.count += s.weight;
-    weighted += static_cast<double>(s.value) * static_cast<double>(s.weight);
-    if (s.value == 0) at_zero += s.weight;
-    out.max = static_cast<double>(s.value);
+  for (const auto& [cost, weight] : samples) {
+    reads += weight;
+    weighted += static_cast<double>(cost) * static_cast<double>(weight);
+    if (cost == 0) local += weight;
+    if (weight != 0) out.worst = static_cast<double>(cost);
   }
-  if (out.count == 0) return out;
-  out.mean = weighted / static_cast<double>(out.count);
-  out.zero_fraction =
-      static_cast<double>(at_zero) / static_cast<double>(out.count);
-  const auto at = [&samples, &out](double q) {
+  if (reads == 0) return out;
+  out.mean = weighted / static_cast<double>(reads);
+  out.local_fraction = static_cast<double>(local) / static_cast<double>(reads);
+  const auto at = [&samples, reads](double q) {
     const auto target = static_cast<std::uint64_t>(
-        q / 100.0 * static_cast<double>(out.count - 1));
+        q / 100.0 * static_cast<double>(reads - 1));
     std::uint64_t seen = 0;
-    for (const WeightedValue& s : samples) {
-      seen += s.weight;
-      if (seen > target) return static_cast<double>(s.value);
+    for (const auto& [cost, weight] : samples) {
+      seen += weight;
+      if (seen > target) return static_cast<double>(cost);
     }
-    return out.max;
+    return 0.0;  // unreachable: the last sample brings seen to reads
   };
   out.p50 = at(50.0);
   out.p90 = at(90.0);

@@ -1,39 +1,33 @@
 // Summary statistics: streaming moments for the bench harness (the
 // truthfulness margins of bench/ablation_payment), and the one
-// request-weighted summary of read costs (sim::replay's read latency and
-// the serving engine's read-cost histogram in bench/serving_replay).
+// request-weighted read-cost summary (sim::replay, bench/serving_replay).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace agtram::common {
 
-/// An integral value (a read cost in metric-closure hops) and the number of
-/// requests that observed it.
-struct WeightedValue {
-  std::uint64_t value = 0;
-  std::uint64_t weight = 0;
-};
-
-/// Request-weighted summary of integral values.
-struct WeightedSummary {
-  std::uint64_t count = 0;  ///< total weight
+/// Request-weighted read costs (metric-closure hops per read).
+struct LatencySummary {
   double mean = 0.0;
   double p50 = 0.0;
   double p90 = 0.0;
   double p99 = 0.0;
-  double max = 0.0;            ///< largest value of nonzero weight
-  double zero_fraction = 0.0;  ///< share of the weight at value 0
+  double worst = 0.0;
+  /// Fraction of reads served locally (cost 0).
+  double local_fraction = 0.0;
 };
 
-/// Summarises `samples` in any order; a value may appear more than once.
-/// Percentile q is the first value, ascending, whose cumulative weight
-/// exceeds floor(q/100 * (count - 1)).  Every value and weight is integral,
-/// so the mean is exact in any summation order while sum(value * weight)
-/// stays below 2^53.  All zeros when the total weight is 0.
-WeightedSummary summarize_weighted(std::vector<WeightedValue> samples);
+/// Summarises (cost, reads) samples given in any order; a cost may repeat.
+/// Percentile q is the first cost, ascending, whose cumulative reads exceed
+/// floor(q/100 * (reads - 1)).  Costs and reads are integers, so the mean
+/// is exact in any summation order while sum(cost * reads) stays below
+/// 2^53.  All zeros when there are no reads.
+LatencySummary summarize_read_costs(
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> samples);
 
 /// Welford online mean/variance plus min/max.
 class RunningStats {

@@ -165,14 +165,12 @@ struct BatchOutcome {
   /// caches are as the previous returned outcome left them, which is what
   /// lets a routing snapshot be patched instead of rebuilt.
   std::vector<drp::ObjectIndex> changed_objects;
-  /// Wall seconds per stage, each the reading of the obs span named after
-  /// it (DESIGN.md §9).  They sum to at most the call's wall time; the rest
-  /// is bookkeeping and, when on, the oracle.
-  double events_seconds = 0.0;  ///< online.events: events + the re-price
-  /// online.repair: agent build, rounds, cache re-attach (0 when no agent
-  /// is dirty)
-  double repair_seconds = 0.0;
-  double eviction_seconds = 0.0;  ///< online.evict (0 when it is off)
+  /// Wall seconds per stage, the readings of the online.events,
+  /// online.repair and online.evict spans.  They sum to at most the call's
+  /// wall time; the rest is bookkeeping and, when on, the oracle.
+  double events_seconds = 0.0;    ///< events + the once-per-object re-price
+  double repair_seconds = 0.0;    ///< agent build, rounds, cache re-attach
+  double eviction_seconds = 0.0;  ///< the eviction pass (0 when it is off)
 };
 
 /// Byte-level placement comparison: replicator sets, used capacities, and

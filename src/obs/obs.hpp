@@ -7,12 +7,8 @@
 // the internal work those decisions trade off (dirty-set re-polls, heap
 // pops, delta-cache refreshes, chunks claimed, wire bytes); spans time
 // coarse phases; the trace sink records per-round gauge snapshots next to
-// the decision that produced them.
-//
-// One clock: ScopedSpan is the only wall clock the library reads.  A stage
-// that a result struct exports in seconds (BatchOutcome, ServingStats,
-// DistributedRunReport) is timed by one span that also adds its reading to
-// that field, so the field and the span cannot disagree (DESIGN.md §9).
+// the decision that produced them.  ScopedSpan is the library's only wall
+// clock: a stage a result struct exports in seconds is one span's reading.
 //
 // Cost contract: the layer is compiled into every build.  A counter hit is
 // one relaxed atomic add on a cached reference (the registry lookup happens

@@ -4,23 +4,20 @@
 #include <utility>
 #include <vector>
 
-#include "common/stats.hpp"
-
 namespace agtram::sim {
 
 ReplayStats replay(const drp::ReplicaPlacement& placement) {
   const drp::Problem& p = placement.problem();
   ReplayStats stats;
 
-  // One sample per reading cell: distances may reach the diameter of a
-  // graph read from disk, so a dense histogram is not an option.
-  std::vector<common::WeightedValue> latency_samples;
+  // One (distance, reads) sample per reading cell: a graph read from disk
+  // may carry costs up to 2^32 - 1, too many for a histogram by distance.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> latency_samples;
   std::vector<std::uint64_t> served(p.server_count(), 0);
 
   for (drp::ObjectIndex k = 0; k < p.object_count(); ++k) {
     const double o = static_cast<double>(p.object_units[k]);
     const drp::ServerId primary = p.primary[k];
-    std::uint64_t writes_seen = 0;
 
     for (const auto& access : p.access.accessors(k)) {
       // --- Reads: each is served by the nearest replicator.  The routing
@@ -33,7 +30,7 @@ ReplayStats replay(const drp::ReplicaPlacement& placement) {
         stats.read_units += static_cast<double>(access.reads) * o *
                             static_cast<double>(hop);
         stats.read_requests += access.reads;
-        latency_samples.push_back({hop, access.reads});
+        latency_samples.emplace_back(hop, access.reads);
       }
       // --- Writes: shipped to the primary...
       if (access.writes > 0) {
@@ -41,7 +38,6 @@ ReplayStats replay(const drp::ReplicaPlacement& placement) {
             static_cast<double>(access.writes) * o *
             static_cast<double>(p.distance(access.server, primary));
         stats.write_requests += access.writes;
-        writes_seen += access.writes;
       }
     }
 
@@ -55,13 +51,9 @@ ReplayStats replay(const drp::ReplicaPlacement& placement) {
       stats.broadcast_units += static_cast<double>(incoming) * o *
                                static_cast<double>(p.distance(primary, replicator));
     }
-    (void)writes_seen;
   }
 
-  const common::WeightedSummary latency =
-      common::summarize_weighted(std::move(latency_samples));
-  stats.read_latency = {latency.mean, latency.p50, latency.p90,
-                        latency.p99,  latency.max, latency.zero_fraction};
+  stats.read_latency = common::summarize_read_costs(std::move(latency_samples));
 
   // Server service-load distribution.
   if (stats.read_requests > 0 && !served.empty()) {

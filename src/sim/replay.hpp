@@ -20,20 +20,12 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/stats.hpp"
 #include "drp/placement.hpp"
 
 namespace agtram::sim {
 
-/// Request-weighted read latency, as common::summarize_weighted reports it.
-struct LatencySummary {
-  double mean = 0.0;
-  double p50 = 0.0;
-  double p90 = 0.0;
-  double p99 = 0.0;
-  double worst = 0.0;
-  /// Fraction of reads served locally (distance 0).
-  double local_fraction = 0.0;
-};
+using common::LatencySummary;
 
 /// Per-server service load: how many read requests each server ends up
 /// serving (as the nearest replica of the objects it hosts).  The paper's
@@ -56,7 +48,8 @@ struct ReplayStats {
   std::uint64_t read_requests = 0;
   std::uint64_t write_requests = 0;
 
-  /// Per-read latency (path cost of the serving hop), request-weighted.
+  /// Per-read latency (path cost of the serving hop), request-weighted, as
+  /// common::summarize_read_costs reports it.
   LatencySummary read_latency;
 
   /// Read-service load distribution across servers.

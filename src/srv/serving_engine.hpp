@@ -90,24 +90,19 @@ struct ServingStats {
   std::uint64_t repair_rounds = 0;
   std::uint64_t replicas_evicted = 0;
   std::uint64_t demand_delta_cells = 0;
-  // Wall seconds per stage, each the sum of the readings of the obs spans
-  // named beside it (DESIGN.md §9), so a field and its spans cannot
-  // disagree.  A refused batch records neither.
-  double serve_seconds = 0.0;  ///< srv.route: routing + aggregation
-  /// srv.reconverge: deltas + solve + snapshot + install.  The stages below
-  /// sum to at most it; the rest is the window reset and engine bookkeeping
-  /// (and the differential oracle, when on).
-  double reconverge_seconds = 0.0;
-  /// srv.fold (window -> demand deltas, applied under EveryBatch) plus,
-  /// under OnDrift, online.events (the online engine applying them).
-  double fold_seconds = 0.0;
-  /// online.repair (dirty-set repair), or srv.resolve (the cold re-solve).
-  double repair_seconds = 0.0;
-  double eviction_seconds = 0.0;  ///< online.evict: the eviction pass
-  /// srv.snapshot: building the new RoutingSnapshot, patched from the
-  /// previous one under OnDrift, built in full after a cold re-solve.
+  double serve_seconds = 0.0;       ///< routing + aggregation wall time
+  double reconverge_seconds = 0.0;  ///< deltas + solve + snapshot + install
+  /// reconverge_seconds by stage.  They sum to at most it; the rest is the
+  /// window reset and engine bookkeeping (and the differential oracle, when
+  /// on).  Every *_seconds field is the reading of its obs spans (DESIGN.md
+  /// §9 names them), and a refused batch adds to none.
+  double fold_seconds = 0.0;      ///< window -> demand deltas, applied
+  double repair_seconds = 0.0;    ///< dirty-set repair, or the cold re-solve
+  double eviction_seconds = 0.0;  ///< the online engine's eviction pass
+  /// Building the new RoutingSnapshot: patched from the previous one under
+  /// OnDrift, built in full after a cold re-solve.
   double snapshot_seconds = 0.0;
-  double install_seconds = 0.0;  ///< srv.install: publish + trigger baseline
+  double install_seconds = 0.0;   ///< publishing it + the trigger baseline
   /// Request-weighted read serving distances, index = path cost (exact
   /// percentiles; size = diameter + 1).
   std::vector<std::uint64_t> read_cost_histogram;

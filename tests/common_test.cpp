@@ -215,24 +215,22 @@ TEST(RunningStats, MergeWithEmpty) {
   EXPECT_EQ(b.mean(), 3.0);
 }
 
-// Unsorted samples, a repeated value and a zero weight: the rank rule takes
-// the first value whose cumulative weight exceeds floor(q/100 * (count-1)).
-TEST(WeightedSummary, HandComputedRanks) {
-  const WeightedSummary s =
-      summarize_weighted({{3, 1}, {0, 2}, {9, 0}, {3, 1}, {7, 1}, {1, 0}});
-  EXPECT_EQ(s.count, 5u);
+// Unsorted samples, a repeated cost and costs without reads: percentile q
+// is the first cost whose cumulative reads exceed floor(q/100 * (reads-1)).
+TEST(ReadCostSummary, HandComputedRanks) {
+  const LatencySummary s =
+      summarize_read_costs({{3, 1}, {0, 2}, {9, 0}, {3, 1}, {7, 1}, {1, 0}});
   EXPECT_EQ(s.mean, 13.0 / 5.0);
-  EXPECT_EQ(s.p50, 3.0);  // target 2: weights 2 (value 0), then 3
+  EXPECT_EQ(s.p50, 3.0);  // target 2: 2 reads at cost 0, then 3
   EXPECT_EQ(s.p90, 3.0);  // target 3: the second 3 takes it to 4
   EXPECT_EQ(s.p99, 3.0);
-  EXPECT_EQ(s.max, 7.0);  // 9 has no weight
-  EXPECT_EQ(s.zero_fraction, 2.0 / 5.0);
+  EXPECT_EQ(s.worst, 7.0);  // cost 9 has no reads
+  EXPECT_EQ(s.local_fraction, 2.0 / 5.0);
 
-  const WeightedSummary none = summarize_weighted({{4, 0}});
-  EXPECT_EQ(none.count, 0u);
+  const LatencySummary none = summarize_read_costs({{4, 0}});
   EXPECT_EQ(none.mean, 0.0);
   EXPECT_EQ(none.p99, 0.0);
-  EXPECT_EQ(none.max, 0.0);
+  EXPECT_EQ(none.worst, 0.0);
 }
 
 // --------------------------------------------------------- thread pool
