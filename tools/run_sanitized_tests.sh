@@ -33,6 +33,9 @@
 # generators on their fixed cost band, and test_edge_cases and
 # test_coverage_gaps the degenerate instances and configuration corners of
 # the mechanism, the regional engine, the bus, the pipeline and the builder.
+# test_sim runs sim::replay, whose read-latency summary is the one
+# request-weighted summary (common::summarize_read_costs) the serving bench
+# shares.
 #
 # Usage:  tools/run_sanitized_tests.sh [build-dir]
 #   SAN=address|thread|undefined   sanitizer to use (default: thread)
@@ -54,7 +57,7 @@ cmake --build "$BUILD" -j "$(nproc)" \
            test_obs_counters test_regional test_serving \
            test_strategic test_glauber test_tree_placement test_horizon \
            test_layout test_trace test_drp \
-           test_graph_stats test_edge_cases test_coverage_gaps
+           test_graph_stats test_edge_cases test_coverage_gaps test_sim
 
 status=0
 for t in test_common test_net test_mechanism test_runtime \
@@ -63,7 +66,7 @@ for t in test_common test_net test_mechanism test_runtime \
          test_obs_counters test_regional test_serving \
          test_strategic test_glauber test_tree_placement test_horizon \
          test_layout test_trace test_drp \
-         test_graph_stats test_edge_cases test_coverage_gaps; do
+         test_graph_stats test_edge_cases test_coverage_gaps test_sim; do
   echo "== $SAN-sanitized $t =="
   # The paper-scale differential cases take minutes under a sanitizer's
   # slowdown; the small-family + fuzz cases exercise the same parallel scans
