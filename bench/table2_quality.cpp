@@ -58,6 +58,11 @@ int run(int argc, char** argv) {
   double divisor = cli.get_double("divisor");
   if (bench::paper_scale(cli)) divisor = 1.0;
   const auto seed = cli.get_unsigned<std::uint64_t>("seed");
+  // Read before the modes branch, so a misspelt choice is refused whichever
+  // mode runs.
+  const baselines::AlgoOptions algo_options = bench::resolve_algo_options(cli);
+  const std::string shape_name =
+      cli.get_choice("tree-shape", {"random", "balanced", "caterpillar"});
 
   // --regional 1: per paper row, quality loss of the concurrent-regions
   // variants relative to the flat mechanism — the cost of decomposing the
@@ -118,8 +123,6 @@ int run(int argc, char** argv) {
   // table, and the AGT-RAM column shows what lifting the ancestor
   // restriction buys.
   if (cli.get_bool("tree")) {
-    const std::string shape_name =
-        cli.get_choice("tree-shape", {"random", "balanced", "caterpillar"});
     const net::TreeShape shape = shape_name == "balanced"
                                      ? net::TreeShape::Balanced
                                  : shape_name == "caterpillar"
@@ -177,8 +180,7 @@ int run(int argc, char** argv) {
     return 0;
   }
 
-  const auto algorithms =
-      baselines::all_algorithms(bench::resolve_algo_options(cli));
+  const auto algorithms = baselines::all_algorithms(algo_options);
 
   std::vector<std::string> headers{"problem size"};
   for (const auto& a : algorithms) headers.push_back(a.name);
