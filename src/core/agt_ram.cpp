@@ -20,6 +20,10 @@ double MechanismResult::total_payments() const {
   return total;
 }
 
+std::vector<AgentOutcome> agent_outcomes(const MechanismResult& result) {
+  return result.agents;
+}
+
 // ReportMode::Auto: incremental evaluation pays off when one round's dirty
 // set (readers(k*) ∪ {winner}) is well under the *live* agent set the naive
 // sweep would touch; otherwise the standing-report heap overhead loses to

@@ -231,6 +231,9 @@ struct MechanismResult {
   std::size_t replicas_placed() const noexcept { return rounds.size(); }
 };
 
+/// Per-agent outcomes of a run, indexed by server id.
+std::vector<AgentOutcome> agent_outcomes(const MechanismResult& result);
+
 /// Runs the mechanism to completion on `problem`, starting from the
 /// primaries-only scheme with every server participating.
 MechanismResult run_agt_ram(const drp::Problem& problem,

@@ -3,6 +3,11 @@
 // report, and the pinned outputs of every engine built on a shared loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/aestar.hpp"
@@ -14,6 +19,7 @@
 #include "baselines/local_search.hpp"
 #include "baselines/registry.hpp"
 #include "baselines/selfish_caching.hpp"
+#include "common/stats.hpp"
 #include "core/agt_ram.hpp"
 #include "core/audit.hpp"
 #include "core/economics.hpp"
@@ -21,6 +27,8 @@
 #include "core/regional_tiled.hpp"
 #include "drp/builder.hpp"
 #include "drp/cost_model.hpp"
+#include "srv/serving_engine.hpp"
+#include "srv/workload.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -523,6 +531,124 @@ TEST(OutputsPinned, EverySharedLoopOnTwoInstances) {
       EXPECT_EQ(got.charges, want.charges) << c.name << " #" << instance;
     }
   }
+}
+
+// Each tally a reader derives from the record it comes from, against values
+// recorded while the tally was still kept beside that record: the economics
+// report, the per-agent outcomes and total_payments() of a mechanism run on
+// both pin instances, and an OnDrift serving run's read counts, read units,
+// read-cost summary and every batch's observed window read cost.
+TEST(OutputsPinned, TalliesDerivedFromTheirRecords) {
+  struct RunPin {
+    double welfare, charges, frugality_ratio, total_surplus, utility_gini;
+    std::size_t winning_agents, rounds;
+    double mean_dominance;
+    double agent_charges, agent_values;  // summed in agent order
+    std::uint64_t wins;
+    double largest_utility, total_payments;
+  };
+  const RunPin want_runs[2] = {
+      {0x1.b1268p+17, 0x1.41bbp+17, 0x1.7c4c275824359p-1, 0x1.bdaep+15,
+       0x1.e7ada827b7b58p-1, 20, 110, 0x1.19f4c2e215be4p+0, 0x1.41bbp+17,
+       0x1.b1268p+17, 110, 0x1.81d6p+15, 0x1.41bbp+17},
+      {0x1.79ap+17, 0x1.37dbp+17, 0x1.a6d3ae4f7c7bcp-1, 0x1.0714p+15,
+       0x1.df99de87cf71ep-1, 20, 63, 0x1.2c7df75f128a1p+0, 0x1.37dbp+17,
+       0x1.79ap+17, 63, 0x1.0fd4p+14, 0x1.37dbp+17},
+  };
+  for (int instance = 0; instance < 2; ++instance) {
+    const core::MechanismResult result =
+        core::run_agt_ram(pin_instance(instance));
+    const core::EconomicsReport econ = core::economics_report(result);
+    RunPin got{.welfare = econ.welfare,
+               .charges = econ.charges,
+               .frugality_ratio = econ.frugality_ratio,
+               .total_surplus = econ.total_surplus,
+               .utility_gini = econ.utility_gini,
+               .winning_agents = econ.winning_agents,
+               .rounds = econ.rounds,
+               .mean_dominance = econ.mean_dominance,
+               .agent_charges = 0.0,
+               .agent_values = 0.0,
+               .wins = 0,
+               .largest_utility = 0.0,
+               .total_payments = result.total_payments()};
+    for (const core::AgentOutcome& agent : core::agent_outcomes(result)) {
+      got.agent_charges += agent.payments;
+      got.agent_values += agent.true_value;
+      got.wins += agent.objects_won;
+      got.largest_utility = std::max(got.largest_utility, agent.utility());
+    }
+    const RunPin& want = want_runs[instance];
+    SCOPED_TRACE("instance " + std::to_string(instance));
+    EXPECT_EQ(got.welfare, want.welfare);
+    EXPECT_EQ(got.charges, want.charges);
+    EXPECT_EQ(got.frugality_ratio, want.frugality_ratio);
+    EXPECT_EQ(got.total_surplus, want.total_surplus);
+    EXPECT_EQ(got.utility_gini, want.utility_gini);
+    EXPECT_EQ(got.winning_agents, want.winning_agents);
+    EXPECT_EQ(got.rounds, want.rounds);
+    EXPECT_EQ(got.mean_dominance, want.mean_dominance);
+    EXPECT_EQ(got.agent_charges, want.agent_charges);
+    EXPECT_EQ(got.agent_values, want.agent_values);
+    EXPECT_EQ(got.wins, want.wins);
+    EXPECT_EQ(got.largest_utility, want.largest_utility);
+    EXPECT_EQ(got.total_payments, want.total_payments);
+  }
+
+  // A few hundred batches under drift, with re-convergence and eviction;
+  // the shard count is fixed so the run does not depend on the pool size.
+  drp::InstanceSpec spec;
+  spec.servers = 24;
+  spec.objects = 96;
+  spec.seed = 19;
+  spec.demand = drp::DemandModel::Dispersed;
+  spec.readers_per_object = 5.0;
+  spec.instance.capacity_fraction = 0.05;
+  spec.instance.rw_ratio = 0.9;
+  srv::ServingConfig config;
+  config.policy = srv::ReconvergePolicy::OnDrift;
+  config.eviction_limit = 8;
+  config.min_window_requests = 512;
+  config.shards = 3;
+  srv::ServingEngine engine(drp::make_instance(spec), config);
+  srv::WorkloadConfig wconfig;
+  wconfig.requests_per_batch = 256;
+  wconfig.drift_interval = 4;
+  wconfig.drift_fraction = 0.5;
+  srv::SyntheticWorkload workload(engine.problem(), wconfig);
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::vector<srv::Request> batch;
+  for (int b = 0; b < 300; ++b) {
+    workload.next_batch(batch);
+    engine.run_batch(batch);
+    std::uint64_t bits = 0;
+    const double observed = engine.last_drift().observed_read_cost;
+    std::memcpy(&bits, &observed, sizeof bits);
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= (bits >> (8 * byte)) & 0xff;
+      digest *= 0x100000001b3ULL;
+    }
+  }
+  const srv::ServingStats& stats = engine.stats();
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> costs;
+  for (std::size_t d = 0; d < stats.read_cost_histogram.size(); ++d) {
+    costs.emplace_back(d, stats.read_cost_histogram[d]);
+  }
+  const common::LatencySummary summary =
+      common::summarize_read_costs(std::move(costs));
+  EXPECT_EQ(stats.reads, 554114u);
+  EXPECT_EQ(stats.local_reads, 368523u);
+  EXPECT_EQ(stats.requests, 614867u);
+  EXPECT_EQ(stats.read_units, 0x1.45a2ep+21);
+  EXPECT_EQ(stats.reconverges, 11u);
+  EXPECT_EQ(stats.replicas_evicted, 88u);
+  EXPECT_EQ(summary.mean, 0x1.0b243d77cfdefp+0);
+  EXPECT_EQ(summary.p50, 0x0p+0);
+  EXPECT_EQ(summary.p90, 0x1p+2);
+  EXPECT_EQ(summary.p99, 0x1.8p+2);
+  EXPECT_EQ(summary.worst, 0x1.2p+3);
+  EXPECT_EQ(summary.local_fraction, 0x1.5483ad530b562p-1);
+  EXPECT_EQ(digest, 0x4620331e1b6fed59ULL);
 }
 
 }  // namespace
