@@ -119,11 +119,7 @@ int run(int argc, char** argv) {
     table.add_row(
         {run.name, common::Table::num(serve_rate, 0),
          common::Table::num(cost.mean, 2), common::Table::num(cost.p99, 1),
-         common::Table::pct(
-             run.stats.reads == 0
-                 ? 0.0
-                 : static_cast<double>(run.stats.local_reads) /
-                       static_cast<double>(run.stats.reads)),
+         common::Table::pct(cost.local_fraction),
          common::Table::num(run.stats.read_units + run.stats.write_units, 0),
          std::to_string(run.stats.installs),
          std::to_string(run.stats.reconverges),

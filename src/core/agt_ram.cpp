@@ -14,14 +14,21 @@
 
 namespace agtram::core {
 
-double MechanismResult::total_payments() const {
-  double total = 0.0;
-  for (const AgentOutcome& a : agents) total += a.payments;
-  return total;
+std::vector<AgentOutcome> agent_outcomes(const MechanismResult& result) {
+  std::vector<AgentOutcome> outcomes(result.placement.server_count());
+  for (const RoundRecord& round : result.rounds) {
+    AgentOutcome& winner = outcomes[round.winner];
+    winner.payments += round.payment;
+    winner.true_value += round.true_value;
+    winner.objects_won += 1;
+  }
+  return outcomes;
 }
 
-std::vector<AgentOutcome> agent_outcomes(const MechanismResult& result) {
-  return result.agents;
+double MechanismResult::total_payments() const {
+  double total = 0.0;
+  for (const AgentOutcome& a : agent_outcomes(*this)) total += a.payments;
+  return total;
 }
 
 // ReportMode::Auto: incremental evaluation pays off when one round's dirty
@@ -135,9 +142,6 @@ void allocate(MechanismResult& result, drp::ServerId winner,
               const Report& winning, double payment) {
   check_feasible(result.placement, winner, winning.object);
   result.placement.add_replica(winner, winning.object);
-  result.agents[winner].payments += payment;
-  result.agents[winner].true_value += winning.true_value;
-  result.agents[winner].objects_won += 1;
   result.rounds.push_back(RoundRecord{winner, winning.object,
                                       winning.claimed_value,
                                       winning.true_value, payment});
@@ -146,12 +150,10 @@ void allocate(MechanismResult& result, drp::ServerId winner,
 // ---------------------------------------------------------------- naive
 // Full sweep: every live agent re-evaluates its heap every round.  Kept as
 // the differential-testing oracle for the incremental path below.
-MechanismResult run_rounds_naive(const drp::Problem& problem,
-                                 const AgtRamConfig& config,
+MechanismResult run_rounds_naive(const AgtRamConfig& config,
                                  drp::ReplicaPlacement start,
                                  std::vector<Agent> agents) {
-  MechanismResult result{std::move(start), {}, {}};
-  result.agents.resize(problem.server_count());
+  MechanismResult result{std::move(start), {}};
 
   // LS: every participating server starts as a live agent; agents whose
   // candidate heap drains are retired (removed from LS in Figure 2, line
@@ -291,8 +293,7 @@ MechanismResult run_rounds_incremental(const drp::Problem& problem,
   const std::size_t m = problem.server_count();
   constexpr std::uint32_t kNoAgent = static_cast<std::uint32_t>(-1);
 
-  MechanismResult result{std::move(start), {}, {}};
-  result.agents.resize(m);
+  MechanismResult result{std::move(start), {}};
 
   // Participants may be a subset of the servers: map id -> agent index.
   std::vector<std::uint32_t> agent_of(m, kNoAgent);
@@ -427,8 +428,7 @@ MechanismResult run_rounds(const drp::Problem& problem,
       mode == ReportMode::Incremental
           ? run_rounds_incremental(problem, config, std::move(start),
                                    std::move(agents))
-          : run_rounds_naive(problem, config, std::move(start),
-                             std::move(agents));
+          : run_rounds_naive(config, std::move(start), std::move(agents));
   result.resolved_mode = mode;
   return result;
 }

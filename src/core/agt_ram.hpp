@@ -207,10 +207,11 @@ struct RoundRecord {
   double payment;
 };
 
+/// A run's record is its rounds: the per-agent outcomes and the total
+/// charge are folded from them where they are read (agent_outcomes).
 struct MechanismResult {
   drp::ReplicaPlacement placement;
   std::vector<RoundRecord> rounds;
-  std::vector<AgentOutcome> agents;  ///< indexed by server id
 
   /// Work diagnostics (not part of the allocation, and the one place the
   /// incremental and naive paths legitimately differ): candidate heap
@@ -227,11 +228,14 @@ struct MechanismResult {
   /// not drain, and the online engine's oracle an undrained re-solve.
   bool drained = true;
 
+  /// The charges of agent_outcomes(*this), summed in server-id order.
   double total_payments() const;
   std::size_t replicas_placed() const noexcept { return rounds.size(); }
 };
 
-/// Per-agent outcomes of a run, indexed by server id.
+/// Folds `result.rounds`, in round order, into one outcome per server the
+/// run's placement spans (indexed by server id; agents that won nothing are
+/// zero).  Reads no Problem, so it outlives the instance the run solved.
 std::vector<AgentOutcome> agent_outcomes(const MechanismResult& result);
 
 /// Runs the mechanism to completion on `problem`, starting from the

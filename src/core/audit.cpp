@@ -73,7 +73,7 @@ StrategicTrial run_trial(const drp::Problem& problem,
   trial.kind = profile.deviations.front().kind;
   trial.factor = factor;
   trial.truthful_utility = truthful_utility;
-  trial.deviant_utility = deviant.agents[agent].utility();
+  trial.deviant_utility = agent_outcomes(deviant)[agent].utility();
   record_rounds(auditor, trial);
   AGTRAM_OBS_COUNT("audit.trials", 1);
   return trial;
@@ -177,7 +177,7 @@ std::vector<StrategicTrial> audit_truthfulness(
   StrategicAuditConfig config;
   config.payment_rule = rule;
   const double truthful_utility =
-      run_profile(problem, config, {}).agents[agent].utility();
+      agent_outcomes(run_profile(problem, config, {}))[agent].utility();
 
   std::vector<StrategicTrial> trials;
   trials.reserve(distortions.size());
@@ -191,6 +191,7 @@ std::vector<StrategicTrial> audit_truthfulness(
 StrategicAuditReport strategic_audit(const drp::Problem& problem,
                                      const StrategicAuditConfig& config) {
   const MechanismResult truthful = run_profile(problem, config, {});
+  const std::vector<AgentOutcome> outcomes = agent_outcomes(truthful);
 
   // Probe the truthful run's top winners: their misreports are the ones
   // that can actually move the allocation.
@@ -198,8 +199,8 @@ StrategicAuditReport strategic_audit(const drp::Problem& problem,
   std::iota(ranked.begin(), ranked.end(), 0);
   std::sort(ranked.begin(), ranked.end(),
             [&](drp::ServerId a, drp::ServerId b) {
-              const AgentOutcome& oa = truthful.agents[a];
-              const AgentOutcome& ob = truthful.agents[b];
+              const AgentOutcome& oa = outcomes[a];
+              const AgentOutcome& ob = outcomes[b];
               if ((oa.objects_won > 0) != (ob.objects_won > 0)) {
                 return oa.objects_won > 0;
               }
@@ -211,13 +212,13 @@ StrategicAuditReport strategic_audit(const drp::Problem& problem,
   std::vector<drp::ServerId> probes;
   for (const drp::ServerId who : ranked) {
     if (probes.size() >= config.agents_to_probe) break;
-    if (truthful.agents[who].objects_won == 0) break;
+    if (outcomes[who].objects_won == 0) break;
     probes.push_back(who);
   }
 
   StrategicAuditReport report;
   for (const drp::ServerId who : probes) {
-    const double truthful_utility = truthful.agents[who].utility();
+    const double truthful_utility = outcomes[who].utility();
     for (const double factor : kDeviationFactors) {
       report.trials.push_back(
           run_trial(problem, config, who, factor, truthful_utility));
@@ -239,6 +240,7 @@ StrategicAuditReport strategic_audit(const drp::Problem& problem,
                               ring_profile.deviating_agents());
     const MechanismResult ring_run =
         run_profile(problem, config, ring_profile, &ring_auditor);
+    const std::vector<AgentOutcome> ring_outcomes = agent_outcomes(ring_run);
 
     report.collusion.members = ring.members;
     report.collusion.truthful_revenue = truthful.total_payments();
@@ -264,8 +266,9 @@ StrategicAuditReport strategic_audit(const drp::Problem& problem,
       reversion.agent = member;
       reversion.kind = DeviationKind::Zero;
       reversion.factor = 0.0;
-      reversion.truthful_utility = revert_run.agents[member].utility();
-      reversion.deviant_utility = ring_run.agents[member].utility();
+      reversion.truthful_utility =
+          agent_outcomes(revert_run)[member].utility();
+      reversion.deviant_utility = ring_outcomes[member].utility();
       record_rounds(revert_auditor, reversion);
       report.collusion.reversion.push_back(reversion);
       AGTRAM_OBS_COUNT("audit.trials", 1);

@@ -25,9 +25,10 @@ EconomicsReport economics_report(const MechanismResult& result) {
       dominance_rounds ? dominance_sum / static_cast<double>(dominance_rounds)
                        : 0.0;
 
+  const std::vector<AgentOutcome> agents = agent_outcomes(result);
   std::vector<double> utilities;
-  utilities.reserve(result.agents.size());
-  for (const AgentOutcome& agent : result.agents) {
+  utilities.reserve(agents.size());
+  for (const AgentOutcome& agent : agents) {
     utilities.push_back(agent.utility());
     report.total_surplus += agent.utility();
     if (agent.objects_won > 0) ++report.winning_agents;

@@ -75,7 +75,6 @@ OnlineMechanism::OnlineMechanism(drp::Problem problem, OnlineConfig config)
   dirty_flag_.assign(m, 0);
   demand_touched_flag_.assign(n, 0);
   changed_flag_.assign(n, 0);
-  agents_.resize(m);
 
   AGTRAM_OBS_SPAN("online.initial_solve");
   MechanismResult initial = run_agt_ram(*problem_, config_.mechanism);
@@ -84,8 +83,6 @@ OnlineMechanism::OnlineMechanism(drp::Problem problem, OnlineConfig config)
         "OnlineMechanism: initial solve hit max_rounds — the engine needs a "
         "quiescent starting placement");
   }
-  initial_rounds_ = initial.rounds.size();
-  accumulate(initial);
   eval_.emplace(std::move(initial.placement));
 }
 
@@ -122,19 +119,6 @@ void OnlineMechanism::refresh_demand_touched() {
 void OnlineMechanism::clear_demand_touched() {
   for (const drp::ObjectIndex k : demand_touched_) demand_touched_flag_[k] = 0;
   demand_touched_.clear();
-}
-
-void OnlineMechanism::accumulate(const MechanismResult& result) {
-  for (std::size_t i = 0; i < result.agents.size(); ++i) {
-    const AgentOutcome& o = result.agents[i];
-    if (o.objects_won == 0 && o.payments == 0.0 && o.true_value == 0.0) {
-      continue;
-    }
-    agents_[i].payments += o.payments;
-    agents_[i].true_value += o.true_value;
-    agents_[i].objects_won += o.objects_won;
-  }
-  rounds_total_ += result.rounds.size();
 }
 
 void OnlineMechanism::apply_one(const OnlineEvent& event, BatchOutcome& out) {
@@ -284,7 +268,6 @@ BatchOutcome OnlineMechanism::apply_events(std::span<const OnlineEvent> batch) {
   AGTRAM_OBS_SPAN("online.apply_batch");
   BatchOutcome out;
   out.events_applied = batch.size();
-  events_ += batch.size();
   AGTRAM_OBS_COUNT("online.batches", 1);
   AGTRAM_OBS_COUNT("online.events", batch.size());
 
@@ -337,11 +320,9 @@ BatchOutcome OnlineMechanism::apply_events(std::span<const OnlineEvent> batch) {
     }
     eval_->attach_placement(std::move(repair.placement), touched);
 
-    accumulate(repair);
     out.repair_rounds = repair.rounds.size();
     out.reports_computed = repair.reports_computed;
     out.candidate_evaluations = repair.candidate_evaluations;
-    for (const RoundRecord& r : repair.rounds) out.payments += r.payment;
     AGTRAM_OBS_COUNT("online.repair_rounds", repair.rounds.size());
     repair_rounds = std::move(repair.rounds);
     for (const drp::ServerId i : dirty_) dirty_flag_[i] = 0;
@@ -366,8 +347,6 @@ BatchOutcome OnlineMechanism::apply_events(std::span<const OnlineEvent> batch) {
   for (const drp::ObjectIndex k : changed_) changed_flag_[k] = 0;
   out.changed_objects = std::move(changed_);
   changed_.clear();
-
-  out.total_cost = eval_->total();
   return out;
 }
 

@@ -154,8 +154,6 @@ struct BatchOutcome {
   double eviction_cost_delta = 0.0;  ///< <= 0: OTC change from evictions
   std::uint64_t reports_computed = 0;
   std::uint64_t candidate_evaluations = 0;
-  double payments = 0.0;             ///< second-price charges this batch
-  double total_cost = 0.0;           ///< OTC after the batch (exact, cached)
   bool oracle_checked = false;
   /// Objects whose replicator sets this batch mutated — through loss, fail,
   /// delete, a repair round or an eviction — ascending, each once.  An
@@ -209,7 +207,6 @@ class OnlineMechanism {
   const drp::ReplicaPlacement& placement() const noexcept {
     return eval_->placement();
   }
-  const drp::DeltaEvaluator& evaluator() const noexcept { return *eval_; }
 
   /// Exact current OTC (DeltaEvaluator::total — bit-identical to
   /// CostModel::total_cost on the live placement).
@@ -218,19 +215,6 @@ class OnlineMechanism {
   bool server_failed(drp::ServerId i) const { return failed_[i] != 0; }
   bool object_deleted(drp::ObjectIndex k) const { return deleted_[k] != 0; }
 
-  /// Cumulative per-agent outcomes across the initial solve and every
-  /// repair run (indexed by server id).
-  const std::vector<AgentOutcome>& agent_outcomes() const noexcept {
-    return agents_;
-  }
-
-  /// Allocations made by the initial solve (before any event).
-  std::size_t initial_rounds() const noexcept { return initial_rounds_; }
-  /// Allocations made across all repair runs so far.
-  std::size_t repair_rounds_total() const noexcept {
-    return rounds_total_ - initial_rounds_;
-  }
-  std::size_t events_applied() const noexcept { return events_; }
   /// Participants queued for the next batch because the eviction pass
   /// dropped a replica or a batch threw before its repair (empty in steady
   /// state without eviction).
@@ -254,7 +238,6 @@ class OnlineMechanism {
   void clear_demand_touched();
   void apply_one(const OnlineEvent& event, BatchOutcome& out);
   void run_eviction(BatchOutcome& out);
-  void accumulate(const MechanismResult& result);
   void run_oracle(drp::ReplicaPlacement pre_repair,
                   const std::vector<RoundRecord>& repair_rounds);
 
@@ -277,11 +260,6 @@ class OnlineMechanism {
   // Objects whose replicator sets changed since the last returned outcome.
   std::vector<char> changed_flag_;
   std::vector<drp::ObjectIndex> changed_;
-
-  std::vector<AgentOutcome> agents_;
-  std::size_t initial_rounds_ = 0;
-  std::size_t rounds_total_ = 0;
-  std::size_t events_ = 0;
 };
 
 }  // namespace agtram::core

@@ -52,6 +52,10 @@ class ReplicaPlacement {
 
   bool is_replicator(ServerId i, ObjectIndex k) const;
 
+  /// Servers the placement spans (its problem's M), read from its own
+  /// per-server ledger.
+  std::size_t server_count() const noexcept { return used_.size(); }
+
   /// Storage units consumed on server i (primaries + replicas).
   std::uint64_t used_capacity(ServerId i) const { return used_[i]; }
   std::uint64_t free_capacity(ServerId i) const {

@@ -94,8 +94,8 @@ ServingEngine::ServingEngine(drp::Problem problem, ServingConfig config)
 
 void ServingEngine::Shard::reset() {
   std::fill(hist.begin(), hist.end(), 0);
-  reads = writes = local_reads = 0;
-  read_units = write_units = read_cost = 0.0;
+  writes = 0;
+  read_units = write_units = 0.0;
   refused_at = 0;
   refusal = nullptr;
 }
@@ -126,26 +126,29 @@ void ServingEngine::route_shard(const RoutingSnapshot& snap,
       continue;
     }
     const RouteDecision route = snap.route_read(req.object, req.slot);
-    shard.reads += req.count;
-    if (route.distance == 0) shard.local_reads += req.count;
     shard.hist[route.distance] += req.count;
-    shard.read_cost += static_cast<double>(route.distance) * count;
     shard.read_units += snap.read_units(req.object, req.slot) * count;
   }
 }
 
 void ServingEngine::merge_shard(Shard& shard) {
+  // Distances and counts are integers, so the read cost is exact.
+  std::uint64_t reads = 0;
+  std::uint64_t read_cost = 0;
   for (std::size_t d = 0; d < shard.hist.size(); ++d) {
-    stats_.read_cost_histogram[d] += shard.hist[d];
+    const std::uint64_t count = shard.hist[d];
+    stats_.read_cost_histogram[d] += count;
+    reads += count;
+    read_cost += d * count;
   }
-  stats_.reads += shard.reads;
+  stats_.reads += reads;
   stats_.writes += shard.writes;
-  stats_.local_reads += shard.local_reads;
+  stats_.local_reads += shard.hist[0];
   stats_.read_units += shard.read_units;
   stats_.write_units += shard.write_units;
-  window_requests_ += shard.reads + shard.writes;
-  window_read_cost_ += shard.read_cost;
-  window_read_count_ += shard.reads;
+  window_requests_ += reads + shard.writes;
+  window_read_cost_ += read_cost;
+  window_read_count_ += reads;
   shard.reset();
 }
 
@@ -219,14 +222,12 @@ void ServingEngine::route_batch(std::span<const Request> batch) {
           std::to_string(batch[at].object) + ", slot " +
           std::to_string(batch[at].slot) + "): " + why);
     }
-    std::uint64_t batch_reads = 0;
-    std::uint64_t batch_writes = 0;
-    for (std::size_t s = 0; s < parts; ++s) {
-      batch_reads += shards_[s].reads;
-      batch_writes += shards_[s].writes;
-      merge_shard(shards_[s]);
-    }
+    const std::uint64_t reads_before = stats_.reads;
+    const std::uint64_t writes_before = stats_.writes;
+    for (std::size_t s = 0; s < parts; ++s) merge_shard(shards_[s]);
     observe(batch);
+    const std::uint64_t batch_reads = stats_.reads - reads_before;
+    const std::uint64_t batch_writes = stats_.writes - writes_before;
     const std::uint64_t routed = batch_reads + batch_writes;
     stats_.requests += routed;
     AGTRAM_OBS_COUNT("srv.requests", routed);
@@ -253,8 +254,8 @@ bool ServingEngine::drift_crossed() {
   // Routing-cost regression: observed mean read distance vs the expectation
   // computed when the current snapshot was installed.
   if (window_read_count_ > 0) {
-    rec.observed_read_cost =
-        window_read_cost_ / static_cast<double>(window_read_count_);
+    rec.observed_read_cost = static_cast<double>(window_read_cost_) /
+                             static_cast<double>(window_read_count_);
   }
 
   // L1 volume drift over the window's touched cells: how far the observed
@@ -450,7 +451,7 @@ void ServingEngine::reset_window() {
   window_.clear();
   window_requests_ = 0;
   window_groups_ = 0;
-  window_read_cost_ = 0.0;
+  window_read_cost_ = 0;
   window_read_count_ = 0;
 }
 

@@ -167,14 +167,13 @@ class ServingEngine {
   }
 
  private:
+  /// One routing slice's tallies.  The histogram is its one per-read
+  /// tally: merge_shard derives the reads, local reads and read cost.
   struct Shard {
     std::vector<std::uint64_t> hist;  ///< read distance histogram
-    std::uint64_t reads = 0;
     std::uint64_t writes = 0;
-    std::uint64_t local_reads = 0;
     double read_units = 0.0;
     double write_units = 0.0;
-    double read_cost = 0.0;  ///< sum of serving distance x count (unitless)
     /// First refused request of the slice (index into it) and why; the
     /// shard stops routing there.
     std::size_t refused_at = 0;
@@ -234,7 +233,7 @@ class ServingEngine {
   std::vector<WindowCell> window_;
   std::uint64_t window_requests_ = 0;
   std::uint64_t window_groups_ = 0;  ///< routed Request entries (draws)
-  double window_read_cost_ = 0.0;  ///< sum over routed reads of distance
+  std::uint64_t window_read_cost_ = 0;  ///< sum over routed reads of distance
   std::uint64_t window_read_count_ = 0;
   double install_mean_read_cost_ = 0.0;
   DriftRecord last_drift_;

@@ -214,7 +214,7 @@ TEST(Economics, NoPaymentRuleHasZeroCharges) {
 
 TEST(Economics, EmptyRunIsAllZeros) {
   const drp::Problem p = testutil::line3_problem();
-  const core::MechanismResult result{drp::ReplicaPlacement(p), {}, {}};
+  const core::MechanismResult result{drp::ReplicaPlacement(p), {}};
   const auto econ = core::economics_report(result);
   EXPECT_DOUBLE_EQ(econ.welfare, 0.0);
   EXPECT_DOUBLE_EQ(econ.utility_gini, 0.0);

@@ -185,11 +185,13 @@ TEST(AgtRam, AgentOutcomesAreConsistent) {
     expected[r.winner].true_value += r.true_value;
     expected[r.winner].objects_won += 1;
   }
+  const std::vector<AgentOutcome> outcomes = agent_outcomes(result);
+  ASSERT_EQ(outcomes.size(), p.server_count());
   for (drp::ServerId i = 0; i < p.server_count(); ++i) {
-    EXPECT_DOUBLE_EQ(result.agents[i].payments, expected[i].payments);
-    EXPECT_DOUBLE_EQ(result.agents[i].true_value, expected[i].true_value);
-    EXPECT_EQ(result.agents[i].objects_won, expected[i].objects_won);
-    EXPECT_DOUBLE_EQ(result.agents[i].utility(),
+    EXPECT_DOUBLE_EQ(outcomes[i].payments, expected[i].payments);
+    EXPECT_DOUBLE_EQ(outcomes[i].true_value, expected[i].true_value);
+    EXPECT_EQ(outcomes[i].objects_won, expected[i].objects_won);
+    EXPECT_DOUBLE_EQ(outcomes[i].utility(),
                      expected[i].true_value - expected[i].payments);
   }
 }
@@ -265,7 +267,9 @@ TEST(Audit, UtilitarianDiscrepancyIsZero) {
   double per_round = 0.0;
   for (const RoundRecord& r : result.rounds) per_round += r.true_value;
   double per_agent = 0.0;
-  for (const AgentOutcome& a : result.agents) per_agent += a.true_value;
+  for (const AgentOutcome& a : agent_outcomes(result)) {
+    per_agent += a.true_value;
+  }
   EXPECT_EQ(per_round, per_agent);
 }
 
@@ -350,12 +354,14 @@ void expect_identical_results(const MechanismResult& expected,
     EXPECT_EQ(expected.rounds[r].true_value, actual.rounds[r].true_value);
     EXPECT_EQ(expected.rounds[r].payment, actual.rounds[r].payment);
   }
-  ASSERT_EQ(expected.agents.size(), actual.agents.size());
-  for (std::size_t i = 0; i < expected.agents.size(); ++i) {
+  const std::vector<AgentOutcome> want = agent_outcomes(expected);
+  const std::vector<AgentOutcome> got = agent_outcomes(actual);
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
     SCOPED_TRACE("agent " + std::to_string(i));
-    EXPECT_EQ(expected.agents[i].payments, actual.agents[i].payments);
-    EXPECT_EQ(expected.agents[i].true_value, actual.agents[i].true_value);
-    EXPECT_EQ(expected.agents[i].objects_won, actual.agents[i].objects_won);
+    EXPECT_EQ(want[i].payments, got[i].payments);
+    EXPECT_EQ(want[i].true_value, got[i].true_value);
+    EXPECT_EQ(want[i].objects_won, got[i].objects_won);
   }
   for (drp::ObjectIndex k = 0; k < p.object_count(); ++k) {
     const auto a = expected.placement.replicators(k);
@@ -496,7 +502,7 @@ TEST(Audit, TruthfulParticipationIsIndividuallyRational) {
   // truthful agent ever ends with negative utility.
   const drp::Problem p = testutil::small_instance(85, 20, 60, 0.08);
   const MechanismResult result = run_agt_ram(p);
-  for (const AgentOutcome& outcome : result.agents) {
+  for (const AgentOutcome& outcome : agent_outcomes(result)) {
     EXPECT_GE(outcome.utility(), -1e-9);
   }
   for (const RoundRecord& r : result.rounds) {

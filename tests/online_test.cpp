@@ -255,7 +255,7 @@ TEST(OnlineMechanismTest, EmptyAndNoOpBatchesAreCleanNoOps) {
   EXPECT_EQ(empty.dirty_agents, 0u);
   EXPECT_EQ(empty.repair_rounds, 0u);
   EXPECT_TRUE(empty.oracle_checked);
-  EXPECT_EQ(empty.total_cost, cost0);
+  EXPECT_EQ(engine.total_cost(), cost0);
 
   // Joining a live server is defined as a no-op: empty dirty set.
   const std::vector<core::OnlineEvent> join = {core::ServerJoin{0}};
@@ -486,20 +486,6 @@ TEST(OnlineMechanismTest, StageSecondsFitInsideTheCall) {
   EXPECT_GT(repaired, 0u);
 }
 
-TEST(OnlineMechanismTest, OutcomeAccountingAddsUp) {
-  core::OnlineMechanism engine(dispersed_instance(), oracle_config());
-  const auto extra = find_extra_replica(engine.placement());
-  ASSERT_TRUE(extra.has_value());
-  engine.apply_events(std::vector<core::OnlineEvent>{
-      core::ReplicaLoss{extra->first, extra->second}});
-
-  std::uint64_t won = 0;
-  for (const core::AgentOutcome& o : engine.agent_outcomes()) {
-    won += o.objects_won;
-  }
-  EXPECT_EQ(won, engine.initial_rounds() + engine.repair_rounds_total());
-}
-
 // ----------------------------------------------- randomized event streams
 
 void run_randomized_stream(drp::Problem problem, std::uint64_t seed,
@@ -519,20 +505,19 @@ void run_randomized_stream(drp::Problem problem, std::uint64_t seed,
   std::size_t oracle_checked = 0;
   std::size_t events = 0;
   std::uint64_t replicas_lost = 0;
-  double final_cost = 0.0;
   for (std::size_t b = 0; b < batches; ++b) {
     const core::BatchOutcome out = engine.apply_events(source.next_batch());
     oracle_checked += out.oracle_checked ? 1 : 0;
     events += out.events_applied;
     replicas_lost += out.replicas_lost;
-    final_cost = out.total_cost;
   }
   // Unbounded repair: every batch drains, so every batch is oracle-checked.
   EXPECT_EQ(oracle_checked, batches);
   EXPECT_GT(events, 0u);
   // The mean-field churn must actually exercise loss-driven re-replication.
   EXPECT_GT(replicas_lost, 0u);
-  EXPECT_EQ(final_cost, drp::CostModel::total_cost(engine.placement()));
+  EXPECT_EQ(engine.total_cost(),
+            drp::CostModel::total_cost(engine.placement()));
 }
 
 TEST(OnlineMechanismTest, RandomizedStreamsStayByteIdenticalDispersed) {
@@ -690,16 +675,16 @@ TEST(OnlineEvictionTest, WriteSurgeEvictsAndNeverWorsensTotals) {
 
   ASSERT_GT(with_out.replicas_evicted, 0u);
   EXPECT_LT(with_out.eviction_cost_delta, 0.0);
-  EXPECT_LE(with_out.total_cost, without_out.total_cost);
+  EXPECT_LE(evict.total_cost(), twin.total_cost());
   // Exact accounting: same pre-eviction placement, so the totals differ by
   // exactly the summed drop deltas (up to float re-derivation noise).
-  EXPECT_NEAR(with_out.total_cost,
-              without_out.total_cost + with_out.eviction_cost_delta,
-              1e-6 * std::abs(without_out.total_cost));
+  EXPECT_NEAR(evict.total_cost(),
+              twin.total_cost() + with_out.eviction_cost_delta,
+              1e-6 * std::abs(twin.total_cost()));
   // The cached total stays exact across the eviction mutations.
-  EXPECT_NEAR(with_out.total_cost,
+  EXPECT_NEAR(evict.total_cost(),
               drp::CostModel::total_cost(evict.placement()),
-              1e-9 * std::abs(with_out.total_cost));
+              1e-9 * std::abs(evict.total_cost()));
   EXPECT_EQ(evict.placement().replica_count() + with_out.replicas_evicted,
             twin.placement().replica_count());
 }

@@ -509,6 +509,7 @@ TEST(ServingEngineTest, StaticPolicyUnitsMatchIndependentReplay) {
   std::uint64_t expected_writes = 0;
   const drp::ReplicaPlacement& placement = engine.placement();
   const drp::Problem& inst = engine.problem();
+  std::vector<std::uint64_t> expected_hist(inst.distances->diameter() + 1, 0);
   std::vector<srv::Request> batch;
   for (int b = 0; b < 4; ++b) {
     workload.next_batch(batch);
@@ -527,11 +528,10 @@ TEST(ServingEngineTest, StaticPolicyUnitsMatchIndependentReplay) {
         }
         expected_write_units += units * cost * count;
       } else {
+        const net::Cost distance = naive_nearest(placement, from, req.object);
         expected_reads += req.count;
-        expected_read_units +=
-            units * static_cast<double>(
-                        naive_nearest(placement, from, req.object)) *
-            count;
+        expected_hist[distance] += req.count;
+        expected_read_units += units * static_cast<double>(distance) * count;
       }
     }
     engine.run_batch(batch);
@@ -546,11 +546,10 @@ TEST(ServingEngineTest, StaticPolicyUnitsMatchIndependentReplay) {
   EXPECT_DOUBLE_EQ(stats.write_units, expected_write_units);
   EXPECT_EQ(stats.reconverges, 0u);
   EXPECT_EQ(stats.installs, 0u);
-  // Histogram totals = routed reads; local reads sit in bucket 0.
-  std::uint64_t hist_total = 0;
-  for (const std::uint64_t c : stats.read_cost_histogram) hist_total += c;
-  EXPECT_EQ(hist_total, expected_reads);
-  EXPECT_EQ(stats.read_cost_histogram[0], stats.local_reads);
+  // Every read lands in its naive nearest distance's bucket; local reads
+  // are bucket 0.
+  EXPECT_EQ(stats.read_cost_histogram, expected_hist);
+  EXPECT_EQ(stats.local_reads, expected_hist[0]);
 }
 
 TEST(ServingEngineTest, EveryBatchPolicyReconvergesPerBatch) {
