@@ -35,6 +35,14 @@ const char* refusal(const drp::AccessMatrix& access,
 
 ServingEngine::ServingEngine(drp::Problem problem, ServingConfig config)
     : config_(std::move(config)) {
+  problem.validate();
+  const net::Cost diameter = problem.distances->diameter();
+  if (diameter > kMaxReadDistance) {
+    throw std::invalid_argument(
+        "ServingEngine: network diameter " + std::to_string(diameter) +
+        " exceeds the read-cost histogram's cap of " +
+        std::to_string(kMaxReadDistance));
+  }
   shard_count_ = config_.shards != 0
                      ? config_.shards
                      : std::max<std::size_t>(
@@ -49,7 +57,6 @@ ServingEngine::ServingEngine(drp::Problem problem, ServingConfig config)
                                                       online);
   } else {
     problem_ = std::make_unique<drp::Problem>(std::move(problem));
-    problem_->validate();
     core::MechanismResult initial =
         core::run_agt_ram(*problem_, config_.mechanism);
     if (!initial.drained) {
@@ -81,8 +88,7 @@ ServingEngine::ServingEngine(drp::Problem problem, ServingConfig config)
     }
   }
 
-  const std::size_t hist_size =
-      static_cast<std::size_t>(inst.distances->diameter()) + 1;
+  const std::size_t hist_size = static_cast<std::size_t>(diameter) + 1;
   stats_.read_cost_histogram.assign(hist_size, 0);
   shards_.resize(shard_count_);
   for (Shard& shard : shards_) shard.hist.assign(hist_size, 0);

@@ -45,6 +45,12 @@ namespace agtram::srv {
 
 enum class ReconvergePolicy { Static, EveryBatch, OnDrift };
 
+/// The largest network diameter a ServingEngine serves.  Its read-cost
+/// histograms (the stats' and one per routing shard) hold one 8-byte count
+/// per distance, so 2^20 distances cap each at 8 MiB; a larger diameter is
+/// refused at construction.
+inline constexpr net::Cost kMaxReadDistance = (net::Cost{1} << 20) - 1;
+
 struct ServingConfig {
   ReconvergePolicy policy = ReconvergePolicy::OnDrift;
   /// Solver configuration shared by the initial solve and every
@@ -133,7 +139,9 @@ struct DriftRecord {
 class ServingEngine {
  public:
   /// Takes ownership of the instance, runs the initial solve, and installs
-  /// the first routing snapshot.
+  /// the first routing snapshot.  Throws std::invalid_argument, before any
+  /// of that, for an invalid instance or one whose network diameter
+  /// exceeds kMaxReadDistance.
   ServingEngine(drp::Problem problem, ServingConfig config);
 
   ServingEngine(const ServingEngine&) = delete;

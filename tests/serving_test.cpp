@@ -827,6 +827,44 @@ TEST(ServingEngineTest, DriftRecordMatchesIndependentReplay) {
   EXPECT_LT(fired, 12u);
 }
 
+/// Two servers one link apart; server 1 reads the one object server 0
+/// holds, so the diameter is `link`.
+drp::Problem two_server_problem(net::Cost link) {
+  drp::Problem p;
+  p.distances = std::make_shared<const net::DistanceMatrix>(
+      net::DistanceMatrix::from_rows(2, {0, link, link, 0}));
+  p.object_units = {1};
+  p.primary = {0};
+  p.capacity = {4, 4};
+  std::vector<std::vector<drp::Access>> rows(1);
+  rows[0] = {{1, 5, 0}};
+  p.access = drp::AccessMatrix::build(2, 1, std::move(rows));
+  return p;
+}
+
+// The read-cost histograms hold one count per distance, so a diameter past
+// the cap is refused before any is allocated (a link cost near 2^32 would
+// ask for tens of GiB per shard), and a diameter at the cap is served.
+TEST(ServingEngineTest, DiameterAboveHistogramCapIsRefused) {
+  srv::ServingConfig config;
+  config.shards = 1;
+  const net::Cost far = net::Cost{1} << 21;
+  try {
+    srv::ServingEngine engine(two_server_problem(far), config);
+    ADD_FAILURE() << "served a network diameter of " << far;
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(std::to_string(far)), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(srv::kMaxReadDistance)),
+              std::string::npos)
+        << what;
+  }
+  srv::ServingEngine at_cap(two_server_problem(srv::kMaxReadDistance),
+                            config);
+  EXPECT_EQ(at_cap.stats().read_cost_histogram.size(),
+            std::size_t{srv::kMaxReadDistance} + 1);
+}
+
 TEST(ServingEngineTest, BusSeparatesServingFromProtocolBytes) {
   drp::Problem problem = dispersed_instance(16, 48, 23);
   runtime::MessageBus bus(problem, runtime::MessageBus::pick_centre(problem));
