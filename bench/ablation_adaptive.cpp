@@ -21,6 +21,8 @@ int run(int argc, char** argv) {
 
   common::Cli cli("Adaptive migration ablation over demand-drift episodes");
   bench::add_common_flags(cli);
+  bench::add_size_flags(cli);
+  bench::add_csv_flag(cli);
   cli.add_flag("capacity", "30", "paper C%%");
   cli.add_flag("rw", "0.90", "read fraction");
   cli.add_flag("episodes", "6", "number of drift episodes");

@@ -26,6 +26,7 @@ int run(int argc, char** argv) {
 
   common::Cli cli("Payment-rule ablation: second-price vs first-price vs none");
   bench::add_common_flags(cli);
+  bench::add_size_flags(cli);
   cli.add_flag("capacity", "30", "paper C%%");
   cli.add_flag("rw", "0.90", "read fraction");
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;

@@ -23,6 +23,8 @@ int run(int argc, char** argv) {
   common::Cli cli("Regional mechanism ablation: region sweep + failure "
                   "injection");
   bench::add_common_flags(cli);
+  bench::add_size_flags(cli);
+  bench::add_csv_flag(cli);
   cli.add_flag("capacity", "30", "paper C%%");
   cli.add_flag("rw", "0.90", "read fraction");
   cli.add_flag("regions", "1,2,4,8,16", "region counts to sweep");

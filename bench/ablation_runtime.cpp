@@ -18,6 +18,8 @@ int run(int argc, char** argv) {
   common::Cli cli("Runtime ablation: semi-distributed traffic and protocol "
                   "turn-around time");
   bench::add_common_flags(cli);
+  bench::add_size_flags(cli);
+  bench::add_csv_flag(cli);
   cli.add_flag("capacity", "30", "paper C%%");
   cli.add_flag("rw", "0.90", "read fraction");
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;

@@ -34,6 +34,8 @@ int run(int argc, char** argv) {
 
   common::Cli cli("Topology ablation: GT-ITM p-sweep and generator families");
   bench::add_common_flags(cli);
+  bench::add_size_flags(cli);
+  bench::add_csv_flag(cli);
   cli.add_flag("capacity", "30", "paper C%%");
   cli.add_flag("rw", "0.90", "read fraction");
   cli.add_flag("probabilities", "0.4,0.5,0.6,0.7,0.8",

@@ -16,6 +16,8 @@ int run(int argc, char** argv) {
 
   common::Cli cli("Update-ratio ablation: capacity sweep at U% in {5,10,20}");
   bench::add_common_flags(cli);
+  bench::add_size_flags(cli);
+  bench::add_csv_flag(cli);
   cli.add_flag("capacities", "10,20,30,40", "paper C%% sweep points");
   cli.add_flag("updates", "5,10,20", "U%% update-load points");
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;

@@ -140,16 +140,25 @@ inline double capacity_fraction(double paper_percent) {
   return paper_percent * kCapacityPerPercent;
 }
 
-/// Registers the flags every reproduction binary shares.
+// Each binary registers exactly the flags it reads, so common::Cli refuses
+// any other as an unknown flag.
+
+/// Registers --scale and --seed, which every reproduction binary reads.
 inline void add_common_flags(common::Cli& cli) {
+  cli.add_flag("scale", "default",
+               "'default' keeps this binary's sizes; 'paper' restores the "
+               "paper's full sizes, up to M=3718, N=25000 (slow!)");
+  cli.add_flag("seed", "2007", "experiment seed");
+}
+
+/// Registers --servers and --objects, the sizes resolve_dims reads.
+inline void add_size_flags(common::Cli& cli) {
   cli.add_flag("servers", "160", "number of servers M (paper: 3718)");
   cli.add_flag("objects", "1600", "number of objects N (paper: 25000)");
-  cli.add_flag("scale", "default",
-               "'default' uses --servers/--objects; 'paper' restores the "
-               "full M=3718, N=25000 (slow!)");
-  cli.add_flag("seed", "2007", "experiment seed");
-  cli.add_flag("trials", "1",
-               "instances per cell (results averaged over seeds)");
+}
+
+/// Registers --csv, the path emit also writes its table to.
+inline void add_csv_flag(common::Cli& cli) {
   cli.add_flag("csv", "", "also write results as CSV to this file path");
 }
 

@@ -18,6 +18,10 @@ int run(int argc, char** argv) {
   common::Cli cli("Figure 3: OTC savings vs. server capacity "
                   "[M=3718; N=25,000; R/W=0.95 in the paper]");
   bench::add_common_flags(cli);
+  bench::add_size_flags(cli);
+  bench::add_csv_flag(cli);
+  cli.add_flag("trials", "1",
+               "instances per cell (results averaged over seeds)");
   cli.add_flag("rw", "0.95", "read fraction (paper: 0.95)");
   cli.add_flag("capacities", "10,15,20,25,30,35,40",
                "paper C%% sweep points");

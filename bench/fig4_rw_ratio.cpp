@@ -16,6 +16,10 @@ int run(int argc, char** argv) {
   common::Cli cli("Figure 4: OTC savings vs. read/write ratio "
                   "[M=3718; N=25,000; C=45% in the paper]");
   bench::add_common_flags(cli);
+  bench::add_size_flags(cli);
+  bench::add_csv_flag(cli);
+  cli.add_flag("trials", "1",
+               "instances per cell (results averaged over seeds)");
   cli.add_flag("capacity", "45", "paper C%% (paper: 45)");
   cli.add_flag("ratios", "0.30,0.40,0.50,0.60,0.70,0.80,0.90,0.95",
                "R/W sweep points (read fraction)");

@@ -35,6 +35,8 @@ struct PolicyRun {
 int run(int argc, char** argv) {
   common::Cli cli("Serving-layer replay: policies under demand drift");
   bench::add_common_flags(cli);
+  bench::add_size_flags(cli);
+  bench::add_csv_flag(cli);
   cli.add_flag("requests", "1000000", "total routed requests per policy");
   cli.add_flag("batch", "8192", "request groups per batch");
   cli.add_flag("mean-count", "8", "mean request multiplicity per group");

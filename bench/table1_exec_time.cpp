@@ -21,6 +21,7 @@ int run(int argc, char** argv) {
   common::Cli cli("Table 1: running time (seconds) of the placement methods "
                   "[C=45%, R/W=0.85 in the paper]");
   bench::add_common_flags(cli);
+  bench::add_csv_flag(cli);
   cli.add_flag("capacity", "45", "paper C%%");
   cli.add_flag("rw", "0.85", "read fraction");
   cli.add_flag("m-grid", "250,300,372", "server counts (paper: 2500,3000,3718)");

@@ -38,6 +38,7 @@ int run(int argc, char** argv) {
   common::Cli cli("Table 2: average OTC savings (%) under the paper's ten "
                   "randomly chosen problem instances");
   bench::add_common_flags(cli);
+  bench::add_csv_flag(cli);
   cli.add_flag("divisor", "10",
                "scale the paper's M and N down by this factor "
                "(1 = paper scale, slow)");
