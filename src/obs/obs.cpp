@@ -53,20 +53,6 @@ Span& Registry::span(std::string_view name) {
   return created;
 }
 
-Counter* Registry::find_counter(std::string_view name) {
-  Impl& state = impl();
-  std::lock_guard<std::mutex> lock(state.mutex);
-  auto it = state.counter_index.find(name);
-  return it == state.counter_index.end() ? nullptr : it->second;
-}
-
-Span* Registry::find_span(std::string_view name) {
-  Impl& state = impl();
-  std::lock_guard<std::mutex> lock(state.mutex);
-  auto it = state.span_index.find(name);
-  return it == state.span_index.end() ? nullptr : it->second;
-}
-
 std::vector<CounterSnapshot> Registry::counters() const {
   Impl& state = const_cast<Registry*>(this)->impl();
   std::lock_guard<std::mutex> lock(state.mutex);
@@ -87,17 +73,6 @@ std::vector<SpanSnapshot> Registry::spans() const {
     out.push_back({span.name(), span.count(), span.total_ns()});
   }
   return out;
-}
-
-void Registry::reset() {
-  Impl& state = impl();
-  std::lock_guard<std::mutex> lock(state.mutex);
-  for (Counter& counter : state.counters) {
-    counter.reset();
-  }
-  for (Span& span : state.spans) {
-    span.reset();
-  }
 }
 
 namespace {

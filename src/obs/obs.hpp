@@ -56,8 +56,6 @@ class Counter {
     return value_.load(std::memory_order_relaxed);
   }
 
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
-
  private:
   std::string name_;
   std::atomic<std::uint64_t> value_{0};
@@ -85,11 +83,6 @@ class Span {
   }
   std::uint64_t total_ns() const noexcept {
     return total_ns_.load(std::memory_order_relaxed);
-  }
-
-  void reset() noexcept {
-    count_.store(0, std::memory_order_relaxed);
-    total_ns_.store(0, std::memory_order_relaxed);
   }
 
  private:
@@ -154,16 +147,9 @@ class Registry {
   Counter& counter(std::string_view name);
   Span& span(std::string_view name);
 
-  /// Lookup without creation (nullptr when the name was never registered).
-  Counter* find_counter(std::string_view name);
-  Span* find_span(std::string_view name);
-
   /// Snapshots in registration order (deterministic within one binary run).
   std::vector<CounterSnapshot> counters() const;
   std::vector<SpanSnapshot> spans() const;
-
-  /// Zeroes every counter and span; handles stay valid.
-  void reset();
 
  private:
   Registry() = default;

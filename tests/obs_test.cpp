@@ -25,16 +25,8 @@ TEST(ObsRegistryTest, CounterHandleIsStablePerName) {
   obs::Counter& a = obs::Registry::instance().counter("obs_test.stable");
   obs::Counter& b = obs::Registry::instance().counter("obs_test.stable");
   EXPECT_EQ(&a, &b);
-  EXPECT_EQ(obs::Registry::instance().find_counter("obs_test.stable"), &a);
   obs::Span& s = obs::Registry::instance().span("obs_test.stable_span");
   EXPECT_EQ(&obs::Registry::instance().span("obs_test.stable_span"), &s);
-  EXPECT_EQ(obs::Registry::instance().find_span("obs_test.stable_span"), &s);
-}
-
-TEST(ObsRegistryTest, FindWithoutCreateReturnsNull) {
-  EXPECT_EQ(obs::Registry::instance().find_counter("obs_test.absent"),
-            nullptr);
-  EXPECT_EQ(obs::Registry::instance().find_span("obs_test.absent"), nullptr);
 }
 
 TEST(ObsRegistryTest, SnapshotsCarryRegisteredNames) {
@@ -57,20 +49,6 @@ TEST(ObsRegistryTest, SnapshotsCarryRegisteredNames) {
   }
   EXPECT_TRUE(saw_counter);
   EXPECT_TRUE(saw_span);
-}
-
-TEST(ObsRegistryTest, ResetZeroesButKeepsHandles) {
-  obs::Counter& c = obs::Registry::instance().counter("obs_test.reset");
-  c.add(42);
-  obs::Span& s = obs::Registry::instance().span("obs_test.reset_span");
-  s.record(9);
-  obs::Registry::instance().reset();
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.total_ns(), 0u);
-  // The handle survives the reset and keeps counting.
-  c.add(1);
-  EXPECT_EQ(c.value(), 1u);
 }
 
 // --------------------------------------------------------------- macros
