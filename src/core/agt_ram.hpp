@@ -235,7 +235,8 @@ struct MechanismResult {
 
 /// Folds `result.rounds`, in round order, into one outcome per server the
 /// run's placement spans (indexed by server id; agents that won nothing are
-/// zero).  Reads no Problem, so it outlives the instance the run solved.
+/// zero).  It reads no Problem, so a result may outlive the instance it
+/// solved.
 std::vector<AgentOutcome> agent_outcomes(const MechanismResult& result);
 
 /// Runs the mechanism to completion on `problem`, starting from the

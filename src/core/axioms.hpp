@@ -5,8 +5,9 @@
 //  Axiom 1 (Ingredients)   — a mechanism has (a) an algorithmic output
 //      specification and (b) agent utility functions.
 //      Code: core::run_agt_ram produces core::MechanismResult (the output x
-//      and the payments p); utilities u_i = v_i(t_i, x) - p_i are tracked in
-//      MechanismResult::agents (AgentOutcome::utility()).
+//      and the payments p, one RoundRecord per allocation); utilities
+//      u_i = v_i(t_i, x) - p_i follow from them: core::agent_outcomes folds
+//      the rounds per agent (AgentOutcome::utility()).
 //
 //  Axiom 2 (Agent disposition) — each agent holds private "true data";
 //      everything else is public.  The paper argues DRP[pi] is the only
