@@ -124,6 +124,9 @@ int run(int argc, char** argv) {
       cfg.payment_rule = s.rule;
       common::Rng noise(seed ^ 0xfeed);
       if (s.factor < 0.0) {
+        // Draws from `noise` on every call, so it is stateful: only the
+        // naive sweep, which re-invokes it every round, is well-defined.
+        cfg.report_mode = core::ReportMode::Naive;
         cfg.strategy = [&noise](drp::ServerId, double v) {
           return v * noise.uniform(0.25, 4.0);
         };

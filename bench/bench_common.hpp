@@ -128,7 +128,6 @@ inline const char* report_mode_name(core::ReportMode mode) {
   switch (mode) {
     case core::ReportMode::Naive: return "naive";
     case core::ReportMode::Incremental: return "incremental";
-    case core::ReportMode::Auto: return "auto";
   }
   return "?";
 }

@@ -2,10 +2,9 @@
 //
 // Two outputs (DESIGN.md §9, EXPERIMENTS.md "Reading an --obs-trace"):
 //
-//  * an `obs` block merged into each bench row: the Auto-policy decisions
-//    (ReportMode / EvalPath) with the exact inputs and thresholds that
-//    decided them, plus the registry counter/span deltas accumulated across
-//    the row's timing loop.
+//  * an `obs` block merged into each bench row: the row's policy decisions
+//    (ReportMode / EvalPath) with the inputs that shape them, plus the
+//    registry counter/span deltas accumulated across the row's timing loop.
 //
 //  * a per-round JSONL dump (`--obs-trace <file>`): one meta line per traced
 //    run (instance dims + decisions), then one line per mechanism round with
@@ -75,25 +74,12 @@ inline JsonWriter::Record obs_delta_record(const ObsSnapshot& before,
   return record;
 }
 
-/// The mechanism-side policy decisions for one bench row: how the requested
-/// ReportMode resolved and the signals/thresholds behind the Auto pick, plus
-/// the pool size the agent build forks onto.
+/// The mechanism-side policy decisions for one bench row: the ReportMode
+/// the run took, plus the pool size the agent build forks onto.
 inline JsonWriter::Record mechanism_decisions(
-    const drp::Problem& problem, const core::AgtRamConfig& config) {
-  const core::AutoPolicyDecision decision = core::explain_report_mode(
-      problem, problem.server_count(), config.report_mode);
+    const core::AgtRamConfig& config) {
   JsonWriter::Record record;
-  record.field("report_mode_requested", report_mode_name(decision.requested));
-  record.field("report_mode_resolved", report_mode_name(decision.resolved));
-  record.field("auto_size_biased_readers", decision.size_biased_readers);
-  record.field("auto_effective_hot_objects", decision.effective_hot_objects);
-  record.field("auto_agent_count",
-               static_cast<std::uint64_t>(decision.agent_count));
-  record.field("auto_incremental_fraction", decision.incremental_fraction);
-  record.field("auto_min_effective_hot_objects",
-               decision.min_effective_hot_objects);
-  record.field("auto_dirty_is_local", decision.dirty_is_local);
-  record.field("auto_demand_is_dispersed", decision.demand_is_dispersed);
+  record.field("report_mode", report_mode_name(config.report_mode));
   record.field("pool_workers",
                static_cast<std::uint64_t>(
                    common::ThreadPool::shared().thread_count()));

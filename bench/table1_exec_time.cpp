@@ -30,8 +30,8 @@ int run(int argc, char** argv) {
                "write per-cell wall times and obs blocks as JSON here "
                "('' disables)");
   cli.add_flag("obs-trace", "",
-               "write per-round JSONL from an untimed Auto-mode mechanism "
-               "run per cell to this path ('' disables)");
+               "write per-round JSONL from an untimed default-mode "
+               "mechanism run per cell to this path ('' disables)");
   bench::add_baseline_eval_flag(cli);
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
 
@@ -110,8 +110,7 @@ int run(int argc, char** argv) {
       // JSON-only extra: AGT-RAM's report-evaluation paths head to head
       // (the printed table keeps the paper's algorithm columns untouched).
       for (const core::ReportMode mode :
-           {core::ReportMode::Naive, core::ReportMode::Incremental,
-            core::ReportMode::Auto}) {
+           {core::ReportMode::Naive, core::ReportMode::Incremental}) {
         core::AgtRamConfig cfg;
         cfg.report_mode = mode;
         const bench::ObsSnapshot obs_before = bench::ObsSnapshot::take();
@@ -124,29 +123,25 @@ int run(int argc, char** argv) {
             .field("servers", static_cast<std::uint64_t>(dims.servers))
             .field("objects", static_cast<std::uint64_t>(dims.objects))
             .field("report_mode", bench::report_mode_name(mode))
-            .field("resolved_mode",
-                   bench::report_mode_name(result.resolved_mode))
             .field("seconds", seconds)
             .field("rounds", static_cast<std::uint64_t>(result.rounds.size()))
             .field("candidate_evaluations", result.candidate_evaluations)
             .field("reports_computed", result.reports_computed)
             .object_field(
                 "obs",
-                bench::obs_block(bench::mechanism_decisions(problem, cfg),
+                bench::obs_block(bench::mechanism_decisions(cfg),
                                  obs_before, obs_after, /*runs=*/1));
         json.add(std::move(record));
       }
 
-      // Per-round trace of an untimed Auto-mode run for this cell.
+      // Per-round trace of an untimed default-mode run for this cell.
       if (trace) {
-        core::AgtRamConfig cfg;
-        cfg.report_mode = core::ReportMode::Auto;
+        const core::AgtRamConfig cfg;
         bench::JsonWriter::Record meta;
         meta.field("benchmark", "table1_obs_trace")
             .field("servers", static_cast<std::uint64_t>(dims.servers))
             .field("objects", static_cast<std::uint64_t>(dims.objects))
-            .object_field("decisions",
-                          bench::mechanism_decisions(problem, cfg));
+            .object_field("decisions", bench::mechanism_decisions(cfg));
         trace->meta(meta);
         bench::ScopedTrace scoped(*trace);
         core::run_agt_ram(problem, cfg);

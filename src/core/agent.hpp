@@ -14,12 +14,14 @@
 // the naive O(M * N^2) worst case of Theorem 4.
 //
 // The same monotonicity powers the mechanism's dirty-set protocol
-// (agt_ram.hpp): between two make_report calls, agent i's report can only
-// change if a replica of an object i *reads* was placed (its NN distance for
-// that object may have dropped) or if i itself won a round (its free
-// capacity shrank, and the won object must leave the heap).  Every other
-// agent's previous report remains valid verbatim, so the centre re-polls
-// only the agents in readers(k*) ∪ {winner}.
+// (agt_ram.hpp): the heap keeps stored >= current for every entry and drops
+// only entries dead for good, so a report is the argmax of current value
+// over the feasible candidates (ties to the lowest object) — a function of
+// the placement alone.  Placing a replica of k* lowers no value but
+// v(i, k*) and shrinks no capacity but the winner's, whose report names
+// k*.  So agent i's report can only change if it named k*; every other
+// agent's previous report remains valid verbatim, and the centre re-polls
+// only the live readers of k* whose standing report names k*.
 #pragma once
 
 #include <cstdint>

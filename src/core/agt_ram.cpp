@@ -31,58 +31,6 @@ double MechanismResult::total_payments() const {
   return total;
 }
 
-// ReportMode::Auto: incremental evaluation pays off when one round's dirty
-// set (readers(k*) ∪ {winner}) is well under the *live* agent set the naive
-// sweep would touch; otherwise the standing-report heap overhead loses to
-// the naive sweep's tight loop over cached heap tops.  Two static signals
-// predict that, calibrated on trace and dispersed bench instances:
-//
-//  * the expected dirty-set size — the size-biased mean reader count, since
-//    allocations land on read-hot objects — must be well under the agent
-//    population (4× margin), else re-polls rival the full sweep outright;
-//  * the read volume must not be concentrated on a few objects: with a
-//    small effective hot set (participation ratio of object read volumes),
-//    the surviving live set collapses onto exactly those objects' readers,
-//    so the naive sweep is already dirty-set-sized and the heap is pure
-//    overhead.  The WorldCup trace pipeline yields ~20–26 effective hot
-//    objects at every bench scale (naive wins, measured 0.6×); dispersed
-//    demand yields ~95 at 64×640 up to ~370 at paper scale (incremental
-//    wins 5×–68×).  50 splits the two with ~2× margin on both sides.
-static constexpr double kAutoIncrementalFraction = 4.0;
-static constexpr double kAutoMinEffectiveHotObjects = 50.0;
-
-AutoPolicyDecision explain_report_mode(const drp::Problem& problem,
-                                       std::size_t agent_count,
-                                       ReportMode requested) {
-  AutoPolicyDecision decision;
-  decision.requested = requested;
-  decision.size_biased_readers =
-      problem.access.size_biased_readers_per_object();
-  decision.effective_hot_objects = problem.access.effective_hot_objects();
-  decision.agent_count = agent_count;
-  decision.incremental_fraction = kAutoIncrementalFraction;
-  decision.min_effective_hot_objects = kAutoMinEffectiveHotObjects;
-  decision.dirty_is_local =
-      decision.size_biased_readers * kAutoIncrementalFraction <
-      static_cast<double>(agent_count);
-  decision.demand_is_dispersed =
-      decision.effective_hot_objects >= kAutoMinEffectiveHotObjects;
-  if (requested != ReportMode::Auto) {
-    decision.resolved = requested;
-  } else {
-    decision.resolved = decision.dirty_is_local && decision.demand_is_dispersed
-                            ? ReportMode::Incremental
-                            : ReportMode::Naive;
-  }
-  return decision;
-}
-
-ReportMode resolve_report_mode(const drp::Problem& problem,
-                               std::size_t agent_count, ReportMode requested) {
-  if (requested != ReportMode::Auto) return requested;
-  return explain_report_mode(problem, agent_count, requested).resolved;
-}
-
 namespace {
 
 std::vector<drp::ServerId> every_server(const drp::Problem& problem) {
@@ -205,8 +153,9 @@ MechanismResult run_rounds_naive(const AgtRamConfig& config,
 
 // ----------------------------------------------------------- incremental
 // Dirty-set evaluation: the centre caches every agent's standing report,
-// re-polls only readers(k*) ∪ {winner} after allocating (winner, k*), and
-// selects the winner from a lazy max-heap over the cached claimed values.
+// re-polls only the live agents whose standing report names k* after
+// allocating (winner, k*), and selects the winner from a lazy max-heap over
+// the cached claimed values.
 // Heap entries are invalidated by a per-agent epoch that bumps on every
 // fresh report — values only ever decrease, so stale (higher) entries
 // surface first and are discarded on sight.
@@ -321,8 +270,8 @@ MechanismResult run_rounds_incremental(const drp::Problem& problem,
   LazyBidHeap heap;
 
   std::size_t round = 0;
-  // After every allocation the winner is dirty again (it reads k*), so the
-  // dirty set is empty only once the mechanism has terminated.
+  // After every allocation the winner is dirty again (its report named k*),
+  // so the dirty set is empty only once the mechanism has terminated.
   while (!dirty.empty()) {
     if (config.max_rounds != 0 && round >= config.max_rounds) {
       result.drained = false;
@@ -395,12 +344,18 @@ MechanismResult run_rounds_incremental(const drp::Problem& problem,
 
     allocate(result, winner, winning, payment);
 
-    // --- Next round's dirty set: the allocation of k* can only touch the
-    // valuations of servers that read k* (the winner is one of them — a
-    // candidate requires read demand — and its capacity shrank too).
+    // --- Next round's dirty set: the live agents whose standing report
+    // names k*.  A report is the argmax of current value over the agent's
+    // feasible candidates, so it is a function of the placement alone; the
+    // allocation lowers only v(i, k*) for a reader i ≠ winner and leaves its
+    // capacity alone, so a report naming another object still stands.  The
+    // winner's report names k*, so it is re-polled too.  readers(k*) holds
+    // every such agent (a candidate requires read demand) in ascending id.
     dirty.clear();
     for (const drp::ServerId i : problem.access.readers(winning.object)) {
-      if (live_flag[i] != 0) dirty.push_back(i);
+      if (live_flag[i] != 0 && reports[i].object == winning.object) {
+        dirty.push_back(i);
+      }
     }
     if (config.observer) {
       config.observer->on_allocation(winner, winning.object, payment);
@@ -422,15 +377,10 @@ MechanismResult run_rounds(const drp::Problem& problem,
                            drp::ReplicaPlacement start,
                            std::vector<Agent> agents) {
   AGTRAM_OBS_SPAN("agt_ram.run");
-  const ReportMode mode =
-      resolve_report_mode(problem, agents.size(), config.report_mode);
-  MechanismResult result =
-      mode == ReportMode::Incremental
-          ? run_rounds_incremental(problem, config, std::move(start),
-                                   std::move(agents))
-          : run_rounds_naive(config, std::move(start), std::move(agents));
-  result.resolved_mode = mode;
-  return result;
+  return config.report_mode == ReportMode::Incremental
+             ? run_rounds_incremental(problem, config, std::move(start),
+                                      std::move(agents))
+             : run_rounds_naive(config, std::move(start), std::move(agents));
 }
 
 }  // namespace

@@ -15,16 +15,18 @@
 // The loop ends when no agent has a positive-valued feasible candidate.
 //
 // Incremental (dirty-set) evaluation: because one round allocates exactly
-// one replica of one object k*, an agent's report can only change if it
-// reads k* (its NN distance for k* may have dropped) or if it is the winner
-// (its free capacity shrank).  With `ReportMode::Incremental` the centre
-// caches every agent's standing report, re-polls only the dirty set
-// readers(k*) ∪ {winner} each round, and selects the winner from a lazy
-// max-heap over the cached claimed values — O(|readers(k*)| log M) per round
-// instead of O(Σ|L_i|).  The allocation, payments, and round sequence are
-// byte-identical to the naive sweep (tests assert this); the naive path is
-// kept as a differential-testing oracle.  See DESIGN.md "Dirty-set
-// incremental evaluation".
+// one replica of one object k*, an agent's report can only change if its
+// standing report names k*.  The report is the argmax of current value over
+// the agent's feasible candidates; the allocation lowers no value but
+// v(i, k*) (its NN distance for k* may drop) and shrinks no capacity but the
+// winner's, whose own report names k*.  With `ReportMode::Incremental` (the
+// default) the centre caches every agent's standing report, re-polls only
+// the live readers of k* whose report names k* each round, and selects the
+// winner from a lazy max-heap over the cached claimed values — O(|dirty|
+// log M) per round instead of O(Σ|L_i|).  The allocation, payments, and
+// round sequence are byte-identical to the naive sweep (tests assert this);
+// the naive path is kept as a differential-testing oracle.  See DESIGN.md
+// "Dirty-set incremental evaluation".
 #pragma once
 
 #include <cstdint>
@@ -60,7 +62,8 @@ class MechanismObserver {
   /// Centre broadcasts the winning (object, server) to the agents in
   /// `notified`: under the naive sweep the bidders that stay in LS (the
   /// winner among them), under the incremental protocol the next round's
-  /// dirty set (the live agents whose state the allocation can touch).
+  /// dirty set (the live agents whose standing report names the object, the
+  /// winner among them — the only reports the allocation made stale).
   virtual void on_broadcast(drp::ServerId /*winner*/,
                             drp::ObjectIndex /*object*/,
                             std::span<const drp::ServerId> /*notified*/) {}
@@ -118,22 +121,17 @@ std::uint64_t poll_round(std::vector<Agent>& agents,
                          const ReportStrategy& strategy,
                          MechanismObserver* observer, SealedBids& bids);
 
-/// How the centre gathers per-round reports.  All three produce
-/// byte-identical allocations; they differ only in work per round.
+/// How the centre gathers per-round reports.  Both produce byte-identical
+/// allocations; they differ only in work per round.
 enum class ReportMode {
-  /// Full sweep: every live agent re-evaluates its heap every round.  Kept
-  /// as the differential-testing oracle; it also wins outright when the
-  /// dirty set is most of the live set (trace demand at bench scale), since
-  /// it skips the standing-report heap machinery.
+  /// Full sweep: every live agent re-evaluates its heap every round, as in
+  /// the paper's Figure 2.  Kept as the differential-testing oracle and as
+  /// the protocol model of Figure 2's traffic (runtime::MessageBus).
   Naive,
-  /// Dirty-set evaluation (see the header comment): re-poll only
-  /// readers(k*) ∪ {winner} and select from a lazy max-heap.  Wins when
-  /// |readers(k)| << M — the paper's large-M regime.
+  /// Dirty-set evaluation (see the header comment): re-poll only the live
+  /// agents whose standing report names k* and select from a lazy max-heap.
+  /// The default.
   Incremental,
-  /// Pick per instance from readers(k) statistics: incremental iff the mean
-  /// dirty set is a small fraction of the agent population (see
-  /// kAutoIncrementalFraction in agt_ram.cpp).  The default.
-  Auto,
 };
 
 struct AgtRamConfig {
@@ -142,7 +140,7 @@ struct AgtRamConfig {
   /// ReportStrategy (one whose output depends on call history rather than
   /// only on (agent, value)) is only well-defined under Naive, because the
   /// incremental path reuses cached reports instead of re-invoking it.
-  ReportMode report_mode = ReportMode::Auto;
+  ReportMode report_mode = ReportMode::Incremental;
   /// Optional distortion of agent reports (Axiom 3 ablations).
   ReportStrategy strategy;
   /// Optional instrumentation.
@@ -150,38 +148,6 @@ struct AgtRamConfig {
   /// Safety valve for pathological configs; 0 = unlimited.
   std::size_t max_rounds = 0;
 };
-
-/// The mode ReportMode::Auto would pick for `problem` with `agent_count`
-/// participating agents (exposed for benches and tests).
-ReportMode resolve_report_mode(const drp::Problem& problem,
-                               std::size_t agent_count, ReportMode requested);
-
-/// The Auto resolution together with the inputs and thresholds that decided
-/// it — what the bench JSON `obs` blocks and `--obs-trace` dumps record so a
-/// regression can be traced to the signal that flipped (DESIGN.md §9).  For
-/// a non-Auto `requested` the signals are still populated (they are cheap
-/// statistics) but `resolved == requested`.
-struct AutoPolicyDecision {
-  ReportMode requested = ReportMode::Auto;
-  ReportMode resolved = ReportMode::Naive;
-  /// Expected dirty-set size: size-biased mean readers per object.
-  double size_biased_readers = 0.0;
-  /// Participation ratio of object read volumes.
-  double effective_hot_objects = 0.0;
-  std::size_t agent_count = 0;
-  /// The thresholds the signals were compared against
-  /// (kAutoIncrementalFraction / kAutoMinEffectiveHotObjects).
-  double incremental_fraction = 0.0;
-  double min_effective_hot_objects = 0.0;
-  /// size_biased_readers * incremental_fraction < agent_count
-  bool dirty_is_local = false;
-  /// effective_hot_objects >= min_effective_hot_objects
-  bool demand_is_dispersed = false;
-};
-
-AutoPolicyDecision explain_report_mode(const drp::Problem& problem,
-                                       std::size_t agent_count,
-                                       ReportMode requested);
 
 /// Per-agent game-theoretic outcome.
 ///
@@ -218,9 +184,6 @@ struct MechanismResult {
   /// evaluations performed and reports computed across the whole run.
   std::uint64_t candidate_evaluations = 0;
   std::uint64_t reports_computed = 0;
-  /// The evaluation path actually taken (Auto resolves to Naive or
-  /// Incremental before the first round).
-  ReportMode resolved_mode = ReportMode::Naive;
   /// True when the round loop ended because no agent had a positive feasible
   /// candidate left (the mechanism's natural fixpoint); false only when
   /// `max_rounds` cut it short, in which case live agents may still hold
@@ -243,6 +206,9 @@ std::vector<AgentOutcome> agent_outcomes(const MechanismResult& result);
 /// primaries-only scheme with every server participating.
 MechanismResult run_agt_ram(const drp::Problem& problem,
                             const AgtRamConfig& config = {});
+/// The result's placement keeps a pointer to the Problem, so a temporary
+/// one would dangle once the call's statement ends.
+MechanismResult run_agt_ram(drp::Problem&&, const AgtRamConfig& = {}) = delete;
 
 /// Warm-start / restricted variant: continues allocating on top of `start`
 /// and (optionally) lets only `participants` act as agents.  This powers
@@ -253,5 +219,9 @@ MechanismResult run_agt_ram_from(const drp::Problem& problem,
                                  drp::ReplicaPlacement start,
                                  const std::vector<drp::ServerId>* participants
                                  = nullptr);
+MechanismResult run_agt_ram_from(drp::Problem&&, const AgtRamConfig&,
+                                 drp::ReplicaPlacement,
+                                 const std::vector<drp::ServerId>* = nullptr)
+    = delete;
 
 }  // namespace agtram::core

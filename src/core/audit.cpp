@@ -40,7 +40,6 @@ MechanismResult run_profile(const drp::Problem& problem,
                             MechanismObserver* observer = nullptr) {
   AgtRamConfig cfg;
   cfg.payment_rule = config.payment_rule;
-  cfg.report_mode = config.report_mode;
   cfg.strategy = profile.compile(problem.server_count());
   cfg.observer = observer;
   return run_agt_ram(problem, cfg);

@@ -133,7 +133,6 @@ struct CollusionAudit {
 
 struct StrategicAuditConfig {
   PaymentRule payment_rule = PaymentRule::SecondPrice;
-  ReportMode report_mode = ReportMode::Auto;
   /// How many agents to probe, picked from the truthful run's top winners
   /// (their deviations are the ones that can move the allocation).
   std::size_t agents_to_probe = 4;

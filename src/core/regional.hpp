@@ -74,6 +74,10 @@ struct RegionalResult {
 /// cleared under `payment_rule`.
 RegionalResult run_regional(const drp::Problem& problem,
                             const RegionalConfig& config = {});
+/// Like every placement-returning entry point, these keep a pointer to the
+/// Problem: a temporary one is refused.
+RegionalResult run_regional(drp::Problem&&,
+                            const RegionalConfig& = {}) = delete;
 
 /// The cooperative variant of the hierarchical game ("in each level either
 /// a cooperative or non-cooperative game could be played", Section 7):
@@ -87,6 +91,8 @@ RegionalResult run_regional(const drp::Problem& problem,
 /// lazy greedy over objects (drp::LazyGreedyHeap).
 RegionalResult run_regional_cooperative(const drp::Problem& problem,
                                         const RegionalConfig& config = {});
+RegionalResult run_regional_cooperative(drp::Problem&&,
+                                        const RegionalConfig& = {}) = delete;
 
 /// Two-level hierarchical mechanism: each round every live region holds a
 /// regional round to nominate its *champion* report, and the top-level
@@ -97,7 +103,7 @@ RegionalResult run_regional_cooperative(const drp::Problem& problem,
 /// The argmax of regional argmaxes is the global argmax (ties break towards
 /// the lowest server id at both levels), so the rounds are those of the
 /// flat mechanism over the members of live regions, and that is how it
-/// runs: run_agt_ram_from drives them under ReportMode::Auto, and an
+/// runs: run_agt_ram_from drives them on the dirty-set path, and an
 /// observer plays the regional centres and the top centre from every live
 /// member's standing report.  Payments clear at the top level against the
 /// second-best champion, which is never more than the flat second price
@@ -116,5 +122,7 @@ struct HierarchicalResult {
 
 HierarchicalResult run_hierarchical(const drp::Problem& problem,
                                     const RegionalConfig& config = {});
+HierarchicalResult run_hierarchical(drp::Problem&&,
+                                    const RegionalConfig& = {}) = delete;
 
 }  // namespace agtram::core

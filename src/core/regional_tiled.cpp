@@ -189,7 +189,6 @@ void run_auction_shard(const ShardProblem& shard,
                        ShardRun& run) {
   AgtRamConfig mech_cfg;
   mech_cfg.payment_rule = config.payment_rule;
-  mech_cfg.report_mode = ReportMode::Auto;
   const MechanismResult result = run_agt_ram(shard.sub, mech_cfg);
   run.outcome.rounds = result.rounds.size();
   run.outcome.replicas_placed = result.replicas_placed();

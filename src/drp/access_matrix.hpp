@@ -84,7 +84,8 @@ class AccessMatrix {
   /// Servers with nonzero *read* demand for object k, sorted by server id.
   /// Pure writers are excluded: a new replica of k can only change the
   /// valuation of servers whose NN distance for k may drop, i.e. readers.
-  /// This is the per-round dirty set of the incremental mechanism.
+  /// The incremental mechanism walks it to find a round's dirty set, the
+  /// live readers whose standing report names k.
   std::span<const ServerId> readers(ObjectIndex k) const {
     return {readers_.data() + reader_row_[k], reader_row_[k + 1] - reader_row_[k]};
   }
@@ -116,8 +117,9 @@ class AccessMatrix {
   ///   * no cell (i, k) exists (accessor_slot == npos),
   ///   * a delta that would drive reads or writes negative,
   ///   * a read delta that would turn a structural non-reader (a pure-writer
-  ///     cell, absent from readers(k)) into a reader — the readers list is
-  ///     the incremental mechanism's dirty set and is never re-laid-out.
+  ///     cell, absent from readers(k)) into a reader — the readers list
+  ///     bounds the incremental mechanism's dirty set and is never
+  ///     re-laid-out.
   /// On success every view stays exact: the AoS cell, the SoA double streams
   /// (re-converted with the same static_cast the build performed, so they
   /// remain bitwise-consistent), the by-server transpose cell (reached
@@ -142,44 +144,6 @@ class AccessMatrix {
 
   /// Total (object, reader) pairs — sum of |readers(k)| over all objects.
   std::size_t total_reader_entries() const noexcept { return readers_.size(); }
-
-  /// Size-biased mean |readers(k)|: Σ|readers(k)|² / Σ|readers(k)|.  This is
-  /// the expected dirty-set size of an incremental mechanism round —
-  /// allocations land on read-hot objects with probability roughly
-  /// proportional to their reader counts, so the plain mean undersells the
-  /// dirty sets the mechanism actually re-polls when demand is concentrated
-  /// (trace-style) rather than dispersed.  Drives ReportMode::Auto
-  /// (core/agt_ram.hpp).  O(N), computed on demand.
-  double size_biased_readers_per_object() const noexcept {
-    std::uint64_t sum = 0;
-    std::uint64_t sum_sq = 0;
-    for (std::size_t k = 0; k + 1 < reader_row_.size(); ++k) {
-      const std::uint64_t n = reader_row_[k + 1] - reader_row_[k];
-      sum += n;
-      sum_sq += n * n;
-    }
-    return sum == 0 ? 0.0
-                    : static_cast<double>(sum_sq) / static_cast<double>(sum);
-  }
-
-  /// Participation ratio of the object read volumes, (Σv_k)² / Σv_k² — the
-  /// effective number of read-hot objects.  1 when all reads hit a single
-  /// object; N when volume is spread evenly.  Concentrated (trace/Zipf)
-  /// demand keeps this near-constant in N (~25 for the WorldCup pipeline at
-  /// every bench scale) while dispersed demand grows it linearly, which is
-  /// what ReportMode::Auto keys on: a small hot set collapses the live
-  /// agent set onto those objects' readers, making the naive sweep already
-  /// dirty-set-sized.  O(N), computed on demand.
-  double effective_hot_objects() const noexcept {
-    double sum_sq = 0.0;
-    for (const std::uint64_t v : object_reads_) {
-      sum_sq += static_cast<double>(v) * static_cast<double>(v);
-    }
-    return sum_sq == 0.0
-               ? 0.0
-               : static_cast<double>(grand_reads_) *
-                     static_cast<double>(grand_reads_) / sum_sq;
-  }
 
  private:
   // CSR by object: rows of `cells_` delimited by `obj_row_` (size N+1).

@@ -33,6 +33,8 @@ class ReplicaPlacement {
   /// Primaries-only scheme (X_{P_k,k} = 1, everything else 0) — the paper's
   /// "initial" network against which OTC savings are measured.
   explicit ReplicaPlacement(const Problem& problem);
+  /// The placement keeps a pointer to `problem`; a temporary would dangle.
+  explicit ReplicaPlacement(Problem&&) = delete;
 
   ReplicaPlacement(const ReplicaPlacement& other);
   ReplicaPlacement& operator=(const ReplicaPlacement& other);

@@ -1,13 +1,13 @@
 // agtram::obs — header-first observability: named monotonic counters,
 // scoped span timers, and per-round trace gauges.
 //
-// The subsystem exists to make the auto-tuned policies visible (DESIGN.md
-// §9): ReportMode::Auto and the baselines' EvalPath take decisions per
-// instance that used to be invisible in the bench output.  Counters expose
-// the internal work those decisions trade off (dirty-set re-polls, heap
-// pops, delta-cache refreshes, chunks claimed, wire bytes); spans time
-// coarse phases; the trace sink records per-round gauge snapshots next to
-// the decision that produced them.  ScopedSpan is the library's only wall
+// The subsystem exists to make the work behind each result visible
+// (DESIGN.md §9): the mechanism's report mode and the baselines' EvalPath
+// shape work per instance that used to be invisible in the bench output.
+// Counters expose that work (dirty-set re-polls, heap pops, delta-cache
+// refreshes, chunks claimed, wire bytes); spans time coarse phases; the
+// trace sink records per-round gauge snapshots next to the decision that
+// produced them.  ScopedSpan is the library's only wall
 // clock: a stage a result struct exports in seconds is one span's reading.
 //
 // Cost contract: the layer is compiled into every build.  A counter hit is

@@ -21,8 +21,8 @@ struct DistributedRunReport {
 /// Runs the mechanism with full message accounting: second-price payments,
 /// the central body at the metric medoid (MessageBus::pick_centre), and the
 /// dirty-set protocol (core::ReportMode::Incremental) — the centre caches
-/// standing reports, re-polls only the agents the last allocation could
-/// have touched, and multicasts OMAX to that set, with the allocation
+/// standing reports, re-polls only the agents whose standing bid the last
+/// allocation made stale, and multicasts OMAX to that set, with the allocation
 /// byte-identical to the paper's every-agent-every-round sweep.
 DistributedRunReport run_distributed(const drp::Problem& problem);
 

@@ -28,8 +28,9 @@
 // protocol's makespan, split along its critical path.
 //
 // Under the incremental protocol (core::ReportMode::Incremental) the centre
-// caches standing reports, so it polls only the agents whose valuation the
-// last allocation could have changed, and the OMAX broadcast is a targeted
+// caches standing reports, so it polls only the agents whose standing bid
+// the last allocation made stale (the live readers of k* whose report named
+// k*, the winner among them), and the OMAX broadcast is a targeted
 // multicast to that same dirty set; the bus charges exactly those messages
 // (cached reports never travel).  Under the naive sweep every live agent is
 // polled every round and the bidders that stay in LS hear the broadcast:

@@ -462,7 +462,8 @@ const PinCase kPinCases[] = {
       {0x1.63f92p+20, 137, 0, 0x0p+0}}},
     {"regional/R4",
      [](int i) {
-       return regional_pin(core::run_regional(pin_instance(i), four_regions()));
+       const drp::Problem problem = pin_instance(i);
+       return regional_pin(core::run_regional(problem, four_regions()));
      },
      {{0x1.4b8a2p+19, 113, 48, 0x1.08cbp+17},
       {0x1.73c5fp+20, 64, 36, 0x1.ccd5p+16}}},
@@ -470,14 +471,16 @@ const PinCase kPinCases[] = {
      [](int i) {
        core::RegionalConfig cfg = four_regions();
        cfg.failed_regions = {1};
-       return regional_pin(core::run_regional(pin_instance(i), cfg));
+       const drp::Problem problem = pin_instance(i);
+       return regional_pin(core::run_regional(problem, cfg));
      },
      {{0x1.584aap+19, 84, 50, 0x1.c12dp+16},
       {0x1.7c2abp+20, 47, 36, 0x1.9b4fp+16}}},
     {"regional_cooperative/R4",
      [](int i) {
+       const drp::Problem problem = pin_instance(i);
        return regional_pin(
-           core::run_regional_cooperative(pin_instance(i), four_regions()));
+           core::run_regional_cooperative(problem, four_regions()));
      },
      {{0x1.35b32p+19, 194, 98, 0x0p+0},
       {0x1.5eb39p+20, 108, 66, 0x0p+0}}},
@@ -556,8 +559,8 @@ TEST(OutputsPinned, TalliesDerivedFromTheirRecords) {
        0x1.79ap+17, 63, 0x1.0fd4p+14, 0x1.37dbp+17},
   };
   for (int instance = 0; instance < 2; ++instance) {
-    const core::MechanismResult result =
-        core::run_agt_ram(pin_instance(instance));
+    const drp::Problem problem = pin_instance(instance);
+    const core::MechanismResult result = core::run_agt_ram(problem);
     const core::EconomicsReport econ = core::economics_report(result);
     RunPin got{.welfare = econ.welfare,
                .charges = econ.charges,

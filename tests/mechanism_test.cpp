@@ -6,11 +6,16 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "core/agent.hpp"
 #include "core/agt_ram.hpp"
 #include "core/audit.hpp"
 #include "core/payments.hpp"
+#include "core/regional.hpp"
+#include "core/strategy.hpp"
 #include "drp/cost_model.hpp"
 #include "test_helpers.hpp"
 
@@ -373,22 +378,28 @@ void expect_identical_results(const MechanismResult& expected,
 }
 
 void run_differential(const drp::Problem& p, const char* label,
-                      std::size_t max_rounds = 0) {
+                      std::size_t max_rounds = 0,
+                      const ReportStrategy& strategy = {}) {
   AgtRamConfig naive_cfg;
   naive_cfg.report_mode = ReportMode::Naive;
   naive_cfg.max_rounds = max_rounds;
+  naive_cfg.strategy = strategy;
   const MechanismResult oracle = run_agt_ram(p, naive_cfg);
 
   AgtRamConfig cfg = naive_cfg;
   cfg.report_mode = ReportMode::Incremental;
   expect_identical_results(oracle, run_agt_ram(p, cfg), p,
                            (std::string(label) + "/incremental").c_str());
-  // Auto must resolve to one of the two paths above and stay identical.
-  cfg.report_mode = ReportMode::Auto;
-  const MechanismResult auto_run = run_agt_ram(p, cfg);
-  EXPECT_NE(auto_run.resolved_mode, ReportMode::Auto);
-  expect_identical_results(oracle, auto_run, p,
-                           (std::string(label) + "/auto").c_str());
+}
+
+drp::Problem trace_instance(std::uint32_t servers, std::uint32_t objects) {
+  drp::InstanceSpec spec;
+  spec.servers = servers;
+  spec.objects = objects;
+  spec.seed = 42;
+  spec.instance.capacity_fraction = 0.01;
+  spec.instance.rw_ratio = 0.9;
+  return drp::make_instance(spec);
 }
 
 TEST(Differential, HandBuiltLineInstances) {
@@ -427,9 +438,33 @@ TEST(Differential, DispersedDemandInstances) {
   run_differential(dispersed_instance(302, 48, 240), "dispersed-302");
 }
 
+TEST(Differential, TraceDemandInstance) {
+  // World Cup trace demand: many standing bids name the same hot object, so
+  // a round re-polls a crowd of them, and integral costs make tied values
+  // common.  Parity must hold truthfully and under a compiled profile that
+  // inflates, deflates and zeroes the claims of three of the run's winners.
+  const drp::Problem p = trace_instance(500, 5000);
+  run_differential(p, "trace-500x5000");
+
+  std::vector<drp::ServerId> winners;
+  for (const RoundRecord& r : run_agt_ram(p).rounds) {
+    if (std::find(winners.begin(), winners.end(), r.winner) == winners.end()) {
+      winners.push_back(r.winner);
+    }
+    if (winners.size() == 3) break;
+  }
+  ASSERT_EQ(winners.size(), 3u);
+  StrategyProfile profile;
+  profile.deviations = {{winners[0], DeviationKind::Inflate, 2.0},
+                        {winners[1], DeviationKind::Deflate, 0.5},
+                        {winners[2], DeviationKind::Zero, 1.0}};
+  run_differential(p, "trace-500x5000/strategic", 0,
+                   profile.compile(p.server_count()));
+}
+
 TEST(Differential, PaperScaleFamilyRoundCapped) {
-  // The paper-scale M=3000 dispersed family, round-capped so all three
-  // paths (naive, incremental and Auto) stay test-sized.
+  // The paper-scale M=3000 dispersed family, round-capped so both paths
+  // stay test-sized.
   // Recipe: seed 42, power-law topology, dispersed demand with 8
   // readers/object, 1% capacity, R/W 0.9.
   drp::InstanceSpec spec;
@@ -446,54 +481,62 @@ TEST(Differential, PaperScaleFamilyRoundCapped) {
 }
 
 TEST(Differential, IncrementalDoesStrictlyLessWork) {
-  // The point of the dirty-set path: far fewer reports recomputed.  On a
-  // dispersed-demand instance the naive sweep recomputes every live agent
-  // every round, while incremental touches only readers(k*) — well under
-  // half the work.  (On trace-demand instances at bench scale the live set
-  // collapses onto the hot objects' readers and the two coincide; see
-  // DESIGN.md.)
-  const drp::Problem p = dispersed_instance(205, 96, 600);
-  AgtRamConfig cfg;
-  cfg.report_mode = ReportMode::Naive;
-  const MechanismResult naive = run_agt_ram(p, cfg);
-  cfg.report_mode = ReportMode::Incremental;
-  const MechanismResult incremental = run_agt_ram(p, cfg);
-  ASSERT_GT(naive.rounds.size(), 4u) << "instance too easy to be meaningful";
-  EXPECT_LT(incremental.reports_computed, naive.reports_computed / 2);
+  // The point of the dirty-set path: far fewer reports recomputed.  The
+  // naive sweep recomputes every live agent every round, while incremental
+  // touches only the live readers of k* whose standing report names k* —
+  // well under half the work on dispersed demand, and on trace demand too,
+  // where nearly every live agent reads the hot object but few bid on it.
+  const drp::Problem inputs[] = {dispersed_instance(205, 96, 600),
+                                 trace_instance(160, 1600)};
+  for (const drp::Problem& p : inputs) {
+    SCOPED_TRACE(std::to_string(p.server_count()) + " servers");
+    AgtRamConfig cfg;
+    cfg.report_mode = ReportMode::Naive;
+    const MechanismResult naive = run_agt_ram(p, cfg);
+    cfg.report_mode = ReportMode::Incremental;
+    const MechanismResult incremental = run_agt_ram(p, cfg);
+    ASSERT_GT(naive.rounds.size(), 4u) << "instance too easy to be meaningful";
+    EXPECT_LT(incremental.reports_computed, naive.reports_computed / 2);
+  }
 }
 
-TEST(Differential, AutoModePicksTheDirtySetRegimeApart) {
-  // Auto keys off the expected dirty-set size (size-biased mean reader
-  // count) and the demand concentration (effective hot objects): the
-  // dispersed family (readers(k) << M, volume spread wide) must resolve to
-  // Incremental, while trace demand (a ~25-object effective hot set that
-  // collapses the live set onto its readers) must resolve to Naive.
-  const drp::Problem dispersed = dispersed_instance(206, 96, 600);
-  EXPECT_EQ(resolve_report_mode(dispersed, dispersed.server_count(),
-                                ReportMode::Auto),
-            ReportMode::Incremental);
-  EXPECT_EQ(run_agt_ram(dispersed).resolved_mode, ReportMode::Incremental);
+// The placement a run returns keeps a pointer to its Problem, so every
+// entry point that returns one refuses a temporary Problem at compile time.
+template <typename P>
+constexpr bool agt_ram_accepts =
+    requires { run_agt_ram(std::declval<P>()); };
+template <typename P>
+constexpr bool agt_ram_from_accepts = requires {
+  run_agt_ram_from(std::declval<P>(), AgtRamConfig{},
+                   std::declval<drp::ReplicaPlacement>());
+};
+template <typename P>
+constexpr bool regional_accepts = requires { run_regional(std::declval<P>()); };
+template <typename P>
+constexpr bool cooperative_accepts =
+    requires { run_regional_cooperative(std::declval<P>()); };
+template <typename P>
+constexpr bool hierarchical_accepts =
+    requires { run_hierarchical(std::declval<P>()); };
 
-  drp::InstanceSpec spec;
-  spec.servers = 160;
-  spec.objects = 1600;
-  spec.seed = 42;
-  spec.instance.capacity_fraction = 0.01;
-  spec.instance.rw_ratio = 0.9;
-  const drp::Problem trace = drp::make_instance(spec);
-  EXPECT_LT(trace.access.effective_hot_objects(), 50.0);
-  EXPECT_EQ(
-      resolve_report_mode(trace, trace.server_count(), ReportMode::Auto),
-      ReportMode::Naive);
-  EXPECT_EQ(run_agt_ram(trace).resolved_mode, ReportMode::Naive);
-
-  // An explicit request is never overridden.
-  EXPECT_EQ(resolve_report_mode(dispersed, dispersed.server_count(),
-                                ReportMode::Naive),
-            ReportMode::Naive);
-  EXPECT_EQ(
-      resolve_report_mode(trace, trace.server_count(), ReportMode::Incremental),
-      ReportMode::Incremental);
+TEST(Lifetime, EntryPointsRefuseTemporaryProblems) {
+  static_assert(agt_ram_accepts<const drp::Problem&>);
+  static_assert(!agt_ram_accepts<drp::Problem>);
+  static_assert(agt_ram_from_accepts<const drp::Problem&>);
+  static_assert(!agt_ram_from_accepts<drp::Problem>);
+  static_assert(regional_accepts<const drp::Problem&>);
+  static_assert(!regional_accepts<drp::Problem>);
+  static_assert(cooperative_accepts<const drp::Problem&>);
+  static_assert(!cooperative_accepts<drp::Problem>);
+  static_assert(hierarchical_accepts<const drp::Problem&>);
+  static_assert(!hierarchical_accepts<drp::Problem>);
+  static_assert(std::is_constructible_v<drp::ReplicaPlacement,
+                                        const drp::Problem&>);
+  static_assert(
+      !std::is_constructible_v<drp::ReplicaPlacement, drp::Problem>);
+  // A local binding is the supported call.
+  const drp::Problem p = testutil::line3_problem();
+  EXPECT_EQ(&run_agt_ram(p).placement.problem(), &p);
 }
 
 TEST(Audit, TruthfulParticipationIsIndividuallyRational) {

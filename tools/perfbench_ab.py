@@ -2,7 +2,7 @@
 """Interleaved A/B runs of two perfbench binaries on one workload.
 
     tools/perfbench_ab.py PARENT_BIN CHANGE_BIN --workload W --seed S \\
-        --pairs N [--size full|small]
+        --pairs N [--size full|small] [--moved NAME[,NAME...]]
 
 Runs the two binaries in N pairs, alternating which side goes first, each
 run untraced in its own process with the same workload, seed and size.
@@ -27,6 +27,14 @@ detail not timed: counts, bytes, percentages, ratios) differs between any
 two runs; exits 2 when a binary cannot be run or prints no result.  Build
 each binary from its own checkout (perfbench/run.py builds
 .bench_build/perfbench/perfbench).
+
+--moved names the deterministic details a change is expected to move (a
+change that cuts work lowers its work counts).  Each named detail may
+differ between the parent and the change, but must repeat across the runs
+of each side; the tool prints both sides' values.  Every other detail,
+every digest and every check keeps the rule above.  A name that no run of
+the first pair reports as a deterministic detail exits 2, so a typo cannot
+pass.
 """
 
 import argparse
@@ -118,9 +126,13 @@ def main():
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--size", choices=("full", "small"), default="full")
+    parser.add_argument("--moved", default="",
+                        help="comma-separated deterministic details the "
+                        "change may move (each must repeat per side)")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    moved_names = [n for n in args.moved.split(",") if n]
 
     runs = {"parent": [], "change": []}
     bins = {"parent": str(Path(args.parent_bin).resolve()),
@@ -134,6 +146,13 @@ def main():
             print(f"pair {pair + 1:>2} {side:<6} "
                   + " ".join(f"{k}={fmt(v)}" for k, v in e2e.items()),
                   file=sys.stderr, flush=True)
+        if pair == 0:
+            reported = set(deterministic_details(runs["parent"][0])) | set(
+                deterministic_details(runs["change"][0]))
+            unknown = [n for n in moved_names if n not in reported]
+            if unknown:
+                broken(f"--moved names {unknown}, which no run reports as "
+                       "a deterministic detail")
 
     ok = True
     for side, results in runs.items():
@@ -146,17 +165,25 @@ def main():
     reference = runs["parent"][0]["digests"]
     counts = deterministic_details(runs["parent"][0])
     for side, results in runs.items():
+        # A detail named in --moved is held to its own side's first run.
+        side_counts = deterministic_details(results[0])
         for i, r in enumerate(results):
             if r["digests"] != reference:
                 ok = False
                 print(f"FAILED: {side} run {i + 1} digests {r['digests']} "
                       f"differ from parent run 1 {reference}")
-            moved = {k: v for k, v in deterministic_details(r).items()
-                     if counts.get(k) != v}
-            if moved:
+            differ = {k: v for k, v in deterministic_details(r).items()
+                      if k not in moved_names and counts.get(k) != v}
+            if differ:
                 ok = False
-                print(f"FAILED: {side} run {i + 1} details {moved} differ "
+                print(f"FAILED: {side} run {i + 1} details {differ} differ "
                       "from parent run 1")
+            unsteady = {k: v for k, v in deterministic_details(r).items()
+                        if k in moved_names and side_counts.get(k) != v}
+            if unsteady:
+                ok = False
+                print(f"FAILED: {side} run {i + 1} moved details {unsteady} "
+                      f"differ from {side} run 1")
 
     manifest = manifest_metrics()
     print(f"== {args.workload}  seed {args.seed}  size {args.size}  "
@@ -184,8 +211,13 @@ def main():
               f"{pct:>+7.1f}% {wins:>2}/{args.pairs:<3} "
               f"{'yes' if gain else 'no':<4} "
               f"{bound_verdict(parent, change, lower, spec.get('bound'))}")
+    for name in moved_names:
+        before = counts.get(name)
+        after = deterministic_details(runs["change"][0]).get(name)
+        print(f"moved: {name} parent={before} change={after}")
+    held = [k for k in counts if k not in moved_names]
     print("digests: " + ", ".join(f"{k}={v}" for k, v in reference.items())
-          + (f" and {len(counts)} untimed details equal on every run"
+          + (f" and {len(held)} untimed details equal on every run"
              if ok else ""))
     return 0 if ok else 1
 
