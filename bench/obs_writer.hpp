@@ -1,4 +1,5 @@
-// bench::ObsWriter — bridges agtram::obs into the bench JSON rows.
+// bench::ObsWriter — bridges agtram::obs and the mechanism's observer into
+// the bench outputs.
 //
 // Two outputs (DESIGN.md §9, EXPERIMENTS.md "Reading an --obs-trace"):
 //
@@ -7,12 +8,14 @@
 //    registry counter/span deltas accumulated across the row's timing loop.
 //
 //  * a per-round JSONL dump (`--obs-trace <file>`): one meta line per traced
-//    run (instance dims + decisions), then one line per mechanism round with
-//    that round's gauges (dirty-set size, winner, payment, ...).
+//    run (instance dims + decisions), then one line per mechanism round,
+//    written by the traced run's core::MechanismObserver (dirty-set size,
+//    winner, payment, ...).
 #pragma once
 
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -118,10 +121,11 @@ inline JsonWriter::Record obs_block(JsonWriter::Record decisions,
   return record;
 }
 
-/// obs::TraceSink writing one JSON object per mechanism round, plus `meta`
-/// lines describing the traced run.  Driven from the centre's thread only
-/// (the TraceSink contract), so plain buffered writes suffice.
-class JsonlTrace : public obs::TraceSink {
+/// The --obs-trace writer: `meta` lines describing each traced run, and one
+/// JSON object per round of the run it is set on as AgtRamConfig::observer.
+/// The run calls it on the thread that runs the rounds, so plain buffered
+/// writes suffice.
+class JsonlTrace : public core::MechanismObserver {
  public:
   explicit JsonlTrace(const std::string& path) : out_(path) {}
 
@@ -141,21 +145,32 @@ class JsonlTrace : public obs::TraceSink {
     out_ << line.json() << '\n';
   }
 
-  void round_begin(std::uint64_t round) override {
+  void on_round_begin(std::size_t round) override {
     flush_round();
     line_.field("kind", "round");
-    line_.field("round", round);
+    line_.field("round", static_cast<std::uint64_t>(round));
     open_ = true;
   }
 
-  void gauge(std::string_view key, double value) override {
-    if (open_) line_.field(std::string(key), value);
+  /// Every live agent's standing report arrives each round (`live`), the
+  /// recomputed ones fresh (`dirty`).  The centre allocates to the first
+  /// highest claim, so that is the winner's.
+  void on_report(drp::ServerId /*agent*/, const core::Report& report,
+                 bool fresh) override {
+    ++live_;
+    dirty_ += fresh ? 1 : 0;
+    if (report.has_candidate && report.claimed_value > claim_) {
+      claim_ = report.claimed_value;
+    }
   }
-  void gauge(std::string_view key, std::uint64_t value) override {
-    if (open_) line_.field(std::string(key), value);
-  }
-  void gauge(std::string_view key, std::string_view value) override {
-    if (open_) line_.field(std::string(key), std::string(value));
+
+  void on_allocation(drp::ServerId winner, drp::ObjectIndex object,
+                     double payment) override {
+    write_counts();
+    line_.field("winner", static_cast<std::uint64_t>(winner));
+    line_.field("object", static_cast<std::uint64_t>(object));
+    line_.field("claimed_value", claim_);
+    line_.field("payment", payment);
   }
 
   void close() {
@@ -164,26 +179,30 @@ class JsonlTrace : public obs::TraceSink {
   }
 
  private:
+  void write_counts() {
+    line_.field("dirty", dirty_).field("live", live_);
+    counted_ = true;
+  }
+
+  /// Writes the open round; one that allocated nothing (a run's terminating
+  /// round) gets its counts here.
   void flush_round() {
-    if (open_) {
-      out_ << line_.json() << '\n';
-      line_ = JsonWriter::Record();
-      open_ = false;
-    }
+    if (!open_) return;
+    if (!counted_) write_counts();
+    out_ << line_.json() << '\n';
+    line_ = JsonWriter::Record();
+    open_ = counted_ = false;
+    live_ = dirty_ = 0;
+    claim_ = -std::numeric_limits<double>::infinity();
   }
 
   std::ofstream out_;
   JsonWriter::Record line_;
   bool open_ = false;
-};
-
-/// Scoped install of a JsonlTrace as the process trace sink.
-class ScopedTrace {
- public:
-  explicit ScopedTrace(JsonlTrace& trace) { obs::install_trace(&trace); }
-  ScopedTrace(const ScopedTrace&) = delete;
-  ScopedTrace& operator=(const ScopedTrace&) = delete;
-  ~ScopedTrace() { obs::install_trace(nullptr); }
+  bool counted_ = false;
+  std::uint64_t live_ = 0;
+  std::uint64_t dirty_ = 0;
+  double claim_ = -std::numeric_limits<double>::infinity();
 };
 
 }  // namespace agtram::bench

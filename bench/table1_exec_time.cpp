@@ -136,14 +136,14 @@ int run(int argc, char** argv) {
 
       // Per-round trace of an untimed default-mode run for this cell.
       if (trace) {
-        const core::AgtRamConfig cfg;
+        core::AgtRamConfig cfg;
+        cfg.observer = trace.get();
         bench::JsonWriter::Record meta;
         meta.field("benchmark", "table1_obs_trace")
             .field("servers", static_cast<std::uint64_t>(dims.servers))
             .field("objects", static_cast<std::uint64_t>(dims.objects))
             .object_field("decisions", bench::mechanism_decisions(cfg));
         trace->meta(meta);
-        bench::ScopedTrace scoped(*trace);
         core::run_agt_ram(problem, cfg);
       }
 

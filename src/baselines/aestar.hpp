@@ -37,5 +37,8 @@ struct AeStarConfig {
 
 drp::ReplicaPlacement run_aestar(const drp::Problem& problem,
                                  const AeStarConfig& config = {});
+/// The placement keeps a pointer to the Problem: a temporary one is refused.
+drp::ReplicaPlacement run_aestar(drp::Problem&&,
+                                 const AeStarConfig& = {}) = delete;
 
 }  // namespace agtram::baselines

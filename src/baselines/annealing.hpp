@@ -34,5 +34,8 @@ struct AnnealingConfig {
 
 drp::ReplicaPlacement run_annealing(const drp::Problem& problem,
                                     const AnnealingConfig& config = {});
+/// The placement keeps a pointer to the Problem: a temporary one is refused.
+drp::ReplicaPlacement run_annealing(drp::Problem&&,
+                                    const AnnealingConfig& = {}) = delete;
 
 }  // namespace agtram::baselines

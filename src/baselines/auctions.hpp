@@ -43,4 +43,12 @@ drp::ReplicaPlacement run_english_auction(const drp::Problem& problem,
 drp::ReplicaPlacement run_dutch_auction(const drp::Problem& problem,
                                         const DutchAuctionConfig& config = {});
 
+/// The placements keep a pointer to the Problem: a temporary one is refused.
+drp::ReplicaPlacement run_english_auction(drp::Problem&&,
+                                          const EnglishAuctionConfig& = {})
+    = delete;
+drp::ReplicaPlacement run_dutch_auction(drp::Problem&&,
+                                        const DutchAuctionConfig& = {})
+    = delete;
+
 }  // namespace agtram::baselines

@@ -24,5 +24,9 @@ struct BruteForceResult {
 /// accidental exponential blow-ups in tests).
 BruteForceResult run_brute_force(const drp::Problem& problem,
                                  std::size_t max_cells = 24);
+/// The result's placement keeps a pointer to the Problem: a temporary one
+/// is refused.
+BruteForceResult run_brute_force(drp::Problem&&,
+                                 std::size_t = 24) = delete;
 
 }  // namespace agtram::baselines

@@ -54,5 +54,8 @@ struct GlauberResult {
 
 GlauberResult run_glauber(const drp::Problem& problem,
                           const GlauberConfig& config = {});
+/// The result's placement keeps a pointer to the Problem: a temporary one
+/// is refused.
+GlauberResult run_glauber(drp::Problem&&, const GlauberConfig& = {}) = delete;
 
 }  // namespace agtram::baselines

@@ -38,5 +38,7 @@ struct GraConfig {
 
 drp::ReplicaPlacement run_gra(const drp::Problem& problem,
                               const GraConfig& config = {});
+/// The placement keeps a pointer to the Problem: a temporary one is refused.
+drp::ReplicaPlacement run_gra(drp::Problem&&, const GraConfig& = {}) = delete;
 
 }  // namespace agtram::baselines

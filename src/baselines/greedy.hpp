@@ -51,4 +51,10 @@ drp::ReplicaPlacement run_greedy_from(const drp::Problem& problem,
                                       drp::ReplicaPlacement start,
                                       const GreedyConfig& config = {});
 
+/// The placements keep a pointer to the Problem: a temporary one is refused.
+drp::ReplicaPlacement run_greedy(drp::Problem&&,
+                                 const GreedyConfig& = {}) = delete;
+drp::ReplicaPlacement run_greedy_from(drp::Problem&&, drp::ReplicaPlacement,
+                                      const GreedyConfig& = {}) = delete;
+
 }  // namespace agtram::baselines

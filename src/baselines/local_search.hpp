@@ -31,5 +31,8 @@ struct LocalSearchConfig {
 
 drp::ReplicaPlacement run_local_search(const drp::Problem& problem,
                                        const LocalSearchConfig& config = {});
+/// The placement keeps a pointer to the Problem: a temporary one is refused.
+drp::ReplicaPlacement run_local_search(drp::Problem&&,
+                                       const LocalSearchConfig& = {}) = delete;
 
 }  // namespace agtram::baselines

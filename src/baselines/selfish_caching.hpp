@@ -42,5 +42,9 @@ struct SelfishCachingResult {
 
 SelfishCachingResult run_selfish_caching(
     const drp::Problem& problem, const SelfishCachingConfig& config = {});
+/// The result's placement keeps a pointer to the Problem: a temporary one
+/// is refused.
+SelfishCachingResult run_selfish_caching(
+    drp::Problem&&, const SelfishCachingConfig& = {}) = delete;
 
 }  // namespace agtram::baselines

@@ -54,6 +54,11 @@ struct TreePlacementResult {
 TreePlacementResult run_tree_placement(const drp::Problem& problem,
                                        const net::Graph& tree,
                                        const TreePlacementConfig& config = {});
+/// The result's placement keeps a pointer to the Problem: a temporary one
+/// is refused.
+TreePlacementResult run_tree_placement(drp::Problem&&, const net::Graph&,
+                                       const TreePlacementConfig& = {})
+    = delete;
 
 /// Closest-ancestor policy cost of serving object `k` through `open` (which
 /// must contain the primary).  Exposed so tests can brute-force tiny trees

@@ -56,6 +56,8 @@ class Agent {
   /// those whose primary it already hosts.  Initial valuations are upper
   /// bounds against the primaries-only scheme.
   Agent(const drp::Problem& problem, drp::ServerId id);
+  /// The agent keeps a pointer to the Problem: a temporary one is refused.
+  Agent(drp::Problem&&, drp::ServerId) = delete;
 
   /// Warm-start variant: candidate valuations are computed against an
   /// existing placement (online repair, regional mechanisms).

@@ -115,11 +115,8 @@ MechanismResult run_rounds_naive(const AgtRamConfig& config,
       break;
     }
     if (config.observer) config.observer->on_round_begin(round);
-    AGTRAM_OBS_ROUND(round);
     AGTRAM_OBS_COUNT("agt_ram.rounds", 1);
     AGTRAM_OBS_COUNT("agt_ram.reports_fresh", live.size());
-    AGTRAM_OBS_GAUGE("polled", static_cast<std::uint64_t>(live.size()));
-    AGTRAM_OBS_GAUGE("live", static_cast<std::uint64_t>(live.size()));
 
     // --- Every live agent reports; the centre drops the retired ones and
     // picks the dominant valuation (ties broken towards the lowest id).
@@ -142,10 +139,6 @@ MechanismResult run_rounds_naive(const AgtRamConfig& config,
       // not hear about (w, k*).
       config.observer->on_broadcast(winner, winning.object, bids.bidders);
     }
-    AGTRAM_OBS_GAUGE("winner", static_cast<std::uint64_t>(winner));
-    AGTRAM_OBS_GAUGE("object", static_cast<std::uint64_t>(winning.object));
-    AGTRAM_OBS_GAUGE("claimed_value", winning.claimed_value);
-    AGTRAM_OBS_GAUGE("payment", payment);
     ++round;
   }
   return result;
@@ -278,12 +271,9 @@ MechanismResult run_rounds_incremental(const drp::Problem& problem,
       break;
     }
     if (config.observer) config.observer->on_round_begin(round);
-    AGTRAM_OBS_ROUND(round);
     AGTRAM_OBS_COUNT("agt_ram.rounds", 1);
     AGTRAM_OBS_COUNT("agt_ram.reports_fresh", dirty.size());
     AGTRAM_OBS_COUNT("agt_ram.reports_cached", live.size() - dirty.size());
-    AGTRAM_OBS_GAUGE("dirty", static_cast<std::uint64_t>(dirty.size()));
-    AGTRAM_OBS_GAUGE("live", static_cast<std::uint64_t>(live.size()));
 
     // --- Only the dirty set reports afresh.
     for (const drp::ServerId i : dirty) {
@@ -363,10 +353,6 @@ MechanismResult run_rounds_incremental(const drp::Problem& problem,
       // the centre answers for everyone else out of its report cache.
       config.observer->on_broadcast(winner, winning.object, dirty);
     }
-    AGTRAM_OBS_GAUGE("winner", static_cast<std::uint64_t>(winner));
-    AGTRAM_OBS_GAUGE("object", static_cast<std::uint64_t>(winning.object));
-    AGTRAM_OBS_GAUGE("claimed_value", winning.claimed_value);
-    AGTRAM_OBS_GAUGE("payment", payment);
     ++round;
   }
   return result;

@@ -41,10 +41,15 @@
 
 namespace agtram::core {
 
-/// Instrumentation hook: the semi-distributed runtime (runtime::MessageBus)
-/// uses it to account and time the protocol's messages; tests use it to
-/// audit the axioms round by round.  core::run_regional calls it too, once
-/// per epoch, with every live region's reports and committed winners.
+/// Instrumentation hook, and the one per-round view of a run: the
+/// semi-distributed runtime (runtime::MessageBus) uses it to account and
+/// time the protocol's messages, tests use it to audit the axioms round by
+/// round, run_hierarchical's top centre prices rounds with it, and
+/// bench::JsonlTrace writes table1_exec_time's --obs-trace from it.
+/// core::run_regional calls it too, once per epoch, with every live region's
+/// reports and committed winners.  A run calls its observer on the thread
+/// that runs its rounds, so an observer needs no locking; the tiled
+/// engine's shards, which solve on pool workers, take none.
 class MechanismObserver {
  public:
   virtual ~MechanismObserver() = default;
@@ -93,8 +98,10 @@ struct SealedBids {
 };
 
 /// Figure 2's PARFOR, once per run: one agent per server, built on the
-/// shared pool against the primaries-only scheme.
+/// shared pool against the primaries-only scheme.  The agents keep a
+/// pointer to the Problem, so a temporary one is refused.
 std::vector<Agent> build_agents(const drp::Problem& problem);
+std::vector<Agent> build_agents(drp::Problem&&) = delete;
 
 /// The same for the servers in `ids` (ascending) against a warm-start
 /// placement.

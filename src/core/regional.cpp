@@ -44,6 +44,15 @@ std::vector<bool> failed_region_flags(const RegionalConfig& config,
   return failed;
 }
 
+/// Refuses an observer on an engine that would never call it.
+void refuse_observer(const RegionalConfig& config, const char* engine) {
+  if (config.observer != nullptr) {
+    throw std::invalid_argument(std::string(engine) +
+                                " takes no observer: only run_regional "
+                                "reports its rounds");
+  }
+}
+
 /// What one region's centre decides in an epoch: replicate `object` at
 /// `server`, charging `payment`.
 struct RegionPick {
@@ -195,6 +204,7 @@ RegionalResult run_regional(const drp::Problem& problem,
 
 RegionalResult run_regional_cooperative(const drp::Problem& problem,
                                         const RegionalConfig& config) {
+  refuse_observer(config, "run_regional_cooperative");
   AGTRAM_OBS_SPAN("regional.cooperative_run");
   RegionalResult result = start_regions(problem, config);
   // Each coalition keeps a lazy greedy over objects, keyed by the best
@@ -304,6 +314,7 @@ class TopCentre final : public MechanismObserver {
 
 HierarchicalResult run_hierarchical(const drp::Problem& problem,
                                     const RegionalConfig& config) {
+  refuse_observer(config, "run_hierarchical");
   AGTRAM_OBS_SPAN("regional.hierarchical_run");
   HierarchicalResult result{drp::ReplicaPlacement(problem),
                             cluster_regions(problem, config),

@@ -40,7 +40,8 @@ struct RegionalConfig {
   /// its epochs): on_round_begin once per epoch, on_report for every live
   /// region's fresh reports, then on_allocation and on_broadcast (to the
   /// region's remaining live members) for each committed winner.  The
-  /// cooperative and hierarchical engines do not use it.
+  /// cooperative and hierarchical engines would never call it, so they
+  /// refuse one with std::invalid_argument.
   MechanismObserver* observer = nullptr;
 };
 
@@ -109,7 +110,7 @@ RegionalResult run_regional_cooperative(drp::Problem&&,
 /// second-best champion, which is never more than the flat second price
 /// (the flat runner-up may hide inside the winner's own region), so the
 /// hierarchy is weakly cheaper for the winners.  `max_epochs` caps the
-/// rounds; `observer` is not used.
+/// rounds; an `observer` is refused (the top centre is the run's observer).
 struct HierarchicalResult {
   drp::ReplicaPlacement placement;
   net::Clustering clustering;

@@ -21,5 +21,7 @@ void write_placement(std::ostream& os, const ReplicaPlacement& placement);
 /// write_placement.  Throws std::runtime_error on malformed input,
 /// out-of-range ids, duplicate replicas, or capacity violations.
 ReplicaPlacement read_placement(std::istream& is, const Problem& problem);
+/// The placement keeps a pointer to the Problem: a temporary one is refused.
+ReplicaPlacement read_placement(std::istream&, Problem&&) = delete;
 
 }  // namespace agtram::drp

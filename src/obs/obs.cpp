@@ -75,19 +75,4 @@ std::vector<SpanSnapshot> Registry::spans() const {
   return out;
 }
 
-namespace {
-// Installed sink.  Relaxed suffices: the contract is single-threaded
-// install/emit from the centre thread; the atomic only keeps concurrent
-// readers (e.g. a counter site racing an uninstall in tests) well-defined.
-std::atomic<TraceSink*> g_trace_sink{nullptr};
-}  // namespace
-
-void install_trace(TraceSink* sink) noexcept {
-  g_trace_sink.store(sink, std::memory_order_release);
-}
-
-TraceSink* active_trace() noexcept {
-  return g_trace_sink.load(std::memory_order_acquire);
-}
-
 }  // namespace agtram::obs

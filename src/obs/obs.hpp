@@ -1,26 +1,24 @@
-// agtram::obs — header-first observability: named monotonic counters,
-// scoped span timers, and per-round trace gauges.
+// agtram::obs — header-first observability: named monotonic counters and
+// scoped span timers.
 //
 // The subsystem exists to make the work behind each result visible
 // (DESIGN.md §9): the mechanism's report mode and the baselines' EvalPath
 // shape work per instance that used to be invisible in the bench output.
 // Counters expose that work (dirty-set re-polls, heap pops, delta-cache
-// refreshes, chunks claimed, wire bytes); spans time coarse phases; the
-// trace sink records per-round gauge snapshots next to the decision that
-// produced them.  ScopedSpan is the library's only wall
-// clock: a stage a result struct exports in seconds is one span's reading.
+// refreshes, chunks claimed, wire bytes); spans time coarse phases.
+// ScopedSpan is the library's only wall clock: a stage a result struct
+// exports in seconds is one span's reading.  Per-round views of a run go
+// through the core::MechanismObserver set on that run, not through obs.
 //
 // Cost contract: the layer is compiled into every build.  A counter hit is
 // one relaxed atomic add on a cached reference (the registry lookup happens
 // once per site, at static-local initialisation).  Spans add two
-// steady_clock reads and sit only at coarse boundaries.  Gauges are an
-// acquire pointer load and branch unless a trace sink is installed.  The
-// measured price on perfbench is in DESIGN.md §9.
+// steady_clock reads and sit only at coarse boundaries.  The measured price
+// on perfbench is in DESIGN.md §9.
 //
 // Invariant: instrumentation must have no observable effect on mechanism or
-// baseline output — allocations, payments, and round sequences are byte-
-// identical with and without a trace sink installed (tests/obs_test.cpp),
-// and the hexfloat goldens of tests/layout_test.cpp run instrumented.
+// baseline output; the hexfloat goldens of tests/layout_test.cpp run
+// instrumented.
 #pragma once
 
 #include <atomic>
@@ -158,23 +156,6 @@ class Registry {
   Impl* impl_ = nullptr;
 };
 
-/// Per-round trace consumer.  The mechanism emits `round_begin` once per
-/// round and then gauges for that round; a sink is driven from the centre's
-/// thread only (single-threaded contract — pool jobs never gauge).
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void round_begin(std::uint64_t round) = 0;
-  virtual void gauge(std::string_view key, double value) = 0;
-  virtual void gauge(std::string_view key, std::uint64_t value) = 0;
-  virtual void gauge(std::string_view key, std::string_view value) = 0;
-};
-
-/// Installs (or, with nullptr, removes) the process-wide trace sink.  The
-/// caller owns the sink and must keep it alive until uninstalled.
-void install_trace(TraceSink* sink) noexcept;
-TraceSink* active_trace() noexcept;
-
 }  // namespace agtram::obs
 
 #define AGTRAM_OBS_CONCAT_IMPL_(a, b) a##b
@@ -206,22 +187,3 @@ TraceSink* active_trace() noexcept;
     __VA_OPT__(, &(__VA_ARGS__))                                          \
   }
 // clang-format on
-
-/// Opens round `round` on the installed trace sink, if any.
-#define AGTRAM_OBS_ROUND(round)                                  \
-  do {                                                           \
-    if (::agtram::obs::TraceSink* agtram_obs_sink_ =             \
-            ::agtram::obs::active_trace()) {                     \
-      agtram_obs_sink_->round_begin(                             \
-          static_cast<std::uint64_t>(round));                    \
-    }                                                            \
-  } while (0)
-
-/// Records a gauge on the current round of the installed sink, if any.
-#define AGTRAM_OBS_GAUGE(key, value)                             \
-  do {                                                           \
-    if (::agtram::obs::TraceSink* agtram_obs_sink_ =             \
-            ::agtram::obs::active_trace()) {                     \
-      agtram_obs_sink_->gauge(key, value);                       \
-    }                                                            \
-  } while (0)

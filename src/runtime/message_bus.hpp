@@ -146,6 +146,10 @@ class MessageBus : public core::MechanismObserver {
   /// the engine runs on (core::cluster_regions with the same config).
   MessageBus(const drp::Problem& problem, const net::Clustering& clustering,
              ProtocolModel model = {});
+  /// The bus keeps a pointer to the Problem: a temporary one is refused.
+  MessageBus(drp::Problem&&, drp::ServerId, ProtocolModel = {}) = delete;
+  MessageBus(drp::Problem&&, const net::Clustering&, ProtocolModel = {})
+      = delete;
 
   void on_round_begin(std::size_t round) override;
   void on_report(drp::ServerId agent, const core::Report& report,

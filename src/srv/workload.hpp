@@ -54,6 +54,8 @@ struct WorkloadConfig {
 class SyntheticWorkload {
  public:
   SyntheticWorkload(const drp::Problem& problem, WorkloadConfig config);
+  /// The workload keeps a pointer to the Problem: a temporary one is refused.
+  SyntheticWorkload(drp::Problem&&, WorkloadConfig) = delete;
 
   /// Fills `out` (cleared first) with config.requests_per_batch groups drawn
   /// from the current rates, then advances the drift clock.  Deterministic

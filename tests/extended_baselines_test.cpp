@@ -437,11 +437,17 @@ const PinCase kPinCases[] = {
      {{0x1.7339ap+19, 113, 0, 0x0p+0},
       {0x1.8c435p+20, 63, 0, 0x0p+0}}},
     {"dutch",
-     [](int i) { return placement_pin(run_dutch_auction(pin_instance(i))); },
+     [](int i) {
+       const drp::Problem problem = pin_instance(i);
+       return placement_pin(run_dutch_auction(problem));
+     },
      {{0x1.4adeap+19, 110, 0, 0x0p+0},
       {0x1.73c5fp+20, 64, 0, 0x0p+0}}},
     {"english",
-     [](int i) { return placement_pin(run_english_auction(pin_instance(i))); },
+     [](int i) {
+       const drp::Problem problem = pin_instance(i);
+       return placement_pin(run_english_auction(problem));
+     },
      {{0x1.4adeap+19, 110, 0, 0x0p+0},
       {0x1.7408bp+20, 63, 0, 0x0p+0}}},
     {"local_search/naive",

@@ -4,12 +4,23 @@
 
 #include <algorithm>
 #include <cmath>
+#include <istream>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "baselines/aestar.hpp"
+#include "baselines/annealing.hpp"
+#include "baselines/auctions.hpp"
+#include "baselines/brute_force.hpp"
+#include "baselines/glauber.hpp"
+#include "baselines/gra.hpp"
+#include "baselines/greedy.hpp"
+#include "baselines/local_search.hpp"
+#include "baselines/selfish_caching.hpp"
+#include "baselines/tree_placement.hpp"
 #include "core/agent.hpp"
 #include "core/agt_ram.hpp"
 #include "core/audit.hpp"
@@ -17,6 +28,9 @@
 #include "core/regional.hpp"
 #include "core/strategy.hpp"
 #include "drp/cost_model.hpp"
+#include "drp/placement_io.hpp"
+#include "runtime/message_bus.hpp"
+#include "srv/workload.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -518,6 +532,52 @@ constexpr bool cooperative_accepts =
 template <typename P>
 constexpr bool hierarchical_accepts =
     requires { run_hierarchical(std::declval<P>()); };
+template <typename P>
+constexpr bool build_agents_accepts =
+    requires { build_agents(std::declval<P>()); };
+template <typename P>
+constexpr bool read_placement_accepts = requires(std::istream& is) {
+  drp::read_placement(is, std::declval<P>());
+};
+template <typename P>
+constexpr bool greedy_accepts =
+    requires { baselines::run_greedy(std::declval<P>()); };
+template <typename P>
+constexpr bool greedy_from_accepts = requires {
+  baselines::run_greedy_from(std::declval<P>(),
+                             std::declval<drp::ReplicaPlacement>());
+};
+template <typename P>
+constexpr bool gra_accepts =
+    requires { baselines::run_gra(std::declval<P>()); };
+template <typename P>
+constexpr bool aestar_accepts =
+    requires { baselines::run_aestar(std::declval<P>()); };
+template <typename P>
+constexpr bool english_accepts =
+    requires { baselines::run_english_auction(std::declval<P>()); };
+template <typename P>
+constexpr bool dutch_accepts =
+    requires { baselines::run_dutch_auction(std::declval<P>()); };
+template <typename P>
+constexpr bool local_search_accepts =
+    requires { baselines::run_local_search(std::declval<P>()); };
+template <typename P>
+constexpr bool annealing_accepts =
+    requires { baselines::run_annealing(std::declval<P>()); };
+template <typename P>
+constexpr bool glauber_accepts =
+    requires { baselines::run_glauber(std::declval<P>()); };
+template <typename P>
+constexpr bool selfish_caching_accepts =
+    requires { baselines::run_selfish_caching(std::declval<P>()); };
+template <typename P>
+constexpr bool brute_force_accepts =
+    requires { baselines::run_brute_force(std::declval<P>()); };
+template <typename P>
+constexpr bool tree_placement_accepts = requires(const net::Graph& tree) {
+  baselines::run_tree_placement(std::declval<P>(), tree);
+};
 
 TEST(Lifetime, EntryPointsRefuseTemporaryProblems) {
   static_assert(agt_ram_accepts<const drp::Problem&>);
@@ -534,6 +594,52 @@ TEST(Lifetime, EntryPointsRefuseTemporaryProblems) {
                                         const drp::Problem&>);
   static_assert(
       !std::is_constructible_v<drp::ReplicaPlacement, drp::Problem>);
+  // So does every other API that keeps a pointer to its Problem.
+  static_assert(build_agents_accepts<const drp::Problem&>);
+  static_assert(!build_agents_accepts<drp::Problem>);
+  static_assert(read_placement_accepts<const drp::Problem&>);
+  static_assert(!read_placement_accepts<drp::Problem>);
+  static_assert(greedy_accepts<const drp::Problem&>);
+  static_assert(!greedy_accepts<drp::Problem>);
+  static_assert(greedy_from_accepts<const drp::Problem&>);
+  static_assert(!greedy_from_accepts<drp::Problem>);
+  static_assert(gra_accepts<const drp::Problem&>);
+  static_assert(!gra_accepts<drp::Problem>);
+  static_assert(aestar_accepts<const drp::Problem&>);
+  static_assert(!aestar_accepts<drp::Problem>);
+  static_assert(english_accepts<const drp::Problem&>);
+  static_assert(!english_accepts<drp::Problem>);
+  static_assert(dutch_accepts<const drp::Problem&>);
+  static_assert(!dutch_accepts<drp::Problem>);
+  static_assert(local_search_accepts<const drp::Problem&>);
+  static_assert(!local_search_accepts<drp::Problem>);
+  static_assert(annealing_accepts<const drp::Problem&>);
+  static_assert(!annealing_accepts<drp::Problem>);
+  static_assert(glauber_accepts<const drp::Problem&>);
+  static_assert(!glauber_accepts<drp::Problem>);
+  static_assert(selfish_caching_accepts<const drp::Problem&>);
+  static_assert(!selfish_caching_accepts<drp::Problem>);
+  static_assert(brute_force_accepts<const drp::Problem&>);
+  static_assert(!brute_force_accepts<drp::Problem>);
+  static_assert(tree_placement_accepts<const drp::Problem&>);
+  static_assert(!tree_placement_accepts<drp::Problem>);
+  static_assert(
+      std::is_constructible_v<Agent, const drp::Problem&, drp::ServerId>);
+  static_assert(!std::is_constructible_v<Agent, drp::Problem, drp::ServerId>);
+  static_assert(std::is_constructible_v<runtime::MessageBus,
+                                        const drp::Problem&, drp::ServerId>);
+  static_assert(!std::is_constructible_v<runtime::MessageBus, drp::Problem,
+                                         drp::ServerId>);
+  static_assert(std::is_constructible_v<runtime::MessageBus,
+                                        const drp::Problem&,
+                                        const net::Clustering&>);
+  static_assert(!std::is_constructible_v<runtime::MessageBus, drp::Problem,
+                                         const net::Clustering&>);
+  static_assert(std::is_constructible_v<srv::SyntheticWorkload,
+                                        const drp::Problem&,
+                                        srv::WorkloadConfig>);
+  static_assert(!std::is_constructible_v<srv::SyntheticWorkload,
+                                         drp::Problem, srv::WorkloadConfig>);
   // A local binding is the supported call.
   const drp::Problem p = testutil::line3_problem();
   EXPECT_EQ(&run_agt_ram(p).placement.problem(), &p);

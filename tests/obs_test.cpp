@@ -1,13 +1,12 @@
 // Tests for agtram::obs: registry handle stability, exact counting under
-// threads, span recording, trace-sink delivery, and the core invariant that
-// instrumentation has no observable effect on the mechanism's allocation.
+// threads and span recording; and the per-round observer contract the
+// --obs-trace writer reads, which must leave the allocation untouched.
 #include "obs/obs.hpp"
 
 #include <gtest/gtest.h>
 
-#include <string>
+#include <limits>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -112,98 +111,81 @@ TEST(ObsMacroTest, MacrosCompileInControlFlowPositions) {
   const std::uint64_t start = c.value();
   for (int i = 0; i < 2; ++i) AGTRAM_OBS_COUNT("obs_test.flow", 1);
   if (true)
-    AGTRAM_OBS_ROUND(1);
+    AGTRAM_OBS_COUNT("obs_test.flow", 1);
   else
-    AGTRAM_OBS_ROUND(2);
-  EXPECT_EQ(c.value() - start, 2u);
+    AGTRAM_OBS_COUNT("obs_test.flow", 10);
+  EXPECT_EQ(c.value() - start, 3u);
 }
 
-// ---------------------------------------------------------------- trace
+// ------------------------------------------------------------- observer
 
-struct TestSink : obs::TraceSink {
-  std::vector<std::uint64_t> rounds;
-  std::vector<std::pair<std::string, double>> doubles;
-  std::vector<std::pair<std::string, std::uint64_t>> ints;
-  std::vector<std::pair<std::string, std::string>> strings;
+// What a run's observer hears, round by round: the round numbers, each
+// round's report count and first highest claim, and each allocation.
+struct RoundLog final : core::MechanismObserver {
+  std::vector<std::size_t> rounds;
+  std::vector<std::size_t> reports;
+  std::vector<double> best_claims;
+  std::vector<core::RoundRecord> allocations;  // true_value unused
 
-  void round_begin(std::uint64_t round) override { rounds.push_back(round); }
-  void gauge(std::string_view key, double value) override {
-    doubles.emplace_back(std::string(key), value);
+  void on_round_begin(std::size_t round) override {
+    rounds.push_back(round);
+    reports.push_back(0);
+    best_claims.push_back(-std::numeric_limits<double>::infinity());
   }
-  void gauge(std::string_view key, std::uint64_t value) override {
-    ints.emplace_back(std::string(key), value);
+  void on_report(drp::ServerId, const core::Report& report, bool) override {
+    ++reports.back();
+    if (report.has_candidate && report.claimed_value > best_claims.back()) {
+      best_claims.back() = report.claimed_value;
+    }
   }
-  void gauge(std::string_view key, std::string_view value) override {
-    strings.emplace_back(std::string(key), std::string(value));
+  void on_allocation(drp::ServerId winner, drp::ObjectIndex object,
+                     double payment) override {
+    allocations.push_back({winner, object, 0.0, 0.0, payment});
   }
 };
 
-TEST(ObsTraceTest, SinkReceivesRoundsAndGauges) {
-  TestSink sink;
-  obs::install_trace(&sink);
-  AGTRAM_OBS_ROUND(3);
-  AGTRAM_OBS_GAUGE("d", 1.5);
-  AGTRAM_OBS_GAUGE("u", std::uint64_t{7});
-  AGTRAM_OBS_GAUGE("s", std::string_view("x"));
-  obs::install_trace(nullptr);
-
-  ASSERT_EQ(sink.rounds.size(), 1u);
-  EXPECT_EQ(sink.rounds[0], 3u);
-  ASSERT_EQ(sink.doubles.size(), 1u);
-  EXPECT_EQ(sink.doubles[0], (std::pair<std::string, double>{"d", 1.5}));
-  ASSERT_EQ(sink.ints.size(), 1u);
-  EXPECT_EQ(sink.ints[0].second, 7u);
-  ASSERT_EQ(sink.strings.size(), 1u);
-  EXPECT_EQ(sink.strings[0].second, "x");
-}
-
-TEST(ObsTraceTest, UninstallStopsDelivery) {
-  TestSink sink;
-  obs::install_trace(&sink);
-  AGTRAM_OBS_ROUND(1);
-  obs::install_trace(nullptr);
-  EXPECT_EQ(obs::active_trace(), nullptr);
-  AGTRAM_OBS_ROUND(2);
-  AGTRAM_OBS_GAUGE("late", 1.0);
-  ASSERT_EQ(sink.rounds.size(), 1u);
-  EXPECT_TRUE(sink.doubles.empty());
-}
-
-// ------------------------------------------------------------ invariant
-
-// Instrumentation must have no observable effect on the mechanism: a run
-// with a trace sink installed (and the registry hot) produces exactly the
-// allocation, payments, and round sequence of an untraced run.
-TEST(ObsMechanismTest, TraceSinkDoesNotPerturbAllocation) {
+// The contract the --obs-trace lines are built from: an observed run
+// allocates exactly as an unobserved one; on_round_begin numbers the
+// rounds 0..R, the last being the terminating round, which has no
+// candidate; each allocation mirrors its RoundRecord and carries the
+// first highest claim of its round; and both report modes hand the
+// observer the same live set each round.
+TEST(ObsMechanismTest, ObserverSeesEveryRoundWithoutPerturbingIt) {
   const drp::Problem p = testutil::small_instance();
-  const core::MechanismResult plain = core::run_agt_ram(p);
+  std::vector<std::size_t> report_counts[2];
+  for (const core::ReportMode mode :
+       {core::ReportMode::Naive, core::ReportMode::Incremental}) {
+    SCOPED_TRACE(mode == core::ReportMode::Naive ? "naive" : "incremental");
+    core::AgtRamConfig cfg;
+    cfg.report_mode = mode;
+    const core::MechanismResult plain = core::run_agt_ram(p, cfg);
+    RoundLog log;
+    cfg.observer = &log;
+    const core::MechanismResult observed = core::run_agt_ram(p, cfg);
 
-  TestSink sink;
-  core::MechanismResult traced = [&] {
-    obs::install_trace(&sink);
-    core::MechanismResult r = core::run_agt_ram(p);
-    obs::install_trace(nullptr);
-    return r;
-  }();
-
-  ASSERT_EQ(traced.rounds.size(), plain.rounds.size());
-  for (std::size_t i = 0; i < plain.rounds.size(); ++i) {
-    EXPECT_EQ(traced.rounds[i].winner, plain.rounds[i].winner);
-    EXPECT_EQ(traced.rounds[i].object, plain.rounds[i].object);
-    EXPECT_EQ(traced.rounds[i].claimed_value, plain.rounds[i].claimed_value);
-    EXPECT_EQ(traced.rounds[i].payment, plain.rounds[i].payment);
+    const std::size_t r = plain.rounds.size();
+    ASSERT_GT(r, 0u);
+    ASSERT_EQ(observed.rounds.size(), r);
+    EXPECT_EQ(drp::CostModel::total_cost(observed.placement),
+              drp::CostModel::total_cost(plain.placement));
+    ASSERT_EQ(log.rounds.size(), r + 1);
+    ASSERT_EQ(log.allocations.size(), r);
+    for (std::size_t i = 0; i <= r; ++i) EXPECT_EQ(log.rounds[i], i);
+    for (std::size_t i = 0; i < r; ++i) {
+      const core::RoundRecord& want = plain.rounds[i];
+      EXPECT_EQ(observed.rounds[i].winner, want.winner);
+      EXPECT_EQ(observed.rounds[i].object, want.object);
+      EXPECT_EQ(observed.rounds[i].claimed_value, want.claimed_value);
+      EXPECT_EQ(observed.rounds[i].payment, want.payment);
+      EXPECT_EQ(log.allocations[i].winner, want.winner);
+      EXPECT_EQ(log.allocations[i].object, want.object);
+      EXPECT_EQ(log.allocations[i].payment, want.payment);
+      EXPECT_EQ(log.best_claims[i], want.claimed_value);
+    }
+    EXPECT_EQ(log.best_claims[r], -std::numeric_limits<double>::infinity());
+    report_counts[mode == core::ReportMode::Incremental] = log.reports;
   }
-  EXPECT_EQ(traced.total_payments(), plain.total_payments());
-  EXPECT_EQ(drp::CostModel::total_cost(traced.placement),
-            drp::CostModel::total_cost(plain.placement));
-  EXPECT_EQ(traced.placement.extra_replica_count(),
-            plain.placement.extra_replica_count());
-  // Round markers fire once per loop iteration, and not every iteration
-  // allocates (the terminating poll never does), so delivered >= recorded.
-  EXPECT_GE(sink.rounds.size(), plain.rounds.size());
-  for (std::size_t i = 1; i < sink.rounds.size(); ++i) {
-    EXPECT_EQ(sink.rounds[i], sink.rounds[i - 1] + 1);
-  }
+  EXPECT_EQ(report_counts[0], report_counts[1]);
 }
 
 }  // namespace

@@ -171,6 +171,18 @@ TEST(Regional, FailedRegionThatDoesNotExistIsRefused) {
   }
 }
 
+TEST(Regional, EnginesThatNeverCallAnObserverRefuseOne) {
+  // Only run_regional reports its rounds; the cooperative and hierarchical
+  // engines refuse an observer instead of silently never calling it.
+  const drp::Problem p = testutil::small_instance(214, 24, 80);
+  core::MechanismObserver observer;
+  core::RegionalConfig cfg;
+  cfg.observer = &observer;
+  EXPECT_THROW(core::run_regional_cooperative(p, cfg), std::invalid_argument);
+  EXPECT_THROW(core::run_hierarchical(p, cfg), std::invalid_argument);
+  EXPECT_NO_THROW(core::run_regional(p, cfg));
+}
+
 TEST(Regional, FailureDegradesGracefully) {
   // Killing one of four regions must not kill the system: the remaining
   // regions keep most of the healthy run's savings.
