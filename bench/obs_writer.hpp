@@ -25,6 +25,7 @@
 #include "common/thread_pool.hpp"
 #include "core/agt_ram.hpp"
 #include "drp/delta_evaluator.hpp"
+#include "drp/kernels.hpp"
 #include "obs/obs.hpp"
 
 namespace agtram::bench {
@@ -91,7 +92,10 @@ inline JsonWriter::Record mechanism_decisions(
 
 /// The baseline-side policy decisions: EvalPath plus the inputs the
 /// server-axis candidate scan forks on (it forks only when the instance
-/// clears DeltaEvaluator::kParallelMinServers on a multi-worker pool).
+/// clears DeltaEvaluator::kParallelMinServers on a multi-worker pool), and
+/// the inputs of the scan's kernel dispatch (best_add_read_pass takes its
+/// vector arm when the dispatch is active and a range holds at least
+/// kernels::kMinSimdServers candidates).
 inline JsonWriter::Record baseline_decisions(const drp::Problem& problem,
                                              bool delta_eval) {
   JsonWriter::Record record;
@@ -104,6 +108,9 @@ inline JsonWriter::Record baseline_decisions(const drp::Problem& problem,
   record.field("pool_workers",
                static_cast<std::uint64_t>(
                    common::ThreadPool::shared().thread_count()));
+  record.field("simd_active", drp::kernels::simd_active());
+  record.field("simd_min_servers",
+               static_cast<std::uint64_t>(drp::kernels::kMinSimdServers));
   return record;
 }
 

@@ -7,9 +7,7 @@
 //      CostModel::object_cost / DeltaEvaluator::refresh: two chained adds per
 //      accessor slot, fed by three dense SoA streams plus a distance gather.
 //   2. nn_min / nn_min_excluding / min_with_row — the nearest-replica
-//      min-reduce over a distance row.  Integer min is associative and
-//      commutative, so any evaluation order (vector lanes included) produces
-//      the identical value.
+//      min-reduce over a distance row.
 //   3. read_savings_accumulate / best_add_read_pass / broadcast_price_pass —
 //      the masked read-savings accumulates behind CostModel::global_benefit
 //      and DeltaEvaluator::best_add_for_object.
@@ -18,23 +16,21 @@
 //
 // Floating-point contract (pinned; tests/kernels_test.cpp): every kernel
 // produces hexfloat-identical results to the scalar reference loop it
-// replaced.  Summation order is part of the contract — vector paths may
-// reassociate *integer* reductions (shape 2) and compute independent
-// per-server accumulators in lanes (shape 3b), but any chained double sum is
-// evaluated in the original slot order: the SIMD path computes the per-slot
-// addends four at a time and folds them into the accumulator serially, in
-// slot order, exactly as the scalar loop does.  No FMA contraction anywhere
-// (the kernel TUs compile with -ffp-contract=off; the AVX2 paths use
-// separate mul/add intrinsics), so SIMD-on and SIMD-off builds — and the
-// pre-change goldens — agree bit for bit.
+// replaced.  Summation order is part of the contract: any chained double sum
+// is evaluated in the original slot order.  No FMA contraction anywhere (the
+// kernel TUs compile with -ffp-contract=off; the AVX2 arm uses separate
+// mul/add intrinsics), so SIMD-on and SIMD-off builds — and the pre-change
+// goldens — agree bit for bit.
 //
-// Dispatch: the AVX2 paths are compiled into a separate TU (kernels_avx2.cpp,
-// -mavx2) only when the build enables AGTRAM_SIMD and the target is x86-64.
-// At runtime the entry points take the vector path iff the CPU reports AVX2,
-// the AGTRAM_SIMD environment variable is not "0", and set_simd_enabled has
-// not forced scalar.  Everything else — other architectures, old CPUs,
-// AGTRAM_SIMD=OFF builds — runs the portable std::span loops, which are
-// written to auto-vectorize where the contract allows.
+// Dispatch: one kernel, best_add_read_pass, has an AVX2 arm, compiled into a
+// separate TU (kernels_avx2.cpp, -mavx2) only when the build enables
+// AGTRAM_SIMD and the target is x86-64.  At runtime it takes the arm iff the
+// CPU reports AVX2, the AGTRAM_SIMD environment variable is not "0",
+// set_simd_enabled has not forced scalar, and the range holds at least
+// kMinSimdServers candidates.  Everything else — the other kernels, other
+// architectures, old CPUs, AGTRAM_SIMD=OFF builds — runs the portable
+// std::span loops, which are written to auto-vectorize where the contract
+// allows.
 #pragma once
 
 #include <cstddef>
@@ -57,16 +53,22 @@ bool simd_compiled() noexcept;
 /// True when the running CPU supports AVX2 (always false off x86-64).
 bool simd_supported() noexcept;
 
-/// True when the vector paths will actually run: compiled in, CPU-supported,
+/// True when the vector arm will actually run: compiled in, CPU-supported,
 /// not disabled by AGTRAM_SIMD=0 in the environment, and not forced scalar
 /// by set_simd_enabled(false).
 bool simd_active() noexcept;
 
-/// Runtime toggle (bench/test hook): force the portable paths even when the
-/// vector paths are available.  Enabling has no effect unless
+/// Runtime toggle (bench/test hook): force the portable loop even when the
+/// vector arm is available.  Enabling has no effect unless
 /// simd_compiled() && simd_supported().  Not intended to be flipped while
 /// kernels are running on other threads.
 void set_simd_enabled(bool on) noexcept;
+
+/// Shortest candidate range for which best_add_read_pass takes its vector
+/// arm: below it the arm's setup costs more than the scalar walk.
+/// Correctness never depends on it (both arms are bit-identical).  Public so
+/// obs decision blocks can report the cutoff the dispatch compared against.
+inline constexpr std::size_t kMinSimdServers = 16;
 
 // ---------------------------------------------------------------------------
 // Membership mask
@@ -149,7 +151,7 @@ double read_savings_accumulate(std::span<const ServerId> servers,
 /// a chain — vectorizing over i is bit-exact by construction.  Precondition:
 /// no benefit entry in [first, last) is -0.0 (call sites accumulate
 /// nonnegative read savings from a +0.0 fill, so this holds by
-/// construction); under it the vector path may skip blocks whose addends
+/// construction); under it the vector arm may skip blocks whose addends
 /// are all +0.0 bit-identically.
 void best_add_read_pass(double ro, net::Cost current,
                         std::span<const net::Cost> a_row, std::size_t first,

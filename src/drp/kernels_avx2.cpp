@@ -1,27 +1,16 @@
-// AVX2 kernel paths (kernels_avx2.hpp).  Compiled with -mavx2 and
-// -ffp-contract=off only when AGTRAM_SIMD=ON on an x86-64 target; dispatch
-// in kernels.cpp guarantees the CPU supports AVX2 before any call lands
-// here.
+// AVX2 arm of best_add_read_pass (kernels_avx2.hpp).  Compiled with -mavx2
+// and -ffp-contract=off only when AGTRAM_SIMD=ON on an x86-64 target;
+// dispatch in kernels.cpp guarantees the CPU supports AVX2 before any call
+// lands here.
 //
-// Bit-identity rules (kernels.hpp, DESIGN.md §10):
-//   - Chained double sums keep the scalar slot order: each 4-slot block
-//     computes its addends in lanes, spills them to a stack array, and folds
-//     them into the accumulator serially.  Lanes only ever parallelise the
-//     *products*, never the sum.
-//   - No FMA intrinsics anywhere — separate _mm256_mul_pd / _mm256_add_pd
-//     match the -ffp-contract=off scalar code exactly.
-//   - Integer (u32) min reductions are associative and commutative, so those
-//     run genuinely data-parallel with a final cross-lane reduce.
-//   - Masked-out lanes contribute a literal +0.0 to nonnegative-sum chains
-//     (x + 0.0 == x bitwise for every x != -0.0, and these sums never see
-//     -0.0), which is how the vector path skips member / zero-read slots
-//     without branching.
+// Bit-identity rules (kernels.hpp, DESIGN.md §10): no FMA intrinsics —
+// separate _mm256_mul_pd / _mm256_add_pd match the -ffp-contract=off scalar
+// code exactly — and an exact u32 -> f64 conversion.
 #include "drp/kernels_avx2.hpp"
 
 #include <immintrin.h>
 
 #include <algorithm>
-#include <cstring>
 
 namespace agtram::drp::kernels::avx2 {
 namespace {
@@ -37,155 +26,7 @@ inline __m256d u32x4_to_f64(__m128i v) noexcept {
                        magic_d);
 }
 
-// Four member-mask bytes -> all-ones/all-zeros 64-bit lane masks.
-inline __m256d mask4_to_pd(const std::uint8_t* m) noexcept {
-  std::int32_t packed;
-  std::memcpy(&packed, m, sizeof(packed));
-  const __m128i bytes = _mm_cvtsi32_si128(packed);
-  const __m128i lanes32 = _mm_cvtepu8_epi32(bytes);
-  const __m128i nz = _mm_cmpgt_epi32(lanes32, _mm_setzero_si128());
-  return _mm256_castsi256_pd(_mm256_cvtepi32_epi64(nz));
-}
-
-inline __m128i load_u32x4(const void* p) noexcept {
-  return _mm_loadu_si128(static_cast<const __m128i*>(p));
-}
-
 }  // namespace
-
-CostAccum object_cost_accumulate(const ServerId* servers, const double* reads,
-                                 const double* writes, const net::Cost* nn,
-                                 const net::Cost* primary_row,
-                                 const std::uint8_t* member, double o,
-                                 double w_total,
-                                 std::size_t n) noexcept {
-  CostAccum acc;
-  const __m256d o_v = _mm256_set1_pd(o);
-  const __m256d wt_v = _mm256_set1_pd(w_total);
-  const __m256d zero = _mm256_setzero_pd();
-  std::size_t s = 0;
-  for (; s + 4 <= n; s += 4) {
-    const __m128i srv = load_u32x4(servers + s);
-    const __m128i cp_i = _mm_i32gather_epi32(
-        reinterpret_cast<const int*>(primary_row), srv, 4);
-    const __m256d cp = u32x4_to_f64(cp_i);
-    const __m256d wr = _mm256_loadu_pd(writes + s);
-    const __m256d rd = _mm256_loadu_pd(reads + s);
-    const __m256d nn_d = u32x4_to_f64(load_u32x4(nn + s));
-    const __m256d mem = mask4_to_pd(member + s);
-
-    // t1 = writes*o*cp;  t2 = member ? (w_total-writes)*o*cp : reads*o*nn
-    const __m256d t1 = _mm256_mul_pd(_mm256_mul_pd(wr, o_v), cp);
-    const __m256d t2_rep =
-        _mm256_mul_pd(_mm256_mul_pd(_mm256_sub_pd(wt_v, wr), o_v), cp);
-    const __m256d t2_read = _mm256_mul_pd(_mm256_mul_pd(rd, o_v), nn_d);
-    const __m256d t2 = _mm256_blendv_pd(t2_read, t2_rep, mem);
-    // sv = (!member && reads != 0) ? reads*o*nn : +0.0
-    const __m256d rd_nz = _mm256_cmp_pd(rd, zero, _CMP_NEQ_OQ);
-    const __m256d sv =
-        _mm256_and_pd(t2_read, _mm256_andnot_pd(mem, rd_nz));
-
-    alignas(32) double t1_a[4];
-    alignas(32) double t2_a[4];
-    alignas(32) double sv_a[4];
-    _mm256_store_pd(t1_a, t1);
-    _mm256_store_pd(t2_a, t2);
-    _mm256_store_pd(sv_a, sv);
-    for (int j = 0; j < 4; ++j) {  // serial fold: scalar add order
-      acc.cost += t1_a[j];
-      acc.cost += t2_a[j];
-      acc.saving += sv_a[j];
-    }
-  }
-  for (; s < n; ++s) {  // scalar tail, identical op sequence
-    const double cp = static_cast<double>(primary_row[servers[s]]);
-    acc.cost += writes[s] * o * cp;
-    if (member[s]) {
-      acc.cost += (w_total - writes[s]) * o * cp;
-    } else {
-      acc.cost += reads[s] * o * static_cast<double>(nn[s]);
-      if (reads[s] != 0.0) {
-        acc.saving += reads[s] * o * static_cast<double>(nn[s]);
-      }
-    }
-  }
-  return acc;
-}
-
-net::Cost nn_min(const net::Cost* row, const ServerId* reps,
-                 std::size_t n) noexcept {
-  // u32 min is order-free: 8 running lane minima, one cross-lane reduce.
-  __m256i best8 = _mm256_set1_epi32(-1);  // all bits set == kUnreachable
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m256i idx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(reps + j));
-    const __m256i v =
-        _mm256_i32gather_epi32(reinterpret_cast<const int*>(row), idx, 4);
-    best8 = _mm256_min_epu32(best8, v);
-  }
-  alignas(32) std::uint32_t lanes[8];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), best8);
-  net::Cost best = net::kUnreachable;
-  for (const std::uint32_t v : lanes) best = std::min(best, v);
-  for (; j < n; ++j) best = std::min(best, row[reps[j]]);
-  return best;
-}
-
-void min_with_row(const net::Cost* nn, const ServerId* servers,
-                  const net::Cost* row, net::Cost* out,
-                  std::size_t n) noexcept {
-  std::size_t s = 0;
-  for (; s + 8 <= n; s += 8) {
-    const __m256i cur =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(nn + s));
-    const __m256i idx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(servers + s));
-    const __m256i gathered =
-        _mm256_i32gather_epi32(reinterpret_cast<const int*>(row), idx, 4);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + s),
-                        _mm256_min_epu32(cur, gathered));
-  }
-  for (; s < n; ++s) out[s] = std::min(nn[s], row[servers[s]]);
-}
-
-double read_savings_accumulate(const ServerId* servers, const double* reads,
-                               const net::Cost* nn, const net::Cost* i_row,
-                               const std::uint8_t* member, double o,
-                               std::size_t n) noexcept {
-  double benefit = 0.0;
-  const __m256d o_v = _mm256_set1_pd(o);
-  const __m256d zero = _mm256_setzero_pd();
-  std::size_t s = 0;
-  for (; s + 4 <= n; s += 4) {
-    const __m128i cur_i = load_u32x4(nn + s);
-    const __m128i srv = load_u32x4(servers + s);
-    const __m128i row_i =
-        _mm_i32gather_epi32(reinterpret_cast<const int*>(i_row), srv, 4);
-    const __m128i with_i = _mm_min_epu32(cur_i, row_i);
-    const __m256d cur_d = u32x4_to_f64(cur_i);
-    const __m256d with_d = u32x4_to_f64(with_i);
-    const __m256d rd = _mm256_loadu_pd(reads + s);
-    // term = (reads*o) * (cur - with); zeroed where member or reads == 0
-    const __m256d term = _mm256_mul_pd(_mm256_mul_pd(rd, o_v),
-                                       _mm256_sub_pd(cur_d, with_d));
-    const __m256d mem = mask4_to_pd(member + s);
-    const __m256d rd_nz = _mm256_cmp_pd(rd, zero, _CMP_NEQ_OQ);
-    const __m256d masked =
-        _mm256_and_pd(term, _mm256_andnot_pd(mem, rd_nz));
-    alignas(32) double t_a[4];
-    _mm256_store_pd(t_a, masked);
-    for (int j = 0; j < 4; ++j) benefit += t_a[j];  // serial fold
-  }
-  for (; s < n; ++s) {
-    if (reads[s] == 0.0 || member[s]) continue;
-    const net::Cost current = nn[s];
-    const net::Cost with_i = std::min(current, i_row[servers[s]]);
-    benefit += reads[s] * o *
-               (static_cast<double>(current) - static_cast<double>(with_i));
-  }
-  return benefit;
-}
 
 void best_add_read_pass(double ro, net::Cost current, const net::Cost* a_row,
                         std::size_t first, std::size_t last,
@@ -223,26 +64,6 @@ void best_add_read_pass(double ro, net::Cost current, const net::Cost* a_row,
     const net::Cost with_i = std::min(current, a_row[i]);
     benefit[i] += ro * (static_cast<double>(current) -
                         static_cast<double>(with_i));
-  }
-}
-
-void broadcast_price_pass(double w_total, double o, const double* w_dense,
-                          const net::Cost* primary_row, std::size_t first,
-                          std::size_t last, double* benefit) noexcept {
-  const __m256d wt_v = _mm256_set1_pd(w_total);
-  const __m256d o_v = _mm256_set1_pd(o);
-  std::size_t i = first;
-  for (; i + 4 <= last; i += 4) {
-    const __m256d pr = u32x4_to_f64(load_u32x4(primary_row + i));
-    const __m256d w = _mm256_loadu_pd(w_dense + i);
-    const __m256d term = _mm256_mul_pd(
-        _mm256_mul_pd(_mm256_sub_pd(wt_v, w), o_v), pr);
-    _mm256_storeu_pd(benefit + i,
-                     _mm256_sub_pd(_mm256_loadu_pd(benefit + i), term));
-  }
-  for (; i < last; ++i) {
-    benefit[i] -=
-        (w_total - w_dense[i]) * o * static_cast<double>(primary_row[i]);
   }
 }
 

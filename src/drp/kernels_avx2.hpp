@@ -1,44 +1,21 @@
-// Internal declarations of the AVX2 kernel paths (kernels_avx2.cpp, compiled
-// with -mavx2 -ffp-contract=off when AGTRAM_SIMD is ON and the target is
-// x86-64).  Only kernels.cpp includes this header; everything else goes
-// through the dispatching entry points in kernels.hpp.
+// Internal declaration of the one AVX2 kernel arm (kernels_avx2.cpp,
+// compiled with -mavx2 -ffp-contract=off when AGTRAM_SIMD is ON and the
+// target is x86-64).  Only kernels.cpp includes this header; everything else
+// goes through the dispatching entry point in kernels.hpp.
 //
-// Raw-pointer signatures keep the hot call boundary trivial; every function
+// A raw-pointer signature keeps the hot call boundary trivial; the arm
 // handles its own (scalar) tail with the identical op sequence as the
 // portable loop, so callers never split ranges.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 #include "drp/kernels.hpp"
 
 namespace agtram::drp::kernels::avx2 {
 
-CostAccum object_cost_accumulate(const ServerId* servers, const double* reads,
-                                 const double* writes, const net::Cost* nn,
-                                 const net::Cost* primary_row,
-                                 const std::uint8_t* member, double o,
-                                 double w_total, std::size_t n) noexcept;
-
-net::Cost nn_min(const net::Cost* row, const ServerId* reps,
-                 std::size_t n) noexcept;
-
-void min_with_row(const net::Cost* nn, const ServerId* servers,
-                  const net::Cost* row, net::Cost* out,
-                  std::size_t n) noexcept;
-
-double read_savings_accumulate(const ServerId* servers, const double* reads,
-                               const net::Cost* nn, const net::Cost* i_row,
-                               const std::uint8_t* member, double o,
-                               std::size_t n) noexcept;
-
 void best_add_read_pass(double ro, net::Cost current, const net::Cost* a_row,
                         std::size_t first, std::size_t last,
                         double* benefit) noexcept;
-
-void broadcast_price_pass(double w_total, double o, const double* w_dense,
-                          const net::Cost* primary_row, std::size_t first,
-                          std::size_t last, double* benefit) noexcept;
 
 }  // namespace agtram::drp::kernels::avx2

@@ -3,15 +3,16 @@
 //  * reference parity — every kernel reproduces its scalar reference loop
 //    (the pre-kernel AoS code, transcribed verbatim below) bit for bit over
 //    randomized inputs covering empty rows, single-accessor objects, lane
-//    remainders, and sizes straddling every dispatch cutoff;
-//  * dispatch parity — the vector and portable arms agree bit for bit: each
-//    kernel runs under set_simd_enabled(true) and (false) and must produce
-//    identical bits (on non-AVX2 hosts both arms are the portable loop and
-//    the check is trivially green);
-//  * engine parity — the rewired call sites (object cost, hypothetical
-//    add/drop/swap, candidate scan) produce identical bits with SIMD on and
-//    off on generated instances, including placements pushed through the
-//    inline -> spill-arena crossover at kInlineReplicators.
+//    remainders, and sizes straddling the dispatch cutoff;
+//  * dispatch parity — best_add_read_pass, the one kernel with a vector arm,
+//    agrees bit for bit with its portable loop: it runs under
+//    set_simd_enabled(true) and (false) and must produce identical bits (on
+//    non-AVX2 hosts both arms are the portable loop and the check is
+//    trivially green);
+//  * engine parity — the candidate scan built on it produces identical bits
+//    with SIMD on and off on generated instances, including placements
+//    pushed through the inline -> spill-arena crossover at
+//    kInlineReplicators.
 //
 // Failures print hexfloats so a single-ULP drift is visible.
 #include <gtest/gtest.h>
@@ -91,8 +92,8 @@ struct RowFixture {
   }
 };
 
-// Sizes straddling the lane widths (4 and 8) and every dispatch cutoff
-// (8 slots, 16 reps/servers), plus empty and single-entry rows.
+// Sizes straddling the vector arm's lane width (8) and its dispatch cutoff
+// (kernels::kMinSimdServers, 16), plus empty and single-entry rows.
 constexpr std::size_t kSizes[] = {0, 1, 2,  3,  4,  5,  7,  8,
                                   9, 15, 16, 17, 31, 32, 63, 257};
 
@@ -131,7 +132,6 @@ double ref_read_savings(const RowFixture& f,
 }
 
 TEST(KernelReference, ObjectCostAccumulateMatchesScalarLoop) {
-  SimdGuard guard;
   std::mt19937_64 rng(7);
   for (const std::size_t n : kSizes) {
     RowFixture f = RowFixture::make(rng, n, 300);
@@ -139,19 +139,15 @@ TEST(KernelReference, ObjectCostAccumulateMatchesScalarLoop) {
     double w_total = 0.0;
     for (const double w : f.writes) w_total += w;
     const kernels::CostAccum want = ref_object_cost_accumulate(f, o, w_total);
-    for (const bool simd : {true, false}) {
-      kernels::set_simd_enabled(simd);
-      const kernels::CostAccum got = kernels::object_cost_accumulate(
-          f.servers, f.reads, f.writes, f.nn, f.primary_row, f.member.data(),
-          o, w_total);
-      EXPECT_BITEQ(got.cost, want.cost) << "n=" << n << " simd=" << simd;
-      EXPECT_BITEQ(got.saving, want.saving) << "n=" << n << " simd=" << simd;
-    }
+    const kernels::CostAccum got = kernels::object_cost_accumulate(
+        f.servers, f.reads, f.writes, f.nn, f.primary_row, f.member.data(), o,
+        w_total);
+    EXPECT_BITEQ(got.cost, want.cost) << "n=" << n;
+    EXPECT_BITEQ(got.saving, want.saving) << "n=" << n;
   }
 }
 
 TEST(KernelReference, ReadSavingsAccumulateMatchesScalarLoop) {
-  SimdGuard guard;
   std::mt19937_64 rng(8);
   std::uniform_int_distribution<net::Cost> dist(0, 5000);
   for (const std::size_t n : kSizes) {
@@ -160,17 +156,13 @@ TEST(KernelReference, ReadSavingsAccumulateMatchesScalarLoop) {
     for (auto& c : i_row) c = dist(rng);
     const double o = 5.0;
     const double want = ref_read_savings(f, i_row, o);
-    for (const bool simd : {true, false}) {
-      kernels::set_simd_enabled(simd);
-      const double got = kernels::read_savings_accumulate(
-          f.servers, f.reads, f.nn, i_row, f.member.data(), o);
-      EXPECT_BITEQ(got, want) << "n=" << n << " simd=" << simd;
-    }
+    const double got = kernels::read_savings_accumulate(
+        f.servers, f.reads, f.nn, i_row, f.member.data(), o);
+    EXPECT_BITEQ(got, want) << "n=" << n;
   }
 }
 
 TEST(KernelReference, NnMinFamilyMatchesScalarLoop) {
-  SimdGuard guard;
   std::mt19937_64 rng(9);
   std::uniform_int_distribution<net::Cost> dist(0, 1u << 30);
   const std::size_t m = 600;
@@ -188,17 +180,13 @@ TEST(KernelReference, NnMinFamilyMatchesScalarLoop) {
     for (const ServerId r : reps) {
       if (r != excluded) want_ex = std::min(want_ex, row[r]);
     }
-    for (const bool simd : {true, false}) {
-      kernels::set_simd_enabled(simd);
-      EXPECT_EQ(kernels::nn_min(row, reps), want) << "n=" << n;
-      EXPECT_EQ(kernels::nn_min_excluding(row, reps, excluded), want_ex)
-          << "n=" << n;
-    }
+    EXPECT_EQ(kernels::nn_min(row, reps), want) << "n=" << n;
+    EXPECT_EQ(kernels::nn_min_excluding(row, reps, excluded), want_ex)
+        << "n=" << n;
   }
 }
 
 TEST(KernelReference, MinWithRowMatchesScalarLoopAndAliases) {
-  SimdGuard guard;
   std::mt19937_64 rng(10);
   std::uniform_int_distribution<net::Cost> dist(0, 1u << 30);
   for (const std::size_t n : kSizes) {
@@ -209,15 +197,12 @@ TEST(KernelReference, MinWithRowMatchesScalarLoopAndAliases) {
     for (std::size_t s = 0; s < f.servers.size(); ++s) {
       want[s] = std::min(f.nn[s], row[f.servers[s]]);
     }
-    for (const bool simd : {true, false}) {
-      kernels::set_simd_enabled(simd);
-      std::vector<net::Cost> out(f.servers.size(), 0);
-      kernels::min_with_row(f.nn, f.servers, row, out.data());
-      EXPECT_EQ(out, want) << "n=" << n << " simd=" << simd;
-      std::vector<net::Cost> in_place = f.nn;  // out may alias the input
-      kernels::min_with_row(in_place, f.servers, row, in_place.data());
-      EXPECT_EQ(in_place, want) << "n=" << n << " simd=" << simd;
-    }
+    std::vector<net::Cost> out(f.servers.size(), 0);
+    kernels::min_with_row(f.nn, f.servers, row, out.data());
+    EXPECT_EQ(out, want) << "n=" << n;
+    std::vector<net::Cost> in_place = f.nn;  // out may alias the input
+    kernels::min_with_row(in_place, f.servers, row, in_place.data());
+    EXPECT_EQ(in_place, want) << "n=" << n;
   }
 }
 
@@ -244,18 +229,13 @@ TEST(KernelReference, BestAddPassesMatchScalarLoops) {
       want[i] += ro * (static_cast<double>(current) -
                        static_cast<double>(with_i));
     }
-    for (std::size_t i = 0; i < m; ++i) {
-      want[i] -=
-          (w_total - w_dense[i]) * o * static_cast<double>(primary_row[i]);
-    }
     for (const bool simd : {true, false}) {
       kernels::set_simd_enabled(simd);
       std::vector<double> got(m, 0.125);
       kernels::best_add_read_pass(ro, current, a_row, 0, m, got.data());
-      kernels::broadcast_price_pass(w_total, o, w_dense, primary_row, 0, m,
-                                    got.data());
       for (std::size_t i = 0; i < m; ++i) {
-        EXPECT_BITEQ(got[i], want[i]) << "m=" << m << " i=" << i;
+        EXPECT_BITEQ(got[i], want[i])
+            << "m=" << m << " i=" << i << " simd=" << simd;
       }
       // Partial [first, last) ranges leave everything else untouched.
       if (m >= 8) {
@@ -266,7 +246,7 @@ TEST(KernelReference, BestAddPassesMatchScalarLoops) {
         EXPECT_EQ(part[m - 1], 0.0);
       }
       // Skip-heavy regimes: when few (or no) candidates beat `current`,
-      // the vector path may skip whole all-+0.0 blocks — results must
+      // the vector arm may skip whole all-+0.0 blocks — results must
       // still match the always-add scalar loop bit for bit.
       for (const net::Cost sparse_current : {net::Cost{0}, net::Cost{3}}) {
         std::vector<double> sparse_want(m, 0.125);
@@ -283,6 +263,15 @@ TEST(KernelReference, BestAddPassesMatchScalarLoops) {
               << "m=" << m << " i=" << i << " current=" << sparse_current;
         }
       }
+    }
+    // broadcast_price_pass has one path, priced on top of the read pass.
+    std::vector<double> got = want;
+    kernels::broadcast_price_pass(w_total, o, w_dense, primary_row, 0, m,
+                                  got.data());
+    for (std::size_t i = 0; i < m; ++i) {
+      want[i] -=
+          (w_total - w_dense[i]) * o * static_cast<double>(primary_row[i]);
+      EXPECT_BITEQ(got[i], want[i]) << "m=" << m << " i=" << i;
     }
   }
 }
@@ -321,7 +310,8 @@ TEST(KernelDispatch, ToggleRoundTripsAndNeverEnablesUnsupported) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine parity: the rewired call sites under SIMD on vs off.
+// Engine parity: the rewired call sites, and the candidate scan under SIMD on
+// vs off.
 
 TEST(KernelEngineParity, SoaStreamsMirrorAosCells) {
   const drp::Problem p = testutil::small_instance(21, 48, 120);
@@ -339,7 +329,7 @@ TEST(KernelEngineParity, SoaStreamsMirrorAosCells) {
   }
 }
 
-TEST(KernelEngineParity, CostAndHypotheticalsBitIdenticalSimdOnOff) {
+TEST(KernelEngineParity, BestAddForObjectBitIdenticalSimdOnOff) {
   SimdGuard guard;
   const drp::Problem p = testutil::small_instance(33, 64, 150, 0.2);
   drp::DeltaEvaluator eval{drp::ReplicaPlacement(p)};
@@ -347,7 +337,8 @@ TEST(KernelEngineParity, CostAndHypotheticalsBitIdenticalSimdOnOff) {
   std::uniform_int_distribution<ServerId> pick_server(
       0, static_cast<ServerId>(p.server_count() - 1));
   // Grow some replica sets (through the inline -> arena crossover on the
-  // busiest objects) so drop/swap paths have real sets to stage against.
+  // busiest objects) so the scan and the replica-min cost have real sets to
+  // stage against.
   for (int step = 0; step < 400; ++step) {
     const auto k =
         static_cast<drp::ObjectIndex>(rng() % p.object_count());
@@ -363,56 +354,20 @@ TEST(KernelEngineParity, CostAndHypotheticalsBitIdenticalSimdOnOff) {
 
   drp::DeltaEvaluator::ScanScratch scratch;
   for (drp::ObjectIndex k = 0; k < p.object_count(); ++k) {
-    const auto reps = eval.placement().replicators(k);
-    const ServerId add_cand = pick_server(rng);
-    const ServerId drop_cand =
-        reps.size() > 1 ? reps[1 + rng() % (reps.size() - 1)] : 0;
-    double on_cost = 0.0, on_add = 0.0, on_drop = 0.0, on_swap = 0.0;
-    double on_best = 0.0, on_global = 0.0;
-    ServerId on_server = 0;
-    for (const bool simd : {true, false}) {
-      kernels::set_simd_enabled(simd);
-      const double cost = drp::CostModel::object_cost(eval.placement(), k);
-      const double with_reps =
-          drp::CostModel::object_cost_with_replicators(p, k, reps);
-      const double add = eval.can_replicate(add_cand, k)
-                             ? eval.cost_if_added(add_cand, k)
-                             : 0.0;
-      const double global =
-          eval.can_replicate(add_cand, k)
-              ? drp::CostModel::global_benefit(eval.placement(), add_cand, k)
-              : 0.0;
-      const bool can_drop = drop_cand != 0 && drop_cand != p.primary[k];
-      const double drop = can_drop ? eval.cost_if_dropped(drop_cand, k) : 0.0;
-      const double swap =
-          can_drop && eval.placement().can_replicate(add_cand, k)
-              ? eval.cost_if_swapped(drop_cand, add_cand, k)
-              : 0.0;
-      const auto best = eval.best_add_for_object(k, nullptr, scratch, false);
-      EXPECT_BITEQ(with_reps, cost) << "k=" << k;
-      if (simd) {
-        on_cost = cost;
-        on_add = add;
-        on_drop = drop;
-        on_swap = swap;
-        on_global = global;
-        on_best = best.benefit;
-        on_server = best.server;
-      } else {
-        EXPECT_BITEQ(cost, on_cost) << "k=" << k;
-        EXPECT_BITEQ(add, on_add) << "k=" << k;
-        EXPECT_BITEQ(drop, on_drop) << "k=" << k;
-        EXPECT_BITEQ(swap, on_swap) << "k=" << k;
-        EXPECT_BITEQ(global, on_global) << "k=" << k;
-        EXPECT_BITEQ(best.benefit, on_best) << "k=" << k;
-        EXPECT_EQ(best.server, on_server) << "k=" << k;
-      }
-    }
+    const double cost = drp::CostModel::object_cost(eval.placement(), k);
+    const double with_reps = drp::CostModel::object_cost_with_replicators(
+        p, k, eval.placement().replicators(k));
+    EXPECT_BITEQ(with_reps, cost) << "k=" << k;
+    kernels::set_simd_enabled(true);
+    const auto on = eval.best_add_for_object(k, nullptr, scratch, false);
+    kernels::set_simd_enabled(false);
+    const auto off = eval.best_add_for_object(k, nullptr, scratch, false);
+    EXPECT_BITEQ(off.benefit, on.benefit) << "k=" << k;
+    EXPECT_EQ(off.server, on.server) << "k=" << k;
   }
 }
 
 TEST(KernelEngineParity, EmptyAndSingleAccessorObjects) {
-  SimdGuard guard;
   // Hand-built matrix with an empty row and a single-accessor row.
   drp::Problem p;
   p.distances = std::make_shared<const net::DistanceMatrix>(
@@ -430,15 +385,12 @@ TEST(KernelEngineParity, EmptyAndSingleAccessorObjects) {
   p.validate();
 
   drp::ReplicaPlacement placement(p);
-  for (const bool simd : {true, false}) {
-    kernels::set_simd_enabled(simd);
-    EXPECT_BITEQ(drp::CostModel::object_cost(placement, 0), 0.0);
-    const double c1 = drp::CostModel::object_cost(placement, 1);
-    const double c1_reps = drp::CostModel::object_cost_with_replicators(
-        p, 1, placement.replicators(1));
-    EXPECT_BITEQ(c1, c1_reps);
-    EXPECT_GT(drp::CostModel::object_cost(placement, 2), 0.0);
-  }
+  EXPECT_BITEQ(drp::CostModel::object_cost(placement, 0), 0.0);
+  const double c1 = drp::CostModel::object_cost(placement, 1);
+  const double c1_reps = drp::CostModel::object_cost_with_replicators(
+      p, 1, placement.replicators(1));
+  EXPECT_BITEQ(c1, c1_reps);
+  EXPECT_GT(drp::CostModel::object_cost(placement, 2), 0.0);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // The counter contract: one tiny run of each instrumented layer (mechanism,
-// distributed runtime, regional, online, serving, strategic audit, Glauber)
-// must move the counters that layer exports.  The one-clock contract: every
-// stage a result struct exports in seconds is the reading of its spans.
+// distributed runtime, regional, online, Greedy's kernel dispatch, serving,
+// strategic audit, Glauber) must move the counters that layer exports.  The
+// one-clock contract: every stage a result struct exports in seconds is the
+// reading of its spans.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,11 +11,13 @@
 #include <vector>
 
 #include "baselines/glauber.hpp"
+#include "baselines/greedy.hpp"
 #include "core/agt_ram.hpp"
 #include "core/audit.hpp"
 #include "core/online.hpp"
 #include "core/regional.hpp"
 #include "drp/builder.hpp"
+#include "drp/kernels.hpp"
 #include "obs/obs.hpp"
 #include "runtime/distributed_mechanism.hpp"
 #include "runtime/event_sim.hpp"
@@ -81,13 +84,17 @@ TEST(ObsCounters, EveryInstrumentedLayerMovesItsCounters) {
   }
   expect_moved(before, {"online.batches", "online.events",
                         "delta_eval.refreshes"});
-  // Which arm of a kernel runs depends on the dispatch (the size cutoff,
-  // AGTRAM_SIMD=0), so the kernel family is checked as the sum of its arms.
-  const std::vector<std::string_view> object_cost_slots = {
-      "kernels.object_cost.simd_slots", "kernels.object_cost.tail_slots",
-      "kernels.object_cost.scalar_slots"};
-  EXPECT_GT(sum_of(registry.counters(), object_cost_slots),
-            sum_of(before, object_cost_slots));
+
+  // The one kernel dispatch: Greedy's candidate scan runs
+  // best_add_read_pass over all M servers, so it must take the vector arm
+  // exactly when the dispatch is active (AGTRAM_SIMD=0 turns it off).
+  ASSERT_GE(p.server_count(), drp::kernels::kMinSimdServers);
+  before = registry.counters();
+  baselines::run_greedy(p);
+  const char* arm = drp::kernels::simd_active()
+                        ? "kernels.best_add.simd_servers"
+                        : "kernels.best_add.scalar_servers";
+  expect_moved(before, {arm});
 
   // The drifting stream of the serving suite's OnDrift test, on which the
   // drift trigger fires.
